@@ -22,17 +22,30 @@ C_OMEGA_CHECK_BOUND = 1 << 127
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+#: Wheel primes handled by the presieve pattern, and its period.
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)
 
-def _binom_table(n_max: int) -> np.ndarray:
-    """Exact C(n, k) lookup table for n, k <= n_max (values stay below 2^63)."""
-    tab = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            v = math.comb(n, k)
-            if v > _INT64_MAX:
-                raise OverflowError(f"binomial C({n},{k}) exceeds int64")
-            tab[n, k] = v
-    return tab
+
+def _wheel_pattern():
+    """omega and smooth-part product over the wheel primes, per residue mod 30030."""
+    omega = np.zeros(_WHEEL, dtype=np.uint8)
+    smooth = np.ones(_WHEEL, dtype=np.int64)
+    for p in _WHEEL_PRIMES:
+        omega[::p] += 1
+        smooth[::p] *= p
+    return omega, smooth
+
+
+_WHEEL_OMEGA, _WHEEL_SMOOTH = _wheel_pattern()
+
+#: Sieve strides below this are applied block by block, _BLOCK entries at a
+#: time, so the four working columns of a block (2.25 MB) stay in cache.
+_SHORT_STRIDE = 256
+_BLOCK = 1 << 17
+
+#: k! for k <= 20; 21! exceeds 2^63.
+_FACTORIAL = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
 
 
 @dataclass
@@ -73,57 +86,83 @@ def profile_range(segment: Segment, factor_source: FactorSieve | None = None,
                   include_g: bool = True) -> ArithmeticProfile:
     """Compute every per-n function over a segment in vectorized sweeps.
 
-    Each seed prime p contributes through strided views on the multiples of
-    p; exponents are accumulated one power level at a time, and the
-    multinomial is built up as a running product of exact binomials.
-    A surviving cofactor > 1 after all seed primes is a single large prime.
+    A segmented Mobius sieve in the manner of Deleglise & Rivat (Exp. Math.
+    1996), with no division and no table gather per prime:
+
+    * Presieve: omega and the smooth-part product for the wheel primes
+      2..13 start as a tiled period-30030 pattern, offset by ``lo % 30030``.
+    * Prime loop: every other seed prime p <= sqrt(hi - 1) adds 1 to omega
+      and multiplies the smooth part by p on its multiples.  Every prime
+      power level p^e < hi with e >= 2 (wheel primes included) adds 1 to
+      the excess count ``extra``, multiplies the smooth part by p and the
+      denominator by e, so the denominator ends as the product of alpha_i!.
+      Strides below 256 run one cache-sized block of the segment at a time.
+    * Smooth-part test: all prime factors <= sqrt(hi - 1) are multiplied in
+      with full multiplicity, so n has one prime factor beyond them exactly
+      when the smooth part differs from n, which is when it is at most
+      isqrt(hi - 1) while n is not.
+    * Derived columns: big_omega = omega + extra; n is squarefree iff
+      extra == 0; c_omega = big_omega! / prod(alpha_i!) from a table of
+      factorials up to 20!.
+
+    The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63 and
+    are computed exactly by trial division instead.  The int64 column cannot
+    overflow for n <= 10^17: the exponent-signature search in
+    ``tests/test_arith.py::test_c_omega_int64_bound_by_signature_search``
+    bounds c_omega there below 2^60.  Past that, the exact path raises
+    OverflowError on any value above int64.
     """
     lo, hi = segment.lo, segment.hi
     width = segment.width
+    r = isqrt(hi - 1)
     if factor_source is not None:
-        seeds = factor_source.seed_primes(isqrt(hi - 1))
+        seeds = factor_source.seed_primes(r)
     else:
-        seeds = primes_up_to(isqrt(hi - 1))
+        seeds = primes_up_to(r)
 
-    omega = np.zeros(width, dtype=np.uint8)
-    big = np.zeros(width, dtype=np.uint8)
-    c = np.ones(width, dtype=np.int64)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    binom = _binom_table((hi - 1).bit_length())
+    off = lo % _WHEEL
+    reps = (off + width - 1) // _WHEEL + 1
+    omega = np.tile(_WHEEL_OMEGA, reps)[off:off + width]
+    smooth = np.tile(_WHEEL_SMOOTH, reps)[off:off + width]
+    extra = np.zeros(width, dtype=np.uint8)
+    den = np.ones(width, dtype=np.int64)
 
-    for p in seeds:
-        p = int(p)
+    # (stride q, prime p, level e): q = p for a new prime, q = p^e for e >= 2
+    steps = []
+    for p in map(int, seeds):
         if p * p >= hi:
             break
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        s = start - lo
-        stride_len = (width - s + p - 1) // p
-        alpha = np.ones(stride_len, dtype=np.uint8)
-        pe = p * p
+        if p > _WHEEL_PRIMES[-1]:
+            steps.append((p, p, 1))
+        pe, e = p * p, 2
         while pe < hi:
-            st_e = ((lo + pe - 1) // pe) * pe
-            if st_e >= hi:
-                break
-            alpha[(st_e - start) // p :: pe // p] += 1
+            steps.append((pe, p, e))
             pe *= p
-        omega[s::p] += 1
-        bo = big[s::p]
-        bo += alpha
-        c[s::p] *= binom[bo.astype(np.intp), alpha.astype(np.intp)]
-        rem[s::p] //= np.power(np.int64(p), alpha.astype(np.int64))
+            e += 1
+    cols = (omega, extra, smooth, den)
+    # Short strides touch every cache line of the segment; running them one
+    # block at a time halves their cost, and more so with two workers.
+    short = [st for st in steps if st[0] < _SHORT_STRIDE]
+    for b0 in range(0, width, _BLOCK):
+        _sieve_steps(cols, lo, b0, min(b0 + _BLOCK, width), short)
+    _sieve_steps(cols, lo, 0, width, [st for st in steps if st[0] >= _SHORT_STRIDE])
 
-    left = rem > 1
-    omega[left] += 1
-    big[left] += 1
-    c[left] *= big[left]
+    # A prime factor q > r occurs at most once and leaves smooth = n / q
+    # < (r + 1)^2 / q <= r + 1, while any other n > r keeps smooth = n > r:
+    # so smooth != n exactly where smooth <= r < n.
+    cofactor = smooth <= r
+    cofactor[:max(0, r + 1 - lo)] = False
+    omega += cofactor
+    big = omega + extra
+    hot = np.nonzero(big > 20)[0]
+    c = np.take(_FACTORIAL, big, mode="clip")
+    c //= den
+    for i in map(int, hot):
+        c[i] = _exact_c_omega(lo + i, seeds)
 
-    _check_c_omega(segment, big, c)
-
-    squarefree = omega == big
-    mobius = np.where(squarefree, 1 - 2 * (omega.astype(np.int8) & 1), 0).astype(np.int8)
-    liouville = (1 - 2 * (big.astype(np.int8) & 1)).astype(np.int8)
+    one, two = np.int8(1), np.int8(2)
+    mobius = (one - two * (omega & 1).view(np.int8)) * (extra == 0)
+    liouville = one - two * (big & 1).view(np.int8)
 
     g = None
     if include_g and lo == 1:
@@ -135,20 +174,38 @@ def profile_range(segment: Segment, factor_source: FactorSieve | None = None,
     )
 
 
-def _check_c_omega(segment: Segment, big: np.ndarray, c: np.ndarray):
-    # The running product is monotone (each binomial factor >= 1), so the
-    # final value bounds every intermediate.  big_omega <= 20 implies the
-    # multinomial <= 20! < 2^63, hence no overflow.  Anything larger is rare
-    # enough to recheck exactly.
-    if not big.size or int(big.max()) <= 20:
-        return
-    sieve = FactorSieve()
-    for i in np.nonzero(big > 20)[0]:
-        n = segment.lo + int(i)
-        exact = c_omega(sieve.factorize(n))
-        if exact > _INT64_MAX:
-            raise OverflowError(f"c_omega({n}) exceeds the checked integer width")
-        assert exact == int(c[i]), f"c_omega mismatch at n={n}"
+def _sieve_steps(cols, lo: int, b0: int, b1: int, steps):
+    """Apply sieve steps to entries [b0, b1) of the segment starting at lo."""
+    omega, extra, smooth, den = cols
+    for q, p, e in steps:
+        s = b0 + -(lo + b0) % q
+        if e == 1:
+            omega[s:b1:q] += 1
+        else:
+            extra[s:b1:q] += 1
+            den[s:b1:q] *= e
+        smooth[s:b1:q] *= p
+
+
+def _exact_c_omega(n: int, seeds: np.ndarray) -> int:
+    """c_omega(n) by trial division by the seed primes (all primes <= sqrt(n))."""
+    factors = []
+    m = n
+    for p in map(int, seeds):
+        if p * p > m:
+            break
+        a = 0
+        while m % p == 0:
+            m //= p
+            a += 1
+        if a:
+            factors.append((p, a))
+    if m > 1:
+        factors.append((m, 1))
+    exact = c_omega(Factorization(n=n, factors=tuple(factors)))
+    if exact > _INT64_MAX:
+        raise OverflowError(f"c_omega({n}) exceeds the checked integer width")
+    return exact
 
 
 def c_omega(fact: Factorization) -> int:

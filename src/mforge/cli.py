@@ -381,19 +381,23 @@ def parse_config(argv) -> RunConfig:
 
     threads = getattr(ns, "threads", None)
     if threads is None:
-        threads = int(defaults.get("threads", default_threads()))
+        threads = _config_int(defaults, "threads", default_threads())
     segment_size = getattr(ns, "segment_size", None)
     if segment_size is None:
-        segment_size = int(defaults.get("segment_size", sieve.DEFAULT_SEGMENT_CAPACITY))
+        segment_size = _config_int(defaults, "segment_size", sieve.DEFAULT_SEGMENT_CAPACITY)
     policy_text = getattr(ns, "checkpoints", None) or defaults.get("checkpoints") \
         or "geometric:1.25"
+    try:
+        policy = CheckpointPolicy.parse(policy_text)
+    except ValueError as exc:
+        raise SystemExit(_usage_fail(f"--checkpoints {policy_text!r}: {exc}"))
 
     config = RunConfig(
         subcommand=ns.subcommand,
-        limit=getattr(ns, "limit", 0) or int(defaults.get("limit", 0)),
+        limit=getattr(ns, "limit", 0) or _config_int(defaults, "limit", 0),
         segment_size=segment_size,
         threads=threads,
-        policy=CheckpointPolicy.parse(policy_text),
+        policy=policy,
         out=getattr(ns, "out", None),
         fmt=getattr(ns, "format", "csv"),
         seed=getattr(ns, "seed", 0),
@@ -428,6 +432,20 @@ def _validate(config: RunConfig):
             raise SystemExit(_usage_fail("--trials must be >= 1"))
     if config.threads < 1:
         raise SystemExit(_usage_fail("--threads must be >= 1"))
+    if config.segment_size < 1:
+        raise SystemExit(_usage_fail(
+            f"--segment-size must be >= 1, got {config.segment_size}"))
+
+
+def _config_int(defaults: dict, key: str, fallback: int) -> int:
+    """Integer config-file value, or a usage error naming the key."""
+    if key not in defaults:
+        return fallback
+    try:
+        return int(defaults[key])
+    except ValueError:
+        raise SystemExit(_usage_fail(
+            f"config file: {key}={defaults[key]!r} is not an integer"))
 
 
 def _usage_fail(msg: str) -> int:

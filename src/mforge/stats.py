@@ -315,7 +315,7 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
         raise ValueError(f"unknown statistic {statistic!r}")
     pool = pool or WorkerPool(1)
     segs = [(max(lo, 3), min(lo + segment_size, x + 1))
-            for lo in range(1, x + 1, segment_size)]
+            for lo in range(1, x + 1, segment_size) if lo + segment_size > 3]
 
     if statistic == "omega":
         kmax = x.bit_length() + 1

@@ -1,10 +1,14 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mforge.arith import (
     ArithmeticProfile,
+    _exact_c_omega,
     c_omega,
     compare_bfile,
     g_squarefree_closed_form,
@@ -85,6 +89,127 @@ def test_profile_bulk_agrees_with_pointwise_1e4_samples():
             assert prof.c_omega[j] == c_omega(f)
             assert prof.mobius[j] == (0 if any(a > 1 for _, a in f)
                                       else (-1) ** len(f.factors))
+
+
+_INT64_MAX = (1 << 63) - 1
+
+COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega")
+
+# Presieve pattern period and prime powers whose strides restart at a multiple
+_PERIODS = (30030, 4, 8, 9, 25, 27, 49, 121, 169, 289, 1024, 2187, 4913)
+
+
+@st.composite
+def _segment_and_split(draw):
+    """[lo, hi) plus a split point lo < mid < hi (mid = hi when width is 1)."""
+    if draw(st.booleans()):
+        # tiny segments, where the wheel primes exceed sqrt(hi)
+        hi = draw(st.integers(2, 169))
+        lo = draw(st.integers(1, hi - 1))
+    else:
+        q = draw(st.sampled_from(_PERIODS))
+        anchor = q * draw(st.integers(1, 2 * 10**6 // q))
+        lo = max(1, anchor - draw(st.integers(0, 150)))
+        hi = max(lo + 1, anchor + draw(st.integers(-150, 150)))
+    mid = draw(st.integers(lo + 1, hi - 1)) if hi - lo > 1 else hi
+    return lo, mid, hi
+
+
+def _profile_split_invariant(lo, mid, hi):
+    """Profile of [lo, hi), checked equal to those of [lo, mid) and [mid, hi) joined."""
+    whole = profile_range(Segment(lo, hi), include_g=False)
+    parts = [profile_range(Segment(a, b), include_g=False)
+             for a, b in ((lo, mid), (mid, hi)) if b > a]
+    for col in COLUMNS:
+        joined = np.concatenate([getattr(p, col) for p in parts])
+        assert getattr(whole, col).dtype == joined.dtype
+        assert np.array_equal(getattr(whole, col), joined), col
+    return whole
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_segment_and_split())
+def test_profile_split_invariant_and_matches_oracles(seg):
+    lo, mid, hi = seg
+    whole = _profile_split_invariant(lo, mid, hi)
+    for n in range(lo, hi):
+        j = n - lo
+        assert (whole.omega[j], whole.big_omega[j], whole.mobius[j],
+                whole.liouville[j], whole.c_omega[j]) == (
+            omega_oracle(n), big_omega_oracle(n), mobius_oracle(n),
+            liouville_oracle(n), c_omega_oracle(n)), n
+
+
+@pytest.mark.parametrize("lo,mid,hi", [
+    (1, 99_991, 300_001),
+    (30_030 * 97 - 11, 30_030 * 97 + 131_075, 30_030 * 97 + 400_000),
+    (10**8 - 2**19 + 7, 10**8 - 2**18 + 3, 10**8 + 1),
+])
+def test_profile_split_invariant_across_blocks(lo, mid, hi):
+    # wider than the kernel's cache block, so block edges fall at different n
+    whole = _profile_split_invariant(lo, mid, hi)
+    for b in range(0, hi - lo, 1 << 17):
+        for n in range(lo + max(b - 3, 0), min(lo + b + 3, hi)):
+            j = n - lo
+            assert (whole.omega[j], whole.big_omega[j], whole.c_omega[j]) == (
+                omega_oracle(n), big_omega_oracle(n), c_omega_oracle(n)), n
+
+
+@pytest.mark.parametrize("n0", [2**21, 3 * 2**21, 2**22, 2**26])
+def test_profile_exact_path_above_twenty_factors(n0):
+    # big_omega > 20 needs 21! > 2^63, so these entries take the exact path
+    lo = n0 - 2000
+    prof = profile_range(Segment(lo, n0 + 2000), include_g=False)
+    hot = np.nonzero(prof.big_omega > 20)[0]
+    assert prof.index(n0) in hot
+    sv = FactorSieve()
+    near = range(prof.index(n0) - 50, prof.index(n0) + 50)
+    for j in sorted(set(map(int, hot)) | set(near)):
+        f = factorize(lo + j, sv)
+        assert prof.c_omega[j] == c_omega(f)
+        assert prof.big_omega[j] == sum(a for _, a in f)
+        assert prof.omega[j] == len(f.factors)
+        assert prof.mobius[j] == (0 if any(a > 1 for _, a in f)
+                                  else (-1) ** len(f.factors))
+
+
+def _max_c_omega_up_to(x: int) -> int:
+    """max c_omega(n) over n <= x by exhaustive exponent-signature search.
+
+    c_omega depends only on the exponent multiset, and the least n with a
+    given multiset puts the exponents in non-increasing order on 2, 3, 5, ...
+    """
+    primes = [p for p in range(2, 80) if all(p % d for d in range(2, p))]
+    best = 1
+
+    def walk(i, n, cap, total, c):
+        nonlocal best
+        best = max(best, c)
+        for a in range(1, cap + 1):
+            n *= primes[i]
+            if n > x:
+                return
+            walk(i + 1, n, a, total + a, c * math.comb(total + a, a))
+
+    walk(0, 1, x.bit_length(), 0, 1)
+    return best
+
+
+def test_c_omega_int64_bound_by_signature_search():
+    # A-priori bound behind profile_range's int64 c_omega column
+    assert _max_c_omega_up_to(10**8) == 28_828_800
+    assert _max_c_omega_up_to(10**12) == 1_177_930_353_600
+    assert _max_c_omega_up_to(10**17) < 1 << 60
+    assert _max_c_omega_up_to(10**18) > _INT64_MAX  # the bound is not vacuous
+
+
+def test_exact_path_raises_beyond_int64():
+    # 2^16 3^9 5^4 7^3 11 13 17 < 2^63: the smallest n whose c_omega leaves
+    # int64, found by the signature search
+    n = 672_249_239_101_440_000
+    assert c_omega(Factorization(n, tuple(trial_factorize(n)))) > _INT64_MAX
+    with pytest.raises(OverflowError):
+        _exact_c_omega(n, primes_up_to(100))
 
 
 def test_c_omega_examples():

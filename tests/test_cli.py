@@ -111,6 +111,17 @@ def test_stats_cdf_quantiles_monotone_small_sample(capsys):
     assert ecdf[0] < 0.5 and ecdf[-1] == 1.0
 
 
+@pytest.mark.parametrize("statistic", ["omega", "log_c_omega"])
+def test_stats_cdf_independent_of_segment_size(statistic, capsys):
+    # segments clipped to start at 3 must not come out empty
+    args = ["stats", "--x", "1000", "--report", "cdf", "--statistic", statistic]
+    code, default, _ = run_cli(args, capsys)
+    assert code == 0
+    code, small, _ = run_cli(args + ["--segment-size", "2"], capsys)
+    assert code == 0
+    assert small == default
+
+
 def test_simulate_reproducible(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -190,6 +201,29 @@ def test_config_file_defaults_flags_override(tmp_path):
     config2 = parse_config(["--config", str(cfg), "--threads", "5",
                             "summatory", "--limit", "50"])
     assert config2.threads == 5
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["summatory", "--limit", "100", "--checkpoints", "geometric:abc"], "--checkpoints"),
+    (["summatory", "--limit", "100", "--checkpoints", "geometric:0.5"], "--checkpoints"),
+    (["summatory", "--limit", "100", "--segment-size", "0"], "--segment-size"),
+    (["stats", "--x", "1000", "--report", "sign", "--segment-size", "-4"], "--segment-size"),
+])
+def test_bad_flag_value_is_usage_error(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["threads=abc", "segment_size=2.5"])
+def test_bad_config_value_is_usage_error(tmp_path, line, capsys):
+    cfg = tmp_path / "mforge.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "summatory", "--limit", "50"])
+    assert exc.value.code == 2
+    assert line.partition("=")[0] in capsys.readouterr().err
 
 
 def test_env_threads_default(monkeypatch):
