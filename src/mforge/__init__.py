@@ -9,12 +9,9 @@ traces.
 
 from .sieve import (
     DEFAULT_SEGMENT_CAPACITY,
-    FactorSieve,
-    FactorTable,
     Factorization,
     PrimeCountTable,
     Segment,
-    build_factor_table,
     factorize,
     prime_pi,
     primes_up_to,

@@ -14,7 +14,7 @@ from math import isqrt
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_CAPACITY, Factorization, FactorSieve, Segment, primes_up_to
+from .sieve import DEFAULT_SEGMENT_CAPACITY, Factorization, Segment, factorize, primes_up_to
 
 #: Values at or beyond this bound trigger the checked-overflow error in the
 #: pointwise multinomial (128-bit capacity semantics).
@@ -82,8 +82,7 @@ class ArithmeticProfile:
         return self.big_omega == 1
 
 
-def profile_range(segment: Segment, factor_source: FactorSieve | None = None,
-                  include_g: bool = True) -> ArithmeticProfile:
+def profile_range(segment: Segment, include_g: bool = True) -> ArithmeticProfile:
     """Compute every per-n function over a segment in vectorized sweeps.
 
     A segmented Mobius sieve in the manner of Deleglise & Rivat (Exp. Math.
@@ -115,10 +114,7 @@ def profile_range(segment: Segment, factor_source: FactorSieve | None = None,
     lo, hi = segment.lo, segment.hi
     width = segment.width
     r = isqrt(hi - 1)
-    if factor_source is not None:
-        seeds = factor_source.seed_primes(r)
-    else:
-        seeds = primes_up_to(r)
+    seeds = primes_up_to(r)
 
     off = lo % _WHEEL
     reps = (off + width - 1) // _WHEEL + 1
@@ -158,7 +154,7 @@ def profile_range(segment: Segment, factor_source: FactorSieve | None = None,
     c = np.take(_FACTORIAL, big, mode="clip")
     c //= den
     for i in map(int, hot):
-        c[i] = _exact_c_omega(lo + i, seeds)
+        c[i] = _exact_c_omega(lo + i)
 
     one, two = np.int8(1), np.int8(2)
     mobius = (one - two * (omega & 1).view(np.int8)) * (extra == 0)
@@ -187,22 +183,9 @@ def _sieve_steps(cols, lo: int, b0: int, b1: int, steps):
         smooth[s:b1:q] *= p
 
 
-def _exact_c_omega(n: int, seeds: np.ndarray) -> int:
-    """c_omega(n) by trial division by the seed primes (all primes <= sqrt(n))."""
-    factors = []
-    m = n
-    for p in map(int, seeds):
-        if p * p > m:
-            break
-        a = 0
-        while m % p == 0:
-            m //= p
-            a += 1
-        if a:
-            factors.append((p, a))
-    if m > 1:
-        factors.append((m, 1))
-    exact = c_omega(Factorization(n=n, factors=tuple(factors)))
+def _exact_c_omega(n: int) -> int:
+    """c_omega(n) by trial division, raising OverflowError above int64."""
+    exact = c_omega(factorize(n))
     if exact > _INT64_MAX:
         raise OverflowError(f"c_omega({n}) exceeds the checked integer width")
     return exact
@@ -238,20 +221,20 @@ def g_squarefree_closed_form(r: int) -> int:
     return (-1) ** r * total
 
 
-def g_table(N: int, omega: np.ndarray | None = None,
-            segment_size: int = DEFAULT_SEGMENT_CAPACITY) -> np.ndarray:
+def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
     """The Dirichlet inverse of (omega + 1) on 1..N as int64 (index 0 unused).
 
     Uses the multiples-push schedule: blocks [a, min(2a, N+1)) are finalized
     in ascending order; every contribution into a block comes from an index
     m < a whose value is already final, so blocks have no internal
     dependencies and each divisor pair (d >= 2, m) is pushed exactly once.
-    Total work is O(N log N).
+    Total work is O(N log N).  ``omega`` on 1..N, either 1-indexed or in
+    the offset-0 layout of a profile, saves the sieve pass that computes it.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if omega is None:
-        omega = _omega_prefix(N, segment_size)
+        omega = _omega_prefix(N)
     else:
         omega = np.asarray(omega)
         if omega.shape[0] == N:        # offset-0 layout from profile_range
@@ -289,12 +272,12 @@ def g_table(N: int, omega: np.ndarray | None = None,
     return g
 
 
-def _omega_prefix(N: int, segment_size: int) -> np.ndarray:
+def _omega_prefix(N: int) -> np.ndarray:
     """omega on 1..N (index 0 unused) via chunked segment profiles."""
     out = np.zeros(N + 1, dtype=np.uint8)
     lo = 1
     while lo <= N:
-        hi = min(lo + segment_size, N + 1)
+        hi = min(lo + DEFAULT_SEGMENT_CAPACITY, N + 1)
         prof = profile_range(Segment(lo, hi), include_g=False)
         out[lo:hi] = prof.omega
         lo = hi

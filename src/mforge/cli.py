@@ -3,14 +3,15 @@
 Subcommands: sieve, verify, summatory, stats, simulate, trace, oeis-check.
 Data goes to stdout or the --out file (CSV by default, NDJSON with
 --format json: one object per row); logging goes to stderr.  Exit codes:
-0 success, 1 failed identity/comparison or operational error, 2 usage error.
+0 success; 1 failed identity/comparison, I/O error, malformed input file or
+arithmetic overflow; 2 usage error.
 """
 
 import argparse
 import json
 import logging
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from . import arith, dirichlet, randmodel, sieve, stats, tracker
@@ -20,6 +21,19 @@ from .summatory import CheckpointPolicy, SummatoryRows, build_series
 log = logging.getLogger("mforge")
 
 USAGE_ERROR = 2
+
+
+class InputFileError(Exception):
+    """An input file is malformed or lacks the rows a command needs."""
+
+
+@contextmanager
+def _reading(path):
+    """Report a ValueError raised while reading ``path`` as an input-file error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputFileError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -195,9 +209,8 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_trace(config: RunConfig) -> int:
     if not config.infile:
         raise ValueError("trace requires --in series.csv")
-    with open(config.infile) as fh:
-        rows = SummatoryRows.from_csv(fh)
-    trace = tracker.build_trace(rows)
+    with _reading(config.infile), open(config.infile) as fh:
+        trace = tracker.build_trace(SummatoryRows.from_csv(fh))
     if config.fmt == "json":
         out_rows = []
         for i in range(len(trace.x)):
@@ -226,19 +239,20 @@ def cmd_oeis_check(config: RunConfig) -> int:
     if not config.bfile:
         raise ValueError("oeis-check requires --bfile PATH")
     max_idx = 0
-    with open(config.bfile) as fh:
+    with _reading(config.bfile), open(config.bfile) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             max_idx = max(max_idx, int(line.split()[0]))
-    limit = min(max_idx, config.limit) if config.limit else max_idx
-    if limit < 1:
-        raise ValueError(f"{config.bfile}: no usable entries")
+        limit = min(max_idx, config.limit) if config.limit else max_idx
+        if limit < 1:
+            raise ValueError("no usable entries")
     profile = arith.profile_range(sieve.Segment(1, limit + 1),
                                   include_g=config.sequence == "g")
     values = getattr(profile, OEIS_SEQUENCES[config.sequence])
-    mismatch = arith.compare_bfile(config.bfile, values[:limit], start=1)
+    with _reading(config.bfile):
+        mismatch = arith.compare_bfile(config.bfile, values[:limit], start=1)
     if mismatch is None:
         print(f"{config.sequence}: all entries up to {limit} match {config.bfile}")
         return 0
@@ -263,7 +277,10 @@ def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
     try:
         return _COMMANDS[config.subcommand](config)
-    except (ValueError, OverflowError) as exc:
+    except (InputFileError, OverflowError) as exc:
+        log.error("%s", exc)
+        return 1
+    except ValueError as exc:
         log.error("%s", exc)
         return USAGE_ERROR
     except OSError as exc:
@@ -423,6 +440,8 @@ def parse_config(argv) -> RunConfig:
 def _validate(config: RunConfig):
     if config.subcommand in ("sieve", "verify", "summatory") and config.limit < 1:
         raise SystemExit(_usage_fail(f"--limit must be >= 1, got {config.limit}"))
+    if config.subcommand == "oeis-check" and config.limit < 0:
+        raise SystemExit(_usage_fail(f"--limit must be >= 0, got {config.limit}"))
     if config.subcommand == "stats" and config.x < 1:
         raise SystemExit(_usage_fail(f"--x must be >= 1, got {config.x}"))
     if config.subcommand == "simulate":

@@ -1,10 +1,10 @@
-"""Segmented smallest-prime-factor sieving and exact prime counting.
+"""Segments, prime lists and exact prime counting.
 
-Everything downstream (per-n arithmetic functions, summatory sweeps,
-distribution counts) consumes factorization data produced here.  The two
-workhorses are :func:`build_factor_table`, which fills a smallest-prime-factor
-table for one contiguous segment, and :class:`PrimeCountTable`, a rank-query
-bit set answering pi(x) in O(1).
+:class:`Segment` is the half-open range every sweep works on, and
+:func:`primes_up_to` supplies the seed primes of the segment kernel in
+``arith``.  :class:`PrimeCountTable` is a rank-query bit set answering pi(x)
+in O(1); :func:`factorize` is the pointwise trial division behind the exact
+multinomial ``arith.c_omega``.  Seed primes can be cached to a binary file.
 """
 
 import os
@@ -18,14 +18,6 @@ DEFAULT_SEGMENT_CAPACITY = 1 << 22
 
 #: Magic header of the binary seed-prime cache file.
 PRIME_CACHE_MAGIC = b"MFPRIMES1"
-
-
-class SegmentCapacityError(ValueError):
-    """Requested segment is wider than the configured capacity."""
-
-
-class SeedPrimeError(ValueError):
-    """Seed-prime list does not cover every prime up to sqrt(hi - 1)."""
 
 
 class RangeCoverageError(ValueError):
@@ -53,27 +45,6 @@ class Segment:
         return self.lo <= n < self.hi
 
 
-@dataclass
-class FactorTable:
-    """Smallest prime factors over one segment.
-
-    ``spf[i]`` is the smallest prime factor of ``segment.lo + i``; it equals
-    the number itself exactly when that number is prime, and is the sentinel
-    1 for n = 1.
-    """
-
-    segment: Segment
-    spf: np.ndarray
-
-    def covers(self, n: int) -> bool:
-        return n in self.segment
-
-    def spf_of(self, n: int) -> int:
-        if not self.covers(n):
-            raise RangeCoverageError(f"{n} outside segment [{self.segment.lo}, {self.segment.hi})")
-        return int(self.spf[n - self.segment.lo])
-
-
 @dataclass(frozen=True)
 class Factorization:
     """n as an ordered list of (prime, exponent) pairs; empty for n = 1."""
@@ -97,170 +68,24 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _has_prime_in(lo: int, hi: int, known_primes: np.ndarray) -> bool:
-    # Is there a prime in (lo, hi]?  Used only for small gaps when validating
-    # seed lists, so a direct sieve of the gap is cheap.
-    if hi <= lo:
-        return False
-    if hi <= 1:
-        return False
-    start = max(lo + 1, 2)
-    mask = np.ones(hi - start + 1, dtype=bool)
-    for p in known_primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        first = max(p * p, ((start + p - 1) // p) * p)
-        if first <= hi:
-            mask[first - start :: p] = False
-    # seed list complete up to its own maximum, so anything it cannot reach
-    # would need a factor > known max; fall back to trial division then
-    if known_primes.size == 0 or int(known_primes[-1]) ** 2 < hi:
-        for i in np.nonzero(mask)[0]:
-            n = start + int(i)
-            q = 2
-            while q * q <= n:
-                if n % q == 0:
-                    mask[i] = False
-                    break
-                q += 1
-    return bool(mask.any())
-
-
-def build_factor_table(
-    segment: Segment,
-    seed_primes: np.ndarray | None = None,
-    capacity: int = DEFAULT_SEGMENT_CAPACITY,
-) -> FactorTable:
-    """Fill the smallest-prime-factor table for one segment.
-
-    ``seed_primes`` must be the complete ascending prime list up to at least
-    sqrt(hi - 1); pass None to have it computed on the fly.
-    """
-    if segment.width > capacity:
-        raise SegmentCapacityError(
-            f"segment width {segment.width} exceeds capacity {capacity}"
-        )
-    need = isqrt(segment.hi - 1)
-    if seed_primes is None:
-        seed_primes = primes_up_to(need)
-    else:
-        seed_primes = np.asarray(seed_primes, dtype=np.int64)
-        last = int(seed_primes[-1]) if seed_primes.size else 1
-        if last < need and _has_prime_in(last, need, seed_primes):
-            raise SeedPrimeError(
-                f"seed primes stop at {last}, need all primes <= {need}"
-            )
-
-    lo, hi = segment.lo, segment.hi
-    spf = np.zeros(segment.width, dtype=np.int64)
-    for p in seed_primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        # multiples k*p with k < p were already claimed by a smaller prime
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start >= hi:
-            continue
-        view = spf[start - lo :: p]
-        view[view == 0] = p
-    # untouched entries are primes, or the sentinel 1 at n = 1
-    left = spf == 0
-    spf[left] = np.arange(lo, hi, dtype=np.int64)[left]
-    return FactorTable(segment=segment, spf=spf)
-
-
-def factorize(n: int, table) -> Factorization:
-    """Factor n by repeated smallest-prime-factor peeling.
-
-    ``table`` is either a :class:`FactorTable` whose segment covers n (and all
-    peeled quotients, which is automatic for tables starting at 1) or a
-    :class:`FactorSieve`.
-    """
+def factorize(n: int) -> Factorization:
+    """Factor n by trial division, primes ascending."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(table, FactorSieve):
-        return table.factorize(n)
     factors = []
     m = n
-    while m > 1:
-        p = table.spf_of(m)
-        a = 0
-        while m % p == 0:
-            m //= p
-            a += 1
-        factors.append((p, a))
-    factors.sort()
-    return Factorization(n=n, factors=tuple(factors))
-
-
-class FactorSieve:
-    """Factorization provider combining cached segment tables with trial division.
-
-    Numbers inside a cached table (or the permanent low table) are peeled via
-    smallest-prime-factor lookups; anything else falls back to trial division
-    by the seed primes.
-    """
-
-    def __init__(self, limit: int = 1 << 20, capacity: int = DEFAULT_SEGMENT_CAPACITY):
-        self.capacity = capacity
-        self._low_limit = min(limit + 1, capacity)
-        self._low = build_factor_table(Segment(1, self._low_limit))
-        self._seed_limit = isqrt(self._low_limit - 1)
-        self._seeds = primes_up_to(self._seed_limit)
-        self._extra = []
-
-    def seed_primes(self, bound: int) -> np.ndarray:
-        """Complete prime list up to at least ``bound`` (cached, grows on demand)."""
-        if bound > self._seed_limit:
-            self._seed_limit = max(bound, 2 * self._seed_limit)
-            self._seeds = primes_up_to(self._seed_limit)
-        return self._seeds
-
-    def add_table(self, table: FactorTable):
-        self._extra.append(table)
-
-    def table_for(self, lo: int, hi: int) -> FactorTable:
-        """Build (and remember) a factor table for [lo, hi)."""
-        seg = Segment(lo, hi)
-        seeds = self.seed_primes(isqrt(hi - 1))
-        table = build_factor_table(seg, seeds, capacity=self.capacity)
-        self.add_table(table)
-        return table
-
-    def _lookup(self, m: int):
-        if m < self._low_limit:
-            return self._low.spf_of(m)
-        for t in self._extra:
-            if t.covers(m):
-                return t.spf_of(m)
-        return None
-
-    def factorize(self, n: int) -> Factorization:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        factors = []
-        m = n
-        while m > 1:
-            p = self._lookup(m)
-            if p is None:
-                p = self._trial_factor(m)
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
             a = 0
             while m % p == 0:
                 m //= p
                 a += 1
             factors.append((p, a))
-        factors.sort()
-        return Factorization(n=n, factors=tuple(factors))
-
-    def _trial_factor(self, m: int) -> int:
-        for p in self.seed_primes(isqrt(m)):
-            p = int(p)
-            if p * p > m:
-                break
-            if m % p == 0:
-                return p
-        return m  # prime
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return Factorization(n=n, factors=tuple(factors))
 
 
 class PrimeCountTable:

@@ -5,22 +5,18 @@ values of the Mertens sum M, the inverse-table sum G, the squarefree count
 Qsq, and the prime count pi.  The pass also records M, U (partial sums of
 liouville * c_omega) and pi at every quotient point floor(c/k) of every
 checkpoint c; those tables are what the prime-grouped Mertens identity needs,
-and for large N they are how G itself is assembled without ever storing the
-per-n inverse table.
+and for sparse checkpoints they are how G itself is assembled without ever
+storing the per-n inverse table.
 """
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import inf, isqrt
 
 import numpy as np
 
 from .arith import g_table, profile_range
 from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError, Segment
-
-#: Above this limit build_series stops materializing the per-n inverse table
-#: and assembles G from the quotient-point tables instead (bounded memory).
-DIRECT_G_LIMIT = 2 * 10**7
 
 _INT64_MAX = np.iinfo(np.int64).max
 _SAFE_SUM = 1 << 62
@@ -43,8 +39,8 @@ class CheckpointPolicy:
     def __post_init__(self):
         if self.kind not in ("all", "geometric", "explicit"):
             raise ValueError(f"unknown checkpoint policy kind {self.kind!r}")
-        if self.kind == "geometric" and not self.ratio > 1.0:
-            raise ValueError(f"geometric ratio must exceed 1, got {self.ratio}")
+        if self.kind == "geometric" and not 1.0 < self.ratio < inf:
+            raise ValueError(f"geometric ratio must be finite and exceed 1, got {self.ratio}")
 
     def checkpoints(self, N: int) -> np.ndarray:
         if N < 1:
@@ -228,15 +224,33 @@ def _eval_point_union(checkpoints: np.ndarray, N: int) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
+def _direct_route(checkpoints: np.ndarray, N: int) -> bool:
+    """Whether summing the per-n table g beats assembling G at each checkpoint.
+
+    Assembly at c touches about 2 sqrt(c) support points, while the direct
+    route does about one unit of work per integer up to N.
+    """
+    work = 0
+    for c in checkpoints:
+        work += 2 * isqrt(int(c))
+        if work > N:
+            return True
+    return False
+
+
 def build_series(N: int, policy: CheckpointPolicy | None = None, *,
                  segment_size: int = DEFAULT_SEGMENT_CAPACITY,
-                 direct_g_limit: int = DIRECT_G_LIMIT,
                  pool: WorkerPool | None = None) -> SummatorySeries:
     """One streaming pass computing all summatory functions at the checkpoints.
 
-    For N <= direct_g_limit the inverse table is materialized and G summed
-    directly; beyond that, G is assembled from M and U at quotient points so
-    peak memory stays independent of N apart from those tables.
+    M, Qsq, pi and U are recorded at every support point as the segments
+    stream by.  G takes the route the checkpoint density calls for:
+
+    * "direct" when 2 * sum(isqrt(c)) over the checkpoints exceeds N, as for
+      policy "all": the pass also keeps omega, the per-n inverse table g is
+      built from it once, and G is read from the prefix sums of g;
+    * "quotient" otherwise: G at each checkpoint is assembled from M and U at
+      its quotient points, so no per-n table outlives its segment.
     """
     if N < 1:
         raise ValueError(f"x must be >= 1, got {N}")
@@ -244,12 +258,10 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     pool = pool or WorkerPool(1)
     cps = policy.checkpoints(N)
     eval_points = _eval_point_union(cps, N)
-    direct = N <= direct_g_limit
-    g = g_table(N, segment_size=segment_size) if direct else None
+    direct = _direct_route(cps, N)
 
     n_eval = len(eval_points)
-    cols = 5 if direct else 4           # column order: M, Qsq, pi, U, (G)
-    recorded = np.zeros((cols, n_eval), dtype=np.int64)
+    recorded = np.zeros((4, n_eval), dtype=np.int64)    # rows: M, Qsq, pi, U
 
     def summarize(seg):
         lo, hi = seg
@@ -260,39 +272,45 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
             np.cumsum(prof.prime_mask(), dtype=np.int64),
             np.cumsum(prof.signed_c_omega(), dtype=np.int64),
         ]
-        if direct:
-            sweeps.append(np.cumsum(g[lo:hi], dtype=np.int64))
         i0 = int(np.searchsorted(eval_points, lo))
         i1 = int(np.searchsorted(eval_points, hi))
         offs = (eval_points[i0:i1] - lo).astype(np.intp)
         local = np.stack([c[offs] for c in sweeps]) if i1 > i0 else None
         totals = [int(c[-1]) for c in sweeps]
-        return i0, i1, local, totals
+        return i0, i1, local, totals, prof.omega if direct else None
 
     segs = [(lo, min(lo + segment_size, N + 1)) for lo in range(1, N + 1, segment_size)]
-    base = [0] * cols
-    for i0, i1, local, totals in pool.map(summarize, segs):
+    omega = np.zeros(N + 1, dtype=np.uint8) if direct else None
+    base = [0] * 4
+    for (lo, hi), (i0, i1, local, totals, seg_omega) in zip(segs, pool.map(summarize, segs)):
         if local is not None:
             recorded[:, i0:i1] = np.asarray(base, dtype=np.int64)[:, None] + local
         for j, t in enumerate(totals):
             base[j] += t
         if max(abs(b) for b in base) > _SAFE_SUM:
             raise OverflowError("summatory accumulator exceeded its safety bound")
+        if direct:
+            omega[lo:hi] = seg_omega
 
+    if direct:
+        g = g_table(N, omega=omega)
+        G = np.cumsum(g, out=g)
+        if max(int(G.max()), -int(G.min())) > _SAFE_SUM:
+            raise OverflowError("summatory accumulator exceeded its safety bound")
+        G_eval = G[eval_points]
+    else:
+        G_eval = np.zeros(n_eval, dtype=np.int64)
     series = SummatorySeries(
         N=N, rows=None, eval_points=eval_points,
-        M_eval=recorded[0], U_eval=recorded[3], pi_eval=recorded[2],
-        G_eval=recorded[4] if direct else np.zeros(n_eval, dtype=np.int64),
+        M_eval=recorded[0], U_eval=recorded[3], pi_eval=recorded[2], G_eval=G_eval,
         route="direct" if direct else "quotient",
-        _G_valid=np.ones(n_eval, dtype=bool) if direct else np.zeros(n_eval, dtype=bool),
+        _G_valid=np.full(n_eval, direct),
     )
     cp_idx = series._idx_many(cps)
-    G_rows = (series.G_eval[cp_idx] if direct
-              else np.array([series.G_at(int(c)) for c in cps], dtype=np.int64))
     series.rows = SummatoryRows(
         checkpoints=cps,
         M=recorded[0][cp_idx],
-        G=G_rows,
+        G=series.G_many(cps),
         Qsq=recorded[1][cp_idx],
         pi=recorded[2][cp_idx],
     )

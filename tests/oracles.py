@@ -29,17 +29,6 @@ def trial_factorize(n: int):
     return out
 
 
-def spf_trial(n: int) -> int:
-    if n == 1:
-        return 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
-
-
 def omega_oracle(n: int) -> int:
     return len(trial_factorize(n))
 

@@ -16,7 +16,7 @@ from mforge.arith import (
     profile_range,
     write_sequence_csv,
 )
-from mforge.sieve import FactorSieve, Factorization, Segment, factorize, primes_up_to
+from mforge.sieve import Factorization, Segment, factorize, primes_up_to
 
 from oracles import (
     big_omega_oracle,
@@ -72,18 +72,16 @@ def test_profile_matches_trial_division_oracle():
 def test_profile_bulk_agrees_with_pointwise_1e4_samples():
     # 1e4 random n up to 1e8, grouped into the segments that cover them so
     # the bulk profiler runs on realistic widths
-    sv = FactorSieve()
     rng = np.random.default_rng(11)
     ns = np.unique(rng.integers(1, 10**8, size=10**4))
     seg_w = 1 << 22
     for seg_id in np.unique(ns // seg_w):
         lo = int(seg_id) * seg_w
         members = ns[(ns >= lo) & (ns < lo + seg_w)]
-        prof = profile_range(Segment(max(lo, 1), lo + seg_w),
-                             factor_source=sv, include_g=False)
+        prof = profile_range(Segment(max(lo, 1), lo + seg_w), include_g=False)
         for n in map(int, members):
             j = prof.index(n)
-            f = factorize(n, sv)
+            f = factorize(n)
             assert prof.omega[j] == len(f.factors)
             assert prof.big_omega[j] == sum(a for _, a in f)
             assert prof.c_omega[j] == c_omega(f)
@@ -162,10 +160,9 @@ def test_profile_exact_path_above_twenty_factors(n0):
     prof = profile_range(Segment(lo, n0 + 2000), include_g=False)
     hot = np.nonzero(prof.big_omega > 20)[0]
     assert prof.index(n0) in hot
-    sv = FactorSieve()
     near = range(prof.index(n0) - 50, prof.index(n0) + 50)
     for j in sorted(set(map(int, hot)) | set(near)):
-        f = factorize(lo + j, sv)
+        f = factorize(lo + j)
         assert prof.c_omega[j] == c_omega(f)
         assert prof.big_omega[j] == sum(a for _, a in f)
         assert prof.omega[j] == len(f.factors)
@@ -209,7 +206,7 @@ def test_exact_path_raises_beyond_int64():
     n = 672_249_239_101_440_000
     assert c_omega(Factorization(n, tuple(trial_factorize(n)))) > _INT64_MAX
     with pytest.raises(OverflowError):
-        _exact_c_omega(n, primes_up_to(100))
+        _exact_c_omega(n)
 
 
 def test_c_omega_examples():
@@ -219,9 +216,8 @@ def test_c_omega_examples():
 
 
 def test_c_omega_matches_factorial_oracle():
-    sv = FactorSieve()
     for n in range(1, 3000):
-        assert c_omega(factorize(n, sv)) == c_omega_oracle(n)
+        assert c_omega(factorize(n)) == c_omega_oracle(n)
 
 
 def test_c_omega_permutation_invariant():
@@ -237,11 +233,10 @@ def test_c_omega_permutation_invariant():
 
 
 def test_c_omega_prime_powers_equal_one():
-    sv = FactorSieve()
     for p in (2, 3, 5, 7, 11, 997):
         pk = p
         while pk <= 10**6:
-            assert c_omega(factorize(pk, sv)) == 1
+            assert c_omega(factorize(pk)) == 1
             pk *= p
 
 
@@ -287,12 +282,6 @@ def test_g_closed_form_matches_table_on_squarefree(profile_1e4):
     squarefree = np.nonzero(p.mobius != 0)[0]
     for j in map(int, squarefree):
         assert g[j] == closed[int(p.omega[j])]
-
-
-def test_g_table_segment_size_independent():
-    a = g_table(5000, segment_size=64)
-    b = g_table(5000, segment_size=4096)
-    assert np.array_equal(a, b)
 
 
 def test_profile_g_only_from_one():

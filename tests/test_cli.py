@@ -208,6 +208,7 @@ def test_config_file_defaults_flags_override(tmp_path):
     (["summatory", "--limit", "100", "--checkpoints", "geometric:0.5"], "--checkpoints"),
     (["summatory", "--limit", "100", "--segment-size", "0"], "--segment-size"),
     (["stats", "--x", "1000", "--report", "sign", "--segment-size", "-4"], "--segment-size"),
+    (["summatory", "--limit", "100", "--checkpoints", "geometric:inf"], "--checkpoints"),
 ])
 def test_bad_flag_value_is_usage_error(args, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -243,3 +244,44 @@ def test_console_script_help():
 def test_io_error_reported(capsys):
     code, _, err = run_cli(["trace", "--in", "/nonexistent/series.csv"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("body", [
+    "x,M,G,Qsq,pi\n16,-1,abc,11,6\n",          # non-integer cell
+    "x,M,G\n16,-1,5\n",                          # foreign header
+    "x,M,G,Qsq,pi\n2,-1,-1,2,1\n",               # no row at x >= 16
+])
+def test_malformed_trace_input_is_input_error(tmp_path, body, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text(body)
+    code, out, err = run_cli(["trace", "--in", str(path)], capsys)
+    assert code == 1
+    assert str(path) in err and out == ""
+
+
+def test_malformed_bfile_is_input_error(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    for body in ("1 1\n2 x\n", "1 1\nseven -1\n", "# comments only\n"):
+        path.write_text(body)
+        code, _, err = run_cli(["oeis-check", "--sequence", "mu", "--bfile", str(path)],
+                               capsys)
+        assert code == 1, body
+        assert str(path) in err
+
+
+def test_oeis_check_negative_limit_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oeis-check", "--sequence", "mu", "--bfile",
+              str(FIXTURES / "b008683.txt"), "--limit", "-5"])
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
+def test_overflow_is_failed_run(monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise OverflowError("summatory accumulator exceeded its safety bound")
+
+    monkeypatch.setattr("mforge.cli.build_series", overflow)
+    code, _, err = run_cli(["summatory", "--limit", "100"], capsys)
+    assert code == 1
+    assert "safety bound" in err

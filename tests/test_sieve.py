@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mforge.arith import profile_range
 from mforge.sieve import (
-    FactorSieve,
     PrimeCountTable,
     RangeCoverageError,
-    SeedPrimeError,
     Segment,
-    SegmentCapacityError,
-    build_factor_table,
     factorize,
     load_prime_cache,
     prime_pi,
@@ -16,7 +15,7 @@ from mforge.sieve import (
     save_prime_cache,
 )
 
-from oracles import spf_trial, trial_factorize
+from oracles import trial_factorize
 
 
 def test_segment_validation():
@@ -29,75 +28,25 @@ def test_segment_validation():
     assert 3 in seg and 9 in seg and 10 not in seg
 
 
-def test_spf_small_segment():
-    t = build_factor_table(Segment(2, 10))
-    assert t.spf.tolist() == [2, 3, 2, 5, 2, 7, 2, 3]
-
-
-def test_spf_n1_sentinel():
-    t = build_factor_table(Segment(1, 2))
-    assert t.spf_of(1) == 1
-
-
-def test_spf_offset_segment_vs_trial_division():
-    lo = 10**6
-    t = build_factor_table(Segment(lo, lo + 8))
-    for n in range(lo, lo + 8):
-        assert t.spf_of(n) == spf_trial(n)
-    assert t.spf_of(10**6) == 2
-    assert t.spf_of(10**6 + 3) == 1000003   # 10^6 + 3 is prime
-
-
-def test_spf_invariants_random_segments():
-    rng = np.random.default_rng(7)
-    for lo in rng.integers(1, 10**8, size=4):
-        lo = int(lo)
-        t = build_factor_table(Segment(lo, lo + 2000))
-        ns = np.arange(lo, lo + 2000, dtype=np.int64)
-        spf = t.spf
-        start = 1 if lo == 1 else 0
-        assert np.all(ns[start:] % spf[start:] == 0)
-        # spf <= sqrt(n) or spf == n
-        small = spf[start:] * spf[start:] <= ns[start:]
-        assert np.all(small | (spf[start:] == ns[start:]))
-
-
-def test_capacity_error():
-    with pytest.raises(SegmentCapacityError):
-        build_factor_table(Segment(1, 100), capacity=10)
-
-
-def test_missing_seed_primes_rejected():
-    with pytest.raises(SeedPrimeError):
-        build_factor_table(Segment(1, 10**4), seed_primes=np.array([2, 3, 5]))
-    # complete list up to its own max is fine even when max < isqrt(hi-1)
-    build_factor_table(Segment(1, 102), seed_primes=primes_up_to(10))
-
-
 def test_factorize_examples():
-    sv = FactorSieve()
-    assert factorize(12, sv).factors == ((2, 2), (3, 1))
-    assert factorize(1, sv).factors == ()
-    assert factorize(510510, sv).factors == tuple(trial_factorize(510510))
+    assert factorize(12).factors == ((2, 2), (3, 1))
+    assert factorize(1).factors == ()
+    assert factorize(510510).factors == tuple(trial_factorize(510510))
+    assert factorize(10**6 + 3).factors == ((10**6 + 3, 1),)   # prime
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 def test_factorize_reconstructs_n():
-    sv = FactorSieve()
     rng = np.random.default_rng(3)
     for n in rng.integers(1, 10**9, size=50):
         n = int(n)
-        f = factorize(n, sv)
+        f = factorize(n)
         prod = 1
         for p, a in f:
             prod *= p**a
         assert prod == n
         assert f.factors == tuple(trial_factorize(n))
-
-
-def test_factorize_out_of_range_table():
-    t = build_factor_table(Segment(50, 60))
-    with pytest.raises(RangeCoverageError):
-        factorize(10, t)
 
 
 def test_primes_up_to():
@@ -121,6 +70,17 @@ def test_prime_pi_table():
         t.rank(10**5 + 1)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 5000).flatmap(
+    lambda limit: st.tuples(st.just(limit), st.lists(st.integers(1, limit), max_size=40))))
+def test_rank_many_agrees_with_rank(case):
+    limit, xs = case
+    t = PrimeCountTable(limit)
+    got = t.rank_many(np.array(xs, dtype=np.int64))
+    assert got.tolist() == [t.rank(x) for x in xs]
+    assert t.rank(limit) == len(primes_up_to(limit))
+
+
 def test_prime_pi_millionth():
     t = PrimeCountTable(10**6)
     assert t.rank(10**6) == 78498
@@ -135,10 +95,13 @@ def test_prime_pi_degenerate_limits():
 
 
 def test_segmented_matches_monolithic():
-    whole = build_factor_table(Segment(1, 3 * 10**4))
+    # the segment kernel gives the same columns on any window of a prefix
+    whole = profile_range(Segment(1, 3 * 10**4), include_g=False)
     for lo in (1, 777, 15000, 29000):
-        part = build_factor_table(Segment(lo, min(lo + 1000, 3 * 10**4)))
-        assert np.array_equal(part.spf, whole.spf[lo - 1 : lo - 1 + part.segment.width])
+        part = profile_range(Segment(lo, min(lo + 1000, 3 * 10**4)), include_g=False)
+        for col in ("omega", "big_omega", "mobius", "c_omega"):
+            want = getattr(whole, col)[lo - 1 : lo - 1 + part.segment.width]
+            assert np.array_equal(getattr(part, col), want), (lo, col)
 
 
 def test_prime_cache_roundtrip(tmp_path):
@@ -148,9 +111,11 @@ def test_prime_cache_roundtrip(tmp_path):
     raw = path.read_bytes()
     assert raw[:9] == b"MFPRIMES1"
     assert np.array_equal(load_prime_cache(path), ps)
-    # cached seeds usable for segment builds
-    t = build_factor_table(Segment(10**6, 10**6 + 100), seed_primes=load_prime_cache(path))
-    assert t.spf_of(10**6) == 2
+    # the cached seeds find every prime factor <= 1e4 of a segment's entries
+    seeds = load_prime_cache(path)
+    for n in range(10**6, 10**6 + 100):
+        small = [p for p, _ in factorize(n) if p <= 10**4]
+        assert [int(p) for p in seeds[n % seeds == 0]] == small
 
 
 def test_prime_cache_bad_magic(tmp_path):

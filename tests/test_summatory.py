@@ -1,7 +1,10 @@
 import io
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mforge.arith import g_table, profile_range
 from mforge.parallel import WorkerPool
@@ -103,12 +106,21 @@ def test_series_qsq_nondecreasing_and_pow10_spots():
 
 
 def test_series_routes_agree():
-    pol = CheckpointPolicy(kind="geometric", ratio=1.4)
-    direct = build_series(10**5, pol)
-    quot = build_series(10**5, pol, direct_g_limit=100)
-    assert direct.route == "direct" and quot.route == "quotient"
-    for col in ("checkpoints", "M", "G", "Qsq", "pi"):
-        assert np.array_equal(getattr(direct, col), getattr(quot, col)), col
+    # G on either route equals the prefix sums of the inverse table, at the
+    # checkpoints and at every support point the Mertens identities read
+    N = 10**5
+    G = np.cumsum(g_table(N))
+    sparse = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.4))
+    dense = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.001))
+    assert sparse.route == "quotient" and dense.route == "direct"
+    for s in (sparse, dense):
+        assert np.array_equal(s.G, G[s.checkpoints])
+        assert np.array_equal(s.G_many(s.eval_points), G[s.eval_points])
+    common, i, j = np.intersect1d(sparse.checkpoints, dense.checkpoints,
+                                  return_indices=True)
+    assert len(common) > 20
+    for col in ("M", "G", "Qsq", "pi"):
+        assert np.array_equal(getattr(sparse, col)[i], getattr(dense, col)[j]), col
 
 
 def test_series_segment_size_and_workers_invariant():
@@ -119,6 +131,62 @@ def test_series_segment_size_and_workers_invariant():
     for col in ("M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(a, col), getattr(b, col))
         assert np.array_equal(getattr(b, col), getattr(c, col))
+
+
+@st.composite
+def _policies(draw, N):
+    """A checkpoint policy valid at N: all, geometric:r or explicit:a,b,..."""
+    kind = draw(st.sampled_from(["all", "geometric", "explicit"]))
+    if kind == "geometric":
+        ratio = draw(st.floats(1.0005, 4.0) | st.sampled_from([1.001, 1.25, 2.0]))
+        return CheckpointPolicy(kind="geometric", ratio=ratio)
+    if kind == "explicit":
+        points = draw(st.lists(st.integers(1, N), min_size=1, max_size=12))
+        return CheckpointPolicy(kind="explicit", points=tuple(points))
+    return CheckpointPolicy(kind="all")
+
+
+def _policy_text(pol):
+    if pol.kind == "geometric":
+        return f"geometric:{pol.ratio!r}"
+    if pol.kind == "explicit":
+        return "explicit:" + ",".join(map(str, pol.points))
+    return "all"
+
+
+@st.composite
+def _series_case(draw):
+    N = draw(st.integers(1, 20000))
+    pol = draw(_policies(N))
+    segment_size = draw(st.integers(max(1, N // 40), N + 1))
+    return N, pol, segment_size, draw(st.sampled_from([1, 3]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_series_case())
+def test_series_invariant_under_segments_workers_and_route(case):
+    N, pol, segment_size, threads = case
+    ref = build_series(N, pol, segment_size=N + 1)
+    s = build_series(N, pol, segment_size=segment_size, pool=WorkerPool(threads))
+    assert s.route == ref.route == _expected_route(s.checkpoints, N)
+    for col in ("checkpoints", "M", "G", "Qsq", "pi"):
+        assert np.array_equal(getattr(s, col), getattr(ref, col)), col
+    assert np.array_equal(s.G, np.cumsum(g_table(N))[s.checkpoints])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 10**6).flatmap(lambda N: st.tuples(st.just(N), _policies(N))))
+def test_policy_parse_round_trip_and_checkpoints_shape(case):
+    N, pol = case
+    assert CheckpointPolicy.parse(_policy_text(pol)) == pol
+    if pol.kind == "all":
+        N = min(N, 1000)
+    cps = pol.checkpoints(N)
+    assert cps.dtype == np.int64
+    assert cps[0] >= 1 and cps[-1] == N
+    assert np.all(np.diff(cps) > 0)
+    if pol.kind == "explicit":
+        assert set(pol.points) <= set(cps.tolist())
 
 
 def test_series_rejects_zero():
@@ -209,22 +277,32 @@ def test_u_column_ties_to_g_by_divisor_identity():
         assert s.u_at(x) == direct
 
 
+def _expected_route(cps, N):
+    return "direct" if 2 * sum(isqrt(int(c)) for c in cps) > N else "quotient"
+
+
 def test_routes_agree_on_irregular_inputs():
     rng = np.random.default_rng(21)
-    for _ in range(8):
+    seen = set()
+    for kind in ("all", "geometric", "explicit", "dense") * 2:
         N = int(rng.integers(17, 30000))
-        kind = rng.choice(["all", "geometric", "explicit"])
         if kind == "explicit":
             pts = tuple(sorted(set(map(int, rng.integers(1, N + 1, size=5)))))
             pol = CheckpointPolicy(kind="explicit", points=pts)
         elif kind == "geometric":
             pol = CheckpointPolicy(kind="geometric", ratio=float(rng.uniform(1.1, 3.0)))
+        elif kind == "dense":
+            pol = CheckpointPolicy(kind="geometric", ratio=float(rng.uniform(1.0005, 1.01)))
         else:
             pol = CheckpointPolicy(kind="all")
-        direct = build_series(N, pol)
-        quot = build_series(N, pol, direct_g_limit=16)
-        for col in ("checkpoints", "M", "G", "Qsq", "pi"):
-            assert np.array_equal(getattr(direct, col), getattr(quot, col)), (N, pol)
+        s = build_series(N, pol)
+        assert s.route == _expected_route(s.checkpoints, N), (N, pol)
+        seen.add(s.route)
+        G = np.cumsum(g_table(N))
+        M = np.cumsum(mobius_block_oracle(N))
+        assert np.array_equal(s.G, G[s.checkpoints]), (N, pol)
+        assert np.array_equal(s.M, M[s.checkpoints]), (N, pol)
+    assert seen == {"direct", "quotient"}
 
 
 def test_csv_round_trip():
