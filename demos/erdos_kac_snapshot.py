@@ -15,8 +15,7 @@ print("omega, classical standardization:")
 print(f"{'x':>9} {'KS vs normal':>13} {'largest atom':>13} {'atom/2 floor':>13}")
 for x in (10**4, 10**5, 10**6):
     cdf = erdos_kac_cdf(x, "omega", pool=pool)
-    _, counts = np.unique(cdf.values, return_counts=True)
-    atom = counts.max() / counts.sum()
+    atom = cdf.counts.max() / cdf.size
     print(f"{x:>9} {cdf.ks:>13.4f} {atom:>13.4f} {atom / 2:>13.4f}")
 
 # The log of the exponent multinomial is a genuinely continuous-ish
@@ -31,8 +30,7 @@ for x in (10**4, 10**5, 10**6):
 
 # A compact look at the upper tail of the omega CDF at 1e6
 cdf = erdos_kac_cdf(10**6, "omega", pool=pool)
-zs, counts = np.unique(cdf.values, return_counts=True)
-cum = np.cumsum(counts) / counts.sum()
+cum = np.cumsum(cdf.counts) / cdf.size
 print("\nomega lattice at x = 1e6 (z, empirical CDF):")
-for z, c in zip(zs, cum):
+for z, c in zip(cdf.z, cum):
     print(f"  z = {z:7.3f}   F = {c:.5f}")

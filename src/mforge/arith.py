@@ -10,10 +10,12 @@ recursion is a prefix dependency.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
 
+from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, Factorization, Segment, factorize, primes_up_to
 
 #: Values at or beyond this bound trigger the checked-overflow error in the
@@ -52,8 +54,7 @@ _FACTORIAL = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
 class ArithmeticProfile:
     """All per-n function values over one contiguous segment.
 
-    Arrays are indexed by offset ``n - segment.lo``.  ``g`` is populated only
-    when the segment starts at 1 (prefix dependency); otherwise it is None.
+    Arrays are indexed by offset ``n - segment.lo``.
     """
 
     segment: Segment
@@ -62,7 +63,14 @@ class ArithmeticProfile:
     mobius: np.ndarray       # int8 in {-1, 0, +1}
     liouville: np.ndarray    # int8 in {-1, +1}
     c_omega: np.ndarray      # int64, exponent multinomial, overflow-checked
-    g: np.ndarray | None     # int64 when segment.lo == 1, else None
+
+    @cached_property
+    def g(self) -> np.ndarray | None:
+        """The inverse table g as int64, built on first read; None unless the
+        segment starts at 1 (prefix dependency)."""
+        if self.segment.lo != 1:
+            return None
+        return g_table(self.segment.hi - 1, omega=self.omega)[1:]
 
     def index(self, n: int) -> int:
         if n not in self.segment:
@@ -82,7 +90,7 @@ class ArithmeticProfile:
         return self.big_omega == 1
 
 
-def profile_range(segment: Segment, include_g: bool = True) -> ArithmeticProfile:
+def profile_range(segment: Segment) -> ArithmeticProfile:
     """Compute every per-n function over a segment in vectorized sweeps.
 
     A segmented Mobius sieve in the manner of Deleglise & Rivat (Exp. Math.
@@ -108,10 +116,13 @@ def profile_range(segment: Segment, include_g: bool = True) -> ArithmeticProfile
     are computed exactly by trial division instead.  The int64 column cannot
     overflow for n <= 10^17: the exponent-signature search in
     ``tests/test_arith.py::test_c_omega_int64_bound_by_signature_search``
-    bounds c_omega there below 2^60.  Past that, the exact path raises
-    OverflowError on any value above int64.
+    bounds c_omega there below 2^60, so segments reaching past 10^17 raise
+    OverflowError before any sieving.
     """
     lo, hi = segment.lo, segment.hi
+    if hi - 1 > 10**17:
+        raise OverflowError(f"segment end {hi - 1} is past 10^17, where c_omega is "
+                            "not proven to fit int64")
     width = segment.width
     r = isqrt(hi - 1)
     seeds = primes_up_to(r)
@@ -160,13 +171,9 @@ def profile_range(segment: Segment, include_g: bool = True) -> ArithmeticProfile
     mobius = (one - two * (omega & 1).view(np.int8)) * (extra == 0)
     liouville = one - two * (big & 1).view(np.int8)
 
-    g = None
-    if include_g and lo == 1:
-        g = g_table(hi - 1, omega=omega)[1:]
-
     return ArithmeticProfile(
         segment=segment, omega=omega, big_omega=big,
-        mobius=mobius, liouville=liouville, c_omega=c, g=g,
+        mobius=mobius, liouville=liouville, c_omega=c,
     )
 
 
@@ -234,13 +241,13 @@ def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if omega is None:
-        omega = _omega_prefix(N)
-    else:
-        omega = np.asarray(omega)
-        if omega.shape[0] == N:        # offset-0 layout from profile_range
-            omega = np.concatenate([[0], omega])
-        if omega.shape[0] < N + 1:
-            raise ValueError("omega table shorter than N")
+        omega = np.concatenate(WorkerPool(1).sweep(
+            1, N + 1, DEFAULT_SEGMENT_CAPACITY, lambda seg: profile_range(seg).omega))
+    omega = np.asarray(omega)
+    if omega.shape[0] == N:        # offset-0 layout, as in a profile
+        omega = np.concatenate([np.zeros(1, omega.dtype), omega])
+    if omega.shape[0] < N + 1:
+        raise ValueError("omega table shorter than N")
     w1 = omega.astype(np.uint8) + np.uint8(1)   # omega(d) + 1, d-indexed
 
     g = np.zeros(N + 1, dtype=np.int64)
@@ -270,18 +277,6 @@ def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
     if N >= 2 and int(np.abs(g[1:]).max()) > 1 << 48:
         raise OverflowError("inverse-table accumulator exceeded its safety bound")
     return g
-
-
-def _omega_prefix(N: int) -> np.ndarray:
-    """omega on 1..N (index 0 unused) via chunked segment profiles."""
-    out = np.zeros(N + 1, dtype=np.uint8)
-    lo = 1
-    while lo <= N:
-        hi = min(lo + DEFAULT_SEGMENT_CAPACITY, N + 1)
-        prof = profile_range(Segment(lo, hi), include_g=False)
-        out[lo:hi] = prof.omega
-        lo = hi
-    return out
 
 
 def write_sequence_csv(fh, values: np.ndarray, start: int = 1):

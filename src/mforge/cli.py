@@ -97,8 +97,7 @@ def cmd_sieve(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     names = dirichlet.IDENTITY_NAMES if config.identity == "all" else (config.identity,)
-    need_g = any(n in ("b", "c", "d", "f") for n in names)
-    profile = arith.profile_range(sieve.Segment(1, config.limit + 1), include_g=need_g)
+    profile = arith.profile_range(sieve.Segment(1, config.limit + 1))
     failed = False
     with _open_out(config) as fh:
         for name in names:
@@ -173,9 +172,10 @@ def cmd_stats(config: RunConfig) -> int:
 def _cdf_quantile_rows(cdf, grid: int = 256):
     from scipy.special import ndtr
     n = cdf.size
+    cum = cdf.counts.cumsum()
     for i in range(1, grid + 1):
         j = min(n - 1, max(0, (i * n) // grid - 1))
-        z = float(cdf.values[j])
+        z = float(cdf.z[cum.searchsorted(j, side="right")])   # sample value of rank j
         yield (_fmt_float(i / grid), _fmt_float(z), _fmt_float((j + 1) / n),
                _fmt_float(float(ndtr(z))), _fmt_float(cdf.ks))
 
@@ -248,8 +248,7 @@ def cmd_oeis_check(config: RunConfig) -> int:
         limit = min(max_idx, config.limit) if config.limit else max_idx
         if limit < 1:
             raise ValueError("no usable entries")
-    profile = arith.profile_range(sieve.Segment(1, limit + 1),
-                                  include_g=config.sequence == "g")
+    profile = arith.profile_range(sieve.Segment(1, limit + 1))
     values = getattr(profile, OEIS_SEQUENCES[config.sequence])
     with _reading(config.bfile):
         mismatch = arith.compare_bfile(config.bfile, values[:limit], start=1)

@@ -190,7 +190,7 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if profile is None:
-        profile = profile_range(Segment(1, N + 1), include_g=name in ("b", "c", "d", "f"))
+        profile = profile_range(Segment(1, N + 1))
     if profile.segment.lo != 1 or profile.segment.hi <= N:
         raise ValueError("profile must cover [1, N] starting at 1")
 

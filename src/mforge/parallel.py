@@ -8,6 +8,8 @@ heavy lifting is numpy, which releases the GIL.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .sieve import Segment
+
 
 def default_threads() -> int:
     """Worker count from MFORGE_THREADS, defaulting to 1."""
@@ -31,3 +33,8 @@ class WorkerPool:
             return [fn(it) for it in items]
         with ThreadPoolExecutor(max_workers=self.threads) as ex:
             return list(ex.map(fn, items))
+
+    def sweep(self, lo: int, hi: int, size: int, fn):
+        """Apply fn to consecutive Segments of width <= size covering [lo, hi),
+        returning the results in segment order."""
+        return self.map(fn, (Segment(a, min(a + size, hi)) for a in range(lo, hi, size)))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .parallel import WorkerPool
-from .sieve import DEFAULT_SEGMENT_CAPACITY, Segment, primes_up_to
+from .sieve import DEFAULT_SEGMENT_CAPACITY, primes_up_to
 from .arith import profile_range
 
 
@@ -83,9 +83,20 @@ class ConditionalReport:
 
 @dataclass
 class EmpiricalCdf:
-    size: int
-    values: np.ndarray      # sorted standardized sample
+    """A standardized sample as its distinct values and their multiplicities."""
+
+    z: np.ndarray           # distinct standardized values, ascending
+    counts: np.ndarray      # int64 multiplicity of each value
     ks: float               # sup distance to the standard normal CDF
+
+    @property
+    def size(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def values(self) -> np.ndarray:
+        """The sorted standardized sample, expanded from the counts."""
+        return np.repeat(self.z, self.counts)
 
 
 @dataclass
@@ -125,7 +136,7 @@ def collect_counts(x: int, segment_size: int = DEFAULT_SEGMENT_CAPACITY,
     kmax = x.bit_length() + 1
 
     def summarize(seg):
-        prof = profile_range(Segment(*seg), include_g=False)
+        prof = profile_range(seg)
         sq = prof.mobius != 0
         bo = prof.big_omega.astype(np.intp)
         return (
@@ -136,12 +147,11 @@ def collect_counts(x: int, segment_size: int = DEFAULT_SEGMENT_CAPACITY,
             int(np.count_nonzero(prof.mobius == -1)),
         )
 
-    segs = [(lo, min(lo + segment_size, x + 1)) for lo in range(1, x + 1, segment_size)]
     bo_h = np.zeros(kmax, dtype=np.int64)
     ex_h = np.zeros(kmax, dtype=np.int64)
     sq_h = np.zeros(kmax, dtype=np.int64)
     plus = minus = 0
-    for b, e, s, p, m in pool.map(summarize, segs):
+    for b, e, s, p, m in pool.sweep(1, x + 1, segment_size, summarize):
         bo_h += b
         ex_h += e
         sq_h += s
@@ -254,49 +264,57 @@ def prime_exponent_distribution(x: int, p: int, k_max: int) -> list:
     """Per-k table of the exact density of p^k exactly dividing n <= x,
     next to the geometric prediction (1 - 1/p) p^-k.
 
-    Counts come from an explicit residue scan (the closed-form floor counts
-    are the independent oracle for them)."""
+    Counts come from an explicit residue scan, one segment at a time (the
+    closed-form floor counts are the independent oracle for them)."""
     if p < 2 or x < p:
         raise ValueError(f"need a prime p <= x, got p={p}, x={x}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    n = np.arange(1, x + 1, dtype=np.int64)
+    powers = [p**k for k in range(k_max + 1)]
+
+    def scan(seg):
+        n = np.arange(seg.lo, seg.hi, dtype=np.int64)
+        return [int(np.count_nonzero((n % pk == 0) & (n % (pk * p) != 0))) if pk <= x else 0
+                for pk in powers]
+
+    counts = np.sum(WorkerPool(1).sweep(1, x + 1, DEFAULT_SEGMENT_CAPACITY, scan), axis=0)
     rows = []
     for k in range(k_max + 1):
-        pk = p**k
-        exact = (n % pk == 0) & (n % (pk * p) != 0) if pk <= x else np.zeros(x, dtype=bool)
-        count = int(np.count_nonzero(exact))
         predicted = (1.0 - 1.0 / p) * p ** (-k)
-        rows.append(DensityReport(x=x, k=k, count=count, predicted=predicted))
+        rows.append(DensityReport(x=x, k=k, count=int(counts[k]), predicted=predicted))
     return rows
 
 
-def _ks_from_counts(z: np.ndarray, counts: np.ndarray) -> float:
-    # sup |F_n - Phi| over a lattice sample given per-value counts
-    n = counts.sum()
+def _ks_from_counts(values, counts: np.ndarray, center: float | None = None,
+                    scale: float | None = None) -> EmpiricalCdf:
+    """Standardize a histogram (distinct ascending values, their counts) and take
+    its KS distance to the standard normal; center and scale default to the
+    sample mean and standard deviation, summed over the histogram with math.fsum."""
+    values = np.asarray(values, dtype=np.float64)
+    n = int(counts.sum())
+    if center is None:
+        center = math.fsum(values * counts) / n
+        var = math.fsum((values - center) ** 2 * counts) / (n - 1) if n > 1 else 0.0
+        if var == 0.0:
+            raise DegenerateSampleError("sample standard deviation is zero")
+        scale = math.sqrt(var)
+    z = (values - center) / scale
     cum = np.cumsum(counts)
     phi = ndtr(z)
     upper = np.abs(cum / n - phi)
     lower = np.abs((cum - counts) / n - phi)
-    return float(np.maximum(upper, lower).max())
+    return EmpiricalCdf(z=z, counts=counts, ks=float(np.maximum(upper, lower).max()))
 
 
 def empirical_cdf(sample: np.ndarray, standardize: bool = True) -> EmpiricalCdf:
-    """Sorted standardized sample plus its KS distance to the standard normal."""
+    """Standardized sample as a histogram plus its KS distance to the standard normal."""
     v = np.asarray(sample, dtype=np.float64)
     if v.size == 0:
         raise ValueError("empty sample")
+    values, counts = np.unique(v, return_counts=True)
     if standardize:
-        sd = v.std(ddof=1) if v.size > 1 else 0.0
-        if sd == 0.0:
-            raise DegenerateSampleError("sample standard deviation is zero")
-        v = (v - v.mean()) / sd
-    v = np.sort(v)
-    n = v.size
-    phi = ndtr(v)
-    steps = np.arange(1, n + 1) / n
-    ks = float(max(np.abs(steps - phi).max(), np.abs(steps - 1.0 / n - phi).max()))
-    return EmpiricalCdf(size=n, values=v, ks=ks)
+        return _ks_from_counts(values, counts)
+    return _ks_from_counts(values, counts, 0.0, 1.0)
 
 
 def erdos_kac_cdf(x: int, statistic: str = "omega",
@@ -307,37 +325,29 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
     statistic "omega" uses the classical centering
     (omega(n) - loglog x) / sqrt(loglog x); "log_c_omega" has no published
     centering constants, so it is standardized empirically by sample mean
-    and standard deviation.
+    and standard deviation.  Each segment contributes an exact
+    (value -> count) histogram, so memory is bounded by the segment width.
     """
     if x < 100:
         raise ValueError(f"x must be >= 100, got {x}")
     if statistic not in ("omega", "log_c_omega"):
         raise ValueError(f"unknown statistic {statistic!r}")
     pool = pool or WorkerPool(1)
-    segs = [(max(lo, 3), min(lo + segment_size, x + 1))
-            for lo in range(1, x + 1, segment_size) if lo + segment_size > 3]
+    is_omega = statistic == "omega"
 
-    if statistic == "omega":
-        kmax = x.bit_length() + 1
+    def histogram(seg):
+        prof = profile_range(seg)
+        if not is_omega:
+            return np.unique(prof.c_omega, return_counts=True)
+        h = np.bincount(prof.omega)
+        k = np.nonzero(h)[0]
+        return k, h[k]
 
-        def summarize(seg):
-            prof = profile_range(Segment(*seg), include_g=False)
-            return np.bincount(prof.omega.astype(np.intp), minlength=kmax)
-
-        hist = np.zeros(kmax, dtype=np.int64)
-        for h in pool.map(summarize, segs):
-            hist += h
+    parts = pool.sweep(3, x + 1, segment_size, histogram)
+    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    if is_omega:
         ll = math.log(math.log(x))
-        ks_vals = np.nonzero(hist)[0]
-        z = (ks_vals - ll) / math.sqrt(ll)
-        counts = hist[ks_vals]
-        ks = _ks_from_counts(z, counts)
-        values = np.repeat(z, counts)
-        return EmpiricalCdf(size=int(counts.sum()), values=values, ks=ks)
-
-    def summarize(seg):
-        prof = profile_range(Segment(*seg), include_g=False)
-        return np.log(prof.c_omega.astype(np.float64))
-
-    sample = np.concatenate(pool.map(summarize, segs))
-    return empirical_cdf(sample, standardize=True)
+        return _ks_from_counts(keys, counts, ll, math.sqrt(ll))
+    return _ks_from_counts(np.log(keys.astype(np.float64)), counts)

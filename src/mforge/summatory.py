@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import g_table, profile_range
 from .parallel import WorkerPool
-from .sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError, Segment
+from .sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError
 
 _INT64_MAX = np.iinfo(np.int64).max
 _SAFE_SUM = 1 << 62
@@ -70,7 +70,7 @@ class CheckpointPolicy:
     def parse(cls, text: str) -> "CheckpointPolicy":
         """Parse 'all', 'geometric[:ratio]' or 'explicit:1,10,100'."""
         kind, _, arg = text.partition(":")
-        if kind == "all":
+        if text == "all":
             return cls(kind="all")
         if kind == "geometric":
             return cls(kind="geometric", ratio=float(arg) if arg else 1.25)
@@ -264,36 +264,32 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     recorded = np.zeros((4, n_eval), dtype=np.int64)    # rows: M, Qsq, pi, U
 
     def summarize(seg):
-        lo, hi = seg
-        prof = profile_range(Segment(lo, hi), include_g=False)
+        prof = profile_range(seg)
         sweeps = [
             np.cumsum(prof.mobius, dtype=np.int64),
             np.cumsum(prof.mobius != 0, dtype=np.int64),
             np.cumsum(prof.prime_mask(), dtype=np.int64),
             np.cumsum(prof.signed_c_omega(), dtype=np.int64),
         ]
-        i0 = int(np.searchsorted(eval_points, lo))
-        i1 = int(np.searchsorted(eval_points, hi))
-        offs = (eval_points[i0:i1] - lo).astype(np.intp)
+        i0 = int(np.searchsorted(eval_points, seg.lo))
+        i1 = int(np.searchsorted(eval_points, seg.hi))
+        offs = (eval_points[i0:i1] - seg.lo).astype(np.intp)
         local = np.stack([c[offs] for c in sweeps]) if i1 > i0 else None
         totals = [int(c[-1]) for c in sweeps]
         return i0, i1, local, totals, prof.omega if direct else None
 
-    segs = [(lo, min(lo + segment_size, N + 1)) for lo in range(1, N + 1, segment_size)]
-    omega = np.zeros(N + 1, dtype=np.uint8) if direct else None
+    parts = pool.sweep(1, N + 1, segment_size, summarize)
     base = [0] * 4
-    for (lo, hi), (i0, i1, local, totals, seg_omega) in zip(segs, pool.map(summarize, segs)):
+    for i0, i1, local, totals, _ in parts:
         if local is not None:
             recorded[:, i0:i1] = np.asarray(base, dtype=np.int64)[:, None] + local
         for j, t in enumerate(totals):
             base[j] += t
         if max(abs(b) for b in base) > _SAFE_SUM:
             raise OverflowError("summatory accumulator exceeded its safety bound")
-        if direct:
-            omega[lo:hi] = seg_omega
 
     if direct:
-        g = g_table(N, omega=omega)
+        g = g_table(N, omega=np.concatenate([part[4] for part in parts]))
         G = np.cumsum(g, out=g)
         if max(int(G.max()), -int(G.min())) > _SAFE_SUM:
             raise OverflowError("summatory accumulator exceeded its safety bound")

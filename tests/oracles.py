@@ -9,6 +9,7 @@ import math
 from math import isqrt
 
 import numpy as np
+from scipy.special import ndtr
 
 
 def trial_factorize(n: int):
@@ -105,6 +106,30 @@ def mobius_block_oracle(N: int) -> np.ndarray:
     mu[1:] *= sign
     mu[0] = 0
     return mu
+
+
+def dirichlet_convolution_oracle(f, h):
+    """out[n] = sum over divisors d of n of f[d] * h[n // d], 1 <= n <= N, by
+    direct divisor enumeration in Python integers (index 0 unused, 0)."""
+    N = len(f) - 1
+    return [0] + [sum(int(f[d]) * int(h[n // d]) for d in range(1, n + 1) if n % d == 0)
+                  for n in range(1, N + 1)]
+
+
+def sorted_sample_cdf(sample, standardize: bool = True):
+    """(sorted sample, KS distance to the standard normal) from the whole sample.
+
+    Standardizes by the sample mean and standard deviation when asked, sorts
+    every value and takes the sup of |F_n - Phi| over both sides of each step.
+    """
+    v = np.asarray(sample, dtype=np.float64)
+    if standardize:
+        v = (v - v.mean()) / v.std(ddof=1)
+    v = np.sort(v)
+    n = v.size
+    phi = ndtr(v)
+    steps = np.arange(1, n + 1) / n
+    return v, float(max(np.abs(steps - phi).max(), np.abs(steps - 1.0 / n - phi).max()))
 
 
 # Published spot values (OEIS A084237 / A006880): Mertens and prime counts

@@ -86,7 +86,7 @@ def test_criterion_02_mertens_identities_exact():
 
 def test_criterion_03_double_sum_identity():
     t0 = time.time()
-    prof = profile_range(Segment(1, 2001), include_g=False)
+    prof = profile_range(Segment(1, 2001))
     g = g_recursion_oracle(2000)
     running = 0
     for x in range(1, 2001):
@@ -113,7 +113,7 @@ def test_criterion_04_squarefree_closed_form():
 
 def test_criterion_05_squarefree_density_window():
     t0 = time.time()
-    prof = profile_range(Segment(1, 10**6 + 1), include_g=False)
+    prof = profile_range(Segment(1, 10**6 + 1))
     qsq = np.cumsum(prof.mobius != 0, dtype=np.int64)
     xs = np.arange(1, 10**6 + 1, dtype=np.float64)
     dev = np.abs(qsq - 6.0 * xs / math.pi**2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mforge import arith
 from mforge.arith import (
     ArithmeticProfile,
     _exact_c_omega,
@@ -78,7 +79,7 @@ def test_profile_bulk_agrees_with_pointwise_1e4_samples():
     for seg_id in np.unique(ns // seg_w):
         lo = int(seg_id) * seg_w
         members = ns[(ns >= lo) & (ns < lo + seg_w)]
-        prof = profile_range(Segment(max(lo, 1), lo + seg_w), include_g=False)
+        prof = profile_range(Segment(max(lo, 1), lo + seg_w))
         for n in map(int, members):
             j = prof.index(n)
             f = factorize(n)
@@ -115,8 +116,8 @@ def _segment_and_split(draw):
 
 def _profile_split_invariant(lo, mid, hi):
     """Profile of [lo, hi), checked equal to those of [lo, mid) and [mid, hi) joined."""
-    whole = profile_range(Segment(lo, hi), include_g=False)
-    parts = [profile_range(Segment(a, b), include_g=False)
+    whole = profile_range(Segment(lo, hi))
+    parts = [profile_range(Segment(a, b))
              for a, b in ((lo, mid), (mid, hi)) if b > a]
     for col in COLUMNS:
         joined = np.concatenate([getattr(p, col) for p in parts])
@@ -157,7 +158,7 @@ def test_profile_split_invariant_across_blocks(lo, mid, hi):
 def test_profile_exact_path_above_twenty_factors(n0):
     # big_omega > 20 needs 21! > 2^63, so these entries take the exact path
     lo = n0 - 2000
-    prof = profile_range(Segment(lo, n0 + 2000), include_g=False)
+    prof = profile_range(Segment(lo, n0 + 2000))
     hot = np.nonzero(prof.big_omega > 20)[0]
     assert prof.index(n0) in hot
     near = range(prof.index(n0) - 50, prof.index(n0) + 50)
@@ -286,15 +287,31 @@ def test_g_closed_form_matches_table_on_squarefree(profile_1e4):
 
 def test_profile_g_only_from_one():
     p = profile_range(Segment(1, 100))
+    assert "g" not in vars(p)   # built on first read
     assert p.g is not None and len(p.g) == 99
+    assert np.array_equal(p.g, g_table(99)[1:])
     assert profile_range(Segment(2, 100)).g is None
+
+
+def test_profile_rejects_segments_past_1e17_before_sieving(monkeypatch):
+    class Sieved(Exception):
+        pass
+
+    def no_sieve(limit):
+        raise Sieved
+
+    monkeypatch.setattr(arith, "primes_up_to", no_sieve)
+    with pytest.raises(OverflowError):
+        profile_range(Segment(10**17 + 1, 10**17 + 2))
+    with pytest.raises(Sieved):     # n = 10^17 itself is within the proven bound
+        profile_range(Segment(10**17, 10**17 + 1))
 
 
 def test_width_one_edges():
     p1 = profile_range(Segment(1, 2))
     assert (p1.omega[0], p1.big_omega[0], p1.mobius[0], p1.c_omega[0], p1.g[0]) \
         == (0, 0, 1, 1, 1)
-    p2 = profile_range(Segment(2, 3), include_g=False)
+    p2 = profile_range(Segment(2, 3))
     assert (p2.omega[0], p2.big_omega[0], p2.mobius[0]) == (1, 1, -1)
     assert g_table(1).tolist() == [0, 1]
     with pytest.raises(ValueError):

@@ -113,7 +113,7 @@ def test_stats_cdf_quantiles_monotone_small_sample(capsys):
 
 @pytest.mark.parametrize("statistic", ["omega", "log_c_omega"])
 def test_stats_cdf_independent_of_segment_size(statistic, capsys):
-    # segments clipped to start at 3 must not come out empty
+    # the histogram merge does not depend on where segments start or end
     args = ["stats", "--x", "1000", "--report", "cdf", "--statistic", statistic]
     code, default, _ = run_cli(args, capsys)
     assert code == 0
@@ -209,6 +209,7 @@ def test_config_file_defaults_flags_override(tmp_path):
     (["summatory", "--limit", "100", "--segment-size", "0"], "--segment-size"),
     (["stats", "--x", "1000", "--report", "sign", "--segment-size", "-4"], "--segment-size"),
     (["summatory", "--limit", "100", "--checkpoints", "geometric:inf"], "--checkpoints"),
+    (["summatory", "--limit", "20", "--checkpoints", "all:junk"], "--checkpoints"),
 ])
 def test_bad_flag_value_is_usage_error(args, flag, capsys):
     with pytest.raises(SystemExit) as exc:

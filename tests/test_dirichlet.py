@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mforge.arith import g_table, profile_range
 from mforge.dirichlet import (
@@ -15,15 +17,7 @@ from mforge.dirichlet import (
 )
 from mforge.sieve import Segment
 
-from oracles import mobius_oracle, omega_oracle
-
-
-def conv_oracle(f, h):
-    N = len(f) - 1
-    out = [0] * (N + 1)
-    for n in range(1, N + 1):
-        out[n] = sum(f[d] * h[n // d] for d in range(1, n + 1) if n % d == 0)
-    return out
+from oracles import dirichlet_convolution_oracle, mobius_oracle, omega_oracle
 
 
 def test_divisor_count():
@@ -48,12 +42,31 @@ def test_unit_is_identity():
     assert np.array_equal(convolve(unit_sequence(100), f)[1:], f[1:])
 
 
-def test_convolve_matches_oracle_random():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        f = rng.integers(-9, 10, size=129).astype(np.int64)
-        h = rng.integers(-9, 10, size=129).astype(np.int64)
-        assert convolve(f, h)[1:].tolist() == conv_oracle(f.tolist(), h.tolist())[1:]
+@st.composite
+def _convolution_operands(draw):
+    """Two int64 sequences of length N + 1 <= 301, each under its own magnitude.
+
+    Magnitude pairs whose product times max d(n) passes 2^63 send convolve
+    to its exact fallback; there some sums fit int64 and some overflow.
+    """
+    N = draw(st.integers(1, 300))
+    seqs = []
+    for _ in range(2):
+        mag = draw(st.sampled_from([9, 2**20, 2**31, 2**40, 2**62, 2**63 - 1]))
+        seqs.append(draw(st.lists(st.integers(-mag, mag), min_size=N + 1, max_size=N + 1)))
+    return seqs
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_convolution_operands())
+def test_convolve_matches_oracle_random(operands):
+    f, h = (np.array(s, dtype=np.int64) for s in operands)
+    want = dirichlet_convolution_oracle(*operands)
+    if max(map(abs, want)) > np.iinfo(np.int64).max:
+        with pytest.raises(OverflowError):
+            convolve(f, h)
+    else:
+        assert convolve(f, h).tolist() == want
 
 
 def test_convolve_commutative_associative():
@@ -80,7 +93,7 @@ def test_convolve_huge_values_fall_back_exactly():
     f[31] = 2**41
     h[2] = 2**21
     h[1] = 1
-    assert convolve(f, h)[1:].tolist() == conv_oracle(f.tolist(), h.tolist())[1:]
+    assert convolve(f, h).tolist() == dirichlet_convolution_oracle(f, h)
     assert convolve(f, h)[62] == 2**62
 
 
@@ -97,13 +110,13 @@ def test_inverse_of_ones_is_mobius():
     N = 10**4
     inv = dirichlet_inverse(np.ones(N + 1, dtype=np.int64))
     assert all(inv[n] == mobius_oracle(n) for n in range(1, 301))
-    mu = profile_range(Segment(1, N + 1), include_g=False).mobius
+    mu = profile_range(Segment(1, N + 1)).mobius
     assert np.array_equal(inv[1:], mu.astype(np.int64))
 
 
 def test_inverse_of_omega_plus_one_matches_g_table():
     N = 10**4
-    om = profile_range(Segment(1, N + 1), include_g=False).omega
+    om = profile_range(Segment(1, N + 1)).omega
     w1 = np.concatenate([[0], om.astype(np.int64) + 1])
     assert np.array_equal(dirichlet_inverse(w1)[1:], g_table(N)[1:])
 

@@ -96,9 +96,9 @@ def test_prime_pi_degenerate_limits():
 
 def test_segmented_matches_monolithic():
     # the segment kernel gives the same columns on any window of a prefix
-    whole = profile_range(Segment(1, 3 * 10**4), include_g=False)
+    whole = profile_range(Segment(1, 3 * 10**4))
     for lo in (1, 777, 15000, 29000):
-        part = profile_range(Segment(lo, min(lo + 1000, 3 * 10**4)), include_g=False)
+        part = profile_range(Segment(lo, min(lo + 1000, 3 * 10**4)))
         for col in ("omega", "big_omega", "mobius", "c_omega"):
             want = getattr(whole, col)[lo - 1 : lo - 1 + part.segment.width]
             assert np.array_equal(getattr(part, col), want), (lo, col)

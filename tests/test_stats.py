@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mforge.arith import profile_range
 from mforge.parallel import WorkerPool
+from mforge.sieve import Segment
 from mforge.stats import (
     DegenerateSampleError,
     collect_counts,
@@ -17,7 +20,7 @@ from mforge.stats import (
     sign_balance,
 )
 
-from oracles import big_omega_oracle, mobius_oracle, omega_oracle
+from oracles import big_omega_oracle, mobius_oracle, omega_oracle, sorted_sample_cdf
 
 
 X = 10**5
@@ -157,6 +160,43 @@ def test_erdos_kac_log_c_omega():
     assert float(cdf.values.mean()) == pytest.approx(0.0, abs=1e-12)
     assert float(cdf.values.std(ddof=1)) == pytest.approx(1.0, rel=1e-9)
     assert 0.0 <= cdf.ks <= 1.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("x,segment_size", [(100, 7), (12345, 101), (10**5, 4099)])
+@pytest.mark.parametrize("statistic", ["omega", "log_c_omega"])
+def test_erdos_kac_cdf_matches_sorted_sample_oracle(statistic, x, segment_size, threads):
+    prof = profile_range(Segment(3, x + 1))
+    if statistic == "omega":
+        ll = math.log(math.log(x))
+        want, ks = sorted_sample_cdf((prof.omega.astype(np.float64) - ll) / math.sqrt(ll),
+                                     standardize=False)
+    else:
+        want, ks = sorted_sample_cdf(np.log(prof.c_omega.astype(np.float64)))
+    cdf = erdos_kac_cdf(x, statistic, segment_size, pool=WorkerPool(threads))
+    assert cdf.size == x - 2
+    if statistic == "omega":
+        assert np.array_equal(cdf.values, want)
+    else:
+        # mean and sd summed with fsum over the histogram, not pairwise over
+        # the sample: the standardized values may differ in the last bits
+        assert np.abs(cdf.values - want).max() < 1e-12
+    assert abs(cdf.ks - ks) < 1e-12
+
+
+def test_erdos_kac_cdf_memory_flat_in_x():
+    # each segment leaves only its histogram behind, so the peak is set by
+    # the segment width and does not grow with x
+    def peak(x):
+        tracemalloc.start()
+        try:
+            for statistic in ("omega", "log_c_omega"):
+                erdos_kac_cdf(x, statistic, segment_size=2**14)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1_600_000) < 1.5 * peak(400_000)
 
 
 def test_erdos_kac_validation():

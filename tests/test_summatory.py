@@ -180,6 +180,9 @@ def test_policy_parse_round_trip_and_checkpoints_shape(case):
     N, pol = case
     assert CheckpointPolicy.parse(_policy_text(pol)) == pol
     if pol.kind == "all":
+        with pytest.raises(ValueError):
+            CheckpointPolicy.parse(f"all:{N}")
+    if pol.kind == "all":
         N = min(N, 1000)
     cps = pol.checkpoints(N)
     assert cps.dtype == np.int64
