@@ -3,9 +3,9 @@
 Covers the distinct/total prime-factor counts omega and big_omega, mobius,
 liouville, the exponent-multinomial coefficient ``c_omega`` (the multinomial
 of the exponent multiset of n), and the table ``g`` defined as the Dirichlet
-inverse of ``omega + 1``.  Bulk computation works over arbitrary contiguous
-segments; ``g`` is only defined for prefix ranges starting at 1 because its
-recursion is a prefix dependency.
+inverse of ``omega + 1``, computed by ``dirichlet.dirichlet_inverse``.  Bulk
+computation works over arbitrary contiguous segments; ``g`` is only defined
+for prefix ranges starting at 1 because its recursion is a prefix dependency.
 """
 
 import math
@@ -231,13 +231,12 @@ def g_squarefree_closed_form(r: int) -> int:
 def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
     """The Dirichlet inverse of (omega + 1) on 1..N as int64 (index 0 unused).
 
-    Uses the multiples-push schedule: blocks [a, min(2a, N+1)) are finalized
-    in ascending order; every contribution into a block comes from an index
-    m < a whose value is already final, so blocks have no internal
-    dependencies and each divisor pair (d >= 2, m) is pushed exactly once.
-    Total work is O(N log N).  ``omega`` on 1..N, either 1-indexed or in
-    the offset-0 layout of a profile, saves the sieve pass that computes it.
+    The omega sweep followed by ``dirichlet.dirichlet_inverse``, the one
+    inverse engine.  ``omega`` on 1..N, either 1-indexed or in the offset-0
+    layout of a profile, saves the sweep.
     """
+    from .dirichlet import dirichlet_inverse   # dirichlet imports this module
+
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if omega is None:
@@ -248,35 +247,7 @@ def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
         omega = np.concatenate([np.zeros(1, omega.dtype), omega])
     if omega.shape[0] < N + 1:
         raise ValueError("omega table shorter than N")
-    w1 = omega.astype(np.uint8) + np.uint8(1)   # omega(d) + 1, d-indexed
-
-    g = np.zeros(N + 1, dtype=np.int64)
-    g[1] = 1
-    a = 2
-    while a <= N:
-        b = min(2 * a, N + 1)
-        block = np.zeros(b - a, dtype=np.int64)
-        t = isqrt(b - 1)
-        for d in range(2, t + 1):
-            mlo = (a + d - 1) // d
-            mhi = (b - 1) // d
-            if mlo > mhi:
-                continue
-            block[d * mlo - a : d * mhi - a + 1 : d] += np.int64(w1[d]) * g[mlo : mhi + 1]
-        for m in range(1, (b - 1) // (t + 1) + 1):
-            dlo = max(t + 1, (a + m - 1) // m)
-            dhi = (b - 1) // m
-            if dlo > dhi:
-                continue
-            block[m * dlo - a : m * dhi - a + 1 : m] += g[m] * w1[dlo : dhi + 1].astype(np.int64)
-        g[a:b] = -block
-        a = b
-
-    # |g| stays far below this at any feasible N; a breach would mean the
-    # int64 accumulator could have wrapped mid-sum.
-    if N >= 2 and int(np.abs(g[1:]).max()) > 1 << 48:
-        raise OverflowError("inverse-table accumulator exceeded its safety bound")
-    return g
+    return dirichlet_inverse(omega[:N + 1].astype(np.uint8, copy=False) + np.uint8(1))
 
 
 def write_sequence_csv(fh, values: np.ndarray, start: int = 1):

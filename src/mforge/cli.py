@@ -337,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact convolution identity suite")
     p.add_argument("--identity", default="all",
                    choices=list(dirichlet.IDENTITY_NAMES) + ["all"],
-                   help="which identity to check (default: all); identity e "
-                        "runs the reference inverse, sized for limits <= ~1e6")
+                   help="which identity to check (default: all)")
     p.add_argument("--limit", type=int, required=True,
                    help="check the identity exactly on 1..N")
     p.add_argument("--out", "--output", dest="out", default=None)

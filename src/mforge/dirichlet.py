@@ -63,12 +63,27 @@ def _as_seq(f) -> np.ndarray:
     return f
 
 
+def _checked_int64(out, what: str) -> np.ndarray:
+    """An exact object-dtype result as int64, raising OverflowError at the
+    first entry past the int64 width."""
+    for n in range(1, out.shape[0]):
+        if abs(out[n]) > _INT64_MAX:
+            raise OverflowError(f"{what} overflows the checked width at n={n}")
+    return out.astype(np.int64)
+
+
+def _max_abs(a) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
 def convolve(f, h) -> np.ndarray:
     """Exact Dirichlet convolution of two equal-length truncated sequences.
 
     out[n] = sum over divisors d of n of f[d] * h[n // d], for 1 <= n <= N.
     The double loop is split at sqrt(N) so each side runs O(sqrt(N)) strided
-    vector updates; total work is O(N log N).
+    vector updates; total work is O(N log N).  When max|f| * max|h| * max d(n)
+    does not fit int64, the same loops run on Python ints and the result is
+    width-checked.
     """
     f = _as_seq(f)
     h = _as_seq(h)
@@ -77,12 +92,11 @@ def convolve(f, h) -> np.ndarray:
     N = f.shape[0] - 1
     f = f.astype(np.int64, copy=False)
     h = h.astype(np.int64, copy=False)
-    maxf = int(np.abs(f[1:]).max(initial=0))
-    maxh = int(np.abs(h[1:]).max(initial=0))
-    if maxf and maxh and maxf * maxh * _max_tau(N) > _INT64_MAX:
-        return _convolve_checked(f, h, N)
+    exact = _max_abs(f[1:]) * _max_abs(h[1:]) * _max_tau(N) > _INT64_MAX
+    if exact:
+        f, h = f.astype(object), h.astype(object)
 
-    out = np.zeros(N + 1, dtype=np.int64)
+    out = np.zeros(N + 1, dtype=f.dtype)
     t = isqrt(N)
     for d in range(1, t + 1):
         q = N // d
@@ -90,33 +104,25 @@ def convolve(f, h) -> np.ndarray:
     for k in range(1, N // (t + 1) + 1):
         dhi = N // k
         out[k * (t + 1) :: k] += h[k] * f[t + 1 : dhi + 1]
-    return out
-
-
-def _convolve_checked(f, h, N):
-    # Exact fallback when the int64 pre-check cannot rule out overflow:
-    # arbitrary-precision accumulation, then a width check per entry.
-    fl = [int(v) for v in f]
-    hl = [int(v) for v in h]
-    out = [0] * (N + 1)
-    for d in range(1, N + 1):
-        fd = fl[d]
-        if fd == 0:
-            continue
-        for m in range(1, N // d + 1):
-            out[d * m] += fd * hl[m]
-    for n in range(1, N + 1):
-        if abs(out[n]) > _INT64_MAX:
-            raise OverflowError(f"convolution overflows the checked width at n={n}")
-    return np.array(out, dtype=np.int64)
+    return _checked_int64(out, "convolution") if exact else out
 
 
 def dirichlet_inverse(f) -> np.ndarray:
     """Exact Dirichlet inverse of a truncated sequence with f(1) in {-1, +1}.
 
-    Sequential by nature: inv(m) becomes final in ascending m, then pushes
-    f(d) * inv(m) into the accumulator of every multiple d*m, d >= 2.
-    Arbitrary-precision accumulation, O(N log N) operations.
+    inv(1) = f(1) and inv(n) = -f(1) * sum over divisors d >= 2 of n of
+    f(d) * inv(n / d) (Apostol, Introduction to Analytic Number Theory,
+    Thm 2.8).  Blocks [a, min(2a, N + 1)) are finalized in ascending order:
+    every contribution into a block comes from an index m < a whose value is
+    already final, so a block has no internal dependencies, and it is built
+    from O(sqrt(b)) strided vector updates split at sqrt(b - 1) as in
+    ``convolve``.  Total work is O(N log N).
+
+    Before each block an a-priori guard checks that
+    max d(n) * max|f[2:]| * max|inv[1:a]| fits int64, which bounds every
+    partial sum in the block.  Once it does not, the rest runs on Python
+    ints and the result is width-checked.  ``f`` keeps its dtype when that
+    casts safely to int64 (a uint8 omega + 1 costs no int64 copy).
     """
     f = _as_seq(f)
     N = f.shape[0] - 1
@@ -125,23 +131,37 @@ def dirichlet_inverse(f) -> np.ndarray:
         raise NonInvertibleError("f(1) = 0 has no Dirichlet inverse")
     if f1 not in (-1, 1):
         raise NonIntegerInverseError(f"f(1) = {f1}: inverse is not integer-valued")
+    if not np.can_cast(f.dtype, np.int64):
+        f = f.astype(np.int64)
+    max_f = _max_abs(f[2:])
 
-    fl = [int(v) for v in f]
-    acc = [0] * (N + 1)
-    inv = [0] * (N + 1)
+    inv = np.zeros(N + 1, dtype=np.int64)
     inv[1] = f1
-    for m in range(1, N + 1):
-        if m > 1:
-            inv[m] = -f1 * acc[m]
-        vm = inv[m]
-        if vm == 0:
-            continue
-        for n in range(2 * m, N + 1, m):
-            acc[n] += fl[n // m] * vm
-    for n in range(1, N + 1):
-        if abs(inv[n]) > _INT64_MAX:
-            raise OverflowError(f"inverse overflows the checked width at n={n}")
-    return np.array(inv, dtype=np.int64)
+    max_inv = 1
+    exact = False
+    a = 2
+    while a <= N:
+        b = min(2 * a, N + 1)
+        if not exact and _max_tau(b - 1) * max_f * max_inv > _INT64_MAX:
+            exact = True
+            inv, f = inv.astype(object), f.astype(object)
+        block = np.zeros(b - a, dtype=inv.dtype)
+        t = isqrt(b - 1)
+        for d in range(2, t + 1):
+            mlo = (a + d - 1) // d
+            mhi = (b - 1) // d
+            if mlo <= mhi:
+                block[d * mlo - a : d * mhi - a + 1 : d] += f[d] * inv[mlo : mhi + 1]
+        for m in range(1, (b - 1) // (t + 1) + 1):
+            dlo = max(t + 1, (a + m - 1) // m)
+            dhi = (b - 1) // m
+            if dlo <= dhi:
+                block[m * dlo - a : m * dhi - a + 1 : m] += inv[m] * f[dlo : dhi + 1]
+        inv[a:b] = -block if f1 == 1 else block
+        if not exact:
+            max_inv = max(max_inv, _max_abs(inv[a:b]))
+        a = b
+    return _checked_int64(inv, "inverse") if exact else inv
 
 
 def unit_sequence(N: int) -> np.ndarray:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, primes_up_to
@@ -290,6 +289,8 @@ def _ks_from_counts(values, counts: np.ndarray, center: float | None = None,
     """Standardize a histogram (distinct ascending values, their counts) and take
     its KS distance to the standard normal; center and scale default to the
     sample mean and standard deviation, summed over the histogram with math.fsum."""
+    from scipy.special import ndtr   # scipy loads only for the CDF reports
+
     values = np.asarray(values, dtype=np.float64)
     n = int(counts.sum())
     if center is None:

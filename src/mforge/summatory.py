@@ -327,14 +327,13 @@ def mertens_via_g_pi(x: int, g: np.ndarray, pi_table: PrimeCountTable) -> int:
     if pi_table.limit < x:
         raise RangeCoverageError(f"pi table limit {pi_table.limit} < x = {x}")
     gx = g[1 : x + 1].astype(np.int64, copy=False)
-    max_g = int(np.abs(gx).max())
-    pix = pi_table.rank(x)
-    if max_g and max_g * pix > _INT64_MAX // x:
-        # cannot rule out int64 overflow in the dot product; do it exactly
-        ks = range(1, x + 1)
-        return sum(int(g[k]) * pi_table.rank(x // k) for k in ks) + int(gx.sum())
     qs = x // np.arange(1, x + 1, dtype=np.int64)
-    return int(gx @ pi_table.rank_many(qs)) + int(gx.sum())
+    ranks = pi_table.rank_many(qs)
+    # every partial sum of both sums is at most max|g| * (sum of ranks + x)
+    max_g = max(int(gx.max()), -int(gx.min()))
+    if max_g * (int(ranks.sum()) + x) > _INT64_MAX:
+        gx, ranks = gx.astype(object), ranks.astype(object)
+    return int(gx @ ranks) + int(gx.sum())
 
 
 def mertens_via_G_over_primes(x: int, series: SummatorySeries) -> int:

@@ -116,6 +116,29 @@ def dirichlet_convolution_oracle(f, h):
                   for n in range(1, N + 1)]
 
 
+def dirichlet_inverse_oracle(f):
+    """Dirichlet inverse of f (f[1] = +-1, index 0 unused) in Python integers.
+
+    inv(m) becomes final in ascending m, then pushes f(d) * inv(m) into the
+    accumulator of every multiple d * m with d >= 2.  No width check.
+    """
+    N = len(f) - 1
+    fl = [int(v) for v in f]
+    f1 = fl[1]
+    acc = [0] * (N + 1)
+    inv = [0] * (N + 1)
+    inv[1] = f1
+    for m in range(1, N + 1):
+        if m > 1:
+            inv[m] = -f1 * acc[m]
+        vm = inv[m]
+        if vm == 0:
+            continue
+        for n in range(2 * m, N + 1, m):
+            acc[n] += fl[n // m] * vm
+    return inv
+
+
 def sorted_sample_cdf(sample, standardize: bool = True):
     """(sorted sample, KS distance to the standard normal) from the whole sample.
 

@@ -242,6 +242,16 @@ def test_console_script_help():
         assert sub in proc.stdout
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy loads only inside the CDF reports, not at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mforge.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_io_error_reported(capsys):
     code, _, err = run_cli(["trace", "--in", "/nonexistent/series.csv"], capsys)
     assert code == 1

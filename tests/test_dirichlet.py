@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mforge.arith import g_table, profile_range
+from mforge.arith import profile_range
 from mforge.dirichlet import (
     IDENTITY_LABELS,
     IDENTITY_NAMES,
@@ -17,7 +17,12 @@ from mforge.dirichlet import (
 )
 from mforge.sieve import Segment
 
-from oracles import dirichlet_convolution_oracle, mobius_oracle, omega_oracle
+from oracles import (
+    dirichlet_convolution_oracle,
+    dirichlet_inverse_oracle,
+    mobius_oracle,
+    omega_oracle,
+)
 
 
 def test_divisor_count():
@@ -114,11 +119,38 @@ def test_inverse_of_ones_is_mobius():
     assert np.array_equal(inv[1:], mu.astype(np.int64))
 
 
-def test_inverse_of_omega_plus_one_matches_g_table():
+def test_inverse_of_omega_plus_one_matches_oracle():
     N = 10**4
     om = profile_range(Segment(1, N + 1)).omega
     w1 = np.concatenate([[0], om.astype(np.int64) + 1])
-    assert np.array_equal(dirichlet_inverse(w1)[1:], g_table(N)[1:])
+    assert dirichlet_inverse(w1).tolist() == dirichlet_inverse_oracle(w1)
+
+
+@st.composite
+def _inverse_operands(draw):
+    """A sequence of length N + 1 <= 301 with f(1) = +-1 and |f(n)| <= a drawn
+    magnitude, about half its entries zero.
+
+    Large magnitudes trip the engine's int64 guard and send it to Python
+    ints; with the zeros, some of those inverses still fit int64 and the
+    others overflow.
+    """
+    N = draw(st.integers(1, 300))
+    mag = draw(st.sampled_from([9, 2**20, 2**31, 2**40, 2**62]))
+    f = draw(st.lists(st.just(0) | st.integers(-mag, mag), min_size=N + 1, max_size=N + 1))
+    f[1] = draw(st.sampled_from([-1, 1]))
+    return f
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_inverse_operands())
+def test_inverse_matches_oracle_random(f):
+    want = dirichlet_inverse_oracle(f)
+    if max(map(abs, want)) > np.iinfo(np.int64).max:
+        with pytest.raises(OverflowError):
+            dirichlet_inverse(np.array(f, dtype=np.int64))
+    else:
+        assert dirichlet_inverse(np.array(f, dtype=np.int64)).tolist() == want
 
 
 def test_inverse_of_prime_indicator_plus_unit(profile_1e4):

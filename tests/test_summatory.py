@@ -22,6 +22,7 @@ from mforge.summatory import (
 from oracles import (
     MERTENS_AT_POW10,
     PI_AT_POW10,
+    big_omega_oracle,
     g_recursion_oracle,
     mertens_oracle,
     mobius_block_oracle,
@@ -212,6 +213,21 @@ def test_mertens_via_g_pi_range_errors():
         mertens_via_g_pi(60, g, PrimeCountTable(100))
     with pytest.raises(RangeCoverageError):
         mertens_via_g_pi(50, g, PrimeCountTable(40))
+
+
+def test_mertens_via_g_pi_exact_past_int64():
+    # g near 2^50 at x ~ 1e4: the bound max|g| * (sum of ranks + x) is past
+    # int64 and so is the true sum, which only the Python-int path gets right
+    x = 10007
+    rng = np.random.default_rng(11)
+    g = np.zeros(x + 1, dtype=np.int64)
+    g[1:] = 2**50 - rng.integers(0, 2**20, size=x)
+    pi = [0] * (x + 1)
+    for n in range(2, x + 1):
+        pi[n] = pi[n - 1] + (big_omega_oracle(n) == 1)
+    want = sum(int(g[k]) * pi[x // k] + int(g[k]) for k in range(1, x + 1))
+    assert want > np.iinfo(np.int64).max
+    assert mertens_via_g_pi(x, g, PrimeCountTable(x)) == want
 
 
 def test_mertens_via_G_over_primes_examples():
