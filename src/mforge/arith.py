@@ -110,7 +110,8 @@ def profile_range(segment: Segment) -> ArithmeticProfile:
       isqrt(hi - 1) while n is not.
     * Derived columns: big_omega = omega + extra; n is squarefree iff
       extra == 0; c_omega = big_omega! / prod(alpha_i!) from a table of
-      factorials up to 20!.
+      factorials up to 20!, written into the smooth-part buffer, which is
+      dead once the smooth-part test is done.
 
     The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63 and
     are computed exactly by trial division instead.  The int64 column cannot
@@ -162,7 +163,7 @@ def profile_range(segment: Segment) -> ArithmeticProfile:
     omega += cofactor
     big = omega + extra
     hot = np.nonzero(big > 20)[0]
-    c = np.take(_FACTORIAL, big, mode="clip")
+    c = np.take(_FACTORIAL, big, mode="clip", out=smooth)     # smooth is dead here
     c //= den
     for i in map(int, hot):
         c[i] = _exact_c_omega(lo + i)

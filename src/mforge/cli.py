@@ -3,13 +3,15 @@
 Subcommands: sieve, verify, summatory, stats, simulate, trace, oeis-check.
 Data goes to stdout or the --out file (CSV by default, NDJSON with
 --format json: one object per row); logging goes to stderr.  Exit codes:
-0 success; 1 failed identity/comparison, I/O error, malformed input file or
-arithmetic overflow; 2 usage error.
+0 success; 1 failed identity/comparison, I/O error, malformed input file,
+arithmetic overflow or a limit that cannot fit in physical memory; 2 usage
+error.
 """
 
 import argparse
 import json
 import logging
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -95,8 +97,28 @@ def cmd_sieve(config: RunConfig) -> int:
     return 0
 
 
+#: Peak bytes per n of ``verify --identity all`` and of ``oeis-check``,
+#: which profile 1..limit in one piece (805 MB and 310 MB at 1e7).
+VERIFY_BYTES_PER_N = 80
+OEIS_BYTES_PER_N = 32
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(command: str, limit: int, bytes_per_n: int):
+    """Refuse a limit whose estimated peak exceeds physical memory."""
+    need, have = limit * bytes_per_n, physical_memory()
+    if need > have:
+        raise MemoryError(f"{command} up to {limit} needs about {need / 2**30:.1f} GiB, "
+                          f"more than the {have / 2**30:.1f} GiB of physical memory")
+
+
 def cmd_verify(config: RunConfig) -> int:
     names = dirichlet.IDENTITY_NAMES if config.identity == "all" else (config.identity,)
+    _require_memory("verify", config.limit, VERIFY_BYTES_PER_N)
     profile = arith.profile_range(sieve.Segment(1, config.limit + 1))
     failed = False
     with _open_out(config) as fh:
@@ -248,6 +270,7 @@ def cmd_oeis_check(config: RunConfig) -> int:
         limit = min(max_idx, config.limit) if config.limit else max_idx
         if limit < 1:
             raise ValueError("no usable entries")
+    _require_memory("oeis-check", limit, OEIS_BYTES_PER_N)
     profile = arith.profile_range(sieve.Segment(1, limit + 1))
     values = getattr(profile, OEIS_SEQUENCES[config.sequence])
     with _reading(config.bfile):
@@ -276,7 +299,7 @@ def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
     try:
         return _COMMANDS[config.subcommand](config)
-    except (InputFileError, OverflowError) as exc:
+    except (InputFileError, OverflowError, MemoryError) as exc:
         log.error("%s", exc)
         return 1
     except ValueError as exc:

@@ -19,6 +19,8 @@ from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError
 
 _INT64_MAX = np.iinfo(np.int64).max
+#: Bound on the series' int64 sums: the swept columns are checked against it
+#: before any sum is formed, the direct route's G after its cumsum.
 _SAFE_SUM = 1 << 62
 
 
@@ -264,32 +266,40 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     recorded = np.zeros((4, n_eval), dtype=np.int64)    # rows: M, Qsq, pi, U
 
     def summarize(seg):
+        # Sums of each column over the blocks [0, o1], (o1, o2], ..., (ok, end)
+        # between the eval-point offsets o; their cumsum holds the prefix sums
+        # at the eval points and, last, the segment total.
         prof = profile_range(seg)
-        sweeps = [
-            np.cumsum(prof.mobius, dtype=np.int64),
-            np.cumsum(prof.mobius != 0, dtype=np.int64),
-            np.cumsum(prof.prime_mask(), dtype=np.int64),
-            np.cumsum(prof.signed_c_omega(), dtype=np.int64),
-        ]
+        c = prof.c_omega
+        # every |entry| is at most c_max >= 1, so every partial sum of every
+        # column within the segment is at most span
+        span = seg.width * int(c.max())
+        if span > _SAFE_SUM:
+            raise OverflowError("a segment's sums could exceed the summatory bound")
+        np.negative(c, out=c, where=prof.liouville < 0)     # liouville * c_omega
         i0 = int(np.searchsorted(eval_points, seg.lo))
         i1 = int(np.searchsorted(eval_points, seg.hi))
-        offs = (eval_points[i0:i1] - seg.lo).astype(np.intp)
-        local = np.stack([c[offs] for c in sweeps]) if i1 > i0 else None
-        totals = [int(c[-1]) for c in sweeps]
-        return i0, i1, local, totals, prof.omega if direct else None
+        starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
+        starts = starts[starts < seg.width]
+        sums = np.cumsum([np.add.reduceat(col, starts, dtype=np.int64)
+                          for col in (prof.mobius, prof.mobius != 0, prof.prime_mask(), c)],
+                         axis=1)
+        # omega is a view into a wheel tile of at least 30030 entries; a copy
+        # keeps a narrow segment from holding the whole tile until g_table
+        return i0, i1, sums[:, :i1 - i0], sums[:, -1].tolist(), span, \
+            prof.omega.copy() if direct else None
 
     parts = pool.sweep(1, N + 1, segment_size, summarize)
     base = [0] * 4
-    for i0, i1, local, totals, _ in parts:
-        if local is not None:
-            recorded[:, i0:i1] = np.asarray(base, dtype=np.int64)[:, None] + local
+    for i0, i1, local, totals, span, _ in parts:
+        if max(abs(b) for b in base) + span > _SAFE_SUM:
+            raise OverflowError("summatory accumulator could exceed its bound")
+        recorded[:, i0:i1] = np.asarray(base, dtype=np.int64)[:, None] + local
         for j, t in enumerate(totals):
             base[j] += t
-        if max(abs(b) for b in base) > _SAFE_SUM:
-            raise OverflowError("summatory accumulator exceeded its safety bound")
 
     if direct:
-        g = g_table(N, omega=np.concatenate([part[4] for part in parts]))
+        g = g_table(N, omega=np.concatenate([part[5] for part in parts]))
         G = np.cumsum(g, out=g)
         if max(int(G.max()), -int(G.min())) > _SAFE_SUM:
             raise OverflowError("summatory accumulator exceeded its safety bound")

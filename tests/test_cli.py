@@ -296,3 +296,47 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
     code, _, err = run_cli(["summatory", "--limit", "100"], capsys)
     assert code == 1
     assert "safety bound" in err
+
+
+@pytest.mark.parametrize("args, bytes_per_n, limit", [
+    (["verify", "--limit", "2000"], "VERIFY_BYTES_PER_N", 2000),
+    (["oeis-check", "--sequence", "mu", "--bfile", str(FIXTURES / "b008683.txt")],
+     "OEIS_BYTES_PER_N", 1000),
+])
+def test_limit_past_physical_memory_is_refused(args, bytes_per_n, limit,
+                                               monkeypatch, capsys):
+    # the refusal reads the estimate against physical memory before profiling
+    import mforge.cli as cli
+
+    need = limit * getattr(cli, bytes_per_n)
+    monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
+    monkeypatch.setattr(cli.arith, "profile_range",
+                        lambda seg: pytest.fail("profiled a refused limit"))
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert "physical memory" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "physical_memory", lambda: need)
+    assert run_cli(args, capsys)[0] == 0
+
+
+def test_verify_peak_within_documented_bytes_per_n():
+    # the refusal's estimate must stay an upper bound on the real peak
+    import tracemalloc
+
+    from mforge.cli import VERIFY_BYTES_PER_N
+
+    N = 200_000
+    main(["verify", "--limit", "100", "--out", "/dev/null"])
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--limit", str(N), "--out", "/dev/null"]) == 0
+        assert tracemalloc.get_traced_memory()[1] <= VERIFY_BYTES_PER_N * N
+    finally:
+        tracemalloc.stop()
+
+
+def test_physical_memory_reads_sysconf():
+    from mforge.cli import physical_memory
+
+    assert physical_memory() > 2**20

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from mforge.arith import g_table, profile_range
 from mforge.parallel import WorkerPool
 from mforge.sieve import PrimeCountTable, RangeCoverageError, Segment
+from mforge import summatory
+from mforge.cli import main
 from mforge.summatory import (
     CheckpointPolicy,
     SummatoryRows,
@@ -23,9 +26,12 @@ from oracles import (
     MERTENS_AT_POW10,
     PI_AT_POW10,
     big_omega_oracle,
+    c_omega_oracle,
     g_recursion_oracle,
+    liouville_oracle,
     mertens_oracle,
     mobius_block_oracle,
+    mobius_oracle,
     squarefree_count_oracle,
 )
 
@@ -191,6 +197,118 @@ def test_policy_parse_round_trip_and_checkpoints_shape(case):
     assert np.all(np.diff(cps) > 0)
     if pol.kind == "explicit":
         assert set(pol.points) <= set(cps.tolist())
+
+
+_BLOCK_N = 5 * 977
+
+
+def _pointwise_prefix_sums(N):
+    """M, Qsq, pi and U on 0..N from the trial-division oracles."""
+    mu = [0] + [mobius_oracle(n) for n in range(1, N + 1)]
+    u = [0] + [liouville_oracle(n) * c_omega_oracle(n) for n in range(1, N + 1)]
+    pi = [0] + [int(big_omega_oracle(n) == 1) for n in range(1, N + 1)]
+    return (np.cumsum(mu), np.cumsum(np.asarray(mu) != 0),
+            np.cumsum(pi), np.cumsum(u))
+
+
+@pytest.fixture(scope="module")
+def block_oracle():
+    return _pointwise_prefix_sums(_BLOCK_N)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("segment_size", [1, 2, 977])
+@pytest.mark.parametrize("route, policy", [
+    ("quotient", CheckpointPolicy(kind="explicit", points=(977, 978, 1954))),
+    ("direct", CheckpointPolicy(kind="geometric", ratio=1.001)),
+])
+def test_block_sums_at_segment_edges(route, policy, segment_size, threads, block_oracle):
+    # each segment reads its eval points from the cumsum of block sums
+    # between them: points on a segment's first and last entry (an empty
+    # trailing block) and segments with no point at all must all read the
+    # same prefix sums as one whole-range segment and the pointwise oracles
+    N = _BLOCK_N
+    ref = build_series(N, policy, segment_size=N + 1)
+    s = build_series(N, policy, segment_size=segment_size, pool=WorkerPool(threads))
+    assert s.route == ref.route == route
+    offs = (s.eval_points - 1) % segment_size
+    assert 0 in offs and segment_size - 1 in offs
+    # the dense ladder has a point in every 977-wide segment
+    if route == "quotient" or segment_size < 977:
+        assert len(np.unique((s.eval_points - 1) // segment_size)) < -(-N // segment_size)
+    for col in ("checkpoints", "M", "G", "Qsq", "pi"):
+        assert np.array_equal(getattr(s, col), getattr(ref, col)), col
+    for col in ("eval_points", "M_eval", "U_eval", "pi_eval"):
+        assert np.array_equal(getattr(s, col), getattr(ref, col)), col
+    M, Qsq, pi, U = block_oracle
+    assert np.array_equal(s.M_eval, M[s.eval_points])
+    assert np.array_equal(s.U_eval, U[s.eval_points])
+    assert np.array_equal(s.pi_eval, pi[s.eval_points])
+    assert np.array_equal(s.Qsq, Qsq[s.checkpoints])
+
+
+def _segment_spans(N, segment_size):
+    return [min(segment_size, N + 1 - lo)
+            * int(profile_range(Segment(lo, min(lo + segment_size, N + 1))).c_omega.max())
+            for lo in range(1, N + 1, segment_size)]
+
+
+def test_series_overflow_bound_is_checked_before_summing(monkeypatch):
+    # width * max c_omega bounds every partial sum inside a segment; past
+    # the bound the segment is refused before any int64 sum is formed
+    N, size = 10**4, 100
+    spans = _segment_spans(N, size)
+    pol = CheckpointPolicy(kind="explicit", points=(N,))
+    monkeypatch.setattr(summatory, "_SAFE_SUM", max(spans) - 1)
+    with pytest.raises(OverflowError):
+        build_series(N, pol, segment_size=size)
+    # every segment fits on its own, but the running total plus the widest
+    # segment's span does not
+    monkeypatch.setattr(summatory, "_SAFE_SUM", max(spans))
+    with pytest.raises(OverflowError):
+        build_series(N, pol, segment_size=size, pool=WorkerPool(2))
+    monkeypatch.setattr(summatory, "_SAFE_SUM", max(spans) + N * max(spans))
+    assert build_series(N, pol, segment_size=size).M.tolist() == [mertens_oracle(N)]
+
+
+def test_series_overflow_bound_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(summatory, "_SAFE_SUM", 1000)
+    assert main(["summatory", "--limit", "10000", "--segment-size", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "bound" in err
+
+
+def test_series_memory_per_segment_entry_flat_in_N():
+    # no full-width int64 column outlives profile_range in a segment, so
+    # the quotient route's peak is set by the segment width, not by N
+    size = 2**18
+    build_series(size, segment_size=size)       # one-time allocations
+
+    def peak(N):
+        tracemalloc.start()
+        try:
+            assert build_series(N, segment_size=size).route == "quotient"
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**6), peak(4 * 10**6)
+    assert large < 1.5 * small
+    assert max(small, large) <= 36 * size
+
+
+def test_direct_route_narrow_segments_keep_only_their_omega():
+    # a profile's omega is a view into a wheel tile of 30030 entries; the
+    # direct route keeps every segment's omega until g_table, so a view per
+    # 1-wide segment would hold 1000 tiles (30 MB) here
+    pol = CheckpointPolicy(kind="all")
+    build_series(100, pol, segment_size=1)
+    tracemalloc.start()
+    try:
+        assert build_series(1000, pol, segment_size=1).route == "direct"
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_series_rejects_zero():
