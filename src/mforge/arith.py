@@ -50,24 +50,30 @@ _BLOCK = 1 << 17
 _FACTORIAL = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
 
 
+#: The per-n columns ``profile_range`` can compute, in profile field order.
+PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega")
+
+
 @dataclass
 class ArithmeticProfile:
-    """All per-n function values over one contiguous segment.
+    """Per-n function values over one contiguous segment.
 
-    Arrays are indexed by offset ``n - segment.lo``.
+    Arrays are indexed by offset ``n - segment.lo``; a column that was not
+    asked of ``profile_range`` is None.
     """
 
     segment: Segment
-    omega: np.ndarray        # uint8, distinct prime factors
-    big_omega: np.ndarray    # uint8, prime factors with multiplicity
-    mobius: np.ndarray       # int8 in {-1, 0, +1}
-    liouville: np.ndarray    # int8 in {-1, +1}
-    c_omega: np.ndarray      # int64, exponent multinomial, overflow-checked
+    omega: np.ndarray | None        # uint8, distinct prime factors
+    big_omega: np.ndarray | None    # uint8, prime factors with multiplicity
+    mobius: np.ndarray | None       # int8 in {-1, 0, +1}
+    liouville: np.ndarray | None    # int8 in {-1, +1}
+    c_omega: np.ndarray | None      # int64, exponent multinomial, overflow-checked
 
     @cached_property
     def g(self) -> np.ndarray | None:
-        """The inverse table g as int64, built on first read; None unless the
-        segment starts at 1 (prefix dependency)."""
+        """The inverse table g as int64, built on first read from the omega
+        column (or from a fresh omega sweep when it was not built); None
+        unless the segment starts at 1 (prefix dependency)."""
         if self.segment.lo != 1:
             return None
         return g_table(self.segment.hi - 1, omega=self.omega)[1:]
@@ -90,8 +96,8 @@ class ArithmeticProfile:
         return self.big_omega == 1
 
 
-def profile_range(segment: Segment) -> ArithmeticProfile:
-    """Compute every per-n function over a segment in vectorized sweeps.
+def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfile:
+    """Compute the requested per-n columns over a segment in vectorized sweeps.
 
     A segmented Mobius sieve in the manner of Deleglise & Rivat (Exp. Math.
     1996), with no division and no table gather per prime:
@@ -113,6 +119,17 @@ def profile_range(segment: Segment) -> ArithmeticProfile:
       factorials up to 20!, written into the smooth-part buffer, which is
       dead once the smooth-part test is done.
 
+    ``columns`` names the profile fields to build (default: all five); the
+    others are left None, and an unknown name raises ValueError.  Each column
+    pays only for the steps it needs:
+
+    * ``omega``: the wheel tile, the prime steps and the smooth-part test.
+      Every prime-power level still multiplies the smooth part, so the test
+      stays exact.
+    * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` updates.
+    * ``c_omega``: also the ``den`` updates, the factorial take, the
+      division and the exact path below.
+
     The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63 and
     are computed exactly by trial division instead.  The int64 column cannot
     overflow for n <= 10^17: the exponent-signature search in
@@ -120,6 +137,10 @@ def profile_range(segment: Segment) -> ArithmeticProfile:
     bounds c_omega there below 2^60, so segments reaching past 10^17 raise
     OverflowError before any sieving.
     """
+    want = frozenset(columns)
+    if not want <= set(PROFILE_COLUMNS):
+        raise ValueError(f"unknown profile columns {sorted(want - set(PROFILE_COLUMNS))}, "
+                         f"expected some of {PROFILE_COLUMNS}")
     lo, hi = segment.lo, segment.hi
     if hi - 1 > 10**17:
         raise OverflowError(f"segment end {hi - 1} is past 10^17, where c_omega is "
@@ -132,8 +153,8 @@ def profile_range(segment: Segment) -> ArithmeticProfile:
     reps = (off + width - 1) // _WHEEL + 1
     omega = np.tile(_WHEEL_OMEGA, reps)[off:off + width]
     smooth = np.tile(_WHEEL_SMOOTH, reps)[off:off + width]
-    extra = np.zeros(width, dtype=np.uint8)
-    den = np.ones(width, dtype=np.int64)
+    extra = np.zeros(width, dtype=np.uint8) if want - {"omega"} else None
+    den = np.ones(width, dtype=np.int64) if "c_omega" in want else None
 
     # (stride q, prime p, level e): q = p for a new prime, q = p^e for e >= 2
     steps = []
@@ -161,33 +182,43 @@ def profile_range(segment: Segment) -> ArithmeticProfile:
     cofactor = smooth <= r
     cofactor[:max(0, r + 1 - lo)] = False
     omega += cofactor
-    big = omega + extra
-    hot = np.nonzero(big > 20)[0]
-    c = np.take(_FACTORIAL, big, mode="clip", out=smooth)     # smooth is dead here
-    c //= den
-    for i in map(int, hot):
-        c[i] = _exact_c_omega(lo + i)
-
+    big = mobius = liouville = c = None
     one, two = np.int8(1), np.int8(2)
-    mobius = (one - two * (omega & 1).view(np.int8)) * (extra == 0)
-    liouville = one - two * (big & 1).view(np.int8)
+    if want & {"big_omega", "liouville", "c_omega"}:
+        big = omega + extra
+    # c_omega before the int8 columns: np.take's intp copy of big is the
+    # kernel's memory peak, and the int8 columns are not yet alive there
+    if "c_omega" in want:
+        hot = np.nonzero(big > 20)[0]
+        c = np.take(_FACTORIAL, big, mode="clip", out=smooth)     # smooth is dead here
+        c //= den
+        for i in map(int, hot):
+            c[i] = _exact_c_omega(lo + i)
+    if "mobius" in want:
+        mobius = (one - two * (omega & 1).view(np.int8)) * (extra == 0)
+    if "liouville" in want:
+        liouville = one - two * (big & 1).view(np.int8)
 
     return ArithmeticProfile(
-        segment=segment, omega=omega, big_omega=big,
+        segment=segment, omega=omega if "omega" in want else None,
+        big_omega=big if "big_omega" in want else None,
         mobius=mobius, liouville=liouville, c_omega=c,
     )
 
 
 def _sieve_steps(cols, lo: int, b0: int, b1: int, steps):
-    """Apply sieve steps to entries [b0, b1) of the segment starting at lo."""
+    """Apply sieve steps to entries [b0, b1) of the segment starting at lo;
+    a column given as None is skipped."""
     omega, extra, smooth, den = cols
     for q, p, e in steps:
         s = b0 + -(lo + b0) % q
         if e == 1:
             omega[s:b1:q] += 1
         else:
-            extra[s:b1:q] += 1
-            den[s:b1:q] *= e
+            if extra is not None:
+                extra[s:b1:q] += 1
+            if den is not None:
+                den[s:b1:q] *= e
         smooth[s:b1:q] *= p
 
 
@@ -242,7 +273,8 @@ def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(f"N must be >= 1, got {N}")
     if omega is None:
         omega = np.concatenate(WorkerPool(1).sweep(
-            1, N + 1, DEFAULT_SEGMENT_CAPACITY, lambda seg: profile_range(seg).omega))
+            1, N + 1, DEFAULT_SEGMENT_CAPACITY,
+            lambda seg: profile_range(seg, columns={"omega"}).omega))
     omega = np.asarray(omega)
     if omega.shape[0] == N:        # offset-0 layout, as in a profile
         omega = np.concatenate([np.zeros(1, omega.dtype), omega])

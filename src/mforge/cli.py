@@ -248,10 +248,11 @@ def cmd_trace(config: RunConfig) -> int:
     return 0
 
 
+#: Profile attribute each sequence reads, and the kernel column it is built from.
 OEIS_SEQUENCES = {
-    "mu": "mobius",
-    "lambda": "liouville",
-    "g": "g",
+    "mu": ("mobius", "mobius"),
+    "lambda": ("liouville", "liouville"),
+    "g": ("g", "omega"),
 }
 
 
@@ -271,8 +272,9 @@ def cmd_oeis_check(config: RunConfig) -> int:
         if limit < 1:
             raise ValueError("no usable entries")
     _require_memory("oeis-check", limit, OEIS_BYTES_PER_N)
-    profile = arith.profile_range(sieve.Segment(1, limit + 1))
-    values = getattr(profile, OEIS_SEQUENCES[config.sequence])
+    attr, column = OEIS_SEQUENCES[config.sequence]
+    profile = arith.profile_range(sieve.Segment(1, limit + 1), columns={column})
+    values = getattr(profile, attr)
     with _reading(config.bfile):
         mismatch = arith.compare_bfile(config.bfile, values[:limit], start=1)
     if mismatch is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import WorkerPool
-from .sieve import DEFAULT_SEGMENT_CAPACITY, primes_up_to
+from .sieve import DEFAULT_SEGMENT_CAPACITY, factorize, primes_up_to
 from .arith import profile_range
 
 
@@ -135,7 +135,7 @@ def collect_counts(x: int, segment_size: int = DEFAULT_SEGMENT_CAPACITY,
     kmax = x.bit_length() + 1
 
     def summarize(seg):
-        prof = profile_range(seg)
+        prof = profile_range(seg, columns={"omega", "big_omega", "mobius"})
         sq = prof.mobius != 0
         bo = prof.big_omega.astype(np.intp)
         return (
@@ -215,17 +215,17 @@ def d_m_coefficients(prime_limit: int = 10**6, m_max: int = 16) -> DmCoefficient
     key = (prime_limit, m_max)
     if key in _DM_CACHE:
         return _DM_CACHE[key]
+    ps = primes_up_to(prime_limit).astype(np.float64)
+    fac = np.empty((len(ps), m_max + 1))     # one factor row per prime
+    fac[:, 0] = 1.0 - 1.0 / (ps * ps)
+    scale = (1.0 - 1.0 / ps) / (ps * ps)
+    for j in range(1, m_max + 1):
+        fac[:, j] = scale
+        scale /= ps
     coeffs = np.zeros(m_max + 1)
     coeffs[0] = 1.0
-    fac = np.empty(m_max + 1)
-    for p in primes_up_to(prime_limit):
-        p = float(p)
-        fac[0] = 1.0 - 1.0 / (p * p)
-        scale = (1.0 - 1.0 / p) / (p * p)
-        for j in range(1, m_max + 1):
-            fac[j] = scale
-            scale /= p
-        coeffs = np.convolve(coeffs, fac)[: m_max + 1]
+    for row in fac:
+        coeffs = np.convolve(coeffs, row)[: m_max + 1]
     out = DmCoefficients(prime_limit=prime_limit, m_max=m_max, values=coeffs,
                          tail_bound=1.0 / prime_limit)
     _DM_CACHE[key] = out
@@ -263,18 +263,22 @@ def prime_exponent_distribution(x: int, p: int, k_max: int) -> list:
     """Per-k table of the exact density of p^k exactly dividing n <= x,
     next to the geometric prediction (1 - 1/p) p^-k.
 
-    Counts come from an explicit residue scan, one segment at a time (the
-    closed-form floor counts are the independent oracle for them)."""
-    if p < 2 or x < p:
+    Counts come from an explicit valuation scan, one segment at a time: every
+    n gets 1 added per power p^j dividing it, by a strided pass per p^j, and
+    the counts are the histogram of those valuations (the closed-form floor
+    counts are the independent oracle for them)."""
+    if p < 2 or x < p or factorize(p).factors != ((p, 1),):
         raise ValueError(f"need a prime p <= x, got p={p}, x={x}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    powers = [p**k for k in range(k_max + 1)]
 
     def scan(seg):
-        n = np.arange(seg.lo, seg.hi, dtype=np.int64)
-        return [int(np.count_nonzero((n % pk == 0) & (n % (pk * p) != 0))) if pk <= x else 0
-                for pk in powers]
+        v = np.zeros(seg.width, dtype=np.uint8)
+        pj = p
+        while pj < seg.hi:
+            v[-seg.lo % pj::pj] += 1
+            pj *= p
+        return np.bincount(v, minlength=k_max + 1)[:k_max + 1]
 
     counts = np.sum(WorkerPool(1).sweep(1, x + 1, DEFAULT_SEGMENT_CAPACITY, scan), axis=0)
     rows = []
@@ -337,7 +341,7 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
     is_omega = statistic == "omega"
 
     def histogram(seg):
-        prof = profile_range(seg)
+        prof = profile_range(seg, columns={"omega"} if is_omega else {"c_omega"})
         if not is_omega:
             return np.unique(prof.c_omega, return_counts=True)
         h = np.bincount(prof.omega)

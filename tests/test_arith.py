@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -152,6 +153,46 @@ def test_profile_split_invariant_across_blocks(lo, mid, hi):
             j = n - lo
             assert (whole.omega[j], whole.big_omega[j], whole.c_omega[j]) == (
                 omega_oracle(n), big_omega_oracle(n), c_omega_oracle(n)), n
+
+
+_COLUMN_SUBSETS = [set(c) for r in range(1, len(COLUMNS) + 1)
+                   for c in itertools.combinations(COLUMNS, r)]
+
+
+def _check_column_subsets(lo, hi):
+    """profile_range with each non-empty column subset equals the full profile
+    on that subset and leaves every other column None."""
+    seg = Segment(lo, hi)
+    full = profile_range(seg)
+    for cols in _COLUMN_SUBSETS:
+        part = profile_range(seg, columns=cols)
+        for col in COLUMNS:
+            got = getattr(part, col)
+            if col in cols:
+                assert got.dtype == getattr(full, col).dtype, (cols, col)
+                assert np.array_equal(got, getattr(full, col)), (cols, col)
+            else:
+                assert got is None, (cols, col)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_segment_and_split())
+def test_profile_column_subsets_match_full_profile(seg):
+    lo, _, hi = seg
+    _check_column_subsets(lo, hi)
+
+
+def test_profile_column_subsets_on_exact_path_and_block_edges():
+    # entries with big_omega > 20 take the exact c_omega path; the segment is
+    # wider than the kernel's cache block
+    _check_column_subsets(2**21 - 3, 2**21 + 3 * 2**17 + 5)
+
+
+def test_profile_unknown_column_raises():
+    with pytest.raises(ValueError, match="unknown profile columns"):
+        profile_range(Segment(1, 100), columns={"omega", "g"})
+    with pytest.raises(ValueError):
+        profile_range(Segment(1, 100), columns="omega")   # a name, not a collection
 
 
 @pytest.mark.parametrize("n0", [2**21, 3 * 2**21, 2**22, 2**26])

@@ -210,10 +210,13 @@ def test_config_file_defaults_flags_override(tmp_path):
     (["stats", "--x", "1000", "--report", "sign", "--segment-size", "-4"], "--segment-size"),
     (["summatory", "--limit", "100", "--checkpoints", "geometric:inf"], "--checkpoints"),
     (["summatory", "--limit", "20", "--checkpoints", "all:junk"], "--checkpoints"),
+    (["stats", "--x", "1000", "--report", "exponent", "--p", "4"], "p=4"),
 ])
 def test_bad_flag_value_is_usage_error(args, flag, capsys):
+    # a value caught by the parser raises SystemExit, one caught by the
+    # command is returned as the exit code: the console script exits with both
     with pytest.raises(SystemExit) as exc:
-        main(args)
+        sys.exit(main(args))
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mforge.arith import profile_range
 from mforge.parallel import WorkerPool
-from mforge.sieve import Segment
+from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, Segment, primes_up_to
 from mforge.stats import (
     DegenerateSampleError,
     collect_counts,
@@ -91,6 +93,25 @@ def test_d_m_nonnegative_and_summable():
     assert dm.values.sum() == pytest.approx(1.0, abs=1e-3)
     # observed shape: nonincreasing for m >= 1
     assert np.all(np.diff(dm.values[1:]) <= 0)
+
+
+def test_d_m_coefficients_equal_per_prime_scalar_fold():
+    # the factor rows are built for all primes at once; each entry must be
+    # the same float64 the per-prime scalar recurrence gives, so the folded
+    # coefficients are bit-identical
+    m_max = 10
+    want = np.zeros(m_max + 1)
+    want[0] = 1.0
+    fac = np.empty(m_max + 1)
+    for p in primes_up_to(5000).tolist():
+        p = float(p)
+        fac[0] = 1.0 - 1.0 / (p * p)
+        scale = (1.0 - 1.0 / p) / (p * p)
+        for j in range(1, m_max + 1):
+            fac[j] = scale
+            scale /= p
+        want = np.convolve(want, fac)[: m_max + 1]
+    assert np.array_equal(d_m_coefficients(5000, m_max).values, want)
 
 
 def test_d_m_validation():
@@ -219,6 +240,37 @@ def test_empirical_cdf_ks_matches_scipy():
     mine = empirical_cdf(sample, standardize=False)
     theirs = kstest(sample, "norm").statistic
     assert mine.ks == pytest.approx(theirs, abs=1e-12)
+
+
+def _floor_counts(x, p, k_max):
+    return [x // p**k - x // p ** (k + 1) for k in range(k_max + 1)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(2, 2 * 10**5), st.sampled_from(primes_up_to(50).tolist()),
+       st.integers(0, 40))
+def test_prime_exponent_counts_match_floor_formula(x, p, k_max):
+    # k_max up to 40 reaches powers of p past x, whose rows must read 0
+    if p > x:
+        with pytest.raises(ValueError):
+            prime_exponent_distribution(x, p, k_max)
+        return
+    rows = prime_exponent_distribution(x, p, k_max)
+    assert [r.k for r in rows] == list(range(k_max + 1))
+    assert [r.count for r in rows] == _floor_counts(x, p, k_max)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_prime_exponent_counts_across_segment_edge(p):
+    x = DEFAULT_SEGMENT_CAPACITY + 12345
+    rows = prime_exponent_distribution(x, p, 30)
+    assert [r.count for r in rows] == _floor_counts(x, p, 30)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 12, 49])
+def test_prime_exponent_rejects_non_primes(p):
+    with pytest.raises(ValueError, match="need a prime"):
+        prime_exponent_distribution(1000, p, 3)
 
 
 def test_geometric_counts_closed_form_oracle():
