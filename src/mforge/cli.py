@@ -176,7 +176,8 @@ def cmd_stats(config: RunConfig) -> int:
                             "conditional", "unconditional", "ratio", "undefined"], rows)
     elif kind == "exponent":
         table = stats.prime_exponent_distribution(x, _require(config.p, "--p"),
-                                                  config.k if config.k is not None else 6)
+                                                  config.k if config.k is not None else 6,
+                                                  config.segment_size, pool=pool)
         rows = [(r.x, config.p, r.k, r.count, _fmt_float(r.empirical),
                  _fmt_float(r.predicted)) for r in table]
         _emit_rows(config, ["x", "p", "k", "count", "empirical", "predicted"], rows)

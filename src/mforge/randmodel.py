@@ -52,67 +52,80 @@ class LilSummary:
     reference: float = LIL_CONSTANT
 
 
-_SCALE_CACHE: dict = {}
+#: Draws per block. A worker computes each block's scale once and advances
+#: all of its trials through the block, so memory is set by the block width
+#: and the trial count, not by x_max.
+_BLOCK = 1 << 20
 
 
 def _lil_scale(lo: int, hi: int) -> np.ndarray:
-    # 1 / sqrt(x loglog x) for x in [lo, hi), zero below the x >= 16 cutoff;
-    # identical across trials, so worth caching per block.
-    key = (lo, hi)
-    if key not in _SCALE_CACHE:
-        xs = np.arange(lo, hi, dtype=np.float64)
-        out = np.zeros(hi - lo)
-        live = xs >= LIL_MIN_X
-        out[live] = 1.0 / np.sqrt(xs[live] * np.log(np.log(xs[live])))
-        if len(_SCALE_CACHE) > 256:
-            _SCALE_CACHE.clear()
-        _SCALE_CACHE[key] = out
-    return _SCALE_CACHE[key]
+    # 1 / sqrt(x loglog x) for x in [lo, hi), zero below the x >= 16 cutoff
+    xs = np.arange(lo, hi, dtype=np.float64)
+    out = np.zeros(hi - lo)
+    live = xs >= LIL_MIN_X
+    out[live] = 1.0 / np.sqrt(xs[live] * np.log(np.log(xs[live])))
+    return out
 
 
-def simulate(seed: int, x_max: int, policy: CheckpointPolicy | None = None,
-             block: int = 1 << 20) -> ModelRun:
-    """Simulate one trajectory of x_max draws, recording at the checkpoints.
+def _run_trials(seeds: range, x_max: int, cps: np.ndarray) -> list:
+    """Trajectories for consecutive seeds, advanced block by block.
 
     Draw mapping (fixed threshold order, part of the reproducibility
     contract): uniform u < 3/pi^2 -> -1, else u < 6/pi^2 -> +1, else 0.
     """
-    if x_max < LIL_MIN_X:
-        raise ValueError(f"x_max must be >= {LIL_MIN_X}, got {x_max}")
-    policy = policy or CheckpointPolicy()
-    cps = policy.checkpoints(x_max)
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    mbar_cp = np.zeros(len(cps), dtype=np.int64)
-    lil_cp = np.zeros(len(cps), dtype=np.float64)
-    total = 0
-    run_max = 0.0
-    for lo in range(1, x_max + 1, block):
-        hi = min(lo + block, x_max + 1)
-        u = rng.random(hi - lo)
-        steps = np.where(u < P_MINUS, -1, np.where(u < P_NONZERO, 1, 0))
-        traj = total + np.cumsum(steps)
-        scaled = np.abs(traj).astype(np.float64) * _lil_scale(lo, hi)
-        running = np.maximum.accumulate(np.maximum(scaled, run_max))
+    rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+    mbar = np.zeros((len(rngs), len(cps)), dtype=np.int64)
+    lil = np.zeros((len(rngs), len(cps)), dtype=np.float64)
+    total = [0] * len(rngs)
+    run_max = [0.0] * len(rngs)
+    for lo in range(1, x_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK, x_max + 1)
+        scale = _lil_scale(lo, hi)
         i0, i1 = np.searchsorted(cps, [lo, hi])
         offs = (cps[i0:i1] - lo).astype(np.intp)
-        mbar_cp[i0:i1] = traj[offs]
-        lil_cp[i0:i1] = running[offs]
-        total = int(traj[-1])
-        run_max = float(running[-1])
-    return ModelRun(seed=seed, x_max=x_max, checkpoints=cps,
-                    mbar=mbar_cp, lil_running_max=lil_cp, lil_sup=run_max)
+        # buffers shared by the block's trials
+        u, traj, running = np.empty(hi - lo), np.empty(hi - lo, np.int64), np.empty(hi - lo)
+        for t, rng in enumerate(rngs):
+            rng.random(out=u)
+            steps = (u < P_NONZERO).astype(np.int8)
+            steps[u < P_MINUS] = -1
+            np.cumsum(steps, dtype=np.int64, out=traj)
+            traj += total[t]
+            np.abs(traj, out=running)                   # |traj| as float64
+            running *= scale
+            np.maximum(running, run_max[t], out=running)
+            np.maximum.accumulate(running, out=running)
+            mbar[t, i0:i1] = traj[offs]
+            lil[t, i0:i1] = running[offs]
+            total[t] = int(traj[-1])
+            run_max[t] = float(running[-1])
+    return [ModelRun(seed=s, x_max=x_max, checkpoints=cps, mbar=mbar[t],
+                     lil_running_max=lil[t], lil_sup=run_max[t])
+            for t, s in enumerate(seeds)]
+
+
+def simulate(seed: int, x_max: int, policy: CheckpointPolicy | None = None) -> ModelRun:
+    """Simulate one trajectory of x_max draws, recording at the checkpoints."""
+    return simulate_many(seed, 1, x_max, policy)[0]
 
 
 def simulate_many(seed: int, trials: int, x_max: int,
                   policy: CheckpointPolicy | None = None,
                   pool: WorkerPool | None = None) -> list:
-    """Independent trials; trial i runs on its own stream keyed seed + i."""
+    """Independent trials; trial i runs on its own stream keyed seed + i, and
+    each worker runs one contiguous run of the seeds."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if x_max < LIL_MIN_X:
+        raise ValueError(f"x_max must be >= {LIL_MIN_X}, got {x_max}")
     pool = pool or WorkerPool(1)
-    policy = policy or CheckpointPolicy()
-    return pool.map(lambda i: simulate(seed + i, x_max, policy), range(trials))
+    cps = (policy or CheckpointPolicy()).checkpoints(x_max)
+    k = min(pool.threads, trials)
+    q, r = divmod(trials, k)
+    starts = [seed + i * q + min(i, r) for i in range(k + 1)]
+    chunks = pool.map(lambda i: _run_trials(range(starts[i], starts[i + 1]), x_max, cps),
+                      range(k))
+    return [run for chunk in chunks for run in chunk]
 
 
 def lil_statistic(runs) -> LilSummary:

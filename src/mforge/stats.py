@@ -109,21 +109,19 @@ class RangeCounts:
     mobius_plus: int
     mobius_minus: int
 
-    def big_omega_count_from_3(self, k: int) -> int:
-        c = int(self.big_omega_hist[k]) if k < len(self.big_omega_hist) else 0
-        if k == 0:
-            c -= 1                       # n = 1
-        if k == 1 and self.x >= 2:
-            c -= 1                       # n = 2
+    def _from_3(self, hist: np.ndarray, k: int) -> int:
+        # entry k of a histogram over [1, x], less n = 1 (k = 0) and n = 2 (k = 1),
+        # which are squarefree with big_omega = k
+        c = int(hist[k]) if k < len(hist) else 0
+        if k == 0 or (k == 1 and self.x >= 2):
+            c -= 1
         return c
 
+    def big_omega_count_from_3(self, k: int) -> int:
+        return self._from_3(self.big_omega_hist, k)
+
     def squarefree_by_k_from_3(self, k: int) -> int:
-        c = int(self.squarefree_by_big_omega[k]) if k < len(self.squarefree_by_big_omega) else 0
-        if k == 0:
-            c -= 1
-        if k == 1 and self.x >= 2:
-            c -= 1
-        return c
+        return self._from_3(self.squarefree_by_big_omega, k)
 
 
 def collect_counts(x: int, segment_size: int = DEFAULT_SEGMENT_CAPACITY,
@@ -206,15 +204,9 @@ class DmCoefficients:
     tail_bound: float
 
 
-_DM_CACHE: dict = {}
-
-
 def d_m_coefficients(prime_limit: int = 10**6, m_max: int = 16) -> DmCoefficients:
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
-    key = (prime_limit, m_max)
-    if key in _DM_CACHE:
-        return _DM_CACHE[key]
     ps = primes_up_to(prime_limit).astype(np.float64)
     fac = np.empty((len(ps), m_max + 1))     # one factor row per prime
     fac[:, 0] = 1.0 - 1.0 / (ps * ps)
@@ -226,10 +218,8 @@ def d_m_coefficients(prime_limit: int = 10**6, m_max: int = 16) -> DmCoefficient
     coeffs[0] = 1.0
     for row in fac:
         coeffs = np.convolve(coeffs, row)[: m_max + 1]
-    out = DmCoefficients(prime_limit=prime_limit, m_max=m_max, values=coeffs,
-                         tail_bound=1.0 / prime_limit)
-    _DM_CACHE[key] = out
-    return out
+    return DmCoefficients(prime_limit=prime_limit, m_max=m_max, values=coeffs,
+                          tail_bound=1.0 / prime_limit)
 
 
 def sign_balance(x: int, counts: RangeCounts | None = None) -> SignBalance:
@@ -259,7 +249,9 @@ def conditional_squarefree(x: int, k: int, counts: RangeCounts | None = None) ->
     )
 
 
-def prime_exponent_distribution(x: int, p: int, k_max: int) -> list:
+def prime_exponent_distribution(x: int, p: int, k_max: int,
+                                segment_size: int = DEFAULT_SEGMENT_CAPACITY,
+                                pool: WorkerPool | None = None) -> list:
     """Per-k table of the exact density of p^k exactly dividing n <= x,
     next to the geometric prediction (1 - 1/p) p^-k.
 
@@ -280,7 +272,8 @@ def prime_exponent_distribution(x: int, p: int, k_max: int) -> list:
             pj *= p
         return np.bincount(v, minlength=k_max + 1)[:k_max + 1]
 
-    counts = np.sum(WorkerPool(1).sweep(1, x + 1, DEFAULT_SEGMENT_CAPACITY, scan), axis=0)
+    pool = pool or WorkerPool(1)
+    counts = np.sum(pool.sweep(1, x + 1, segment_size, scan), axis=0)
     rows = []
     for k in range(k_max + 1):
         predicted = (1.0 - 1.0 / p) * p ** (-k)

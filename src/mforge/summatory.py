@@ -19,8 +19,8 @@ from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError
 
 _INT64_MAX = np.iinfo(np.int64).max
-#: Bound on the series' int64 sums: the swept columns are checked against it
-#: before any sum is formed, the direct route's G after its cumsum.
+#: Bound on the series' int64 sums: the swept columns and the direct route's
+#: g are checked against it before any sum is formed.
 _SAFE_SUM = 1 << 62
 
 
@@ -161,18 +161,10 @@ class SummatorySeries:
             raise RangeCoverageError("query outside the recorded support points")
         return idx
 
-    def m_at(self, x: int) -> int:
-        return int(self.M_eval[self._idx(x)])
-
     def u_at(self, x: int) -> int:
         if x == 0:
             return 0
         return int(self.U_eval[self._idx(x)])
-
-    def pi_at(self, x: int) -> int:
-        if x == 0:
-            return 0
-        return int(self.pi_eval[self._idx(x)])
 
     def pi_many(self, xs: np.ndarray) -> np.ndarray:
         return self.pi_eval[self._idx_many(xs)]
@@ -300,10 +292,10 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
 
     if direct:
         g = g_table(N, omega=np.concatenate([part[5] for part in parts]))
-        G = np.cumsum(g, out=g)
-        if max(int(G.max()), -int(G.min())) > _SAFE_SUM:
-            raise OverflowError("summatory accumulator exceeded its safety bound")
-        G_eval = G[eval_points]
+        # N * max|g| bounds every partial sum of g
+        if N * max(int(g.max()), -int(g.min())) > _SAFE_SUM:
+            raise OverflowError("G's partial sums could exceed the summatory bound")
+        G_eval = np.cumsum(g, out=g)[eval_points]
     else:
         G_eval = np.zeros(n_eval, dtype=np.int64)
     series = SummatorySeries(

@@ -187,13 +187,9 @@ def near_parity_boundary(x: float, tol: float = 1e-9) -> bool:
     return abs(ll - round(ll)) < tol
 
 
-def qhat_prediction(x: float, n: int = 1) -> float:
+def qhat_prediction(x: float) -> float:
     """Heuristic main term for the signed squarefree sum:
-    (6x/pi^2) (-1)^floor(loglog x) / (2 sqrt(2 pi loglog x)).
-
-    The asymptotic is the same for every n; the parameter only labels which
-    exact sum the value is paired with in reports.
-    """
+    (6x/pi^2) (-1)^floor(loglog x) / (2 sqrt(2 pi loglog x))."""
     if not x > math.e:
         raise ValueError(f"x must exceed e, got {x}")
     ll = math.log(math.log(x))

@@ -139,6 +139,26 @@ def dirichlet_inverse_oracle(f):
     return inv
 
 
+def simulate_oracle(seed: int, x_max: int, cps):
+    """(Mbar, lil running max, lil sup) of one model trial at the checkpoints.
+
+    One ``random(x_max)`` call on the Philox stream keyed by ``seed``, mapped
+    by the documented thresholds (u < 3/pi^2 -> -1, u < 6/pi^2 -> +1, else 0),
+    then one cumsum and one running max over the whole trajectory; no
+    blocks and no pool.
+    """
+    u = np.random.Generator(np.random.Philox(seed)).random(x_max)
+    steps = np.where(u < 3 / math.pi**2, -1, np.where(u < 6 / math.pi**2, 1, 0))
+    traj = np.cumsum(steps)
+    xs = np.arange(1, x_max + 1, dtype=np.float64)
+    scale = np.zeros(x_max)
+    live = xs >= 16
+    scale[live] = 1.0 / np.sqrt(xs[live] * np.log(np.log(xs[live])))
+    running = np.maximum.accumulate(np.abs(traj) * scale)
+    idx = np.asarray(cps) - 1
+    return traj[idx], running[idx], float(running[-1])
+
+
 def sorted_sample_cdf(sample, standardize: bool = True):
     """(sorted sample, KS distance to the standard normal) from the whole sample.
 

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mforge import randmodel
 from mforge.parallel import WorkerPool
 from mforge.randmodel import (
     GENERATOR_NAME,
@@ -15,6 +19,8 @@ from mforge.randmodel import (
     write_runs_csv,
 )
 from mforge.summatory import CheckpointPolicy
+
+from oracles import simulate_oracle
 
 
 def test_constants():
@@ -39,11 +45,62 @@ def test_determinism_fixed_seed():
     assert a.generator == GENERATOR_NAME
 
 
-def test_block_size_does_not_change_trajectory():
-    a = simulate(5, 10**4, block=257)
-    b = simulate(5, 10**4, block=1 << 20)
+def test_block_size_does_not_change_trajectory(monkeypatch):
+    monkeypatch.setattr(randmodel, "_BLOCK", 257)
+    a = simulate(5, 10**4)
+    monkeypatch.setattr(randmodel, "_BLOCK", 1 << 20)
+    b = simulate(5, 10**4)
     assert np.array_equal(a.mbar, b.mbar)
     assert a.lil_sup == pytest.approx(b.lil_sup, abs=0)
+
+
+@st.composite
+def _model_cases(draw):
+    block = draw(st.sampled_from([1, 257, 1 << 20]))
+    # a 1-wide block costs one numpy round per draw, so keep those runs short
+    x_max = draw(st.integers(16, 300) | st.integers(300, 2000 if block == 1 else 50_000))
+    kind = draw(st.sampled_from(["geometric", "explicit"] + (["all"] if x_max <= 5000 else [])))
+    if kind == "explicit":
+        points = tuple(draw(st.lists(st.integers(1, x_max), min_size=1, max_size=8)))
+        policy = CheckpointPolicy(kind="explicit", points=points)
+    else:
+        policy = CheckpointPolicy(kind=kind)
+    seed = draw(st.sampled_from([0, 1, 2**64 + 4]) | st.integers(0, 2**70))
+    return seed, draw(st.integers(1, 5)), x_max, policy, block, draw(st.sampled_from([1, 2, 8]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_model_cases())
+def test_simulate_many_matches_unblocked_oracle(case):
+    seed, trials, x_max, policy, block, threads = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randmodel, "_BLOCK", block)
+        runs = simulate_many(seed, trials, x_max, policy, pool=WorkerPool(threads))
+    cps = policy.checkpoints(x_max)
+    assert len(runs) == trials
+    for i, run in enumerate(runs):
+        mbar, lil, sup = simulate_oracle(seed + i, x_max, cps)
+        assert run.seed == seed + i and np.array_equal(run.checkpoints, cps)
+        assert np.array_equal(run.mbar, mbar)
+        np.testing.assert_allclose(run.lil_running_max, lil, rtol=1e-12, atol=0)
+        assert run.lil_sup == pytest.approx(sup, rel=1e-12, abs=0)
+
+
+def test_simulate_peak_memory_flat_in_x_max(monkeypatch):
+    # no per-block array outlives its block, so the traced peak is set by
+    # the block width, not by x_max
+    monkeypatch.setattr(randmodel, "_BLOCK", 1 << 12)
+    simulate(1, 1 << 12)                     # one-time allocations
+
+    def peak(x_max):
+        tracemalloc.start()
+        try:
+            simulate(1, x_max)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1 << 18) < 1.5 * peak(1 << 16)
 
 
 def test_worker_count_does_not_change_runs():

@@ -267,6 +267,17 @@ def test_prime_exponent_counts_across_segment_edge(p):
     assert [r.count for r in rows] == _floor_counts(x, p, 30)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_prime_exponent_counts_independent_of_segments_and_workers(p):
+    x = 5000
+    want = [r.count for r in prime_exponent_distribution(x, p, 12)]
+    for size in (1, 977, DEFAULT_SEGMENT_CAPACITY):
+        for threads in (1, 2):
+            rows = prime_exponent_distribution(x, p, 12, size, pool=WorkerPool(threads))
+            assert [r.count for r in rows] == want, (size, threads)
+    assert want == _floor_counts(x, p, 12)
+
+
 @pytest.mark.parametrize("p", [1, 4, 9, 12, 49])
 def test_prime_exponent_rejects_non_primes(p):
     with pytest.raises(ValueError, match="need a prime"):

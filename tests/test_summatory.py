@@ -269,6 +269,21 @@ def test_series_overflow_bound_is_checked_before_summing(monkeypatch):
         build_series(N, pol, segment_size=size, pool=WorkerPool(2))
     monkeypatch.setattr(summatory, "_SAFE_SUM", max(spans) + N * max(spans))
     assert build_series(N, pol, segment_size=size).M.tolist() == [mertens_oracle(N)]
+    # direct route: N * max|g| bounds every partial sum of g, so a bound
+    # that the swept sums meet but N * max|g| exceeds is refused before
+    # the cumsum, even though no partial sum of g reaches it
+    N, pol = 1000, CheckpointPolicy(kind="all")
+    g = g_table(N)
+    c_max = max(_segment_spans(N, 1))
+    swept = (N + 1) * c_max            # every running total plus one span
+    G_max = int(np.abs(np.cumsum(g)).max())
+    assert G_max < swept < N * int(np.abs(g).max())
+    monkeypatch.setattr(summatory, "_SAFE_SUM", swept)
+    with pytest.raises(OverflowError, match="G's partial sums"):
+        build_series(N, pol, segment_size=1)
+    monkeypatch.setattr(summatory, "_SAFE_SUM", N * int(np.abs(g).max()))
+    s = build_series(N, pol, segment_size=1)
+    assert s.route == "direct" and s.G.tolist() == np.cumsum(g)[1:].tolist()
 
 
 def test_series_overflow_bound_exits_one(monkeypatch, capsys):

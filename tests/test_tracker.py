@@ -147,8 +147,8 @@ def test_qhat_prediction_1e6():
 
 
 def test_qhat_prediction_pairs_with_exact():
-    # report pairing at x = 1e4, n = 1: prediction vs exact M(1e4)
-    pred = qhat_prediction(10**4, n=1)
+    # report pairing at x = 1e4: prediction vs exact M(1e4)
+    pred = qhat_prediction(10**4)
     exact = MERTENS_AT_POW10[10**4]
     assert math.isfinite(pred) and isinstance(exact, int)
     assert pred != exact                        # heuristic, not the value
