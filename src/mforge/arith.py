@@ -290,26 +290,34 @@ def write_sequence_csv(fh, values: np.ndarray, start: int = 1):
         fh.write(f"{start + i},{int(v)}\n")
 
 
-def compare_bfile(path, values: np.ndarray, start: int = 1):
-    """Check a sequence against an OEIS b-file (lines ``index value``).
+def read_bfile(path) -> list:
+    """The ``(index, value)`` pairs of an OEIS b-file (lines ``index value``).
+
+    Comment lines starting with ``#`` and blank lines are skipped; any other
+    line that does not start with two integers raises ValueError.
+    """
+    entries = []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) < 2:
+                raise ValueError(f"malformed b-file line: {line.strip()!r}")
+            entries.append((int(parts[0]), int(parts[1])))
+    return entries
+
+
+def compare_bfile(entries, values: np.ndarray, start: int = 1):
+    """Check a sequence against b-file ``(index, value)`` pairs.
 
     Returns None if every overlapping entry matches, else a tuple
     ``(index, file_value, computed_value)`` for the first mismatch.
-    Comment lines starting with ``#`` and blank lines are ignored; indices
-    outside the computed range are skipped.
+    Indices outside the computed range are skipped.
     """
     stop = start + len(values)
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"malformed b-file line: {line!r}")
-            idx, val = int(parts[0]), int(parts[1])
-            if not start <= idx < stop:
-                continue
+    for idx, val in entries:
+        if start <= idx < stop:
             got = int(values[idx - start])
             if got != val:
                 return (idx, val, got)

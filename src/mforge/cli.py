@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
 
 from . import arith, dirichlet, randmodel, sieve, stats, tracker
 from .parallel import WorkerPool, default_threads
@@ -38,34 +37,6 @@ def _reading(path):
         raise InputFileError(f"{path}: {exc}") from exc
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; flags override config-file values."""
-
-    subcommand: str
-    limit: int = 0
-    segment_size: int = sieve.DEFAULT_SEGMENT_CAPACITY
-    threads: int = 1
-    policy: CheckpointPolicy = field(default_factory=CheckpointPolicy)
-    out: str | None = None
-    fmt: str = "csv"
-    seed: int = 0
-    verbosity: int = 0
-    # subcommand-specific knobs
-    identity: str = "all"
-    x: int = 0
-    report: str = ""
-    k: int | None = None
-    m: int | None = None
-    p: int | None = None
-    statistic: str = "omega"
-    trials: int = 1
-    x_max: int = 0
-    infile: str | None = None
-    sequence: str = ""
-    bfile: str | None = None
-
-
 def _open_out(config):
     if config.out in (None, "-"):
         return nullcontext(sys.stdout)
@@ -75,7 +46,7 @@ def _open_out(config):
 def _emit_rows(config, header: list, rows):
     """Write rows as CSV or as NDJSON objects mirroring the CSV columns."""
     with _open_out(config) as fh:
-        if config.fmt == "json":
+        if config.format == "json":
             for row in rows:
                 fh.write(json.dumps(dict(zip(header, row))) + "\n")
         else:
@@ -88,10 +59,8 @@ def _fmt_float(v: float) -> str:
     return f"{v:.12g}"
 
 
-def cmd_sieve(config: RunConfig) -> int:
+def cmd_sieve(config: argparse.Namespace) -> int:
     primes = sieve.primes_up_to(config.limit)
-    if not config.out:
-        raise ValueError("sieve requires --out PATH for the binary cache")
     sieve.save_prime_cache(config.out, primes)
     log.info("cached %d primes <= %d to %s", len(primes), config.limit, config.out)
     return 0
@@ -116,7 +85,7 @@ def _require_memory(command: str, limit: int, bytes_per_n: int):
                           f"more than the {have / 2**30:.1f} GiB of physical memory")
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     names = dirichlet.IDENTITY_NAMES if config.identity == "all" else (config.identity,)
     _require_memory("verify", config.limit, VERIFY_BYTES_PER_N)
     profile = arith.profile_range(sieve.Segment(1, config.limit + 1))
@@ -129,11 +98,11 @@ def cmd_verify(config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_summatory(config: RunConfig) -> int:
+def cmd_summatory(config: argparse.Namespace) -> int:
     pool = WorkerPool(config.threads)
-    series = build_series(config.limit, config.policy,
+    series = build_series(config.limit, config.checkpoints,
                           segment_size=config.segment_size, pool=pool)
-    if config.fmt == "json":
+    if config.format == "json":
         rows = zip(series.checkpoints.tolist(), series.M.tolist(),
                    series.G.tolist(), series.Qsq.tolist(), series.pi.tolist())
         _emit_rows(config, ["x", "M", "G", "Qsq", "pi"], rows)
@@ -143,7 +112,7 @@ def cmd_summatory(config: RunConfig) -> int:
     return 0
 
 
-def cmd_stats(config: RunConfig) -> int:
+def cmd_stats(config: argparse.Namespace) -> int:
     pool = WorkerPool(config.threads)
     x = config.x
     kind = config.report
@@ -209,15 +178,15 @@ def _require(value, flag):
     return value
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: argparse.Namespace) -> int:
     pool = WorkerPool(config.threads)
     runs = randmodel.simulate_many(config.seed, config.trials, config.x_max,
-                                   config.policy, pool=pool)
+                                   config.checkpoints, pool=pool)
     summary = randmodel.lil_statistic(runs)
     log.info("lil sup: aggregate %.6f (mean %.6f over %d runs; reference %.7f)",
              summary.aggregate_sup, summary.aggregate_mean, len(runs),
              summary.reference)
-    if config.fmt == "json":
+    if config.format == "json":
         rows = [(t, int(r.checkpoints[i]), int(r.mbar[i]),
                  float(r.lil_running_max[i])
                  if r.checkpoints[i] >= randmodel.LIL_MIN_X else None)
@@ -229,12 +198,10 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_trace(config: RunConfig) -> int:
-    if not config.infile:
-        raise ValueError("trace requires --in series.csv")
+def cmd_trace(config: argparse.Namespace) -> int:
     with _reading(config.infile), open(config.infile) as fh:
         trace = tracker.build_trace(SummatoryRows.from_csv(fh))
-    if config.fmt == "json":
+    if config.format == "json":
         out_rows = []
         for i in range(len(trace.x)):
             out_rows.append((int(trace.x[i]), float(trace.q[i]), float(trace.gonek[i]),
@@ -257,27 +224,19 @@ OEIS_SEQUENCES = {
 }
 
 
-def cmd_oeis_check(config: RunConfig) -> int:
-    if config.sequence not in OEIS_SEQUENCES:
-        raise ValueError(f"--sequence must be one of {sorted(OEIS_SEQUENCES)}")
-    if not config.bfile:
-        raise ValueError("oeis-check requires --bfile PATH")
-    max_idx = 0
-    with _reading(config.bfile), open(config.bfile) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            max_idx = max(max_idx, int(line.split()[0]))
-        limit = min(max_idx, config.limit) if config.limit else max_idx
+def cmd_oeis_check(config: argparse.Namespace) -> int:
+    with _reading(config.bfile):
+        entries = arith.read_bfile(config.bfile)
+        limit = max((idx for idx, _ in entries), default=0)
+        if config.limit:
+            limit = min(limit, config.limit)
         if limit < 1:
             raise ValueError("no usable entries")
     _require_memory("oeis-check", limit, OEIS_BYTES_PER_N)
     attr, column = OEIS_SEQUENCES[config.sequence]
     profile = arith.profile_range(sieve.Segment(1, limit + 1), columns={column})
     values = getattr(profile, attr)
-    with _reading(config.bfile):
-        mismatch = arith.compare_bfile(config.bfile, values[:limit], start=1)
+    mismatch = arith.compare_bfile(entries, values[:limit], start=1)
     if mismatch is None:
         print(f"{config.sequence}: all entries up to {limit} match {config.bfile}")
         return 0
@@ -298,8 +257,8 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
+def run(config: argparse.Namespace) -> int:
+    """Dispatch a parsed config; returns the process exit code."""
     try:
         return _COMMANDS[config.subcommand](config)
     except (InputFileError, OverflowError, MemoryError) as exc:
@@ -325,15 +284,51 @@ def _read_config_file(path) -> dict:
     return out
 
 
+def _at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return convert
+
+
+def _policy(text: str) -> CheckpointPolicy:
+    """argparse type: a checkpoint policy."""
+    try:
+        return CheckpointPolicy.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+POSITIVE = _at_least(1)
+NON_NEGATIVE = _at_least(0)
+
+#: The keys a --config file may set, each with the converter of the flag of
+#: the same name and the value used when neither a flag nor the file gives one.
+CONFIG_KEYS = {
+    "threads": (POSITIVE, default_threads),
+    "segment_size": (POSITIVE, lambda: sieve.DEFAULT_SEGMENT_CAPACITY),
+    "checkpoints": (_policy, CheckpointPolicy),
+    "limit": (NON_NEGATIVE, lambda: 0),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # SUPPRESS keeps subparser defaults from clobbering values parsed before
-    # the subcommand name (global flags are accepted in both positions)
+    # A SUPPRESS-defaulted flag enters the namespace only when given, so no
+    # subparser default clobbers a value parsed before the subcommand name
+    # (global flags are accepted in both positions), and parse_config can
+    # tell which CONFIG_KEYS the config file may fill
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value defaults file; flags override")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--threads", type=POSITIVE, default=argparse.SUPPRESS,
                         help="worker count (default: MFORGE_THREADS or 1)")
-    common.add_argument("--segment-size", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--segment-size", type=POSITIVE, default=argparse.SUPPRESS,
                         help="sieve segment capacity (default 2^22)")
     common.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,
                         help="more logging on stderr")
@@ -356,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="csv (default) or json, one object per row")
 
     p = sub.add_parser("sieve", help="build and cache seed primes")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=POSITIVE, required=True)
     p.add_argument("--out", "--output", dest="out", required=True,
                    help="binary cache path (MFPRIMES1 header + u64le primes)")
 
@@ -364,20 +359,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", default="all",
                    choices=list(dirichlet.IDENTITY_NAMES) + ["all"],
                    help="which identity to check (default: all)")
-    p.add_argument("--limit", type=int, required=True,
+    p.add_argument("--limit", type=POSITIVE, required=True,
                    help="check the identity exactly on 1..N")
     p.add_argument("--out", "--output", dest="out", default=None)
 
     p = sub.add_parser("summatory", help="checkpointed summatory series")
-    p.add_argument("--limit", type=int, required=True,
+    p.add_argument("--limit", type=POSITIVE, required=True,
                    help="upper limit N of the streaming pass")
-    p.add_argument("--checkpoints", default="geometric:1.25",
+    p.add_argument("--checkpoints", type=_policy, default=argparse.SUPPRESS,
                    help="all | geometric[:ratio] | explicit:x1,x2,... "
                         "(default: geometric:1.25 plus powers of 10)")
     add_out(p)
 
     p = sub.add_parser("stats", help="distribution measurements")
-    p.add_argument("--x", type=int, required=True, help="count over n <= x")
+    p.add_argument("--x", type=POSITIVE, required=True, help="count over n <= x")
     p.add_argument("--report", required=True,
                    choices=("omega-k", "excess", "sign", "conditional", "exponent", "cdf"))
     p.add_argument("--k", type=int, default=None,
@@ -391,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="randomized Mobius model runs")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed; trial i uses stream seed+i (default: 0)")
-    p.add_argument("--trials", type=int, default=1,
+    p.add_argument("--trials", type=POSITIVE, default=1,
                    help="independent trajectories (default: 1)")
-    p.add_argument("--x-max", type=int, required=True,
+    p.add_argument("--x-max", type=_at_least(randmodel.LIL_MIN_X), required=True,
                    help="draws per trajectory (>= 16)")
-    p.add_argument("--checkpoints", default="geometric:1.25",
+    p.add_argument("--checkpoints", type=_policy, default=argparse.SUPPRESS,
                    help="recording points (default: geometric:1.25)")
     add_out(p)
 
@@ -406,104 +401,51 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oeis-check", help="compare a sequence against a b-file")
     p.add_argument("--sequence", required=True, choices=sorted(OEIS_SEQUENCES))
     p.add_argument("--bfile", required=True)
-    p.add_argument("--limit", type=int, default=0,
+    p.add_argument("--limit", type=NON_NEGATIVE, default=argparse.SUPPRESS,
                    help="cap on indices to check (default: whole file)")
 
     return ap
 
 
-def parse_config(argv) -> RunConfig:
+def parse_config(argv) -> argparse.Namespace:
+    """Parse argv into the run config.
+
+    Each CONFIG_KEYS value comes from its flag, else from the --config file
+    (checked whole, even where a flag wins), else from its default (for
+    threads, MFORGE_THREADS or 1).
+    """
     ap = build_parser()
-    ns = ap.parse_args(argv)
-
-    defaults = {}
-    if getattr(ns, "config", None):
-        defaults = _read_config_file(ns.config)
-
-    threads = getattr(ns, "threads", None)
-    if threads is None:
-        threads = _config_int(defaults, "threads", default_threads())
-    segment_size = getattr(ns, "segment_size", None)
-    if segment_size is None:
-        segment_size = _config_int(defaults, "segment_size", sieve.DEFAULT_SEGMENT_CAPACITY)
-    policy_text = getattr(ns, "checkpoints", None) or defaults.get("checkpoints") \
-        or "geometric:1.25"
-    try:
-        policy = CheckpointPolicy.parse(policy_text)
-    except ValueError as exc:
-        raise SystemExit(_usage_fail(f"--checkpoints {policy_text!r}: {exc}"))
-
-    config = RunConfig(
-        subcommand=ns.subcommand,
-        limit=getattr(ns, "limit", 0) or _config_int(defaults, "limit", 0),
-        segment_size=segment_size,
-        threads=threads,
-        policy=policy,
-        out=getattr(ns, "out", None),
-        fmt=getattr(ns, "format", "csv"),
-        seed=getattr(ns, "seed", 0),
-        identity=getattr(ns, "identity", "all"),
-        x=getattr(ns, "x", 0),
-        report=getattr(ns, "report", ""),
-        k=getattr(ns, "k", None),
-        m=getattr(ns, "m", None),
-        p=getattr(ns, "p", None),
-        statistic=getattr(ns, "statistic", "omega"),
-        trials=getattr(ns, "trials", 1),
-        x_max=getattr(ns, "x_max", 0),
-        infile=getattr(ns, "infile", None),
-        sequence=getattr(ns, "sequence", ""),
-        bfile=getattr(ns, "bfile", None),
-    )  # verbosity resolved below from the SUPPRESS-defaulted flags
-    quiet = getattr(ns, "quiet", False)
-    config.verbosity = -1 if quiet else getattr(ns, "verbose", 0)
-    _validate(config)
+    config = ap.parse_args(argv)
+    if "config" in config:
+        try:
+            entries = _read_config_file(config.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            ap.exit(1, f"mforge: error: {config.config}: "
+                       f"{getattr(exc, 'strerror', None) or exc}\n")
+        for key, text in entries.items():
+            if key not in CONFIG_KEYS:
+                ap.error(f"config file {config.config}: unknown key {key!r}")
+            try:
+                value = CONFIG_KEYS[key][0](text)
+            except argparse.ArgumentTypeError as exc:
+                ap.error(f"config file {config.config}: {key}: {exc}")
+            if key not in config:
+                setattr(config, key, value)
+    for key, (_, default) in CONFIG_KEYS.items():
+        if key not in config:
+            setattr(config, key, default())
     return config
-
-
-def _validate(config: RunConfig):
-    if config.subcommand in ("sieve", "verify", "summatory") and config.limit < 1:
-        raise SystemExit(_usage_fail(f"--limit must be >= 1, got {config.limit}"))
-    if config.subcommand == "oeis-check" and config.limit < 0:
-        raise SystemExit(_usage_fail(f"--limit must be >= 0, got {config.limit}"))
-    if config.subcommand == "stats" and config.x < 1:
-        raise SystemExit(_usage_fail(f"--x must be >= 1, got {config.x}"))
-    if config.subcommand == "simulate":
-        if config.x_max < randmodel.LIL_MIN_X:
-            raise SystemExit(_usage_fail(f"--x-max must be >= {randmodel.LIL_MIN_X}"))
-        if config.trials < 1:
-            raise SystemExit(_usage_fail("--trials must be >= 1"))
-    if config.threads < 1:
-        raise SystemExit(_usage_fail("--threads must be >= 1"))
-    if config.segment_size < 1:
-        raise SystemExit(_usage_fail(
-            f"--segment-size must be >= 1, got {config.segment_size}"))
-
-
-def _config_int(defaults: dict, key: str, fallback: int) -> int:
-    """Integer config-file value, or a usage error naming the key."""
-    if key not in defaults:
-        return fallback
-    try:
-        return int(defaults[key])
-    except ValueError:
-        raise SystemExit(_usage_fail(
-            f"config file: {key}={defaults[key]!r} is not an integer"))
-
-
-def _usage_fail(msg: str) -> int:
-    print(f"mforge: error: {msg}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def main(argv=None) -> int:
     config = parse_config(sys.argv[1:] if argv is None else argv)
+    verbosity = -1 if getattr(config, "quiet", False) else getattr(config, "verbose", 0)
     level = logging.WARNING
-    if config.verbosity < 0:
+    if verbosity < 0:
         level = logging.ERROR
-    elif config.verbosity == 1:
+    elif verbosity == 1:
         level = logging.INFO
-    elif config.verbosity >= 2:
+    elif verbosity >= 2:
         level = logging.DEBUG
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s", force=True)

@@ -60,10 +60,16 @@ _BLOCK = 1 << 20
 
 def _lil_scale(lo: int, hi: int) -> np.ndarray:
     # 1 / sqrt(x loglog x) for x in [lo, hi), zero below the x >= 16 cutoff
-    xs = np.arange(lo, hi, dtype=np.float64)
-    out = np.zeros(hi - lo)
-    live = xs >= LIL_MIN_X
-    out[live] = 1.0 / np.sqrt(xs[live] * np.log(np.log(xs[live])))
+    out = np.empty(hi - lo)
+    cut = min(max(LIL_MIN_X - lo, 0), hi - lo)
+    out[:cut] = 0.0
+    xs = np.arange(lo + cut, hi, dtype=np.float64)
+    live = out[cut:]
+    np.log(xs, out=live)
+    np.log(live, out=live)
+    live *= xs
+    np.sqrt(live, out=live)
+    np.divide(1.0, live, out=live)
     return out
 
 

@@ -183,23 +183,28 @@ class SummatorySeries:
         return self.G_eval[idx]
 
     def _assemble_G(self, x: int) -> int:
-        # G(x) = sum_{n <= x} u(n) * M(x // n) with u = liouville * c_omega,
-        # grouped over blocks of equal quotient; every point touched is in
-        # the quotient closure of x, hence recorded.
-        t = isqrt(x)
-        ns = np.arange(1, t + 1, dtype=np.int64)
-        u_small = self.U_eval[self._idx_many(ns)]
-        u_small = np.diff(u_small, prepend=np.int64(0))        # pointwise u(n), n <= t
-        m_big = self.M_eval[self._idx_many(x // ns)]
-        total = int(u_small @ m_big)
-        qs = np.arange(1, x // (t + 1) + 1, dtype=np.int64)
-        if qs.size:
-            hi = x // qs
-            lo = np.maximum(x // (qs + 1), t)
-            w = self.U_eval[self._idx_many(hi)] - self.U_eval[self._idx_many(lo)]
-            m_small = self.M_eval[self._idx_many(qs)]
-            total += int(w @ m_small)
-        return total
+        # G(x) = sum_{n <= x} u(n) * M(x // n) with u = liouville * c_omega;
+        # every point touched is in the quotient closure of x, hence recorded.
+        return _quotient_sum(x, lambda ys: self.U_eval[self._idx_many(ys)],
+                             lambda ys: self.M_eval[self._idx_many(ys)])
+
+
+def _quotient_sum(x: int, A, B) -> int:
+    """sum_{n <= x} a(n) * B(x // n), given the partial sums A(y) of a.
+
+    n <= isqrt(x) is walked one at a time; the larger n are grouped into
+    blocks of equal quotient q, of weight A(x // q) - A(x // (q + 1)).  A and
+    B map int64 arrays of quotient points of x to int64 arrays.
+    """
+    t = isqrt(x)
+    ns = np.arange(1, t + 1, dtype=np.int64)
+    a_small = np.diff(A(ns), prepend=np.int64(0))      # pointwise a(n), n <= t
+    total = int(a_small @ B(x // ns))
+    qs = np.arange(1, x // (t + 1) + 1, dtype=np.int64)
+    if qs.size:
+        w = A(x // qs) - A(np.maximum(x // (qs + 1), t))
+        total += int(w @ B(qs))
+    return total
 
 
 def _eval_point_union(checkpoints: np.ndarray, N: int) -> np.ndarray:
@@ -341,27 +346,14 @@ def mertens_via_g_pi(x: int, g: np.ndarray, pi_table: PrimeCountTable) -> int:
 def mertens_via_G_over_primes(x: int, series: SummatorySeries) -> int:
     """M(x) evaluated as G(x) + sum over primes p <= x of G(floor(x / p)).
 
-    Primes are grouped into blocks of equal quotient, so only G and pi values
-    at the quotient points of x are touched; x itself must be one of the
-    series' recorded support points (any checkpoint qualifies).
+    The prime sum is a quotient sum over the prime indicator, whose partial
+    sums are pi, so only G and pi values at the quotient points of x are
+    touched; x itself must be one of the series' recorded support points
+    (any checkpoint qualifies).
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    total = series.G_at(x)
-    t = isqrt(x)
-    # p <= t handled one k at a time: weight pi(k) - pi(k-1) is the prime flag
-    ks = np.arange(1, t + 1, dtype=np.int64)
-    pk = series.pi_many(ks)
-    flags = np.diff(pk, prepend=np.int64(0))
-    total += int(flags @ series.G_many(x // ks))
-    # p > t grouped by quotient q = x // p
-    qs = np.arange(1, x // (t + 1) + 1, dtype=np.int64)
-    if qs.size:
-        hi = x // qs
-        lo = np.maximum(x // (qs + 1), t)
-        counts = series.pi_many(hi) - series.pi_many(lo)
-        total += int(counts @ series.G_many(qs))
-    return total
+    return series.G_at(x) + _quotient_sum(x, series.pi_many, series.G_many)
 
 
 def q_hat(n: int, x: int, profile) -> int:

@@ -16,6 +16,7 @@ from mforge.arith import (
     g_squarefree_closed_form,
     g_table,
     profile_range,
+    read_bfile,
     write_sequence_csv,
 )
 from mforge.sieve import Factorization, Segment, factorize, primes_up_to
@@ -370,8 +371,8 @@ def test_bfile_comparator(tmp_path, profile_1e4):
     mu = profile_1e4.mobius[:100]
     lines = ["# A008683 fixture"] + [f"{n} {int(mu[n-1])}" for n in range(1, 101)]
     path.write_text("\n".join(lines) + "\n")
-    assert compare_bfile(path, mu, start=1) is None
+    assert compare_bfile(read_bfile(path), mu, start=1) is None
     # corrupt one entry
     lines[50] = "50 99"
     path.write_text("\n".join(lines) + "\n")
-    assert compare_bfile(path, mu, start=1) == (50, 99, int(mu[49]))
+    assert compare_bfile(read_bfile(path), mu, start=1) == (50, 99, int(mu[49]))

@@ -8,6 +8,7 @@ import pytest
 
 from mforge.cli import main, parse_config
 from mforge.sieve import load_prime_cache, primes_up_to
+from mforge.summatory import CheckpointPolicy
 
 
 def run_cli(args, capsys):
@@ -197,10 +198,36 @@ def test_config_file_defaults_flags_override(tmp_path):
     cfg.write_text("threads=3\ncheckpoints=geometric:2.0\n")
     config = parse_config(["--config", str(cfg), "summatory", "--limit", "50"])
     assert config.threads == 3
-    # subcommand flag present -> flag value wins over config file
+    assert config.checkpoints == CheckpointPolicy(kind="geometric", ratio=2.0)
+    # a flag, before or after the subcommand, wins over the config file
     config2 = parse_config(["--config", str(cfg), "--threads", "5",
-                            "summatory", "--limit", "50"])
+                            "summatory", "--limit", "50", "--checkpoints", "all"])
     assert config2.threads == 5
+    assert config2.checkpoints == CheckpointPolicy(kind="all")
+    config3 = parse_config(["summatory", "--limit", "50", "--threads", "4",
+                            "--config", str(cfg)])
+    assert config3.threads == 4
+
+
+def test_config_file_limit_fills_oeis_check(tmp_path, capsys):
+    cfg = tmp_path / "mforge.cfg"
+    cfg.write_text("limit=40\n")
+    args = ["oeis-check", "--sequence", "g", "--bfile", str(FIXTURES / "b341444.txt"),
+            "--config", str(cfg)]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and "up to 40" in out
+    code, out, _ = run_cli(args + ["--limit", "50"], capsys)
+    assert code == 0 and "up to 50" in out
+
+
+def test_missing_config_file_is_io_error(tmp_path):
+    missing = tmp_path / "absent.cfg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mforge.cli", "--config", str(missing),
+         "summatory", "--limit", "50"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert str(missing) in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -221,7 +248,8 @@ def test_bad_flag_value_is_usage_error(args, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["threads=abc", "segment_size=2.5"])
+@pytest.mark.parametrize("line", ["threads=abc", "segment_size=2.5", "threads=0",
+                                  "checkpoints=junk", "thread=3", "limit"])
 def test_bad_config_value_is_usage_error(tmp_path, line, capsys):
     cfg = tmp_path / "mforge.cfg"
     cfg.write_text(line + "\n")
@@ -281,6 +309,20 @@ def test_malformed_bfile_is_input_error(tmp_path, capsys):
                                capsys)
         assert code == 1, body
         assert str(path) in err
+
+
+def test_malformed_bfile_fails_before_sieving(tmp_path, monkeypatch, capsys):
+    # a line holding an index alone must not set the range to profile
+    import mforge.cli as cli
+
+    path = tmp_path / "b.txt"
+    path.write_text("1 1\n2 -1\n30000000\n")
+    monkeypatch.setattr(cli.arith, "profile_range",
+                        lambda *a, **kw: pytest.fail("sieved a malformed b-file"))
+    code, out, err = run_cli(["oeis-check", "--sequence", "mu", "--bfile", str(path)],
+                             capsys)
+    assert code == 1 and out == ""
+    assert str(path) in err and "30000000" in err
 
 
 def test_oeis_check_negative_limit_is_usage_error(capsys):
