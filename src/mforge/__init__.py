@@ -13,7 +13,6 @@ from .sieve import (
     PrimeCountTable,
     Segment,
     factorize,
-    prime_pi,
     primes_up_to,
 )
 from .arith import (

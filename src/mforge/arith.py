@@ -78,11 +78,6 @@ class ArithmeticProfile:
             return None
         return g_table(self.segment.hi - 1, omega=self.omega)[1:]
 
-    def index(self, n: int) -> int:
-        if n not in self.segment:
-            raise ValueError(f"{n} outside [{self.segment.lo}, {self.segment.hi})")
-        return n - self.segment.lo
-
     def mu_squared(self) -> np.ndarray:
         """Squarefree indicator as int8."""
         return (self.mobius != 0).astype(np.int8)
@@ -281,13 +276,6 @@ def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
     if omega.shape[0] < N + 1:
         raise ValueError("omega table shorter than N")
     return dirichlet_inverse(omega[:N + 1].astype(np.uint8, copy=False) + np.uint8(1))
-
-
-def write_sequence_csv(fh, values: np.ndarray, start: int = 1):
-    """Write ``n,value`` rows (decimal, newline-terminated) for a sequence."""
-    fh.write("n,value\n")
-    for i, v in enumerate(values):
-        fh.write(f"{start + i},{int(v)}\n")
 
 
 def read_bfile(path) -> list:

@@ -4,7 +4,7 @@ Subcommands: sieve, verify, summatory, stats, simulate, trace, oeis-check.
 Data goes to stdout or the --out file (CSV by default, NDJSON with
 --format json: one object per row); logging goes to stderr.  Exit codes:
 0 success; 1 failed identity/comparison, I/O error, malformed input file,
-arithmetic overflow or a limit that cannot fit in physical memory; 2 usage
+arithmetic overflow or a limit that cannot fit in available memory; 2 usage
 error.
 """
 
@@ -72,17 +72,22 @@ VERIFY_BYTES_PER_N = 80
 OEIS_BYTES_PER_N = 32
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def available_memory(meminfo: str = "/proc/meminfo") -> int:
+    """Bytes a new run may take: MemAvailable in ``meminfo``, else physical memory."""
+    try:
+        with open(meminfo) as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _require_memory(command: str, limit: int, bytes_per_n: int):
-    """Refuse a limit whose estimated peak exceeds physical memory."""
-    need, have = limit * bytes_per_n, physical_memory()
+    """Refuse a limit whose estimated peak exceeds the available memory."""
+    need, have = limit * bytes_per_n, available_memory()
     if need > have:
         raise MemoryError(f"{command} up to {limit} needs about {need / 2**30:.1f} GiB, "
-                          f"more than the {have / 2**30:.1f} GiB of physical memory")
+                          f"more than the {have / 2**30:.1f} GiB of available memory")
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
@@ -297,6 +302,13 @@ def _at_least(lo: int):
     return convert
 
 
+def _path(text: str) -> str:
+    """argparse type: a non-empty path."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _policy(text: str) -> CheckpointPolicy:
     """argparse type: a checkpoint policy."""
     try:
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     # (global flags are accepted in both positions), and parse_config can
     # tell which CONFIG_KEYS the config file may fill
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
+    common.add_argument("--config", type=_path, default=argparse.SUPPRESS,
                         help="key=value defaults file; flags override")
     common.add_argument("--threads", type=POSITIVE, default=argparse.SUPPRESS,
                         help="worker count (default: MFORGE_THREADS or 1)")
@@ -345,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 parents=[common], **kw))
 
     def add_out(p):
-        p.add_argument("--out", "--output", dest="out", default=None,
+        p.add_argument("--out", "--output", dest="out", type=_path, default=None,
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="csv (default) or json, one object per row")
 
     p = sub.add_parser("sieve", help="build and cache seed primes")
     p.add_argument("--limit", type=POSITIVE, required=True)
-    p.add_argument("--out", "--output", dest="out", required=True,
+    p.add_argument("--out", "--output", dest="out", type=_path, required=True,
                    help="binary cache path (MFPRIMES1 header + u64le primes)")
 
     p = sub.add_parser("verify", help="exact convolution identity suite")
@@ -361,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which identity to check (default: all)")
     p.add_argument("--limit", type=POSITIVE, required=True,
                    help="check the identity exactly on 1..N")
-    p.add_argument("--out", "--output", dest="out", default=None)
+    p.add_argument("--out", "--output", dest="out", type=_path, default=None)
 
     p = sub.add_parser("summatory", help="checkpointed summatory series")
     p.add_argument("--limit", type=POSITIVE, required=True,
@@ -395,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
 
     p = sub.add_parser("trace", help="scaled growth ratios from a series CSV")
-    p.add_argument("--in", dest="infile", required=True, help="checkpoint CSV")
+    p.add_argument("--in", dest="infile", type=_path, required=True, help="checkpoint CSV")
     add_out(p)
 
     p = sub.add_parser("oeis-check", help="compare a sequence against a b-file")
     p.add_argument("--sequence", required=True, choices=sorted(OEIS_SEQUENCES))
-    p.add_argument("--bfile", required=True)
+    p.add_argument("--bfile", type=_path, required=True)
     p.add_argument("--limit", type=NON_NEGATIVE, default=argparse.SUPPRESS,
                    help="cap on indices to check (default: whole file)")
 

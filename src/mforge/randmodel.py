@@ -78,33 +78,44 @@ def _run_trials(seeds: range, x_max: int, cps: np.ndarray) -> list:
 
     Draw mapping (fixed threshold order, part of the reproducibility
     contract): uniform u < 3/pi^2 -> -1, else u < 6/pi^2 -> +1, else 0.
+
+    The running sup is read at the checkpoints only: the max of |traj| * scale
+    over each span ending at one (and a tail), joined by the carried sup and
+    accumulated; exact, as a max of the same float64s is one of them.
     """
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
     mbar = np.zeros((len(rngs), len(cps)), dtype=np.int64)
     lil = np.zeros((len(rngs), len(cps)), dtype=np.float64)
     total = [0] * len(rngs)
     run_max = [0.0] * len(rngs)
+    # buffers shared by the worker's trials and blocks (the last may be narrower)
+    width = min(_BLOCK, x_max)
+    bufs = [np.empty(width, dt) for dt in (np.float64, np.int64, np.float64, np.int8, np.int8)]
     for lo in range(1, x_max + 1, _BLOCK):
         hi = min(lo + _BLOCK, x_max + 1)
         scale = _lil_scale(lo, hi)
         i0, i1 = np.searchsorted(cps, [lo, hi])
         offs = (cps[i0:i1] - lo).astype(np.intp)
-        # buffers shared by the block's trials
-        u, traj, running = np.empty(hi - lo), np.empty(hi - lo, np.int64), np.empty(hi - lo)
+        starts = np.r_[0, offs[offs < hi - lo - 1] + 1]     # spans end at checkpoints
+        u, traj, absx, steps, minus = (b[:hi - lo] for b in bufs)
         for t, rng in enumerate(rngs):
             rng.random(out=u)
-            steps = (u < P_NONZERO).astype(np.int8)
-            steps[u < P_MINUS] = -1
+            np.less(u, P_NONZERO, out=steps.view(bool))
+            np.less(u, P_MINUS, out=minus.view(bool))
+            minus <<= 1
+            steps -= minus                              # -1, +1 or 0 by the thresholds above
             np.cumsum(steps, dtype=np.int64, out=traj)
             traj += total[t]
-            np.abs(traj, out=running)                   # |traj| as float64
-            running *= scale
-            np.maximum(running, run_max[t], out=running)
-            np.maximum.accumulate(running, out=running)
+            np.abs(traj, out=absx)                      # |traj| as float64
+            absx *= scale
+            peaks = np.maximum.reduceat(absx, starts)
+            peaks[0] = max(peaks[0], run_max[t])
+            np.maximum.accumulate(peaks, out=peaks)
             mbar[t, i0:i1] = traj[offs]
-            lil[t, i0:i1] = running[offs]
+            lil[t, i0:i1] = peaks[:i1 - i0]
             total[t] = int(traj[-1])
-            run_max[t] = float(running[-1])
+            run_max[t] = float(peaks[-1])
+        del scale       # free it before the next block's scale is built
     return [ModelRun(seed=s, x_max=x_max, checkpoints=cps, mbar=mbar[t],
                      lil_running_max=lil[t], lil_sup=run_max[t])
             for t, s in enumerate(seeds)]

@@ -131,11 +131,6 @@ class PrimeCountTable:
         return self._cum[w] + np.bitwise_count(masked).astype(np.int64)
 
 
-def prime_pi(x: int, table: PrimeCountTable) -> int:
-    """Count of primes <= x, answered from a prebuilt table."""
-    return table.rank(x)
-
-
 def save_prime_cache(path, primes: np.ndarray):
     """Write the binary seed-prime cache: magic header + little-endian u64s."""
     arr = np.asarray(primes, dtype="<u8")

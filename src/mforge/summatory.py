@@ -161,11 +161,6 @@ class SummatorySeries:
             raise RangeCoverageError("query outside the recorded support points")
         return idx
 
-    def u_at(self, x: int) -> int:
-        if x == 0:
-            return 0
-        return int(self.U_eval[self._idx(x)])
-
     def pi_many(self, xs: np.ndarray) -> np.ndarray:
         return self.pi_eval[self._idx_many(xs)]
 

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -17,7 +16,6 @@ from mforge.arith import (
     g_table,
     profile_range,
     read_bfile,
-    write_sequence_csv,
 )
 from mforge.sieve import Factorization, Segment, factorize, primes_up_to
 
@@ -35,7 +33,9 @@ from oracles import (
 
 def test_profile_pointwise_examples(profile_1e4):
     p = profile_1e4
-    i = p.index
+
+    def i(n):
+        return n - p.segment.lo
     # n = 12: omega 2, big_omega 3, mu 0, lambda -1, multinomial 3!/2! = 3
     assert (p.omega[i(12)], p.big_omega[i(12)], p.mobius[i(12)],
             p.liouville[i(12)], p.c_omega[i(12)]) == (2, 3, 0, -1, 3)
@@ -83,7 +83,7 @@ def test_profile_bulk_agrees_with_pointwise_1e4_samples():
         members = ns[(ns >= lo) & (ns < lo + seg_w)]
         prof = profile_range(Segment(max(lo, 1), lo + seg_w))
         for n in map(int, members):
-            j = prof.index(n)
+            j = n - prof.segment.lo
             f = factorize(n)
             assert prof.omega[j] == len(f.factors)
             assert prof.big_omega[j] == sum(a for _, a in f)
@@ -202,8 +202,8 @@ def test_profile_exact_path_above_twenty_factors(n0):
     lo = n0 - 2000
     prof = profile_range(Segment(lo, n0 + 2000))
     hot = np.nonzero(prof.big_omega > 20)[0]
-    assert prof.index(n0) in hot
-    near = range(prof.index(n0) - 50, prof.index(n0) + 50)
+    assert n0 - lo in hot
+    near = range(n0 - lo - 50, n0 - lo + 50)
     for j in sorted(set(map(int, hot)) | set(near)):
         f = factorize(lo + j)
         assert prof.c_omega[j] == c_omega(f)
@@ -358,12 +358,6 @@ def test_width_one_edges():
     assert g_table(1).tolist() == [0, 1]
     with pytest.raises(ValueError):
         g_table(0)
-
-
-def test_sequence_csv():
-    buf = io.StringIO()
-    write_sequence_csv(buf, np.array([1, -2, -2]), start=1)
-    assert buf.getvalue() == "n,value\n1,1\n2,-2\n3,-2\n"
 
 
 def test_bfile_comparator(tmp_path, profile_1e4):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,12 @@ def test_missing_config_file_is_io_error(tmp_path):
     (["summatory", "--limit", "100", "--checkpoints", "geometric:inf"], "--checkpoints"),
     (["summatory", "--limit", "20", "--checkpoints", "all:junk"], "--checkpoints"),
     (["stats", "--x", "1000", "--report", "exponent", "--p", "4"], "p=4"),
+    (["summatory", "--limit", "10", "--out", ""], "--out"),
+    (["verify", "--limit", "10", "--out", ""], "--out"),
+    (["sieve", "--limit", "10", "--out", ""], "--out"),
+    (["trace", "--in", ""], "--in"),
+    (["oeis-check", "--sequence", "mu", "--bfile", ""], "--bfile"),
+    (["--config", "", "summatory", "--limit", "10"], "--config"),
 ])
 def test_bad_flag_value_is_usage_error(args, flag, capsys):
     # a value caught by the parser raises SystemExit, one caught by the
@@ -246,6 +253,13 @@ def test_bad_flag_value_is_usage_error(args, flag, capsys):
         sys.exit(main(args))
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_dash_out_is_stdout(capsys):
+    # "-" is not an empty path: it still names stdout
+    default = run_cli(["summatory", "--limit", "50"], capsys)
+    assert run_cli(["summatory", "--limit", "50", "--out", "-"], capsys) == default
+    assert default[0] == 0 and default[1].startswith("x,")
 
 
 @pytest.mark.parametrize("line", ["threads=abc", "segment_size=2.5", "threads=0",
@@ -350,18 +364,18 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
 ])
 def test_limit_past_physical_memory_is_refused(args, bytes_per_n, limit,
                                                monkeypatch, capsys):
-    # the refusal reads the estimate against physical memory before profiling
+    # the refusal reads the estimate against available memory before profiling
     import mforge.cli as cli
 
     need = limit * getattr(cli, bytes_per_n)
-    monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
+    monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
     monkeypatch.setattr(cli.arith, "profile_range",
                         lambda seg: pytest.fail("profiled a refused limit"))
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
-    assert "physical memory" in err
+    assert "available memory" in err
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "physical_memory", lambda: need)
+    monkeypatch.setattr(cli, "available_memory", lambda: need)
     assert run_cli(args, capsys)[0] == 0
 
 
@@ -381,7 +395,10 @@ def test_verify_peak_within_documented_bytes_per_n():
         tracemalloc.stop()
 
 
-def test_physical_memory_reads_sysconf():
-    from mforge.cli import physical_memory
+def test_available_memory_within_physical_memory(tmp_path):
+    from mforge.cli import available_memory
 
-    assert physical_memory() > 2**20
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 0 < available_memory() <= physical
+    # where meminfo cannot be read, the guard falls back to physical memory
+    assert available_memory(str(tmp_path / "missing")) == physical

@@ -86,6 +86,26 @@ def test_simulate_many_matches_unblocked_oracle(case):
         assert run.lil_sup == pytest.approx(sup, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("points, x_max", [
+    ((514, 515), 1000),    # both sides of the edge between blocks 2 and 3
+    ((771,), 1200),        # the last entry of block 3
+    ((100, 900), 1500),    # blocks 2 and 3 hold no checkpoint
+])
+def test_simulate_many_exact_at_block_edges(points, x_max, threads, monkeypatch):
+    # the running sup is a max of the same float64 products as the oracle's,
+    # so it must match exactly, not to a tolerance
+    monkeypatch.setattr(randmodel, "_BLOCK", 257)
+    policy = CheckpointPolicy(kind="explicit", points=points)
+    runs = simulate_many(11, 3, x_max, policy, pool=WorkerPool(threads))
+    cps = policy.checkpoints(x_max)
+    for i, run in enumerate(runs):
+        mbar, lil, sup = simulate_oracle(11 + i, x_max, cps)
+        assert np.array_equal(run.mbar, mbar)
+        assert np.array_equal(run.lil_running_max, lil)
+        assert run.lil_sup == sup
+
+
 def test_simulate_peak_memory_flat_in_x_max(monkeypatch):
     # no per-block array outlives its block, so the traced peak is set by
     # the block width, not by x_max

@@ -10,7 +10,6 @@ from mforge.sieve import (
     Segment,
     factorize,
     load_prime_cache,
-    prime_pi,
     primes_up_to,
     save_prime_cache,
 )
@@ -62,9 +61,6 @@ def test_prime_pi_table():
     pis = t.rank_many(np.arange(1, 10**5 + 1))
     expect = np.searchsorted(ps, np.arange(1, 10**5 + 1), side="right")
     assert np.array_equal(pis, expect)
-    assert prime_pi(1, t) == 0
-    assert prime_pi(2, t) == 1
-    assert prime_pi(10, t) == 4
     assert np.all(np.diff(pis) >= 0)
     with pytest.raises(RangeCoverageError):
         t.rank(10**5 + 1)

@@ -426,7 +426,8 @@ def test_u_column_ties_to_g_by_divisor_identity():
     g = g_table(N)
     for x in (77, 4096, N):
         direct = int((g[1 : x + 1] * (x // np.arange(1, x + 1))).sum())
-        assert s.u_at(x) == direct
+        i = int(np.searchsorted(s.eval_points, x))
+        assert s.eval_points[i] == x and s.U_eval[i] == direct
 
 
 def _expected_route(cps, N):
