@@ -37,6 +37,10 @@ def _reading(path):
         raise InputFileError(f"{path}: {exc}") from exc
 
 
+def _open_in(path):
+    return nullcontext(sys.stdin) if path == "-" else open(path)
+
+
 def _open_out(config):
     if config.out in (None, "-"):
         return nullcontext(sys.stdout)
@@ -67,8 +71,8 @@ def cmd_sieve(config: argparse.Namespace) -> int:
 
 
 #: Peak bytes per n of ``verify --identity all`` and of ``oeis-check``,
-#: which profile 1..limit in one piece (805 MB and 310 MB at 1e7).
-VERIFY_BYTES_PER_N = 80
+#: which profile 1..limit in one piece (517 MB and 310 MB at 1e7).
+VERIFY_BYTES_PER_N = 54
 OEIS_BYTES_PER_N = 32
 
 
@@ -204,7 +208,7 @@ def cmd_simulate(config: argparse.Namespace) -> int:
 
 
 def cmd_trace(config: argparse.Namespace) -> int:
-    with _reading(config.infile), open(config.infile) as fh:
+    with _reading(config.infile), _open_in(config.infile) as fh:
         trace = tracker.build_trace(SummatoryRows.from_csv(fh))
     if config.format == "json":
         out_rows = []
@@ -407,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
 
     p = sub.add_parser("trace", help="scaled growth ratios from a series CSV")
-    p.add_argument("--in", dest="infile", type=_path, required=True, help="checkpoint CSV")
+    p.add_argument("--in", dest="infile", type=_path, required=True,
+                   help="checkpoint CSV ('-' for stdin)")
     add_out(p)
 
     p = sub.add_parser("oeis-check", help="compare a sequence against a b-file")

@@ -60,7 +60,7 @@ def _as_seq(f) -> np.ndarray:
     f = np.asarray(f)
     if f.ndim != 1 or f.shape[0] < 2:
         raise ValueError("sequence must be a 1-d array of length >= 2 (index 0 unused)")
-    return f
+    return f if np.can_cast(f.dtype, np.int64) else f.astype(np.int64)
 
 
 def _checked_int64(out, what: str) -> np.ndarray:
@@ -76,35 +76,65 @@ def _max_abs(a) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
+def _divisor_sums(f, h, out, a: int, sign: int) -> np.ndarray:
+    """out[n] = sign * sum over d * m = n of f[d] * h[m], filled for a <= n <= N.
+
+    Blocks [a, min(2a, N + 1)) are filled in ascending order from O(sqrt(b))
+    strided updates split at sqrt(b - 1); total work is O(N log N).  A block
+    reads f and h only below its end b, and reads its own range of h only in
+    the d = 1 term, so ``h`` may be ``out`` itself (the inverse): that term
+    then reads the block while it is still zero.  Operands keep their dtypes
+    and each product is taken in int64 by casting the scalar, as int8 * int8
+    would wrap.  Before each block an a-priori guard checks that
+    max d(n) * max|f[1:b]| * max|h[1:b]| fits int64, which bounds every
+    partial sum in the block; once it does not, the rest runs on Python ints
+    and the result is width-checked.
+    """
+    N = out.shape[0] - 1
+    wide = np.int64
+    max_f = max_h = 0
+    lo = 1   # h[lo:a] may have been filled since the last guard (h is out)
+    while a <= N:
+        b = min(2 * a, N + 1)
+        if wide is np.int64:
+            max_f = max(max_f, _max_abs(f[lo:b]))
+            max_h = max(max_h, _max_abs(h[lo:b]))
+            if _max_tau(b - 1) * max_f * max_h > _INT64_MAX:
+                wide = int
+                h_is_out = h is out
+                f, out = f.astype(object), out.astype(object)
+                h = out if h_is_out else h.astype(object)
+            lo = a
+        block = out[a:b]
+        t = isqrt(b - 1)
+        for d in range(1, t + 1):
+            mlo, mhi = -(-a // d), (b - 1) // d
+            if mlo <= mhi:
+                block[d * mlo - a : d * mhi - a + 1 : d] += wide(f[d]) * h[mlo : mhi + 1]
+        for m in range(1, (b - 1) // (t + 1) + 1):
+            dlo, dhi = max(t + 1, -(-a // m)), (b - 1) // m
+            if dlo <= dhi:
+                block[m * dlo - a : m * dhi - a + 1 : m] += wide(h[m]) * f[dlo : dhi + 1]
+        if sign < 0:
+            np.negative(block, out=block)
+        a = b
+    if wide is np.int64:
+        return out
+    return _checked_int64(out, "inverse" if h is out else "convolution")
+
+
 def convolve(f, h) -> np.ndarray:
     """Exact Dirichlet convolution of two equal-length truncated sequences.
 
-    out[n] = sum over divisors d of n of f[d] * h[n // d], for 1 <= n <= N.
-    The double loop is split at sqrt(N) so each side runs O(sqrt(N)) strided
-    vector updates; total work is O(N log N).  When max|f| * max|h| * max d(n)
-    does not fit int64, the same loops run on Python ints and the result is
-    width-checked.
+    out[n] = sum over divisors d of n of f[d] * h[n // d], for 1 <= n <= N,
+    as int64 from operands of any integer dtype; OverflowError only when a
+    true value does not fit.
     """
     f = _as_seq(f)
     h = _as_seq(h)
     if f.shape != h.shape:
         raise ValueError(f"length mismatch: {f.shape[0] - 1} vs {h.shape[0] - 1}")
-    N = f.shape[0] - 1
-    f = f.astype(np.int64, copy=False)
-    h = h.astype(np.int64, copy=False)
-    exact = _max_abs(f[1:]) * _max_abs(h[1:]) * _max_tau(N) > _INT64_MAX
-    if exact:
-        f, h = f.astype(object), h.astype(object)
-
-    out = np.zeros(N + 1, dtype=f.dtype)
-    t = isqrt(N)
-    for d in range(1, t + 1):
-        q = N // d
-        out[d::d] += f[d] * h[1 : q + 1]
-    for k in range(1, N // (t + 1) + 1):
-        dhi = N // k
-        out[k * (t + 1) :: k] += h[k] * f[t + 1 : dhi + 1]
-    return _checked_int64(out, "convolution") if exact else out
+    return _divisor_sums(f, h, np.zeros(f.shape[0], dtype=np.int64), 1, 1)
 
 
 def dirichlet_inverse(f) -> np.ndarray:
@@ -112,68 +142,32 @@ def dirichlet_inverse(f) -> np.ndarray:
 
     inv(1) = f(1) and inv(n) = -f(1) * sum over divisors d >= 2 of n of
     f(d) * inv(n / d) (Apostol, Introduction to Analytic Number Theory,
-    Thm 2.8).  Blocks [a, min(2a, N + 1)) are finalized in ascending order:
-    every contribution into a block comes from an index m < a whose value is
-    already final, so a block has no internal dependencies, and it is built
-    from O(sqrt(b)) strided vector updates split at sqrt(b - 1) as in
-    ``convolve``.  Total work is O(N log N).
-
-    Before each block an a-priori guard checks that
-    max d(n) * max|f[2:]| * max|inv[1:a]| fits int64, which bounds every
-    partial sum in the block.  Once it does not, the rest runs on Python
-    ints and the result is width-checked.  ``f`` keeps its dtype when that
-    casts safely to int64 (a uint8 omega + 1 costs no int64 copy).
+    Thm 2.8): the divisor sums with h = inv itself.  Every term with d >= 2
+    reads an inv(m) with m < a, final before block [a, b) starts; the d = 1
+    term reads the block while it is still zero, so it adds nothing.  ``f``
+    keeps its dtype (a uint8 omega + 1 costs no int64 copy).
     """
     f = _as_seq(f)
-    N = f.shape[0] - 1
     f1 = int(f[1])
     if f1 == 0:
         raise NonInvertibleError("f(1) = 0 has no Dirichlet inverse")
     if f1 not in (-1, 1):
         raise NonIntegerInverseError(f"f(1) = {f1}: inverse is not integer-valued")
-    if not np.can_cast(f.dtype, np.int64):
-        f = f.astype(np.int64)
-    max_f = _max_abs(f[2:])
-
-    inv = np.zeros(N + 1, dtype=np.int64)
+    inv = np.zeros(f.shape[0], dtype=np.int64)
     inv[1] = f1
-    max_inv = 1
-    exact = False
-    a = 2
-    while a <= N:
-        b = min(2 * a, N + 1)
-        if not exact and _max_tau(b - 1) * max_f * max_inv > _INT64_MAX:
-            exact = True
-            inv, f = inv.astype(object), f.astype(object)
-        block = np.zeros(b - a, dtype=inv.dtype)
-        t = isqrt(b - 1)
-        for d in range(2, t + 1):
-            mlo = (a + d - 1) // d
-            mhi = (b - 1) // d
-            if mlo <= mhi:
-                block[d * mlo - a : d * mhi - a + 1 : d] += f[d] * inv[mlo : mhi + 1]
-        for m in range(1, (b - 1) // (t + 1) + 1):
-            dlo = max(t + 1, (a + m - 1) // m)
-            dhi = (b - 1) // m
-            if dlo <= dhi:
-                block[m * dlo - a : m * dhi - a + 1 : m] += inv[m] * f[dlo : dhi + 1]
-        inv[a:b] = -block if f1 == 1 else block
-        if not exact:
-            max_inv = max(max_inv, _max_abs(inv[a:b]))
-        a = b
-    return _checked_int64(inv, "inverse") if exact else inv
+    return _divisor_sums(f, inv, inv, 2, -f1)
 
 
 def unit_sequence(N: int) -> np.ndarray:
-    """The convolution identity: 1 at n = 1, else 0."""
-    eps = np.zeros(N + 1, dtype=np.int64)
+    """The convolution identity as int8: 1 at n = 1, else 0."""
+    eps = np.zeros(N + 1, dtype=np.int8)
     eps[1] = 1
     return eps
 
 
 def prime_indicator(N: int) -> np.ndarray:
-    """Characteristic sequence of the primes on 1..N, from a classical sieve."""
-    chi = np.zeros(N + 1, dtype=np.int64)
+    """Characteristic sequence of the primes on 1..N as int8, from a classical sieve."""
+    chi = np.zeros(N + 1, dtype=np.int8)
     chi[primes_up_to(N)] = 1
     return chi
 
@@ -215,7 +209,8 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
         raise ValueError("profile must cover [1, N] starting at 1")
 
     def col(a):
-        return np.concatenate([[0], a[:N].astype(np.int64)])
+        """The first N entries of a profile column, 1-indexed, in its own dtype."""
+        return np.concatenate([np.zeros(1, a.dtype), a[:N]])
 
     omega = col(profile.omega)
     mobius = col(profile.mobius)
@@ -224,9 +219,7 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
         lhs = prime_indicator(N)
         rhs = convolve(omega, mobius)
     elif name == "b":
-        w1 = omega.copy()
-        w1[1:] += 1
-        lhs = convolve(w1, col(profile.g))
+        lhs = convolve(omega + 1, col(profile.g))
         rhs = unit_sequence(N)
     elif name == "c":
         lhs = col(profile.liouville) * col(profile.g)
@@ -238,7 +231,6 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
         lhs = col(profile.signed_c_omega())
         rhs = dirichlet_inverse(prime_indicator(N) + unit_sequence(N))
     else:  # f
-        ones = np.ones(N + 1, dtype=np.int64)
-        lhs = convolve(col(profile.g), ones)
+        lhs = convolve(col(profile.g), np.ones(N + 1, dtype=np.int8))
         rhs = col(profile.signed_c_omega())
     return _first_failure(name, N, lhs, rhs)

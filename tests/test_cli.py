@@ -77,6 +77,21 @@ def test_trace_round_trip(tmp_path):
     assert header == "x,q,gonek,r1,r2,rG1,rG2,twice_g,qhat_pred,qhat_exact"
 
 
+def test_trace_reads_stdin(tmp_path):
+    series = tmp_path / "series.csv"
+    trace = tmp_path / "trace.csv"
+    assert main(["summatory", "--limit", "1000", "--out", str(series)]) == 0
+    assert main(["trace", "--in", str(series), "--out", str(trace)]) == 0
+    summatory = subprocess.Popen([sys.executable, "-m", "mforge.cli", "summatory",
+                                  "--limit", "1000"], stdout=subprocess.PIPE)
+    piped = subprocess.run([sys.executable, "-m", "mforge.cli", "trace", "--in", "-"],
+                           stdin=summatory.stdout, capture_output=True, text=True, timeout=60)
+    summatory.stdout.close()
+    assert summatory.wait(timeout=60) == 0
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == trace.read_text()
+
+
 def test_stats_excess_report(capsys):
     code, out, _ = run_cli(
         ["stats", "--x", "100000", "--report", "excess", "--m", "0"], capsys)

@@ -74,6 +74,24 @@ def test_convolve_matches_oracle_random(operands):
         assert convolve(f, h).tolist() == want
 
 
+def test_narrow_operands_match_oracles():
+    # int8 and uint8 extremes across blocks 2..256: every product must be taken
+    # in int64, since -128 * -128 and 255 * 255 wrap in the operand dtype
+    N = 300
+    i8 = np.resize(np.array([-128, 127, -128, 0], dtype=np.int8), N + 1)
+    u8 = np.resize(np.array([255, 0, 255], dtype=np.uint8), N + 1)
+    for f, h in ((i8, i8), (i8, u8), (u8, i8), (u8, u8)):
+        assert convolve(f, h).tolist() == dirichlet_convolution_oracle(f, h)
+    # extremes at every n = 0 or 1 mod 3 past 2 keep the inverses within int64
+    for dtype, lo, hi, f1 in ((np.int8, -128, 127, 1), (np.int8, -128, 127, -1),
+                              (np.uint8, 255, 255, 1)):
+        f = np.zeros(N + 1, dtype=dtype)
+        f[3::3], f[4::3], f[1] = lo, hi, f1
+        want = dirichlet_inverse_oracle(f)
+        assert max(map(abs, want)) < 2**48
+        assert dirichlet_inverse(f).tolist() == want
+
+
 def test_convolve_commutative_associative():
     rng = np.random.default_rng(6)
     N = 512
