@@ -76,7 +76,7 @@ class ArithmeticProfile:
         unless the segment starts at 1 (prefix dependency)."""
         if self.segment.lo != 1:
             return None
-        return g_table(self.segment.hi - 1, omega=self.omega)[1:]
+        return g_table(self.segment.hi - 1, omega=self.omega)
 
     def mu_squared(self) -> np.ndarray:
         """Squarefree indicator as int8."""
@@ -256,11 +256,11 @@ def g_squarefree_closed_form(r: int) -> int:
 
 
 def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
-    """The Dirichlet inverse of (omega + 1) on 1..N as int64 (index 0 unused).
+    """The Dirichlet inverse of (omega + 1) on 1..N as int64, entry i at n = i + 1.
 
     The omega sweep followed by ``dirichlet.dirichlet_inverse``, the one
-    inverse engine.  ``omega`` on 1..N, either 1-indexed or in the offset-0
-    layout of a profile, saves the sweep.
+    inverse engine.  ``omega`` in the same layout (a profile's omega column
+    covering at least 1..N) saves the sweep.
     """
     from .dirichlet import dirichlet_inverse   # dirichlet imports this module
 
@@ -271,11 +271,9 @@ def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
             1, N + 1, DEFAULT_SEGMENT_CAPACITY,
             lambda seg: profile_range(seg, columns={"omega"}).omega))
     omega = np.asarray(omega)
-    if omega.shape[0] == N:        # offset-0 layout, as in a profile
-        omega = np.concatenate([np.zeros(1, omega.dtype), omega])
-    if omega.shape[0] < N + 1:
+    if omega.shape[0] < N:
         raise ValueError("omega table shorter than N")
-    return dirichlet_inverse(omega[:N + 1].astype(np.uint8, copy=False) + np.uint8(1))
+    return dirichlet_inverse(omega[:N].astype(np.uint8, copy=False) + np.uint8(1))
 
 
 def read_bfile(path) -> list:

@@ -71,9 +71,9 @@ def cmd_sieve(config: argparse.Namespace) -> int:
 
 
 #: Peak bytes per n of ``verify --identity all`` and of ``oeis-check``,
-#: which profile 1..limit in one piece (517 MB and 310 MB at 1e7).
-VERIFY_BYTES_PER_N = 54
-OEIS_BYTES_PER_N = 32
+#: which profile 1..limit in one piece (432 MB and 165 MB at 1e7).
+VERIFY_BYTES_PER_N = 44
+OEIS_BYTES_PER_N = 18
 
 
 def available_memory(meminfo: str = "/proc/meminfo") -> int:

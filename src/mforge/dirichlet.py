@@ -1,9 +1,9 @@
 """Truncated Dirichlet convolution, inversion, and the exact identity suite.
 
-Sequences use a 1-indexed layout throughout: an arithmetic function truncated
-at N is an integer array of length N + 1 whose entry 0 is unused.  All
-arithmetic in this module is integer-exact; there is no floating point
-anywhere, and overflow aborts instead of wrapping.
+A sequence truncated at N is laid out as a profile column: an integer array
+of length N whose entry i is f(i + 1).  All arithmetic in this module is
+integer-exact; there is no floating point anywhere, and overflow aborts
+instead of wrapping.
 """
 
 from dataclasses import dataclass
@@ -58,17 +58,17 @@ def _max_tau(N: int) -> int:
 
 def _as_seq(f) -> np.ndarray:
     f = np.asarray(f)
-    if f.ndim != 1 or f.shape[0] < 2:
-        raise ValueError("sequence must be a 1-d array of length >= 2 (index 0 unused)")
+    if f.ndim != 1 or f.shape[0] < 1:
+        raise ValueError("sequence must be a 1-d array of length >= 1")
     return f if np.can_cast(f.dtype, np.int64) else f.astype(np.int64)
 
 
 def _checked_int64(out, what: str) -> np.ndarray:
     """An exact object-dtype result as int64, raising OverflowError at the
     first entry past the int64 width."""
-    for n in range(1, out.shape[0]):
-        if abs(out[n]) > _INT64_MAX:
-            raise OverflowError(f"{what} overflows the checked width at n={n}")
+    for i, v in enumerate(out):
+        if abs(v) > _INT64_MAX:
+            raise OverflowError(f"{what} overflows the checked width at n={i + 1}")
     return out.astype(np.int64)
 
 
@@ -77,44 +77,45 @@ def _max_abs(a) -> int:
 
 
 def _divisor_sums(f, h, out, a: int, sign: int) -> np.ndarray:
-    """out[n] = sign * sum over d * m = n of f[d] * h[m], filled for a <= n <= N.
+    """out(n) = sign * sum over d * m = n of f(d) * h(m), filled for a <= n <= N.
 
-    Blocks [a, min(2a, N + 1)) are filled in ascending order from O(sqrt(b))
-    strided updates split at sqrt(b - 1); total work is O(N log N).  A block
-    reads f and h only below its end b, and reads its own range of h only in
-    the d = 1 term, so ``h`` may be ``out`` itself (the inverse): that term
+    Entry i of each array holds the value at n = i + 1.  Blocks of n in
+    [a, min(2a, N + 1)) are filled in ascending order from O(sqrt(b)) strided
+    updates split at sqrt(b - 1); total work is O(N log N).  A block reads f
+    and h only below its end b, and reads its own range of h only in the
+    d = 1 term, so ``h`` may be ``out`` itself (the inverse): that term
     then reads the block while it is still zero.  Operands keep their dtypes
     and each product is taken in int64 by casting the scalar, as int8 * int8
     would wrap.  Before each block an a-priori guard checks that
-    max d(n) * max|f[1:b]| * max|h[1:b]| fits int64, which bounds every
+    max d(n) * max|f(n)| * max|h(n)| over n < b fits int64, which bounds every
     partial sum in the block; once it does not, the rest runs on Python ints
     and the result is width-checked.
     """
-    N = out.shape[0] - 1
+    N = out.shape[0]
     wide = np.int64
     max_f = max_h = 0
-    lo = 1   # h[lo:a] may have been filled since the last guard (h is out)
+    lo = 0   # h[lo:a - 1] may have been filled since the last guard (h is out)
     while a <= N:
         b = min(2 * a, N + 1)
         if wide is np.int64:
-            max_f = max(max_f, _max_abs(f[lo:b]))
-            max_h = max(max_h, _max_abs(h[lo:b]))
+            max_f = max(max_f, _max_abs(f[lo:b - 1]))
+            max_h = max(max_h, _max_abs(h[lo:b - 1]))
             if _max_tau(b - 1) * max_f * max_h > _INT64_MAX:
                 wide = int
                 h_is_out = h is out
                 f, out = f.astype(object), out.astype(object)
                 h = out if h_is_out else h.astype(object)
-            lo = a
-        block = out[a:b]
+            lo = a - 1
+        block = out[a - 1:b - 1]
         t = isqrt(b - 1)
         for d in range(1, t + 1):
             mlo, mhi = -(-a // d), (b - 1) // d
             if mlo <= mhi:
-                block[d * mlo - a : d * mhi - a + 1 : d] += wide(f[d]) * h[mlo : mhi + 1]
+                block[d * mlo - a : d * mhi - a + 1 : d] += wide(f[d - 1]) * h[mlo - 1 : mhi]
         for m in range(1, (b - 1) // (t + 1) + 1):
             dlo, dhi = max(t + 1, -(-a // m)), (b - 1) // m
             if dlo <= dhi:
-                block[m * dlo - a : m * dhi - a + 1 : m] += wide(h[m]) * f[dlo : dhi + 1]
+                block[m * dlo - a : m * dhi - a + 1 : m] += wide(h[m - 1]) * f[dlo - 1 : dhi]
         if sign < 0:
             np.negative(block, out=block)
         a = b
@@ -126,14 +127,14 @@ def _divisor_sums(f, h, out, a: int, sign: int) -> np.ndarray:
 def convolve(f, h) -> np.ndarray:
     """Exact Dirichlet convolution of two equal-length truncated sequences.
 
-    out[n] = sum over divisors d of n of f[d] * h[n // d], for 1 <= n <= N,
+    out(n) = sum over divisors d of n of f(d) * h(n / d), for 1 <= n <= N,
     as int64 from operands of any integer dtype; OverflowError only when a
     true value does not fit.
     """
     f = _as_seq(f)
     h = _as_seq(h)
     if f.shape != h.shape:
-        raise ValueError(f"length mismatch: {f.shape[0] - 1} vs {h.shape[0] - 1}")
+        raise ValueError(f"length mismatch: {f.shape[0]} vs {h.shape[0]}")
     return _divisor_sums(f, h, np.zeros(f.shape[0], dtype=np.int64), 1, 1)
 
 
@@ -148,27 +149,27 @@ def dirichlet_inverse(f) -> np.ndarray:
     keeps its dtype (a uint8 omega + 1 costs no int64 copy).
     """
     f = _as_seq(f)
-    f1 = int(f[1])
+    f1 = int(f[0])
     if f1 == 0:
         raise NonInvertibleError("f(1) = 0 has no Dirichlet inverse")
     if f1 not in (-1, 1):
         raise NonIntegerInverseError(f"f(1) = {f1}: inverse is not integer-valued")
     inv = np.zeros(f.shape[0], dtype=np.int64)
-    inv[1] = f1
+    inv[0] = f1
     return _divisor_sums(f, inv, inv, 2, -f1)
 
 
 def unit_sequence(N: int) -> np.ndarray:
     """The convolution identity as int8: 1 at n = 1, else 0."""
-    eps = np.zeros(N + 1, dtype=np.int8)
-    eps[1] = 1
+    eps = np.zeros(N, dtype=np.int8)
+    eps[0] = 1
     return eps
 
 
 def prime_indicator(N: int) -> np.ndarray:
     """Characteristic sequence of the primes on 1..N as int8, from a classical sieve."""
-    chi = np.zeros(N + 1, dtype=np.int8)
-    chi[primes_up_to(N)] = 1
+    chi = np.zeros(N, dtype=np.int8)
+    chi[primes_up_to(N) - 1] = 1
     return chi
 
 
@@ -185,11 +186,11 @@ IDENTITY_LABELS = {
 
 
 def _first_failure(name, N, lhs, rhs):
-    diff = np.nonzero(lhs[1:] != rhs[1:])[0]
+    diff = np.nonzero(lhs != rhs)[0]
     if diff.size == 0:
         return IdentityReport(name, N, True)
-    n = int(diff[0]) + 1
-    return IdentityReport(name, N, False, (n, int(lhs[n]), int(rhs[n])))
+    i = int(diff[0])
+    return IdentityReport(name, N, False, (i + 1, int(lhs[i]), int(rhs[i])))
 
 
 def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
@@ -197,7 +198,8 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
 
     Left and right sides come from independent routes: profile tables on one
     side, generic convolution/inversion (or a classical prime sieve) on the
-    other.  Failure is data, not an exception.
+    other.  Profile columns enter as views of their first N entries.
+    Failure is data, not an exception.
     """
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}, expected one of {IDENTITY_NAMES}")
@@ -208,29 +210,25 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
     if profile.segment.lo != 1 or profile.segment.hi <= N:
         raise ValueError("profile must cover [1, N] starting at 1")
 
-    def col(a):
-        """The first N entries of a profile column, 1-indexed, in its own dtype."""
-        return np.concatenate([np.zeros(1, a.dtype), a[:N]])
-
-    omega = col(profile.omega)
-    mobius = col(profile.mobius)
+    omega = profile.omega[:N]
+    mobius = profile.mobius[:N]
 
     if name == "a":
         lhs = prime_indicator(N)
         rhs = convolve(omega, mobius)
     elif name == "b":
-        lhs = convolve(omega + 1, col(profile.g))
+        lhs = convolve(omega + 1, profile.g[:N])
         rhs = unit_sequence(N)
     elif name == "c":
-        lhs = col(profile.liouville) * col(profile.g)
-        rhs = convolve(col(profile.c_omega), col(profile.mu_squared()))
+        lhs = profile.liouville[:N] * profile.g[:N]
+        rhs = convolve(profile.c_omega[:N], profile.mu_squared()[:N])
     elif name == "d":
-        lhs = col(profile.g)
-        rhs = convolve(col(profile.signed_c_omega()), mobius)
+        lhs = profile.g[:N]
+        rhs = convolve(profile.signed_c_omega()[:N], mobius)
     elif name == "e":
-        lhs = col(profile.signed_c_omega())
+        lhs = profile.signed_c_omega()[:N]
         rhs = dirichlet_inverse(prime_indicator(N) + unit_sequence(N))
     else:  # f
-        lhs = convolve(col(profile.g), np.ones(N + 1, dtype=np.int8))
-        rhs = col(profile.signed_c_omega())
+        lhs = convolve(profile.g[:N], np.ones(N, dtype=np.int8))
+        rhs = profile.signed_c_omega()[:N]
     return _first_failure(name, N, lhs, rhs)

@@ -304,17 +304,6 @@ def _ks_from_counts(values, counts: np.ndarray, center: float | None = None,
     return EmpiricalCdf(z=z, counts=counts, ks=float(np.maximum(upper, lower).max()))
 
 
-def empirical_cdf(sample: np.ndarray, standardize: bool = True) -> EmpiricalCdf:
-    """Standardized sample as a histogram plus its KS distance to the standard normal."""
-    v = np.asarray(sample, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty sample")
-    values, counts = np.unique(v, return_counts=True)
-    if standardize:
-        return _ks_from_counts(values, counts)
-    return _ks_from_counts(values, counts, 0.0, 1.0)
-
-
 def erdos_kac_cdf(x: int, statistic: str = "omega",
                   segment_size: int = DEFAULT_SEGMENT_CAPACITY,
                   pool: WorkerPool | None = None) -> EmpiricalCdf:

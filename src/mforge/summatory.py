@@ -295,7 +295,7 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         # N * max|g| bounds every partial sum of g
         if N * max(int(g.max()), -int(g.min())) > _SAFE_SUM:
             raise OverflowError("G's partial sums could exceed the summatory bound")
-        G_eval = np.cumsum(g, out=g)[eval_points]
+        G_eval = np.cumsum(g, out=g)[eval_points - 1]
     else:
         G_eval = np.zeros(n_eval, dtype=np.int64)
     series = SummatorySeries(
@@ -318,17 +318,17 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
 def mertens_via_g_pi(x: int, g: np.ndarray, pi_table: PrimeCountTable) -> int:
     """M(x) evaluated as G(x) + sum_{k <= x} g(k) * pi(floor(x / k)).
 
-    ``g`` is the inverse table in 1-indexed layout covering 1..x; the prime
-    counts come from the rank bit set.
+    ``g`` is the inverse table covering 1..x, entry i at n = i + 1 (as
+    ``g_table`` returns it); the prime counts come from the rank bit set.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     g = np.asarray(g)
-    if g.shape[0] < x + 1:
-        raise RangeCoverageError(f"g table covers {g.shape[0] - 1} < x = {x}")
+    if g.shape[0] < x:
+        raise RangeCoverageError(f"g table covers {g.shape[0]} < x = {x}")
     if pi_table.limit < x:
         raise RangeCoverageError(f"pi table limit {pi_table.limit} < x = {x}")
-    gx = g[1 : x + 1].astype(np.int64, copy=False)
+    gx = g[:x].astype(np.int64, copy=False)
     qs = x // np.arange(1, x + 1, dtype=np.int64)
     ranks = pi_table.rank_many(qs)
     # every partial sum of both sums is at most max|g| * (sum of ranks + x)

@@ -109,21 +109,23 @@ def mobius_block_oracle(N: int) -> np.ndarray:
 
 
 def dirichlet_convolution_oracle(f, h):
-    """out[n] = sum over divisors d of n of f[d] * h[n // d], 1 <= n <= N, by
-    direct divisor enumeration in Python integers (index 0 unused, 0)."""
-    N = len(f) - 1
-    return [0] + [sum(int(f[d]) * int(h[n // d]) for d in range(1, n + 1) if n % d == 0)
-                  for n in range(1, N + 1)]
+    """sum over divisors d of n of f(d) * h(n / d) for n = 1..N, by direct
+    divisor enumeration in Python integers.  Entry i of f, h and the result
+    is the value at n = i + 1."""
+    N = len(f)
+    return [sum(int(f[d - 1]) * int(h[n // d - 1]) for d in range(1, n + 1) if n % d == 0)
+            for n in range(1, N + 1)]
 
 
 def dirichlet_inverse_oracle(f):
-    """Dirichlet inverse of f (f[1] = +-1, index 0 unused) in Python integers.
+    """Dirichlet inverse of f (f(1) = f[0] = +-1) on 1..N in Python integers,
+    the value at n in entry n - 1.
 
     inv(m) becomes final in ascending m, then pushes f(d) * inv(m) into the
     accumulator of every multiple d * m with d >= 2.  No width check.
     """
-    N = len(f) - 1
-    fl = [int(v) for v in f]
+    N = len(f)
+    fl = [0] + [int(v) for v in f]     # fl[n] = f(n)
     f1 = fl[1]
     acc = [0] * (N + 1)
     inv = [0] * (N + 1)
@@ -136,7 +138,7 @@ def dirichlet_inverse_oracle(f):
             continue
         for n in range(2 * m, N + 1, m):
             acc[n] += fl[n // m] * vm
-    return inv
+    return inv[1:]
 
 
 def simulate_oracle(seed: int, x_max: int, cps):

@@ -294,18 +294,18 @@ def test_g_table_against_recursion_oracle():
     N = 400
     oracle = g_recursion_oracle(N)
     mine = g_table(N)
-    assert mine[1:].tolist() == oracle[1:]
+    assert mine.tolist() == oracle[1:]
 
 
 def test_g_examples():
     g = g_table(10)
-    assert g[1] == 1 and g[2] == -2 and g[4] == 2 and g[6] == 5
+    assert g[0] == 1 and g[1] == -2 and g[3] == 2 and g[5] == 5    # n = 1, 2, 4, 6
 
 
 def test_g_at_primes():
     g = g_table(1000)
     for p in primes_up_to(1000):
-        assert g[p] == -2
+        assert g[p - 1] == -2
 
 
 def test_g_closed_form():
@@ -331,7 +331,7 @@ def test_profile_g_only_from_one():
     p = profile_range(Segment(1, 100))
     assert "g" not in vars(p)   # built on first read
     assert p.g is not None and len(p.g) == 99
-    assert np.array_equal(p.g, g_table(99)[1:])
+    assert np.array_equal(p.g, g_table(99))
     assert profile_range(Segment(2, 100)).g is None
 
 
@@ -355,7 +355,7 @@ def test_width_one_edges():
         == (0, 0, 1, 1, 1)
     p2 = profile_range(Segment(2, 3))
     assert (p2.omega[0], p2.big_omega[0], p2.mobius[0]) == (1, 1, -1)
-    assert g_table(1).tolist() == [0, 1]
+    assert g_table(1).tolist() == [1]
     with pytest.raises(ValueError):
         g_table(0)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,30 +28,30 @@ from oracles import (
 
 
 def test_divisor_count():
-    ones = np.ones(13, dtype=np.int64)
+    ones = np.ones(12, dtype=np.int64)
     d = convolve(ones, ones)
-    assert d[6] == 4 and d[12] == 6
+    assert d[5] == 4 and d[11] == 6     # d(6), d(12)
 
 
 def test_omega_star_mu_is_prime_indicator(profile_1e4):
     N = 50
-    om = np.concatenate([[0], profile_1e4.omega[:N].astype(np.int64)])
-    mu = np.concatenate([[0], profile_1e4.mobius[:N].astype(np.int64)])
+    om = profile_1e4.omega[:N].astype(np.int64)
+    mu = profile_1e4.mobius[:N].astype(np.int64)
     chi = convolve(om, mu)
-    assert chi[7] == 1 and chi[6] == 0 and chi[4] == 0
+    assert chi[6] == 1 and chi[5] == 0 and chi[3] == 0    # n = 7, 6, 4
     assert np.array_equal(chi, prime_indicator(N))
 
 
 def test_unit_is_identity():
     rng = np.random.default_rng(2)
-    f = rng.integers(-50, 50, size=101)
+    f = rng.integers(-50, 50, size=100)
     f = f.astype(np.int64)
-    assert np.array_equal(convolve(unit_sequence(100), f)[1:], f[1:])
+    assert np.array_equal(convolve(unit_sequence(100), f), f)
 
 
 @st.composite
 def _convolution_operands(draw):
-    """Two int64 sequences of length N + 1 <= 301, each under its own magnitude.
+    """Two int64 sequences of length N <= 300, each under its own magnitude.
 
     Magnitude pairs whose product times max d(n) passes 2^63 send convolve
     to its exact fallback; there some sums fit int64 and some overflow.
@@ -58,7 +60,7 @@ def _convolution_operands(draw):
     seqs = []
     for _ in range(2):
         mag = draw(st.sampled_from([9, 2**20, 2**31, 2**40, 2**62, 2**63 - 1]))
-        seqs.append(draw(st.lists(st.integers(-mag, mag), min_size=N + 1, max_size=N + 1)))
+        seqs.append(draw(st.lists(st.integers(-mag, mag), min_size=N, max_size=N)))
     return seqs
 
 
@@ -78,15 +80,15 @@ def test_narrow_operands_match_oracles():
     # int8 and uint8 extremes across blocks 2..256: every product must be taken
     # in int64, since -128 * -128 and 255 * 255 wrap in the operand dtype
     N = 300
-    i8 = np.resize(np.array([-128, 127, -128, 0], dtype=np.int8), N + 1)
-    u8 = np.resize(np.array([255, 0, 255], dtype=np.uint8), N + 1)
+    i8 = np.resize(np.array([-128, 127, -128, 0], dtype=np.int8), N)
+    u8 = np.resize(np.array([255, 0, 255], dtype=np.uint8), N)
     for f, h in ((i8, i8), (i8, u8), (u8, i8), (u8, u8)):
         assert convolve(f, h).tolist() == dirichlet_convolution_oracle(f, h)
     # extremes at every n = 0 or 1 mod 3 past 2 keep the inverses within int64
     for dtype, lo, hi, f1 in ((np.int8, -128, 127, 1), (np.int8, -128, 127, -1),
                               (np.uint8, 255, 255, 1)):
-        f = np.zeros(N + 1, dtype=dtype)
-        f[3::3], f[4::3], f[1] = lo, hi, f1
+        f = np.zeros(N, dtype=dtype)
+        f[2::3], f[3::3], f[0] = lo, hi, f1
         want = dirichlet_inverse_oracle(f)
         assert max(map(abs, want)) < 2**48
         assert dirichlet_inverse(f).tolist() == want
@@ -95,12 +97,11 @@ def test_narrow_operands_match_oracles():
 def test_convolve_commutative_associative():
     rng = np.random.default_rng(6)
     N = 512
-    f = rng.integers(-7, 8, size=N + 1).astype(np.int64)
-    g = rng.integers(-7, 8, size=N + 1).astype(np.int64)
-    h = rng.integers(-7, 8, size=N + 1).astype(np.int64)
-    assert np.array_equal(convolve(f, g)[1:], convolve(g, f)[1:])
-    assert np.array_equal(convolve(convolve(f, g), h)[1:],
-                          convolve(f, convolve(g, h))[1:])
+    f = rng.integers(-7, 8, size=N).astype(np.int64)
+    g = rng.integers(-7, 8, size=N).astype(np.int64)
+    h = rng.integers(-7, 8, size=N).astype(np.int64)
+    assert np.array_equal(convolve(f, g), convolve(g, f))
+    assert np.array_equal(convolve(convolve(f, g), h), convolve(f, convolve(g, h)))
 
 
 def test_convolve_length_mismatch():
@@ -111,42 +112,40 @@ def test_convolve_length_mismatch():
 def test_convolve_huge_values_fall_back_exactly():
     # sparse spikes: the conservative pre-check cannot rule out overflow,
     # but every true value fits, so the exact path must agree with the oracle
-    f = np.zeros(65, dtype=np.int64)
-    h = np.zeros(65, dtype=np.int64)
-    f[31] = 2**41
-    h[2] = 2**21
-    h[1] = 1
+    f = np.zeros(64, dtype=np.int64)
+    h = np.zeros(64, dtype=np.int64)
+    f[30] = 2**41       # f(31)
+    h[1] = 2**21        # h(2)
+    h[0] = 1
     assert convolve(f, h).tolist() == dirichlet_convolution_oracle(f, h)
-    assert convolve(f, h)[62] == 2**62
+    assert convolve(f, h)[61] == 2**62     # n = 62
 
 
 def test_convolve_overflow_aborts():
-    f = np.zeros(5, dtype=np.int64)
-    f[1:] = 2**62
-    h = np.zeros(5, dtype=np.int64)
-    h[1:] = 4
+    f = np.full(4, 2**62, dtype=np.int64)
+    h = np.full(4, 4, dtype=np.int64)
     with pytest.raises(OverflowError):
         convolve(f, h)
 
 
 def test_inverse_of_ones_is_mobius():
     N = 10**4
-    inv = dirichlet_inverse(np.ones(N + 1, dtype=np.int64))
-    assert all(inv[n] == mobius_oracle(n) for n in range(1, 301))
+    inv = dirichlet_inverse(np.ones(N, dtype=np.int64))
+    assert all(inv[n - 1] == mobius_oracle(n) for n in range(1, 301))
     mu = profile_range(Segment(1, N + 1)).mobius
-    assert np.array_equal(inv[1:], mu.astype(np.int64))
+    assert np.array_equal(inv, mu.astype(np.int64))
 
 
 def test_inverse_of_omega_plus_one_matches_oracle():
     N = 10**4
     om = profile_range(Segment(1, N + 1)).omega
-    w1 = np.concatenate([[0], om.astype(np.int64) + 1])
+    w1 = om.astype(np.int64) + 1
     assert dirichlet_inverse(w1).tolist() == dirichlet_inverse_oracle(w1)
 
 
 @st.composite
 def _inverse_operands(draw):
-    """A sequence of length N + 1 <= 301 with f(1) = +-1 and |f(n)| <= a drawn
+    """A sequence of length N <= 300 with f(1) = +-1 and |f(n)| <= a drawn
     magnitude, about half its entries zero.
 
     Large magnitudes trip the engine's int64 guard and send it to Python
@@ -155,8 +154,8 @@ def _inverse_operands(draw):
     """
     N = draw(st.integers(1, 300))
     mag = draw(st.sampled_from([9, 2**20, 2**31, 2**40, 2**62]))
-    f = draw(st.lists(st.just(0) | st.integers(-mag, mag), min_size=N + 1, max_size=N + 1))
-    f[1] = draw(st.sampled_from([-1, 1]))
+    f = draw(st.lists(st.just(0) | st.integers(-mag, mag), min_size=N, max_size=N))
+    f[0] = draw(st.sampled_from([-1, 1]))
     return f
 
 
@@ -175,30 +174,30 @@ def test_inverse_of_prime_indicator_plus_unit(profile_1e4):
     N = 2000
     inv = dirichlet_inverse(prime_indicator(N) + unit_sequence(N))
     lam_c = profile_1e4.signed_c_omega()[:N]
-    assert np.array_equal(inv[1:], lam_c)
+    assert np.array_equal(inv, lam_c)
 
 
 def test_inverse_involution():
     rng = np.random.default_rng(8)
     for f1 in (1, -1):
-        f = rng.integers(-5, 6, size=257).astype(np.int64)
-        f[1] = f1
-        assert np.array_equal(dirichlet_inverse(dirichlet_inverse(f))[1:], f[1:])
+        f = rng.integers(-5, 6, size=256).astype(np.int64)
+        f[0] = f1
+        assert np.array_equal(dirichlet_inverse(dirichlet_inverse(f)), f)
 
 
 def test_inverse_convolves_to_unit():
     rng = np.random.default_rng(9)
-    f = rng.integers(-4, 5, size=513).astype(np.int64)
-    f[1] = 1
-    assert np.array_equal(convolve(f, dirichlet_inverse(f))[1:], unit_sequence(512)[1:])
+    f = rng.integers(-4, 5, size=512).astype(np.int64)
+    f[0] = 1
+    assert np.array_equal(convolve(f, dirichlet_inverse(f)), unit_sequence(512))
 
 
 def test_inverse_error_cases():
     f = np.ones(10, dtype=np.int64)
-    f[1] = 0
+    f[0] = 0
     with pytest.raises(NonInvertibleError):
         dirichlet_inverse(f)
-    f[1] = 2
+    f[0] = 2
     with pytest.raises(NonIntegerInverseError):
         dirichlet_inverse(f)
 
@@ -218,14 +217,27 @@ def test_identity_suite_1e4(name, profile_1e4):
     assert name in IDENTITY_LABELS
 
 
+@pytest.mark.parametrize("N", [1, 2, 997])
+def test_identity_suite_on_a_wider_profile(N, profile_1e4):
+    # each identity reads only the first N entries of a profile that runs
+    # past N, and reports a failure at n = i + 1
+    prof = dataclasses.replace(profile_1e4, c_omega=profile_1e4.c_omega.copy())
+    prof.c_omega[N] += 1        # n = N + 1, outside the check
+    for name in IDENTITY_NAMES:
+        assert verify_identity(name, N, profile=prof).passed, name
+    prof.c_omega[N - 1] += 1    # n = N
+    report = verify_identity("c", N, profile=prof)
+    assert not report.passed and report.first_failure[0] == N
+
+
 def test_identity_report_detects_failure(profile_1e4):
     # break the identity by checking (a) against a deliberately wrong N slice
     import mforge.dirichlet as dd
 
     chi = dd.prime_indicator(100)
-    chi[4] = 1  # corrupt
-    om = np.concatenate([[0], profile_1e4.omega[:100].astype(np.int64)])
-    mu = np.concatenate([[0], profile_1e4.mobius[:100].astype(np.int64)])
+    chi[3] = 1  # corrupt n = 4
+    om = profile_1e4.omega[:100].astype(np.int64)
+    mu = profile_1e4.mobius[:100].astype(np.int64)
     rep = dd._first_failure("a", 100, chi, dd.convolve(om, mu))
     assert not rep.passed
     assert rep.first_failure == (4, 1, 0)

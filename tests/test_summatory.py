@@ -121,8 +121,8 @@ def test_series_routes_agree():
     dense = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.001))
     assert sparse.route == "quotient" and dense.route == "direct"
     for s in (sparse, dense):
-        assert np.array_equal(s.G, G[s.checkpoints])
-        assert np.array_equal(s.G_many(s.eval_points), G[s.eval_points])
+        assert np.array_equal(s.G, G[s.checkpoints - 1])
+        assert np.array_equal(s.G_many(s.eval_points), G[s.eval_points - 1])
     common, i, j = np.intersect1d(sparse.checkpoints, dense.checkpoints,
                                   return_indices=True)
     assert len(common) > 20
@@ -178,7 +178,7 @@ def test_series_invariant_under_segments_workers_and_route(case):
     assert s.route == ref.route == _expected_route(s.checkpoints, N)
     for col in ("checkpoints", "M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(s, col), getattr(ref, col)), col
-    assert np.array_equal(s.G, np.cumsum(g_table(N))[s.checkpoints])
+    assert np.array_equal(s.G, np.cumsum(g_table(N))[s.checkpoints - 1])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -283,7 +283,7 @@ def test_series_overflow_bound_is_checked_before_summing(monkeypatch):
         build_series(N, pol, segment_size=1)
     monkeypatch.setattr(summatory, "_SAFE_SUM", N * int(np.abs(g).max()))
     s = build_series(N, pol, segment_size=1)
-    assert s.route == "direct" and s.G.tolist() == np.cumsum(g)[1:].tolist()
+    assert s.route == "direct" and s.G.tolist() == np.cumsum(g).tolist()
 
 
 def test_series_overflow_bound_exits_one(monkeypatch, capsys):
@@ -353,12 +353,11 @@ def test_mertens_via_g_pi_exact_past_int64():
     # int64 and so is the true sum, which only the Python-int path gets right
     x = 10007
     rng = np.random.default_rng(11)
-    g = np.zeros(x + 1, dtype=np.int64)
-    g[1:] = 2**50 - rng.integers(0, 2**20, size=x)
+    g = 2**50 - rng.integers(0, 2**20, size=x)
     pi = [0] * (x + 1)
     for n in range(2, x + 1):
         pi[n] = pi[n - 1] + (big_omega_oracle(n) == 1)
-    want = sum(int(g[k]) * pi[x // k] + int(g[k]) for k in range(1, x + 1))
+    want = sum(int(g[k - 1]) * pi[x // k] + int(g[k - 1]) for k in range(1, x + 1))
     assert want > np.iinfo(np.int64).max
     assert mertens_via_g_pi(x, g, PrimeCountTable(x)) == want
 
@@ -425,7 +424,7 @@ def test_u_column_ties_to_g_by_divisor_identity():
     s = build_series(N, CheckpointPolicy(kind="explicit", points=(77, 4096)))
     g = g_table(N)
     for x in (77, 4096, N):
-        direct = int((g[1 : x + 1] * (x // np.arange(1, x + 1))).sum())
+        direct = int((g[:x] * (x // np.arange(1, x + 1))).sum())
         i = int(np.searchsorted(s.eval_points, x))
         assert s.eval_points[i] == x and s.U_eval[i] == direct
 
@@ -452,9 +451,9 @@ def test_routes_agree_on_irregular_inputs():
         assert s.route == _expected_route(s.checkpoints, N), (N, pol)
         seen.add(s.route)
         G = np.cumsum(g_table(N))
-        M = np.cumsum(mobius_block_oracle(N))
-        assert np.array_equal(s.G, G[s.checkpoints]), (N, pol)
-        assert np.array_equal(s.M, M[s.checkpoints]), (N, pol)
+        M = np.cumsum(mobius_block_oracle(N)[1:])
+        assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, pol)
+        assert np.array_equal(s.M, M[s.checkpoints - 1]), (N, pol)
     assert seen == {"direct", "quotient"}
 
 
