@@ -171,14 +171,13 @@ def cmd_stats(config: argparse.Namespace) -> int:
 
 
 def _cdf_quantile_rows(cdf, grid: int = 256):
-    from scipy.special import ndtr
     n = cdf.size
     cum = cdf.counts.cumsum()
     for i in range(1, grid + 1):
         j = min(n - 1, max(0, (i * n) // grid - 1))
         z = float(cdf.z[cum.searchsorted(j, side="right")])   # sample value of rank j
         yield (_fmt_float(i / grid), _fmt_float(z), _fmt_float((j + 1) / n),
-               _fmt_float(float(ndtr(z))), _fmt_float(cdf.ks))
+               _fmt_float(stats.normal_cdf(z)), _fmt_float(cdf.ks))
 
 
 def _require(value, flag):

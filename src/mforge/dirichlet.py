@@ -6,13 +6,13 @@ integer-exact; there is no floating point anywhere, and overflow aborts
 instead of wrapping.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 import numpy as np
 
 from .sieve import Segment, primes_up_to
-from .arith import profile_range
+from .arith import PROFILE_COLUMNS, profile_range
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -198,7 +198,8 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
 
     Left and right sides come from independent routes: profile tables on one
     side, generic convolution/inversion (or a classical prime sieve) on the
-    other.  Profile columns enter as views of their first N entries.
+    other.  A profile past N is narrowed to views of its first N entries, so
+    its ``g`` covers 1..N only; one of exactly N keeps its cached ``g``.
     Failure is data, not an exception.
     """
     if name not in IDENTITY_NAMES:
@@ -209,26 +210,26 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
         profile = profile_range(Segment(1, N + 1))
     if profile.segment.lo != 1 or profile.segment.hi <= N:
         raise ValueError("profile must cover [1, N] starting at 1")
-
-    omega = profile.omega[:N]
-    mobius = profile.mobius[:N]
+    if profile.segment.hi > N + 1:
+        profile = replace(profile, segment=Segment(1, N + 1), **{
+            c: v[:N] for c in PROFILE_COLUMNS if (v := getattr(profile, c)) is not None})
 
     if name == "a":
         lhs = prime_indicator(N)
-        rhs = convolve(omega, mobius)
+        rhs = convolve(profile.omega, profile.mobius)
     elif name == "b":
-        lhs = convolve(omega + 1, profile.g[:N])
+        lhs = convolve(profile.omega + 1, profile.g)
         rhs = unit_sequence(N)
     elif name == "c":
-        lhs = profile.liouville[:N] * profile.g[:N]
-        rhs = convolve(profile.c_omega[:N], profile.mu_squared()[:N])
+        lhs = profile.liouville * profile.g
+        rhs = convolve(profile.c_omega, profile.mu_squared())
     elif name == "d":
-        lhs = profile.g[:N]
-        rhs = convolve(profile.signed_c_omega()[:N], mobius)
+        lhs = profile.g
+        rhs = convolve(profile.signed_c_omega(), profile.mobius)
     elif name == "e":
-        lhs = profile.signed_c_omega()[:N]
+        lhs = profile.signed_c_omega()
         rhs = dirichlet_inverse(prime_indicator(N) + unit_sequence(N))
     else:  # f
-        lhs = convolve(profile.g[:N], np.ones(N, dtype=np.int8))
-        rhs = profile.signed_c_omega()[:N]
+        lhs = convolve(profile.g, np.ones(N, dtype=np.int8))
+        rhs = profile.signed_c_omega()
     return _first_failure(name, N, lhs, rhs)

@@ -17,6 +17,8 @@ from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, factorize, primes_up_to
 from .arith import profile_range
 
+_SQRT_HALF = math.sqrt(0.5)
+
 
 class DegenerateSampleError(ValueError):
     """Sample variance is zero; the standardized CDF is undefined."""
@@ -126,35 +128,24 @@ class RangeCounts:
 
 def collect_counts(x: int, segment_size: int = DEFAULT_SEGMENT_CAPACITY,
                    pool: WorkerPool | None = None) -> RangeCounts:
-    """Single segmented sweep filling every histogram the reports need."""
+    """Single segmented sweep filling every histogram the reports need, all
+    read from one joint (omega, big_omega) table: big_omega counts are its
+    column sums, excess counts its offset traces, and its diagonal (n is
+    squarefree iff big_omega = omega) gives the squarefree and sign counts."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     pool = pool or WorkerPool(1)
     kmax = x.bit_length() + 1
 
     def summarize(seg):
-        prof = profile_range(seg, columns={"omega", "big_omega", "mobius"})
-        sq = prof.mobius != 0
-        bo = prof.big_omega.astype(np.intp)
-        return (
-            np.bincount(bo, minlength=kmax),
-            np.bincount(bo - prof.omega.astype(np.intp), minlength=kmax),
-            np.bincount(bo[sq], minlength=kmax),
-            int(np.count_nonzero(prof.mobius == 1)),
-            int(np.count_nonzero(prof.mobius == -1)),
-        )
+        prof = profile_range(seg, columns={"omega", "big_omega"})
+        key = prof.omega.astype(np.intp) * kmax + prof.big_omega
+        return np.bincount(key, minlength=kmax * kmax)
 
-    bo_h = np.zeros(kmax, dtype=np.int64)
-    ex_h = np.zeros(kmax, dtype=np.int64)
-    sq_h = np.zeros(kmax, dtype=np.int64)
-    plus = minus = 0
-    for b, e, s, p, m in pool.sweep(1, x + 1, segment_size, summarize):
-        bo_h += b
-        ex_h += e
-        sq_h += s
-        plus += p
-        minus += m
-    return RangeCounts(x, bo_h, ex_h, sq_h, plus, minus)
+    table = sum(pool.sweep(1, x + 1, segment_size, summarize)).reshape(kmax, kmax)
+    excess = np.array([np.trace(table, offset=m) for m in range(kmax)])
+    sq = table.diagonal().copy()
+    return RangeCounts(x, table.sum(axis=0), excess, sq, int(sq[::2].sum()), int(sq[1::2].sum()))
 
 
 def omega_k_density(x: int, k: int, counts: RangeCounts | None = None) -> DensityReport:
@@ -281,13 +272,21 @@ def prime_exponent_distribution(x: int, p: int, k_max: int,
     return rows
 
 
+def normal_cdf(z: float) -> float:
+    """Standard normal CDF in the Cephes ``ndtr`` layout over the C library's
+    erf: x = z / sqrt(2); 0.5 + 0.5 erf(x) for |x| < sqrt(1/2), else from erfc."""
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
 def _ks_from_counts(values, counts: np.ndarray, center: float | None = None,
                     scale: float | None = None) -> EmpiricalCdf:
     """Standardize a histogram (distinct ascending values, their counts) and take
     its KS distance to the standard normal; center and scale default to the
     sample mean and standard deviation, summed over the histogram with math.fsum."""
-    from scipy.special import ndtr   # scipy loads only for the CDF reports
-
     values = np.asarray(values, dtype=np.float64)
     n = int(counts.sum())
     if center is None:
@@ -298,7 +297,7 @@ def _ks_from_counts(values, counts: np.ndarray, center: float | None = None,
         scale = math.sqrt(var)
     z = (values - center) / scale
     cum = np.cumsum(counts)
-    phi = ndtr(z)
+    phi = np.array([normal_cdf(v) for v in z.tolist()])
     upper = np.abs(cum / n - phi)
     lower = np.abs((cum - counts) / n - phi)
     return EmpiricalCdf(z=z, counts=counts, ks=float(np.maximum(upper, lower).max()))

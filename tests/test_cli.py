@@ -312,6 +312,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_stats_reports_run_without_scipy(tmp_path):
+    # the CDF and excess reports need no scipy at run time
+    script = (
+        "import sys\n"
+        "from mforge.cli import main\n"
+        "for report in (['cdf', '--statistic', 'omega'], ['cdf', '--statistic', 'log_c_omega'],\n"
+        "               ['excess', '--m', '1']):\n"
+        "    assert main(['stats', '--x', '1000', '--report', *report,\n"
+        "                 '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_io_error_reported(capsys):
     code, _, err = run_cli(["trace", "--in", "/nonexistent/series.csv"], capsys)
     assert code == 1

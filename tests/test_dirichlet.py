@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,21 @@ def test_identity_suite_on_a_wider_profile(N, profile_1e4):
     prof.c_omega[N - 1] += 1    # n = N
     report = verify_identity("c", N, profile=prof)
     assert not report.passed and report.first_failure[0] == N
+
+
+def test_identity_on_a_wide_profile_builds_g_over_n_only():
+    N = 1000
+    wide = profile_range(Segment(1, 2 * 10**5 + 1))
+    exact = verify_identity("c", N, profile=profile_range(Segment(1, N + 1)))
+    tracemalloc.start()
+    try:
+        report = verify_identity("c", N, profile=wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(report) == str(exact) and report.passed
+    assert "g" not in vars(wide)
+    assert peak < 1 << 20
 
 
 def test_identity_report_detects_failure(profile_1e4):

@@ -17,6 +17,7 @@ from mforge.stats import (
     d_m_coefficients,
     erdos_kac_cdf,
     excess_density,
+    normal_cdf,
     omega_k_density,
     prime_exponent_distribution,
     sign_balance,
@@ -47,6 +48,29 @@ def test_counts_match_brute_force_small():
     for k in range(13):
         assert int(c.big_omega_hist[k]) == sum(1 for v in bo if v == k)
         assert int(c.excess_hist[k]) == sum(1 for b, o in zip(bo, om) if b - o == k)
+
+
+@pytest.fixture(scope="module")
+def oracle_columns():
+    """omega, big_omega and mobius of n = 1..5000 by trial division."""
+    ns = range(1, 5001)
+    return tuple(np.array([f(n) for n in ns])
+                 for f in (omega_oracle, big_omega_oracle, mobius_oracle))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(x=st.integers(1, 5000), segment_size=st.sampled_from([7, 101, 4099]),
+       threads=st.sampled_from([1, 2]))
+def test_collect_counts_every_field_matches_oracles(oracle_columns, x, segment_size, threads):
+    c = collect_counts(x, segment_size, pool=WorkerPool(threads))
+    kmax = x.bit_length() + 1
+    om, bo, mu = (col[:x] for col in oracle_columns)
+    assert np.array_equal(c.big_omega_hist, np.bincount(bo, minlength=kmax))
+    assert np.array_equal(c.excess_hist, np.bincount(bo - om, minlength=kmax))
+    assert np.array_equal(c.squarefree_by_big_omega,
+                          np.bincount(bo[mu != 0], minlength=kmax))
+    assert c.mobius_plus == int(np.count_nonzero(mu == 1))
+    assert c.mobius_minus == int(np.count_nonzero(mu == -1))
 
 
 def test_omega_k_density_example(counts):
@@ -230,6 +254,22 @@ def test_erdos_kac_validation():
 def test_degenerate_sample():
     with pytest.raises(DegenerateSampleError):
         _ks_from_counts(np.array([3.25]), np.array([100]))
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    r2 = math.sqrt(2)
+    z = np.concatenate([np.linspace(-38, 9, 200_001),
+                        [0.0, -0.0, 1.0, -1.0, r2, -r2, math.inf, -math.inf]])
+    got = np.array([normal_cdf(v) for v in z.tolist()])
+    want = ndtr(z)
+    assert np.abs(got - want).max() <= 2.0**-51
+    core = z >= -30
+    assert (np.abs(got - want)[core] / want[core]).max() <= 1e-13
+    assert normal_cdf(-0.0) == 0.5
+    assert (normal_cdf(math.inf), normal_cdf(-math.inf)) == (1.0, 0.0)
+    assert math.isnan(normal_cdf(math.nan))
 
 
 def test_empirical_cdf_ks_matches_scipy():
