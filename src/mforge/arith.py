@@ -29,20 +29,26 @@ _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL = math.prod(_WHEEL_PRIMES)
 
 
+def _lg(p: int) -> int:
+    """floor(4 * log2(p)), exactly: the byte log a prime adds per level."""
+    return (p**4).bit_length() - 1
+
+
 def _wheel_pattern():
-    """omega and smooth-part product over the wheel primes, per residue mod 30030."""
+    """omega and byte log over the wheel primes, per residue mod 30030."""
     omega = np.zeros(_WHEEL, dtype=np.uint8)
-    smooth = np.ones(_WHEEL, dtype=np.int64)
+    logs = np.zeros(_WHEEL, dtype=np.uint8)
     for p in _WHEEL_PRIMES:
         omega[::p] += 1
-        smooth[::p] *= p
-    return omega, smooth
+        logs[::p] += _lg(p)
+    return omega, logs
 
 
-_WHEEL_OMEGA, _WHEEL_SMOOTH = _wheel_pattern()
+_WHEEL_OMEGA, _WHEEL_LOG = _wheel_pattern()
 
 #: Sieve strides below this are applied block by block, _BLOCK entries at a
-#: time, so the four working columns of a block (2.25 MB) stay in cache.
+#: time, so a block's working columns (three of one byte, den of eight:
+#: 1.4 MB) stay in cache.
 _SHORT_STRIDE = 256
 _BLOCK = 1 << 17
 
@@ -84,7 +90,7 @@ class ArithmeticProfile:
 
     def signed_c_omega(self) -> np.ndarray:
         """liouville(n) * c_omega(n) as int64."""
-        return self.liouville.astype(np.int64) * self.c_omega
+        return np.multiply(self.c_omega, self.liouville)
 
     def prime_mask(self) -> np.ndarray:
         """Boolean primality mask (big_omega == 1)."""
@@ -97,30 +103,34 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     A segmented Mobius sieve in the manner of Deleglise & Rivat (Exp. Math.
     1996), with no division and no table gather per prime:
 
-    * Presieve: omega and the smooth-part product for the wheel primes
-      2..13 start as a tiled period-30030 pattern, offset by ``lo % 30030``.
-    * Prime loop: every other seed prime p <= sqrt(hi - 1) adds 1 to omega
-      and multiplies the smooth part by p on its multiples.  Every prime
-      power level p^e < hi with e >= 2 (wheel primes included) adds 1 to
-      the excess count ``extra``, multiplies the smooth part by p and the
-      denominator by e, so the denominator ends as the product of alpha_i!.
+    * Presieve: omega and the byte log L for the wheel primes 2..13 start as
+      a tiled period-30030 pattern, offset by ``lo % 30030``.
+    * Prime loop: every other seed prime p <= r = isqrt(hi - 1) adds 1 to
+      omega on its multiples.  Every level p^e < hi of a seed or wheel prime
+      adds lg(p) = floor(4 log2 p) to the uint8 byte log L; a level with
+      e >= 2 also adds 1 to the excess count ``extra`` and multiplies the
+      denominator ``den`` by e, so ``den`` ends as the product of alpha_i!.
       Strides below 256 run one cache-sized block of the segment at a time.
-    * Smooth-part test: all prime factors <= sqrt(hi - 1) are multiplied in
-      with full multiplicity, so n has one prime factor beyond them exactly
-      when the smooth part differs from n, which is when it is at most
-      isqrt(hi - 1) while n is not.
+    * Byte-log test (approximate logs, as in the quadratic sieve; Pomerance,
+      EUROCRYPT '84): a prime factor q of n that is neither a seed nor a
+      wheel prime has q > max(r, 13) and q^2 > hi - 1 >= n, so n has at most
+      one, and every other factor is counted in L with full multiplicity.
+      On each binary range 2^k <= n < 2^(k+1), n has such a q exactly when
+      L < 3k.  With every factor counted, each of the Omega(n) <= k levels
+      falls short by less than 1, so L > 4 log2 n - Omega(n) >= 3k.  With q,
+      n < q^2 gives k < 2 log2 q, and q > 13 gives log2 q > 2, so
+      L <= 4 log2(n / q) < 4 (k + 1 - log2 q) <= 3k.  L < 226 fits uint8.
     * Derived columns: big_omega = omega + extra; n is squarefree iff
       extra == 0; c_omega = big_omega! / prod(alpha_i!) from a table of
-      factorials up to 20!, written into the smooth-part buffer, which is
-      dead once the smooth-part test is done.
+      factorials up to 20!, divided into ``den`` in place one block at a
+      time, so the int64 column is never allocated twice.
 
     ``columns`` names the profile fields to build (default: all five); the
     others are left None, and an unknown name raises ValueError.  Each column
     pays only for the steps it needs:
 
-    * ``omega``: the wheel tile, the prime steps and the smooth-part test.
-      Every prime-power level still multiplies the smooth part, so the test
-      stays exact.
+    * ``omega``: the wheel tile, the prime steps and the byte-log test.
+      Every prime-power level still adds to L, so the test stays exact.
     * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` updates.
     * ``c_omega``: also the ``den`` updates, the factorial take, the
       division and the exact path below.
@@ -141,29 +151,27 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
         raise OverflowError(f"segment end {hi - 1} is past 10^17, where c_omega is "
                             "not proven to fit int64")
     width = segment.width
-    r = isqrt(hi - 1)
-    seeds = primes_up_to(r)
+    seeds = primes_up_to(isqrt(hi - 1))
 
     off = lo % _WHEEL
     reps = (off + width - 1) // _WHEEL + 1
     omega = np.tile(_WHEEL_OMEGA, reps)[off:off + width]
-    smooth = np.tile(_WHEEL_SMOOTH, reps)[off:off + width]
+    logs = np.tile(_WHEEL_LOG, reps)[off:off + width]
     extra = np.zeros(width, dtype=np.uint8) if want - {"omega"} else None
     den = np.ones(width, dtype=np.int64) if "c_omega" in want else None
 
-    # (stride q, prime p, level e): q = p for a new prime, q = p^e for e >= 2
+    # (stride q, byte log lg(p), level e): q = p for a new prime, q = p^e for e >= 2
     steps = []
     for p in map(int, seeds):
-        if p * p >= hi:
-            break
+        lg = _lg(p)
         if p > _WHEEL_PRIMES[-1]:
-            steps.append((p, p, 1))
+            steps.append((p, lg, 1))
         pe, e = p * p, 2
         while pe < hi:
-            steps.append((pe, p, e))
+            steps.append((pe, lg, e))
             pe *= p
             e += 1
-    cols = (omega, extra, smooth, den)
+    cols = (omega, extra, logs, den)
     # Short strides touch every cache line of the segment; running them one
     # block at a time halves their cost, and more so with two workers.
     short = [st for st in steps if st[0] < _SHORT_STRIDE]
@@ -171,22 +179,20 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
         _sieve_steps(cols, lo, b0, min(b0 + _BLOCK, width), short)
     _sieve_steps(cols, lo, 0, width, [st for st in steps if st[0] >= _SHORT_STRIDE])
 
-    # A prime factor q > r occurs at most once and leaves smooth = n / q
-    # < (r + 1)^2 / q <= r + 1, while any other n > r keeps smooth = n > r:
-    # so smooth != n exactly where smooth <= r < n.
-    cofactor = smooth <= r
-    cofactor[:max(0, r + 1 - lo)] = False
-    omega += cofactor
+    for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+        a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
+        omega[a:b] += logs[a:b] < 3 * k
+    del cols, logs                      # frees the logs tile before the derived columns
     big = mobius = liouville = c = None
     one, two = np.int8(1), np.int8(2)
     if want & {"big_omega", "liouville", "c_omega"}:
         big = omega + extra
-    # c_omega before the int8 columns: np.take's intp copy of big is the
-    # kernel's memory peak, and the int8 columns are not yet alive there
     if "c_omega" in want:
         hot = np.nonzero(big > 20)[0]
-        c = np.take(_FACTORIAL, big, mode="clip", out=smooth)     # smooth is dead here
-        c //= den
+        for b0 in range(0, width, _BLOCK):
+            blk = slice(b0, b0 + _BLOCK)
+            np.floor_divide(np.take(_FACTORIAL, big[blk], mode="clip"), den[blk], out=den[blk])
+        c = den
         for i in map(int, hot):
             c[i] = _exact_c_omega(lo + i)
     if "mobius" in want:
@@ -204,8 +210,8 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
 def _sieve_steps(cols, lo: int, b0: int, b1: int, steps):
     """Apply sieve steps to entries [b0, b1) of the segment starting at lo;
     a column given as None is skipped."""
-    omega, extra, smooth, den = cols
-    for q, p, e in steps:
+    omega, extra, logs, den = cols
+    for q, lg, e in steps:
         s = b0 + -(lo + b0) % q
         if e == 1:
             omega[s:b1:q] += 1
@@ -214,7 +220,7 @@ def _sieve_steps(cols, lo: int, b0: int, b1: int, steps):
                 extra[s:b1:q] += 1
             if den is not None:
                 den[s:b1:q] *= e
-        smooth[s:b1:q] *= p
+        logs[s:b1:q] += lg
 
 
 def _exact_c_omega(n: int) -> int:

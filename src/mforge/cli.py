@@ -17,7 +17,7 @@ from contextlib import contextmanager, nullcontext
 
 from . import arith, dirichlet, randmodel, sieve, stats, tracker
 from .parallel import WorkerPool, default_threads
-from .summatory import CheckpointPolicy, SummatoryRows, build_series
+from .summatory import CheckpointPolicy, SummatoryRows, build_series, direct_route
 
 log = logging.getLogger("mforge")
 
@@ -70,10 +70,11 @@ def cmd_sieve(config: argparse.Namespace) -> int:
     return 0
 
 
-#: Peak bytes per n of ``verify --identity all`` and of ``oeis-check``,
-#: which profile 1..limit in one piece (432 MB and 165 MB at 1e7).
+#: Peak bytes per n of ``verify --identity all`` and ``oeis-check`` (one profile
+#: of 1..limit: 432 MB and 165 MB at 1e7) and of ``summatory``'s direct G route.
 VERIFY_BYTES_PER_N = 44
 OEIS_BYTES_PER_N = 18
+SUMMATORY_DIRECT_BYTES_PER_N = 168
 
 
 def available_memory(meminfo: str = "/proc/meminfo") -> int:
@@ -109,6 +110,8 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
 def cmd_summatory(config: argparse.Namespace) -> int:
     pool = WorkerPool(config.threads)
+    if direct_route(config.checkpoints.checkpoints(config.limit), config.limit):
+        _require_memory("summatory", config.limit, SUMMATORY_DIRECT_BYTES_PER_N)
     series = build_series(config.limit, config.checkpoints,
                           segment_size=config.segment_size, pool=pool)
     if config.format == "json":

@@ -19,6 +19,7 @@ from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError
 
 _INT64_MAX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 #: Bound on the series' int64 sums: the swept columns and the direct route's
 #: g are checked against it before any sum is formed.
 _SAFE_SUM = 1 << 62
@@ -218,7 +219,18 @@ def _eval_point_union(checkpoints: np.ndarray, N: int) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
-def _direct_route(checkpoints: np.ndarray, N: int) -> bool:
+def _block_sums(narrow, wide: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running sums of the ``narrow`` columns, then ``wide``, over the blocks
+    that begin at ``starts``, as int64 rows.  The one-byte ``narrow`` columns
+    (entries in {-1, 0, 1}) are summed per block in int32, exact since a
+    column of 2^31 or more entries is refused before any sum."""
+    if max(len(col) for col in narrow) > _INT32_MAX:
+        raise OverflowError("a segment of 2^31 or more entries overflows its int32 block sums")
+    return np.cumsum([*(np.add.reduceat(col, starts, dtype=np.int32) for col in narrow),
+                      np.add.reduceat(wide, starts)], axis=1, dtype=np.int64)
+
+
+def direct_route(checkpoints: np.ndarray, N: int) -> bool:
     """Whether summing the per-n table g beats assembling G at each checkpoint.
 
     Assembly at c touches about 2 sqrt(c) support points, while the direct
@@ -252,7 +264,7 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     pool = pool or WorkerPool(1)
     cps = policy.checkpoints(N)
     eval_points = _eval_point_union(cps, N)
-    direct = _direct_route(cps, N)
+    direct = direct_route(cps, N)
 
     n_eval = len(eval_points)
     recorded = np.zeros((4, n_eval), dtype=np.int64)    # rows: M, Qsq, pi, U
@@ -268,14 +280,12 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         span = seg.width * int(c.max())
         if span > _SAFE_SUM:
             raise OverflowError("a segment's sums could exceed the summatory bound")
-        np.negative(c, out=c, where=prof.liouville < 0)     # liouville * c_omega
+        np.multiply(c, prof.liouville, out=c)               # liouville * c_omega
         i0 = int(np.searchsorted(eval_points, seg.lo))
         i1 = int(np.searchsorted(eval_points, seg.hi))
         starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
         starts = starts[starts < seg.width]
-        sums = np.cumsum([np.add.reduceat(col, starts, dtype=np.int64)
-                          for col in (prof.mobius, prof.mobius != 0, prof.prime_mask(), c)],
-                         axis=1)
+        sums = _block_sums((prof.mobius, prof.mobius != 0, prof.prime_mask()), c, starts)
         # omega is a view into a wheel tile of at least 30030 entries; a copy
         # keeps a narrow segment from holding the whole tile until g_table
         return i0, i1, sums[:, :i1 - i0], sums[:, -1].tolist(), span, \

@@ -58,6 +58,67 @@ def c_omega_oracle(n: int) -> int:
     return total
 
 
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, deterministic for m < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m < 2:
+        return False
+    if m in bases:
+        return True
+    if any(m % b == 0 for b in bases):
+        return False
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def exponents_oracle(n: int) -> list:
+    """Exponents of the prime factorization of n, for n up to 2^63.
+
+    Trial division by every integer up to the cube root of n; the cofactor
+    left then has at most two prime factors, both beyond the cube root, so
+    it is 1, a prime (Miller-Rabin), a prime square, or a product of two
+    distinct primes.
+    """
+    out = []
+    m = n
+    p = 2
+    while p * p * p <= n:
+        if m % p == 0:
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            out.append(a)
+        p += 1
+    if m == 1:
+        return out
+    if _is_prime(m):
+        return out + [1]
+    return out + ([2] if isqrt(m) ** 2 == m else [1, 1])
+
+
+def columns_from_exponents(exps: list) -> tuple:
+    """(omega, big_omega, mobius, liouville, c_omega) of n from its exponents."""
+    big = sum(exps)
+    c = math.factorial(big)
+    for a in exps:
+        c //= math.factorial(a)
+    mobius = 0 if any(a > 1 for a in exps) else (-1) ** len(exps)
+    return len(exps), big, mobius, (-1) ** big, c
+
+
 def g_recursion_oracle(N: int):
     """g(1..N) by the definitional divisor-sum recursion (quadratic-ish)."""
     g = [0] * (N + 1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from mforge.sieve import Factorization, Segment, factorize, primes_up_to
 from oracles import (
     big_omega_oracle,
     c_omega_oracle,
+    columns_from_exponents,
+    exponents_oracle,
     g_closed_form_oracle,
     g_recursion_oracle,
     liouville_oracle,
@@ -211,6 +214,78 @@ def test_profile_exact_path_above_twenty_factors(n0):
         assert prof.omega[j] == len(f.factors)
         assert prof.mobius[j] == (0 if any(a > 1 for _, a in f)
                                   else (-1) ** len(f.factors))
+
+
+def _profile_rows(prof):
+    return list(zip(*(getattr(prof, col).tolist() for col in COLUMNS)))
+
+
+#: Windows of +-64 around 2^k for k above this cost over a second each in the
+#: kernel's per-seed-prime loop (pi(2^(k/2)) seed primes).
+_EDGE_K_MAX = 40
+
+
+@pytest.mark.parametrize("k", range(1, _EDGE_K_MAX + 1))
+def test_profile_matches_oracles_around_binary_range_edges(k):
+    # the byte-log test compares L with 3k on each binary range [2^k, 2^(k+1)),
+    # so every entry of a window across 2^k is checked against its factorization
+    lo, hi = max(1, 2**k - 64), 2**k + 64
+    rows = _profile_rows(profile_range(Segment(lo, hi)))
+    for n, row in zip(range(lo, hi), rows):
+        assert row == columns_from_exponents(exponents_oracle(n)), n
+
+
+def test_exponents_oracle_matches_trial_division():
+    ns = [*range(1, 3000), 2**31 - 1, 2**32 + 15, 10**12 + 39, (10**6 + 3)**2,
+          (10**6 + 3) * (10**6 + 33), 2**40 * 3, 999_983 * 1_000_003 * 7]
+    for n in ns:
+        assert exponents_oracle(n) == [a for _, a in trial_factorize(n)], n
+
+
+def test_profile_matches_oracles_on_every_segment_below_40():
+    # here r = isqrt(hi - 1) < 7: the wheel counts the primes up to 13 and
+    # the primes 17..37 above r are left to the byte-log test
+    oracle = {n: (omega_oracle(n), big_omega_oracle(n), mobius_oracle(n),
+                  liouville_oracle(n), c_omega_oracle(n)) for n in range(1, 40)}
+    for hi in range(2, 41):
+        for lo in range(1, hi):
+            rows = _profile_rows(profile_range(Segment(lo, hi)))
+            assert rows == [oracle[n] for n in range(lo, hi)], (lo, hi)
+
+
+def test_byte_log_is_floor_of_four_log2_on_seed_primes():
+    # lg(p) = m exactly when 2^m <= p^4 < 2^(m + 1), in exact integers
+    for p in map(int, primes_up_to(10**6)):
+        m = arith._lg(p)
+        assert 1 << m <= p**4 < 2 << m, p
+        assert m == math.floor(4 * math.log2(p)), p
+
+
+@pytest.mark.parametrize("columns, bytes_per_n", [(COLUMNS, 17), ({"omega"}, 4)])
+def test_profile_peak_bytes_per_entry(columns, bytes_per_n):
+    # one-byte logs and c_omega divided into den leave no int64 temporary
+    # beside den itself; omega alone keeps two byte columns and a mask
+    seg = Segment(10**8 - 2**20 + 1, 10**8 + 1)
+    profile_range(seg, columns=columns)
+    tracemalloc.start()
+    try:
+        profile_range(seg, columns=columns)
+        assert tracemalloc.get_traced_memory()[1] <= bytes_per_n * seg.width
+    finally:
+        tracemalloc.stop()
+
+
+def test_signed_c_omega_is_one_int64_product(profile_1e5):
+    N = profile_1e5.segment.width
+    tracemalloc.start()
+    try:
+        u = profile_1e5.signed_c_omega()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int8 factor is cast through the ufunc's small buffer, not copied whole
+    assert u.dtype == np.int64 and peak <= 8 * N + 2**17
+    assert np.array_equal(u, profile_1e5.liouville.astype(np.int64) * profile_1e5.c_omega)
 
 
 def _max_c_omega_up_to(x: int) -> int:

@@ -426,6 +426,41 @@ def test_verify_peak_within_documented_bytes_per_n():
         tracemalloc.stop()
 
 
+def test_summatory_direct_route_past_memory_is_refused(monkeypatch, capsys):
+    # only the direct G route keeps per-n tables, so only it is refused, and
+    # before the sweep
+    import mforge.cli as cli
+
+    need = 2000 * cli.SUMMATORY_DIRECT_BYTES_PER_N
+    monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
+    monkeypatch.setattr(cli, "build_series", lambda *a, **k: pytest.fail("swept a refused limit"))
+    code, out, err = run_cli(["summatory", "--checkpoints", "all", "--limit", "2000"], capsys)
+    assert code == 1 and out == ""
+    assert "available memory" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "available_memory", lambda: need)
+    assert run_cli(["summatory", "--checkpoints", "all", "--limit", "2000"], capsys)[0] == 0
+    monkeypatch.setattr(cli, "available_memory", lambda: 0)
+    code, out, _ = run_cli(["summatory", "--limit", "100000"], capsys)
+    assert code == 0 and out.startswith("x,M,G,Qsq,pi\n")
+
+
+def test_summatory_direct_peak_within_documented_bytes_per_n():
+    import tracemalloc
+
+    from mforge.cli import SUMMATORY_DIRECT_BYTES_PER_N
+
+    N = 50_000
+    args = ["summatory", "--checkpoints", "all", "--out", "/dev/null", "--limit"]
+    main(args + ["100"])
+    tracemalloc.start()
+    try:
+        assert main(args + [str(N)]) == 0
+        assert tracemalloc.get_traced_memory()[1] <= SUMMATORY_DIRECT_BYTES_PER_N * N
+    finally:
+        tracemalloc.stop()
+
+
 def test_available_memory_within_physical_memory(tmp_path):
     from mforge.cli import available_memory
 

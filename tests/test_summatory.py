@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mforge.arith import g_table, profile_range
 from mforge.parallel import WorkerPool
-from mforge.sieve import PrimeCountTable, RangeCoverageError, Segment
+from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError, Segment
 from mforge import summatory
 from mforge.cli import main
 from mforge.summatory import (
@@ -291,6 +291,54 @@ def test_series_overflow_bound_exits_one(monkeypatch, capsys):
     assert main(["summatory", "--limit", "10000", "--segment-size", "1000"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "bound" in err
+
+
+class _Unsummable(np.ndarray):
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("a column was summed before the width guard")
+
+
+def test_block_sums_refuse_int32_overflow_before_summing():
+    # one-byte columns are summed per block in int32, exact only below 2^31
+    # entries; zero-stride views stand in for 2^31-entry columns
+    starts = np.array([0, 5], dtype=np.int64)
+    for width in (2**31, 2**40):
+        ones = np.broadcast_to(np.int8(1), (width,)).view(_Unsummable)
+        wide = np.broadcast_to(np.int64(1), (width,)).view(_Unsummable)
+        with pytest.raises(OverflowError, match="int32"):
+            summatory._block_sums((ones, ones, ones), wide, starts)
+    mu = np.array([1, -1, -1, 0, -1, 1, -1, 0], dtype=np.int8)
+    u = np.arange(8, dtype=np.int64) * 2**40
+    sums = summatory._block_sums((mu, mu != 0), u, starts)
+    assert sums.dtype == np.int64
+    assert sums.tolist() == [[-2, -2], [4, 6], [10 * 2**40, 28 * 2**40]]
+
+
+def test_block_sum_guard_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(summatory, "_INT32_MAX", 999)
+    assert main(["summatory", "--limit", "5000", "--segment-size", "999"]) == 0
+    capsys.readouterr()
+    assert main(["summatory", "--limit", "5000", "--segment-size", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "int32" in err
+
+
+@pytest.mark.parametrize("N, policy, route", [
+    (10**6, CheckpointPolicy(), "quotient"),
+    # every n is an eval point: the first default-size segment sums 5e4 blocks
+    (50_000, CheckpointPolicy(kind="all"), "direct"),
+])
+def test_series_bytes_equal_across_segment_sizes(N, policy, route):
+    def csv(segment_size):
+        s = build_series(N, policy, segment_size=segment_size)
+        assert s.route == route
+        buf = io.StringIO()
+        s.to_csv(buf)
+        return buf.getvalue(), s.M_eval.tobytes() + s.U_eval.tobytes() + s.pi_eval.tobytes()
+
+    ref = csv(DEFAULT_SEGMENT_CAPACITY)
+    for size in (999, 2**16):
+        assert csv(size) == ref, size
 
 
 def test_series_memory_per_segment_entry_flat_in_N():
