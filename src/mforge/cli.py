@@ -64,6 +64,7 @@ def _fmt_float(v: float) -> str:
 
 
 def cmd_sieve(config: argparse.Namespace) -> int:
+    _require_memory("sieve", config.limit, SIEVE_BYTES_PER_N)
     primes = sieve.primes_up_to(config.limit)
     sieve.save_prime_cache(config.out, primes)
     log.info("cached %d primes <= %d to %s", len(primes), config.limit, config.out)
@@ -71,10 +72,13 @@ def cmd_sieve(config: argparse.Namespace) -> int:
 
 
 #: Peak bytes per n of ``verify --identity all`` and ``oeis-check`` (one profile
-#: of 1..limit: 432 MB and 165 MB at 1e7) and of ``summatory``'s direct G route.
+#: of 1..limit: 432 MB and 165 MB at 1e7), of ``summatory``'s direct G route,
+#: and of ``sieve`` (a bool mask of 1..limit plus the int64 primes, 1.68 B/n
+#: traced at 1e6 and 1.54 at 1e7).
 VERIFY_BYTES_PER_N = 44
 OEIS_BYTES_PER_N = 18
 SUMMATORY_DIRECT_BYTES_PER_N = 168
+SIEVE_BYTES_PER_N = 2
 
 
 def available_memory(meminfo: str = "/proc/meminfo") -> int:

@@ -54,8 +54,13 @@ class LilSummary:
 
 #: Draws per block. A worker computes each block's scale once and advances
 #: all of its trials through the block, so memory is set by the block width
-#: and the trial count, not by x_max.
-_BLOCK = 1 << 20
+#: and the trial count, not by x_max; 2^16 draws keep a block's buffers in
+#: cache.
+_BLOCK = 1 << 16
+
+#: Draws per sub-block, the unit over which the running sup is bounded. A
+#: sub-block's steps are summed in int8, which holds |sum| <= _SUB < 128.
+_SUB = 64
 
 
 def _lil_scale(lo: int, hi: int) -> np.ndarray:
@@ -79,41 +84,73 @@ def _run_trials(seeds: range, x_max: int, cps: np.ndarray) -> list:
     Draw mapping (fixed threshold order, part of the reproducibility
     contract): uniform u < 3/pi^2 -> -1, else u < 6/pi^2 -> +1, else 0.
 
-    The running sup is read at the checkpoints only: the max of |traj| * scale
-    over each span ending at one (and a tail), joined by the carried sup and
-    accumulated; exact, as a max of the same float64s is one of them.
+    Each block is cut into sub-blocks of _SUB draws. One int8 sum per
+    sub-block and a cumsum over those sums give the trajectory T before each
+    sub-block, and no product |traj| * scale inside it exceeds
+    bound = fl((|T| + _SUB) * max scale over the sub-block), since rounding to
+    nearest is monotone. A sub-block whose bound is at most the sup carried
+    in from earlier blocks cannot raise the running sup, so only the other
+    sub-blocks, and those holding a checkpoint, are walked draw by draw.
+    The running sup is read at the checkpoints only: the max of the walked
+    products over each span ending at one (and a tail), joined by the
+    carried sup and accumulated; exact, as a max of the same float64s is one
+    of them.
     """
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
     mbar = np.zeros((len(rngs), len(cps)), dtype=np.int64)
     lil = np.zeros((len(rngs), len(cps)), dtype=np.float64)
     total = [0] * len(rngs)
     run_max = [0.0] * len(rngs)
-    # buffers shared by the worker's trials and blocks (the last may be narrower)
+    sub = _SUB
+    # buffers shared by the worker's trials and blocks (the last may be
+    # narrower); steps past the block's end stay 0 to pad its last sub-block
     width = min(_BLOCK, x_max)
-    bufs = [np.empty(width, dt) for dt in (np.float64, np.int64, np.float64, np.int8, np.int8)]
+    ubuf, mbuf = np.empty(width), np.empty(width, np.int8)
+    steps = np.zeros(-(-width // sub) * sub, np.int8)
     for lo in range(1, x_max + 1, _BLOCK):
         hi = min(lo + _BLOCK, x_max + 1)
-        scale = _lil_scale(lo, hi)
+        nsub = -(-(hi - lo) // sub)
+        u, draws, minus = ubuf[:hi - lo], steps[:hi - lo], mbuf[:hi - lo]
+        steps[hi - lo:] = 0
+        grid = steps[:nsub * sub].reshape(nsub, sub)
+        scale = _lil_scale(lo, lo + nsub * sub)
+        scale[hi - lo:] = 0.0                           # padding never raises the sup
+        scale = scale.reshape(nsub, sub)
+        smax = scale.max(axis=1)
         i0, i1 = np.searchsorted(cps, [lo, hi])
-        offs = (cps[i0:i1] - lo).astype(np.intp)
-        starts = np.r_[0, offs[offs < hi - lo - 1] + 1]     # spans end at checkpoints
-        u, traj, absx, steps, minus = (b[:hi - lo] for b in bufs)
+        cpsub, cpcol = np.divmod((cps[i0:i1] - lo).astype(np.intp), sub)
+        held = np.zeros(nsub, dtype=bool)               # sub-blocks holding a checkpoint
+        held[cpsub] = True
         for t, rng in enumerate(rngs):
             rng.random(out=u)
-            np.less(u, P_NONZERO, out=steps.view(bool))
+            np.less(u, P_NONZERO, out=draws.view(bool))
             np.less(u, P_MINUS, out=minus.view(bool))
             minus <<= 1
-            steps -= minus                              # -1, +1 or 0 by the thresholds above
-            np.cumsum(steps, dtype=np.int64, out=traj)
-            traj += total[t]
-            np.abs(traj, out=absx)                      # |traj| as float64
-            absx *= scale
+            draws -= minus                              # -1, +1 or 0 by the thresholds above
+            sums = np.add.reduce(grid, axis=1, dtype=np.int8)
+            before = np.cumsum(sums, dtype=np.int64)
+            before -= sums
+            before += total[t]                          # T before each sub-block
+            total[t] = int(before[-1]) + int(sums[-1])
+            bound = np.abs(before)
+            bound += sub
+            walk = bound * smax > run_max[t]
+            walk |= held
+            rows = np.flatnonzero(walk)
+            if rows.size == 0:
+                continue
+            traj = np.cumsum(grid[rows], axis=1, dtype=np.int64)
+            traj += before[rows, None]
+            absx = np.abs(traj).astype(np.float64)
+            absx *= scale[rows]
+            traj, absx = traj.ravel(), absx.ravel()
+            at = np.searchsorted(rows, cpsub) * sub + cpcol
+            starts = np.r_[0, at[at < absx.size - 1] + 1]   # spans end at checkpoints
             peaks = np.maximum.reduceat(absx, starts)
             peaks[0] = max(peaks[0], run_max[t])
             np.maximum.accumulate(peaks, out=peaks)
-            mbar[t, i0:i1] = traj[offs]
+            mbar[t, i0:i1] = traj[at]
             lil[t, i0:i1] = peaks[:i1 - i0]
-            total[t] = int(traj[-1])
             run_max[t] = float(peaks[-1])
         del scale       # free it before the next block's scale is built
     return [ModelRun(seed=s, x_max=x_max, checkpoints=cps, mbar=mbar[t],

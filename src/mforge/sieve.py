@@ -65,7 +65,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     for p in range(2, isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)
 
 
 def factorize(n: int) -> Factorization:
@@ -133,10 +133,12 @@ class PrimeCountTable:
 
 def save_prime_cache(path, primes: np.ndarray):
     """Write the binary seed-prime cache: magic header + little-endian u64s."""
-    arr = np.asarray(primes, dtype="<u8")
+    # primes are non-negative, so their little-endian int64 bytes are the
+    # u64s; an int64 array is written from its own buffer, without a copy
+    arr = np.ascontiguousarray(primes, dtype="<i8")
     with open(path, "wb") as fh:
         fh.write(PRIME_CACHE_MAGIC)
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def load_prime_cache(path) -> np.ndarray:

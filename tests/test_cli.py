@@ -392,16 +392,19 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
     (["verify", "--limit", "2000"], "VERIFY_BYTES_PER_N", 2000),
     (["oeis-check", "--sequence", "mu", "--bfile", str(FIXTURES / "b008683.txt")],
      "OEIS_BYTES_PER_N", 1000),
+    (["sieve", "--limit", "2000", "--out", os.devnull], "SIEVE_BYTES_PER_N", 2000),
 ])
 def test_limit_past_physical_memory_is_refused(args, bytes_per_n, limit,
                                                monkeypatch, capsys):
-    # the refusal reads the estimate against available memory before profiling
+    # the refusal reads the estimate against available memory before sieving
     import mforge.cli as cli
 
     need = limit * getattr(cli, bytes_per_n)
     monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
     monkeypatch.setattr(cli.arith, "profile_range",
-                        lambda seg: pytest.fail("profiled a refused limit"))
+                        lambda *a, **k: pytest.fail("profiled a refused limit"))
+    monkeypatch.setattr(cli.sieve, "primes_up_to",
+                        lambda *a, **k: pytest.fail("sieved a refused limit"))
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert "available memory" in err
@@ -422,6 +425,21 @@ def test_verify_peak_within_documented_bytes_per_n():
     try:
         assert main(["verify", "--limit", str(N), "--out", "/dev/null"]) == 0
         assert tracemalloc.get_traced_memory()[1] <= VERIFY_BYTES_PER_N * N
+    finally:
+        tracemalloc.stop()
+
+
+def test_sieve_peak_within_documented_bytes_per_n(tmp_path):
+    import tracemalloc
+
+    from mforge.cli import SIEVE_BYTES_PER_N
+
+    N = 1_000_000
+    main(["sieve", "--limit", "100", "--out", os.devnull])
+    tracemalloc.start()
+    try:
+        assert main(["sieve", "--limit", str(N), "--out", str(tmp_path / "p.bin")]) == 0
+        assert tracemalloc.get_traced_memory()[1] <= SIEVE_BYTES_PER_N * N
     finally:
         tracemalloc.stop()
 

@@ -11,6 +11,7 @@ from mforge.parallel import WorkerPool
 from mforge.randmodel import (
     GENERATOR_NAME,
     LIL_CONSTANT,
+    LIL_MIN_X,
     P_MINUS,
     P_NONZERO,
     lil_statistic,
@@ -57,6 +58,7 @@ def test_block_size_does_not_change_trajectory(monkeypatch):
 @st.composite
 def _model_cases(draw):
     block = draw(st.sampled_from([1, 257, 1 << 20]))
+    sub = draw(st.sampled_from([1, 3, 64]))
     # a 1-wide block costs one numpy round per draw, so keep those runs short
     x_max = draw(st.integers(16, 300) | st.integers(300, 2000 if block == 1 else 50_000))
     kind = draw(st.sampled_from(["geometric", "explicit"] + (["all"] if x_max <= 5000 else [])))
@@ -66,15 +68,17 @@ def _model_cases(draw):
     else:
         policy = CheckpointPolicy(kind=kind)
     seed = draw(st.sampled_from([0, 1, 2**64 + 4]) | st.integers(0, 2**70))
-    return seed, draw(st.integers(1, 5)), x_max, policy, block, draw(st.sampled_from([1, 2, 8]))
+    return (seed, draw(st.integers(1, 5)), x_max, policy, block, sub,
+            draw(st.sampled_from([1, 2, 8])))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_model_cases())
 def test_simulate_many_matches_unblocked_oracle(case):
-    seed, trials, x_max, policy, block, threads = case
+    seed, trials, x_max, policy, block, sub, threads = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(randmodel, "_BLOCK", block)
+        mp.setattr(randmodel, "_SUB", sub)
         runs = simulate_many(seed, trials, x_max, policy, pool=WorkerPool(threads))
     cps = policy.checkpoints(x_max)
     assert len(runs) == trials
@@ -82,8 +86,8 @@ def test_simulate_many_matches_unblocked_oracle(case):
         mbar, lil, sup = simulate_oracle(seed + i, x_max, cps)
         assert run.seed == seed + i and np.array_equal(run.checkpoints, cps)
         assert np.array_equal(run.mbar, mbar)
-        np.testing.assert_allclose(run.lil_running_max, lil, rtol=1e-12, atol=0)
-        assert run.lil_sup == pytest.approx(sup, rel=1e-12, abs=0)
+        assert np.array_equal(run.lil_running_max, lil)
+        assert run.lil_sup == sup
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -101,6 +105,30 @@ def test_simulate_many_exact_at_block_edges(points, x_max, threads, monkeypatch)
     cps = policy.checkpoints(x_max)
     for i, run in enumerate(runs):
         mbar, lil, sup = simulate_oracle(11 + i, x_max, cps)
+        assert np.array_equal(run.mbar, mbar)
+        assert np.array_equal(run.lil_running_max, lil)
+        assert run.lil_sup == sup
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seed", [0, 11, 2**64 + 4])
+@pytest.mark.parametrize("sub", [2, 7, 64])
+def test_simulate_exact_at_sub_block_edges(sub, seed, threads, monkeypatch):
+    # ten sub-blocks and three draws per block, so every block ends in a
+    # short sub-block and the grid restarts at each block's first draw
+    block = 10 * sub + 3
+    monkeypatch.setattr(randmodel, "_SUB", sub)
+    monkeypatch.setattr(randmodel, "_BLOCK", block)
+    lo = block + 1                                   # the second block's first draw
+    points = (LIL_MIN_X - 1, LIL_MIN_X,              # around the cutoff of the statistic
+              lo + 2 * sub, lo + 3 * sub - 1,        # first and last entry of a sub-block
+              block, lo)                             # both sides of a block edge
+    x_max = 3 * block + sub // 2 + 1                 # ends inside a short sub-block
+    policy = CheckpointPolicy(kind="explicit", points=points)
+    runs = simulate_many(seed, 3, x_max, policy, pool=WorkerPool(threads))
+    cps = policy.checkpoints(x_max)
+    for i, run in enumerate(runs):
+        mbar, lil, sup = simulate_oracle(seed + i, x_max, cps)
         assert np.array_equal(run.mbar, mbar)
         assert np.array_equal(run.lil_running_max, lil)
         assert run.lil_sup == sup
