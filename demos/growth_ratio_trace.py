@@ -5,15 +5,28 @@
 # just arithmetic on exact checkpoint rows.
 
 import math
+import os
 import sys
+import tempfile
 
-from mforge import CheckpointPolicy, build_series, build_trace, heuristic_sums
-from mforge.tracker import REFERENCE_LINES, write_trace_csv
+from mforge import build_trace, heuristic_sums
+from mforge.cli import main, read_series
+from mforge.tracker import REFERENCE_LINES
 
 N = 10**6
 
-series = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.25))
-trace = build_trace(series)
+# The series and trace tables are written the way `mforge summatory` and
+# `mforge trace` write them; the printed rows come from the series read back.
+out = sys.argv[1] if len(sys.argv) > 1 else "trace_1e6.csv"
+with tempfile.TemporaryDirectory() as tmp:
+    series_csv = os.path.join(tmp, "series.csv")
+    for args in (["summatory", "--limit", str(N), "--checkpoints", "geometric:1.25",
+                  "--out", series_csv],
+                 ["trace", "--in", series_csv, "--out", out]):
+        if main(args) != 0:
+            sys.exit(f"mforge {args[0]} failed")
+    with open(series_csv) as fh:
+        trace = build_trace(read_series(fh))
 
 print("reference lines carried in the CSV metadata:")
 for key, val in REFERENCE_LINES.items():
@@ -28,9 +41,6 @@ for i in range(len(trace.x)):
 print(f"\n(r2's conjectured limsup reference: {REFERENCE_LINES['scaled_limsup']}; "
       "desk-scale x cannot approach it)")
 
-out = sys.argv[1] if len(sys.argv) > 1 else "trace_1e6.csv"
-with open(out, "w") as fh:
-    write_trace_csv(fh, trace)
 print(f"full trace written to {out}")
 
 # The heuristic sums from the lower-bound machinery: both converge fast in K

@@ -14,6 +14,9 @@ import logging
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from itertools import chain
+
+import numpy as np
 
 from . import arith, dirichlet, randmodel, sieve, stats, tracker
 from .parallel import WorkerPool, default_threads
@@ -22,6 +25,20 @@ from .summatory import CheckpointPolicy, SummatoryRows, build_series, direct_rou
 log = logging.getLogger("mforge")
 
 USAGE_ERROR = 2
+
+#: The numeric tables' columns and their CSV %-formats.  ``summatory`` writes
+#: the series table and ``trace`` reads it back.
+SERIES_COLUMNS = ("x", "M", "G", "Qsq", "pi")
+SERIES_FORMATS = ("%d",) * 5
+TRACE_COLUMNS = ("x", "q", "gonek", "r1", "r2", "rG1", "rG2",
+                 "twice_g", "qhat_pred", "qhat_exact")
+TRACE_FORMATS = ("%d",) + ("%.12g",) * 8 + ("%d",)
+RUNS_COLUMNS = ("trial", "x", "Mbar", "lil_stat")
+RUNS_FORMATS = ("%d", "%d", "%d", "%.9f")
+
+#: Rows formatted per write.  Small, so that a table of N rows adds no peak
+#: that grows with N (summatory's direct route is held to 168 B/n).
+WRITE_CHUNK_ROWS = 1024
 
 
 class InputFileError(Exception):
@@ -47,16 +64,61 @@ def _open_out(config):
     return open(config.out, "w")
 
 
-def _emit_rows(config, header: list, rows):
-    """Write rows as CSV or as NDJSON objects mirroring the CSV columns."""
+def _values(column) -> list:
+    """A column slice as Python values, None where a float is NaN."""
+    if not isinstance(column, np.ndarray):
+        return list(column)
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            values[i] = None
+    return values
+
+
+def _emit_rows(config, header, columns, formats=None, comments=()):
+    """Write equal-length columns as one table: CSV, or NDJSON objects of the
+    raw values with --format json.
+
+    ``formats`` holds one %-format per column (default ``%s``); a missing
+    value (None, or NaN in a float column) is an empty CSV field and a JSON
+    null.  ``comments`` are written as ``# `` lines before the CSV header.
+    """
+    formats = formats or ("%s",) * len(header)
+    n = len(columns[0])
     with _open_out(config) as fh:
-        if config.format == "json":
-            for row in rows:
-                fh.write(json.dumps(dict(zip(header, row))) + "\n")
-        else:
+        if config.format == "csv":
+            fh.writelines(f"# {line}\n" for line in comments)
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+        for lo in range(0, n, WRITE_CHUNK_ROWS):
+            cols = [_values(c[lo:lo + WRITE_CHUNK_ROWS]) for c in columns]
+            if config.format == "json":
+                fh.writelines(json.dumps(dict(zip(header, row))) + "\n"
+                              for row in zip(*cols))
+                continue
+            fmts = list(formats)
+            for j, col in enumerate(cols):
+                if None in col:
+                    cols[j] = ["" if v is None else fmts[j] % v for v in col]
+                    fmts[j] = "%s"
+            line = ",".join(fmts) + "\n"
+            fh.write("".join(map(line.__mod__, zip(*cols))))
+
+
+def read_series(fh) -> SummatoryRows:
+    """Parse a series table (``x,M,G,Qsq,pi`` rows, as ``summatory`` writes
+    them); any malformed row is a ValueError."""
+    header = fh.readline().strip()
+    if header != ",".join(SERIES_COLUMNS):
+        raise ValueError(f"unexpected series header {header!r}")
+    first = next((line for line in fh if line.strip()), None)
+    if first is None:       # loadtxt would warn on an empty table
+        table = np.empty((0, len(SERIES_COLUMNS)), dtype=np.int64)
+    else:
+        table = np.loadtxt(chain([first], fh), dtype=np.int64, delimiter=",", ndmin=2)
+    if table.shape[1] != len(SERIES_COLUMNS):
+        raise ValueError(f"series rows have {table.shape[1]} fields, "
+                         f"expected {len(SERIES_COLUMNS)}")
+    return SummatoryRows(*table.T)
 
 
 def _fmt_float(v: float) -> str:
@@ -118,13 +180,9 @@ def cmd_summatory(config: argparse.Namespace) -> int:
         _require_memory("summatory", config.limit, SUMMATORY_DIRECT_BYTES_PER_N)
     series = build_series(config.limit, config.checkpoints,
                           segment_size=config.segment_size, pool=pool)
-    if config.format == "json":
-        rows = zip(series.checkpoints.tolist(), series.M.tolist(),
-                   series.G.tolist(), series.Qsq.tolist(), series.pi.tolist())
-        _emit_rows(config, ["x", "M", "G", "Qsq", "pi"], rows)
-    else:
-        with _open_out(config) as fh:
-            series.to_csv(fh)
+    _emit_rows(config, SERIES_COLUMNS,
+               [series.checkpoints, series.M, series.G, series.Qsq, series.pi],
+               SERIES_FORMATS)
     return 0
 
 
@@ -136,44 +194,45 @@ def cmd_stats(config: argparse.Namespace) -> int:
         counts = stats.collect_counts(x, config.segment_size, pool=pool)
     if kind == "omega-k":
         r = stats.omega_k_density(x, _require(config.k, "--k"), counts)
+        header = ["x", "k", "count", "empirical", "predicted", "abs_error"]
         rows = [(r.x, r.k, r.count, _fmt_float(r.empirical),
                  _fmt_float(r.predicted), _fmt_float(r.abs_error))]
-        _emit_rows(config, ["x", "k", "count", "empirical", "predicted", "abs_error"], rows)
     elif kind == "excess":
         r = stats.excess_density(x, _require(config.m, "--m"), counts)
+        header = ["x", "m", "count", "empirical", "predicted", "abs_error"]
         rows = [(r.x, r.k, r.count, _fmt_float(r.empirical),
                  _fmt_float(r.predicted), _fmt_float(r.abs_error))]
-        _emit_rows(config, ["x", "m", "count", "empirical", "predicted", "abs_error"], rows)
     elif kind == "sign":
         b = stats.sign_balance(x, counts)
         fp, fm = b.fractions
+        header = ["x", "squarefree", "plus", "minus", "plus_fraction", "minus_fraction"]
         rows = [(b.x, b.squarefree, b.plus, b.minus, _fmt_float(fp), _fmt_float(fm))]
-        _emit_rows(config, ["x", "squarefree", "plus", "minus",
-                            "plus_fraction", "minus_fraction"], rows)
     elif kind == "conditional":
         r = stats.conditional_squarefree(x, _require(config.k, "--k"), counts)
+        header = ["x", "k", "class_count", "squarefree_in_class",
+                  "conditional", "unconditional", "ratio", "undefined"]
         rows = [(r.x, r.k, r.class_count, r.squarefree_in_class,
                  None if r.undefined else _fmt_float(r.conditional),
                  _fmt_float(r.unconditional),
                  None if r.undefined else _fmt_float(r.ratio),
                  int(r.undefined))]
-        _emit_rows(config, ["x", "k", "class_count", "squarefree_in_class",
-                            "conditional", "unconditional", "ratio", "undefined"], rows)
     elif kind == "exponent":
         table = stats.prime_exponent_distribution(x, _require(config.p, "--p"),
                                                   config.k if config.k is not None else 6,
                                                   config.segment_size, pool=pool)
+        header = ["x", "p", "k", "count", "empirical", "predicted"]
         rows = [(r.x, config.p, r.k, r.count, _fmt_float(r.empirical),
                  _fmt_float(r.predicted)) for r in table]
-        _emit_rows(config, ["x", "p", "k", "count", "empirical", "predicted"], rows)
     elif kind == "cdf":
         cdf = stats.erdos_kac_cdf(x, config.statistic, config.segment_size, pool=pool)
-        rows = list(_cdf_quantile_rows(cdf))
         log.info("KS distance vs standard normal at x=%d (%s): %.6f",
                  x, config.statistic, cdf.ks)
-        _emit_rows(config, ["quantile", "z", "ecdf", "normal_cdf", "ks"], rows)
+        header = ["quantile", "z", "ecdf", "normal_cdf", "ks"]
+        rows = list(_cdf_quantile_rows(cdf))
     else:
         raise ValueError(f"unknown stats report {kind!r}")
+    # the floats are already .12g strings, in CSV and in JSON alike
+    _emit_rows(config, header, list(zip(*rows)))
     return 0
 
 
@@ -201,33 +260,22 @@ def cmd_simulate(config: argparse.Namespace) -> int:
     log.info("lil sup: aggregate %.6f (mean %.6f over %d runs; reference %.7f)",
              summary.aggregate_sup, summary.aggregate_mean, len(runs),
              summary.reference)
-    if config.format == "json":
-        rows = [(t, int(r.checkpoints[i]), int(r.mbar[i]),
-                 float(r.lil_running_max[i])
-                 if r.checkpoints[i] >= randmodel.LIL_MIN_X else None)
-                for t, r in enumerate(runs) for i in range(len(r.checkpoints))]
-        _emit_rows(config, ["trial", "x", "Mbar", "lil_stat"], rows)
-    else:
-        with _open_out(config) as fh:
-            randmodel.write_runs_csv(fh, runs)
+    x = np.concatenate([r.checkpoints for r in runs])
+    lil = np.concatenate([r.lil_running_max for r in runs])
+    lil[x < randmodel.LIL_MIN_X] = np.nan      # the statistic is undefined below 16
+    trial = np.repeat(np.arange(len(runs)), [len(r.checkpoints) for r in runs])
+    _emit_rows(config, RUNS_COLUMNS,
+               [trial, x, np.concatenate([r.mbar for r in runs]), lil], RUNS_FORMATS)
     return 0
 
 
 def cmd_trace(config: argparse.Namespace) -> int:
     with _reading(config.infile), _open_in(config.infile) as fh:
-        trace = tracker.build_trace(SummatoryRows.from_csv(fh))
-    if config.format == "json":
-        out_rows = []
-        for i in range(len(trace.x)):
-            out_rows.append((int(trace.x[i]), float(trace.q[i]), float(trace.gonek[i]),
-                             float(trace.r1[i]), float(trace.r2[i]), float(trace.rG1[i]),
-                             float(trace.rG2[i]),
-                             float(trace.twice_g[i]) if trace.twice_g_defined[i] else None,
-                             float(trace.qhat_pred[i]), int(trace.qhat_exact[i])))
-        _emit_rows(config, list(tracker.TRACE_COLUMNS), out_rows)
-    else:
-        with _open_out(config) as fh:
-            tracker.write_trace_csv(fh, trace)
+        trace = tracker.build_trace(read_series(fh))
+    # twice_g is NaN exactly where it is undefined, so it is written empty there
+    _emit_rows(config, TRACE_COLUMNS, [getattr(trace, c) for c in TRACE_COLUMNS],
+               TRACE_FORMATS,
+               comments=[f"reference {k} = {v}" for k, v in trace.references.items()])
     return 0
 
 
@@ -283,7 +331,8 @@ def run(config: argparse.Namespace) -> int:
         log.error("%s", exc)
         return USAGE_ERROR
     except OSError as exc:
-        log.error("%s: %s", getattr(exc, "filename", "?"), exc.strerror or exc)
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        log.error("%s%s", where, exc.strerror or exc)
         return 1
 
 

@@ -190,16 +190,3 @@ def lil_statistic(runs) -> LilSummary:
     per = np.array([r.lil_sup for r in runs])
     return LilSummary(per_run=per, aggregate_sup=float(per.max()),
                       aggregate_mean=float(per.mean()))
-
-
-def write_runs_csv(fh, runs):
-    """Emit ``trial,x,Mbar,lil_stat`` rows, one per checkpoint per run.
-
-    The lil column is empty below x = 16, where the statistic is undefined.
-    """
-    fh.write("trial,x,Mbar,lil_stat\n")
-    for t, run in enumerate(runs):
-        for i in range(len(run.checkpoints)):
-            x = int(run.checkpoints[i])
-            lil = f"{run.lil_running_max[i]:.9f}" if x >= LIL_MIN_X else ""
-            fh.write(f"{t},{x},{int(run.mbar[i])},{lil}\n")

@@ -84,7 +84,7 @@ class CheckpointPolicy:
 
 @dataclass
 class SummatoryRows:
-    """Checkpoint rows: the interchange content of the series CSV."""
+    """Checkpoint rows: the columns of the series table."""
 
     checkpoints: np.ndarray
     M: np.ndarray
@@ -92,28 +92,12 @@ class SummatoryRows:
     Qsq: np.ndarray
     pi: np.ndarray
 
-    def to_csv(self, fh):
-        fh.write("x,M,G,Qsq,pi\n")
-        for i in range(len(self.checkpoints)):
-            fh.write(f"{int(self.checkpoints[i])},{int(self.M[i])},"
-                     f"{int(self.G[i])},{int(self.Qsq[i])},{int(self.pi[i])}\n")
-
-    @classmethod
-    def from_csv(cls, fh) -> "SummatoryRows":
-        header = fh.readline().strip()
-        if header != "x,M,G,Qsq,pi":
-            raise ValueError(f"unexpected series header {header!r}")
-        rows = [tuple(int(v) for v in line.strip().split(",")) for line in fh if line.strip()]
-        cols = list(zip(*rows)) if rows else [[], [], [], [], []]
-        return cls(*(np.asarray(c, dtype=np.int64) for c in cols))
-
 
 @dataclass
-class SummatorySeries:
+class SummatorySeries(SummatoryRows):
     """Checkpoint rows plus the quotient-point support tables."""
 
     N: int
-    rows: SummatoryRows | None
     eval_points: np.ndarray     # sorted; closed under x -> x // k
     M_eval: np.ndarray
     U_eval: np.ndarray
@@ -125,29 +109,6 @@ class SummatorySeries:
     def __post_init__(self):
         if self._G_valid is None:
             self._G_valid = np.ones(len(self.eval_points), dtype=bool)
-
-    @property
-    def checkpoints(self):
-        return self.rows.checkpoints
-
-    @property
-    def M(self):
-        return self.rows.M
-
-    @property
-    def G(self):
-        return self.rows.G
-
-    @property
-    def Qsq(self):
-        return self.rows.Qsq
-
-    @property
-    def pi(self):
-        return self.rows.pi
-
-    def to_csv(self, fh):
-        self.rows.to_csv(fh)
 
     def _idx(self, x) -> int:
         i = int(np.searchsorted(self.eval_points, x))
@@ -308,20 +269,16 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         G_eval = np.cumsum(g, out=g)[eval_points - 1]
     else:
         G_eval = np.zeros(n_eval, dtype=np.int64)
+    cp_idx = np.searchsorted(eval_points, cps)         # every checkpoint is an eval point
     series = SummatorySeries(
-        N=N, rows=None, eval_points=eval_points,
+        checkpoints=cps, M=recorded[0][cp_idx], G=G_eval[cp_idx], Qsq=recorded[1][cp_idx],
+        pi=recorded[2][cp_idx], N=N, eval_points=eval_points,
         M_eval=recorded[0], U_eval=recorded[3], pi_eval=recorded[2], G_eval=G_eval,
         route="direct" if direct else "quotient",
         _G_valid=np.full(n_eval, direct),
     )
-    cp_idx = series._idx_many(cps)
-    series.rows = SummatoryRows(
-        checkpoints=cps,
-        M=recorded[0][cp_idx],
-        G=series.G_many(cps),
-        Qsq=recorded[1][cp_idx],
-        pi=recorded[2][cp_idx],
-    )
+    if not direct:      # G_eval holds nothing yet: assemble G at the checkpoints
+        series.G = series.G_many(cps)
     return series
 
 

@@ -33,9 +33,6 @@ REFERENCE_LINES = {
 #: Ratios involve a triple logarithm, defined only past e^e.
 TRACE_MIN_X = 16
 
-TRACE_COLUMNS = ("x", "q", "gonek", "r1", "r2", "rG1", "rG2",
-                 "twice_g", "qhat_pred", "qhat_exact")
-
 
 @dataclass
 class RatioTrace:
@@ -121,19 +118,6 @@ def recompute_trace_row(x: int, M: int, G: int) -> dict:
         "qhat_exact": M,
     }
     return row
-
-
-def write_trace_csv(fh, trace: RatioTrace):
-    """Emit the trace as CSV, reference constants first as comment metadata."""
-    for key, val in trace.references.items():
-        fh.write(f"# reference {key} = {val}\n")
-    fh.write(",".join(TRACE_COLUMNS) + "\n")
-    for i in range(len(trace.x)):
-        tg = f"{trace.twice_g[i]:.12g}" if trace.twice_g_defined[i] else ""
-        fh.write(f"{int(trace.x[i])},{trace.q[i]:.12g},{trace.gonek[i]:.12g},"
-                 f"{trace.r1[i]:.12g},{trace.r2[i]:.12g},{trace.rG1[i]:.12g},"
-                 f"{trace.rG2[i]:.12g},{tg},{trace.qhat_pred[i]:.12g},"
-                 f"{int(trace.qhat_exact[i])}\n")
 
 
 @dataclass

@@ -5,6 +5,7 @@ division, direct divisor-sum recursions, direct summation, and a
 product-tracking Mobius block sieve that shares no code with the profiler.
 """
 
+import json
 import math
 from math import isqrt
 
@@ -236,6 +237,79 @@ def sorted_sample_cdf(sample, standardize: bool = True):
     phi = ndtr(v)
     steps = np.arange(1, n + 1) / n
     return v, float(max(np.abs(steps - phi).max(), np.abs(steps - 1.0 / n - phi).max()))
+
+
+# Row-at-a-time table writers: the reference layout of every data file the
+# CLI writes, one f-string or one json.dumps per row.
+
+def series_csv_oracle(rows) -> str:
+    """The series table ``x,M,G,Qsq,pi`` of checkpoint rows."""
+    out = ["x,M,G,Qsq,pi\n"]
+    for i in range(len(rows.checkpoints)):
+        out.append(f"{int(rows.checkpoints[i])},{int(rows.M[i])},"
+                   f"{int(rows.G[i])},{int(rows.Qsq[i])},{int(rows.pi[i])}\n")
+    return "".join(out)
+
+
+def series_json_rows(rows) -> list:
+    return list(zip(rows.checkpoints.tolist(), rows.M.tolist(), rows.G.tolist(),
+                    rows.Qsq.tolist(), rows.pi.tolist()))
+
+
+def runs_csv_oracle(runs) -> str:
+    """``trial,x,Mbar,lil_stat`` rows; the lil column is empty below x = 16."""
+    out = ["trial,x,Mbar,lil_stat\n"]
+    for t, run in enumerate(runs):
+        for i in range(len(run.checkpoints)):
+            x = int(run.checkpoints[i])
+            lil = f"{run.lil_running_max[i]:.9f}" if x >= 16 else ""
+            out.append(f"{t},{x},{int(run.mbar[i])},{lil}\n")
+    return "".join(out)
+
+
+def runs_json_rows(runs) -> list:
+    return [(t, int(r.checkpoints[i]), int(r.mbar[i]),
+             float(r.lil_running_max[i]) if r.checkpoints[i] >= 16 else None)
+            for t, r in enumerate(runs) for i in range(len(r.checkpoints))]
+
+
+TRACE_HEADER = ("x", "q", "gonek", "r1", "r2", "rG1", "rG2",
+                "twice_g", "qhat_pred", "qhat_exact")
+
+
+def trace_csv_oracle(trace) -> str:
+    """Reference lines as ``#`` comments, then one row per checkpoint;
+    twice_g is empty where G = 0."""
+    out = [f"# reference {key} = {val}\n" for key, val in trace.references.items()]
+    out.append(",".join(TRACE_HEADER) + "\n")
+    for i in range(len(trace.x)):
+        tg = f"{trace.twice_g[i]:.12g}" if trace.twice_g_defined[i] else ""
+        out.append(f"{int(trace.x[i])},{trace.q[i]:.12g},{trace.gonek[i]:.12g},"
+                   f"{trace.r1[i]:.12g},{trace.r2[i]:.12g},{trace.rG1[i]:.12g},"
+                   f"{trace.rG2[i]:.12g},{tg},{trace.qhat_pred[i]:.12g},"
+                   f"{int(trace.qhat_exact[i])}\n")
+    return "".join(out)
+
+
+def trace_json_rows(trace) -> list:
+    return [(int(trace.x[i]), float(trace.q[i]), float(trace.gonek[i]),
+             float(trace.r1[i]), float(trace.r2[i]), float(trace.rG1[i]),
+             float(trace.rG2[i]),
+             float(trace.twice_g[i]) if trace.twice_g_defined[i] else None,
+             float(trace.qhat_pred[i]), int(trace.qhat_exact[i]))
+            for i in range(len(trace.x))]
+
+
+def csv_oracle(header, rows) -> str:
+    """A header line, then each row's values joined by commas, None empty."""
+    return "".join([",".join(header) + "\n"] +
+                   [",".join("" if v is None else str(v) for v in row) + "\n"
+                    for row in rows])
+
+
+def ndjson_oracle(header, rows) -> str:
+    """One JSON object per row, keyed by the header."""
+    return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
 
 
 # Published spot values (OEIS A084237 / A006880): Mertens and prime counts

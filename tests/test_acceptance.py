@@ -25,7 +25,8 @@ from mforge.summatory import (
     mertens_via_G_over_primes,
     mertens_via_g_pi,
 )
-from mforge.tracker import REFERENCE_LINES, build_trace, recompute_trace_row, write_trace_csv
+from mforge.cli import main
+from mforge.tracker import REFERENCE_LINES, build_trace, recompute_trace_row
 
 from oracles import MERTENS_AT_POW10, g_recursion_oracle, mobius_block_oracle
 
@@ -185,9 +186,7 @@ def test_criterion_08_erdos_kac_normality():
         f"max_atom/2 ~ 0.182 regardless of standardization")
 
 
-def test_criterion_09_ratio_traces_and_references():
-    import io
-
+def test_criterion_09_ratio_traces_and_references(tmp_path):
     series = build_series(10**6, CheckpointPolicy())
     trace = build_trace(series)
     worst = 0.0
@@ -206,9 +205,10 @@ def test_criterion_09_ratio_traces_and_references():
             rel = abs(float(trace.twice_g[i]) - ref) / max(abs(ref), 1e-300)
             worst = max(worst, rel)
             assert rel <= 1e-12
-    buf = io.StringIO()
-    write_trace_csv(buf, trace)
-    head = buf.getvalue()
+    series_csv, trace_csv = tmp_path / "series.csv", tmp_path / "trace.csv"
+    assert main(["summatory", "--limit", str(10**6), "--out", str(series_csv)]) == 0
+    assert main(["trace", "--in", str(series_csv), "--out", str(trace_csv)]) == 0
+    head = trace_csv.read_text()
     for key, val in REFERENCE_LINES.items():
         assert f"{key} = {val}" in head, f"reference line {key} missing"
     assert report(9, True,

@@ -2,14 +2,28 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mforge.cli import main, parse_config
+from mforge import stats
+from mforge.cli import (
+    RUNS_COLUMNS,
+    SERIES_COLUMNS,
+    TRACE_COLUMNS,
+    WRITE_CHUNK_ROWS,
+    _cdf_quantile_rows,
+    main,
+    parse_config,
+)
+from mforge.randmodel import simulate_many
 from mforge.sieve import load_prime_cache, primes_up_to
-from mforge.summatory import CheckpointPolicy
+from mforge.summatory import CheckpointPolicy, SummatoryRows, build_series
+from mforge.tracker import build_trace
+
+import oracles
 
 
 def run_cli(args, capsys):
@@ -337,6 +351,10 @@ def test_io_error_reported(capsys):
     "x,M,G,Qsq,pi\n16,-1,abc,11,6\n",          # non-integer cell
     "x,M,G\n16,-1,5\n",                          # foreign header
     "x,M,G,Qsq,pi\n2,-1,-1,2,1\n",               # no row at x >= 16
+    "x,M,G,Qsq,pi\n16,1,1,1\n",                  # four fields
+    "x,M,G,Qsq,pi\n16,1,1,1,1,1\n",              # six fields
+    "x,M,G,Qsq,pi\n16,-1,0,11,6\n20,-3,5,13\n",  # rows of mixed length
+    "x,M,G,Qsq,pi\n16,-1,99999999999999999999,11,6\n",   # cell past int64
 ])
 def test_malformed_trace_input_is_input_error(tmp_path, body, capsys):
     path = tmp_path / "series.csv"
@@ -344,6 +362,31 @@ def test_malformed_trace_input_is_input_error(tmp_path, body, capsys):
     code, out, err = run_cli(["trace", "--in", str(path)], capsys)
     assert code == 1
     assert str(path) in err and out == ""
+    assert "Traceback" not in err
+
+
+def test_header_only_trace_input_is_input_error(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("x,M,G,Qsq,pi\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["trace", "--in", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert f"{path}: no checkpoints at or above x = 16" in err
+
+
+def test_closed_stdout_pipe_is_io_error(tmp_path):
+    log = tmp_path / "stderr.txt"
+    with open(log, "w") as stderr:
+        cli = subprocess.Popen([sys.executable, "-m", "mforge.cli", "summatory",
+                                "--limit", "200000", "--checkpoints", "all"],
+                               stdout=subprocess.PIPE, stderr=stderr, text=True)
+        cli.stdout.readline()
+        cli.stdout.close()
+        assert cli.wait(timeout=120) == 1
+    err = log.read_text()
+    assert "Broken pipe" in err
+    assert "None:" not in err and "Traceback" not in err
 
 
 def test_malformed_bfile_is_input_error(tmp_path, capsys):
@@ -486,3 +529,79 @@ def test_available_memory_within_physical_memory(tmp_path):
     assert 0 < available_memory() <= physical
     # where meminfo cannot be read, the guard falls back to physical memory
     assert available_memory(str(tmp_path / "missing")) == physical
+
+
+# -- every table byte for byte against the row-at-a-time writers -------------
+
+def _written(args, fmt, tmp_path, capsys):
+    """The table a command writes to --out, checked equal to its stdout."""
+    out = tmp_path / f"table.{fmt}"
+    assert main(args + ["--format", fmt, "--out", str(out)]) == 0
+    code, stdout, _ = run_cli(args + ["--format", fmt], capsys)
+    assert code == 0 and stdout == out.read_text()
+    return stdout
+
+
+def test_summatory_table_bytes(tmp_path, capsys):
+    N = 2 * WRITE_CHUNK_ROWS + 100
+    series = build_series(N, CheckpointPolicy(kind="all"))
+    args = ["summatory", "--limit", str(N), "--checkpoints", "all"]
+    assert _written(args, "csv", tmp_path, capsys) == oracles.series_csv_oracle(series)
+    assert _written(args, "json", tmp_path, capsys) == oracles.ndjson_oracle(
+        SERIES_COLUMNS, oracles.series_json_rows(series))
+
+
+def test_trace_table_bytes_with_zero_G(tmp_path, capsys):
+    rows = [(2, -1, -1, 2, 1), (16, -1, 0, 11, 6), (20, -3, 5, 13, 8)]
+    path = tmp_path / "series.csv"
+    path.write_text(oracles.csv_oracle(SERIES_COLUMNS, rows))
+    trace = build_trace(SummatoryRows(*(np.array(c, dtype=np.int64) for c in zip(*rows))))
+    assert not trace.twice_g_defined.all()
+    args = ["trace", "--in", str(path)]
+    assert TRACE_COLUMNS == oracles.TRACE_HEADER
+    assert _written(args, "csv", tmp_path, capsys) == oracles.trace_csv_oracle(trace)
+    assert _written(args, "json", tmp_path, capsys) == oracles.ndjson_oracle(
+        TRACE_COLUMNS, oracles.trace_json_rows(trace))
+
+
+def test_simulate_table_bytes(tmp_path, capsys):
+    policy = CheckpointPolicy(kind="explicit", points=(4, 10, 16, 100, 999))
+    runs = simulate_many(3, 3, 5000, policy)
+    args = ["simulate", "--seed", "3", "--trials", "3", "--x-max", "5000",
+            "--checkpoints", "explicit:4,10,16,100,999", "--threads", "2"]
+    assert _written(args, "csv", tmp_path, capsys) == oracles.runs_csv_oracle(runs)
+    assert _written(args, "json", tmp_path, capsys) == oracles.ndjson_oracle(
+        RUNS_COLUMNS, oracles.runs_json_rows(runs))
+
+
+def _f(v):
+    return f"{v:.12g}"
+
+
+def _conditional_rows(x):
+    r = stats.conditional_squarefree(x, 12, stats.collect_counts(x))
+    assert r.undefined
+    return [(r.x, r.k, r.class_count, r.squarefree_in_class, None,
+             _f(r.unconditional), None, 1)]
+
+
+def _exponent_rows(x):
+    return [(r.x, 3, r.k, r.count, _f(r.empirical), _f(r.predicted))
+            for r in stats.prime_exponent_distribution(x, 3, 6)]
+
+
+@pytest.mark.parametrize("report, header, expected_rows", [
+    (["conditional", "--k", "12"],
+     ("x", "k", "class_count", "squarefree_in_class", "conditional",
+      "unconditional", "ratio", "undefined"), _conditional_rows),
+    (["cdf"], ("quantile", "z", "ecdf", "normal_cdf", "ks"),
+     lambda x: list(_cdf_quantile_rows(stats.erdos_kac_cdf(x)))),
+    (["exponent", "--p", "3"], ("x", "p", "k", "count", "empirical", "predicted"),
+     _exponent_rows),
+])
+def test_stats_table_bytes(report, header, expected_rows, tmp_path, capsys):
+    x = 3000
+    rows = expected_rows(x)
+    args = ["stats", "--x", str(x), "--report", *report]
+    assert _written(args, "csv", tmp_path, capsys) == oracles.csv_oracle(header, rows)
+    assert _written(args, "json", tmp_path, capsys) == oracles.ndjson_oracle(header, rows)

@@ -17,7 +17,6 @@ from mforge.randmodel import (
     lil_statistic,
     simulate,
     simulate_many,
-    write_runs_csv,
 )
 from mforge.summatory import CheckpointPolicy
 
@@ -204,13 +203,13 @@ def test_x_max_guard():
         simulate_many(1, 0, 100)
 
 
-def test_csv_output():
-    import io
+def test_csv_output(tmp_path):
+    from mforge.cli import main
 
-    runs = simulate_many(2, 2, 100, CheckpointPolicy(kind="explicit", points=(4, 16, 100)))
-    buf = io.StringIO()
-    write_runs_csv(buf, runs)
-    lines = buf.getvalue().splitlines()
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", "--seed", "2", "--trials", "2", "--x-max", "100",
+                 "--checkpoints", "explicit:4,16,100", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
     assert lines[0] == "trial,x,Mbar,lil_stat"
     assert len(lines) == 1 + 2 * 3
     # x = 4 row has an empty lil column (statistic undefined below 16)

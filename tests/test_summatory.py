@@ -11,10 +11,9 @@ from mforge.arith import g_table, profile_range
 from mforge.parallel import WorkerPool
 from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError, Segment
 from mforge import summatory
-from mforge.cli import main
+from mforge.cli import main, read_series
 from mforge.summatory import (
     CheckpointPolicy,
-    SummatoryRows,
     build_series,
     g_via_double_sum,
     mertens_via_G_over_primes,
@@ -329,16 +328,15 @@ def test_block_sum_guard_exits_one(monkeypatch, capsys):
     (50_000, CheckpointPolicy(kind="all"), "direct"),
 ])
 def test_series_bytes_equal_across_segment_sizes(N, policy, route):
-    def csv(segment_size):
+    def columns(segment_size):
         s = build_series(N, policy, segment_size=segment_size)
         assert s.route == route
-        buf = io.StringIO()
-        s.to_csv(buf)
-        return buf.getvalue(), s.M_eval.tobytes() + s.U_eval.tobytes() + s.pi_eval.tobytes()
+        return [getattr(s, c).tobytes() for c in
+                ("checkpoints", "M", "G", "Qsq", "pi", "M_eval", "U_eval", "pi_eval")]
 
-    ref = csv(DEFAULT_SEGMENT_CAPACITY)
+    ref = columns(DEFAULT_SEGMENT_CAPACITY)
     for size in (999, 2**16):
-        assert csv(size) == ref, size
+        assert columns(size) == ref, size
 
 
 def test_series_memory_per_segment_entry_flat_in_N():
@@ -505,16 +503,16 @@ def test_routes_agree_on_irregular_inputs():
     assert seen == {"direct", "quotient"}
 
 
-def test_csv_round_trip():
+def test_csv_round_trip(tmp_path):
     s = build_series(10**4, CheckpointPolicy())
-    buf = io.StringIO()
-    s.to_csv(buf)
-    buf.seek(0)
-    rows = SummatoryRows.from_csv(buf)
+    path = tmp_path / "series.csv"
+    assert main(["summatory", "--limit", str(10**4), "--out", str(path)]) == 0
+    with open(path) as fh:
+        rows = read_series(fh)
     for col in ("checkpoints", "M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(rows, col), getattr(s, col))
 
 
 def test_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
-        SummatoryRows.from_csv(io.StringIO("a,b,c\n1,2,3\n"))
+        read_series(io.StringIO("a,b,c\n1,2,3\n"))

@@ -1,21 +1,19 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
+from mforge.cli import TRACE_COLUMNS, main
 from mforge.summatory import CheckpointPolicy, SummatoryRows, build_series
 from mforge.tracker import (
     REF_MMINUS_RECORD,
     REF_MPLUS_RECORD,
     REF_SCALED_LIMSUP,
-    TRACE_COLUMNS,
     build_trace,
     heuristic_sums,
     near_parity_boundary,
     qhat_prediction,
     recompute_trace_row,
-    write_trace_csv,
 )
 
 from oracles import MERTENS_AT_POW10
@@ -55,7 +53,19 @@ def test_trace_columns_finite(series_1e5):
     assert np.all(np.isfinite(tr.twice_g[tr.twice_g_defined]))
 
 
-def test_trace_zero_G_flagged():
+def _trace_lines(tmp_path, series_args=None, series_text=None):
+    """The trace CSV that the CLI writes from a series table."""
+    series = tmp_path / "series.csv"
+    if series_text is None:
+        assert main(["summatory", *series_args, "--out", str(series)]) == 0
+    else:
+        series.write_text(series_text)
+    trace = tmp_path / "trace.csv"
+    assert main(["trace", "--in", str(series), "--out", str(trace)]) == 0
+    return trace.read_text().splitlines()
+
+
+def test_trace_zero_G_flagged(tmp_path):
     rows = SummatoryRows(
         checkpoints=np.array([16, 20], dtype=np.int64),
         M=np.array([-1, -3], dtype=np.int64),
@@ -66,9 +76,8 @@ def test_trace_zero_G_flagged():
     tr = build_trace(rows)
     assert not tr.twice_g_defined[0] and np.isnan(tr.twice_g[0])
     assert tr.twice_g_defined[1] and tr.twice_g[1] == pytest.approx(-0.3)
-    buf = io.StringIO()
-    write_trace_csv(buf, tr)
-    row16 = [l for l in buf.getvalue().splitlines() if l.startswith("16,")][0]
+    lines = _trace_lines(tmp_path, series_text="x,M,G,Qsq,pi\n16,-1,0,11,6\n20,-3,5,13,8\n")
+    row16 = [l for l in lines if l.startswith("16,")][0]
     assert ",," in row16                         # empty twice_g field
 
 
@@ -85,10 +94,9 @@ def test_trace_matches_slow_recomputation(series_1e5):
             assert float(tr.twice_g[i]) == pytest.approx(row["twice_g"], rel=1e-12)
 
 
-def test_trace_csv_metadata_and_header(series_1e5):
-    buf = io.StringIO()
-    write_trace_csv(buf, build_trace(series_1e5))
-    lines = buf.getvalue().splitlines()
+def test_trace_csv_metadata_and_header(tmp_path):
+    lines = _trace_lines(tmp_path, ["--limit", "100000",
+                                    "--checkpoints", "explicit:16,100,1000,10000"])
     assert lines[0] == "# reference scaled_limsup = 0.242528"
     assert lines[1] == "# reference mplus_record = 1.826054"
     assert lines[2] == "# reference mminus_record = -1.837625"
