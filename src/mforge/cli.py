@@ -37,7 +37,7 @@ RUNS_COLUMNS = ("trial", "x", "Mbar", "lil_stat")
 RUNS_FORMATS = ("%d", "%d", "%d", "%.9f")
 
 #: Rows formatted per write.  Small, so that a table of N rows adds no peak
-#: that grows with N (summatory's direct route is held to 168 B/n).
+#: that grows with N (summatory's direct route is held to 128 B/n).
 WRITE_CHUNK_ROWS = 1024
 
 
@@ -134,12 +134,13 @@ def cmd_sieve(config: argparse.Namespace) -> int:
 
 
 #: Peak bytes per n of ``verify --identity all`` and ``oeis-check`` (one profile
-#: of 1..limit: 432 MB and 165 MB at 1e7), of ``summatory``'s direct G route,
-#: and of ``sieve`` (a bool mask of 1..limit plus the int64 primes, 1.68 B/n
-#: traced at 1e6 and 1.54 at 1e7).
+#: of 1..limit: 432 MB and 165 MB at 1e7), of ``summatory``'s direct G route
+#: (116.5 B/n traced at 5e4, one segment, plus 8%; 76.7 at 1e7), and of
+#: ``sieve`` (a bool mask of 1..limit plus the int64 primes, 1.68 B/n traced
+#: at 1e6 and 1.54 at 1e7).
 VERIFY_BYTES_PER_N = 44
 OEIS_BYTES_PER_N = 18
-SUMMATORY_DIRECT_BYTES_PER_N = 168
+SUMMATORY_DIRECT_BYTES_PER_N = 128
 SIEVE_BYTES_PER_N = 2
 
 
@@ -175,11 +176,12 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
 
 def cmd_summatory(config: argparse.Namespace) -> int:
-    pool = WorkerPool(config.threads)
     if direct_route(config.checkpoints.checkpoints(config.limit), config.limit):
         _require_memory("summatory", config.limit, SUMMATORY_DIRECT_BYTES_PER_N)
     series = build_series(config.limit, config.checkpoints,
-                          segment_size=config.segment_size, pool=pool)
+                          segment_size=config.segment_size, pool=WorkerPool(config.threads))
+    log.info("G route %s: %d checkpoints, %d eval points",
+             series.route, len(series.checkpoints), len(series.eval_points))
     _emit_rows(config, SERIES_COLUMNS,
                [series.checkpoints, series.M, series.G, series.Qsq, series.pi],
                SERIES_FORMATS)

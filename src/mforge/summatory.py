@@ -104,19 +104,9 @@ class SummatorySeries(SummatoryRows):
     pi_eval: np.ndarray
     G_eval: np.ndarray
     route: str                  # "direct" (per-n g summed) or "quotient"
-    _G_valid: np.ndarray = field(repr=False, default=None)
+    _G_valid: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self._G_valid is None:
-            self._G_valid = np.ones(len(self.eval_points), dtype=bool)
-
-    def _idx(self, x) -> int:
-        i = int(np.searchsorted(self.eval_points, x))
-        if i >= len(self.eval_points) or self.eval_points[i] != x:
-            raise RangeCoverageError(f"x={x} is not a recorded support point")
-        return i
-
-    def _idx_many(self, xs: np.ndarray) -> np.ndarray:
+    def _idx_many(self, xs) -> np.ndarray:
         idx = np.searchsorted(self.eval_points, xs)
         if idx.size and (idx.max() >= len(self.eval_points)
                          or not np.array_equal(self.eval_points[idx], xs)):
@@ -127,9 +117,12 @@ class SummatorySeries(SummatoryRows):
         return self.pi_eval[self._idx_many(xs)]
 
     def G_at(self, x: int) -> int:
-        i = self._idx(x)
+        i = self._idx_many(x)
         if not self._G_valid[i]:
-            self.G_eval[i] = self._assemble_G(x)
+            # G(x) = sum_{n <= x} u(n) * M(x // n) with u = liouville * c_omega;
+            # every point touched is in the quotient closure of x, hence recorded.
+            self.G_eval[i] = _quotient_sum(x, lambda ys: self.U_eval[self._idx_many(ys)],
+                                           lambda ys: self.M_eval[self._idx_many(ys)])
             self._G_valid[i] = True
         return int(self.G_eval[i])
 
@@ -138,12 +131,6 @@ class SummatorySeries(SummatoryRows):
         for j in np.nonzero(~self._G_valid[idx])[0]:
             self.G_at(int(xs[j]))
         return self.G_eval[idx]
-
-    def _assemble_G(self, x: int) -> int:
-        # G(x) = sum_{n <= x} u(n) * M(x // n) with u = liouville * c_omega;
-        # every point touched is in the quotient closure of x, hence recorded.
-        return _quotient_sum(x, lambda ys: self.U_eval[self._idx_many(ys)],
-                             lambda ys: self.M_eval[self._idx_many(ys)])
 
 
 def _quotient_sum(x: int, A, B) -> int:
@@ -165,19 +152,19 @@ def _quotient_sum(x: int, A, B) -> int:
 
 
 def _eval_point_union(checkpoints: np.ndarray, N: int) -> np.ndarray:
-    if len(checkpoints) == N:
-        return np.arange(1, N + 1, dtype=np.int64)
-    parts = [np.arange(1, isqrt(N) + 1, dtype=np.int64)]
-    budget = 0
-    for c in checkpoints:
-        c = int(c)
-        t = isqrt(c)
-        parts.append(c // np.arange(1, t + 1, dtype=np.int64))
-        budget += t
-        if budget > 4_000_000:
-            parts = [np.unique(np.concatenate(parts))]
-            budget = 0
-    return np.unique(np.concatenate(parts))
+    """[1, T] plus every quotient c // k > T of a checkpoint c, T = min(N, isqrt(sum c)).
+
+    Any T gives a set closed under x -> x // k that holds the checkpoints'
+    quotients, hence every point ``_quotient_sum`` touches, so T need not be
+    exact and the sum is taken in float64, which cannot wrap.  With T =
+    isqrt(sum c) < N, each c has at most c / (T + 1) quotients above T, so
+    the set has fewer than 2 T + 1 points, built from N // (T + 1) slices."""
+    T = min(N, isqrt(int(checkpoints.sum(dtype=np.float64))))
+    pts = np.concatenate([np.arange(1, T + 1, dtype=np.int64)]
+                         + [checkpoints[np.searchsorted(checkpoints, k * (T + 1)):] // k
+                            for k in range(1, N // (T + 1) + 1)])
+    pts.sort(kind="stable")     # merges the sorted parts; np.unique would hash them
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 def _block_sums(narrow, wide: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -187,8 +174,11 @@ def _block_sums(narrow, wide: np.ndarray, starts: np.ndarray) -> np.ndarray:
     column of 2^31 or more entries is refused before any sum."""
     if max(len(col) for col in narrow) > _INT32_MAX:
         raise OverflowError("a segment of 2^31 or more entries overflows its int32 block sums")
-    return np.cumsum([*(np.add.reduceat(col, starts, dtype=np.int32) for col in narrow),
-                      np.add.reduceat(wide, starts)], axis=1, dtype=np.int64)
+    sums = np.empty((len(narrow) + 1, len(starts)), dtype=np.int64)
+    for row, col in zip(sums, narrow):
+        np.cumsum(np.add.reduceat(col, starts, dtype=np.int32), dtype=np.int64, out=row)
+    np.cumsum(np.add.reduceat(wide, starts), dtype=np.int64, out=sums[-1])
+    return sums
 
 
 def direct_route(checkpoints: np.ndarray, N: int) -> bool:
@@ -229,11 +219,13 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
 
     n_eval = len(eval_points)
     recorded = np.zeros((4, n_eval), dtype=np.int64)    # rows: M, Qsq, pi, U
+    omega = np.empty(N, dtype=np.uint8) if direct else None
 
     def summarize(seg):
         # Sums of each column over the blocks [0, o1], (o1, o2], ..., (ok, end)
         # between the eval-point offsets o; their cumsum holds the prefix sums
-        # at the eval points and, last, the segment total.
+        # at the eval points and, last, the segment total.  Each segment
+        # writes its own slices of recorded and omega; the merge adds the base.
         prof = profile_range(seg)
         c = prof.c_omega
         # every |entry| is at most c_max >= 1, so every partial sum of every
@@ -247,32 +239,32 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
         starts = starts[starts < seg.width]
         sums = _block_sums((prof.mobius, prof.mobius != 0, prof.prime_mask()), c, starts)
-        # omega is a view into a wheel tile of at least 30030 entries; a copy
-        # keeps a narrow segment from holding the whole tile until g_table
-        return i0, i1, sums[:, :i1 - i0], sums[:, -1].tolist(), span, \
-            prof.omega.copy() if direct else None
+        recorded[:, i0:i1] = sums[:, :i1 - i0]
+        if direct:
+            omega[seg.lo - 1:seg.hi - 1] = prof.omega
+        return i0, i1, sums[:, -1].tolist(), span
 
-    parts = pool.sweep(1, N + 1, segment_size, summarize)
     base = [0] * 4
-    for i0, i1, local, totals, span, _ in parts:
+    for i0, i1, totals, span in pool.sweep(1, N + 1, segment_size, summarize):
         if max(abs(b) for b in base) + span > _SAFE_SUM:
             raise OverflowError("summatory accumulator could exceed its bound")
-        recorded[:, i0:i1] = np.asarray(base, dtype=np.int64)[:, None] + local
-        for j, t in enumerate(totals):
-            base[j] += t
+        recorded[:, i0:i1] += np.asarray(base, dtype=np.int64)[:, None]
+        base = [b + t for b, t in zip(base, totals)]
 
     if direct:
-        g = g_table(N, omega=np.concatenate([part[5] for part in parts]))
+        g = g_table(N, omega=omega)
         # N * max|g| bounds every partial sum of g
         if N * max(int(g.max()), -int(g.min())) > _SAFE_SUM:
             raise OverflowError("G's partial sums could exceed the summatory bound")
-        G_eval = np.cumsum(g, out=g)[eval_points - 1]
+        G = np.cumsum(g, out=g)
+        G_eval = G if n_eval == N else G[eval_points - 1]
     else:
         G_eval = np.zeros(n_eval, dtype=np.int64)
-    cp_idx = np.searchsorted(eval_points, cps)         # every checkpoint is an eval point
+    # every checkpoint is an eval point; when they are all of them, rows are views
+    cp = slice(None) if len(cps) == n_eval else np.searchsorted(eval_points, cps)
     series = SummatorySeries(
-        checkpoints=cps, M=recorded[0][cp_idx], G=G_eval[cp_idx], Qsq=recorded[1][cp_idx],
-        pi=recorded[2][cp_idx], N=N, eval_points=eval_points,
+        checkpoints=cps, M=recorded[0][cp], G=G_eval[cp], Qsq=recorded[1][cp],
+        pi=recorded[2][cp], N=N, eval_points=eval_points,
         M_eval=recorded[0], U_eval=recorded[3], pi_eval=recorded[2], G_eval=G_eval,
         route="direct" if direct else "quotient",
         _G_valid=np.full(n_eval, direct),

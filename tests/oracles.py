@@ -137,6 +137,15 @@ def g_closed_form_oracle(r: int) -> int:
     return (-1) ** r * sum(math.comb(r, m) * math.factorial(m) for m in range(r + 1))
 
 
+def quotient_closure_oracle(points) -> np.ndarray:
+    """Every floor(c / k), 1 <= k <= c, of every c in ``points``, sorted: the
+    closure of ``points`` under x -> floor(x / k), straight from the definition."""
+    hit = np.zeros(int(max(points)) + 1, dtype=bool)
+    for c in map(int, points):
+        hit[c // np.arange(1, c + 1)] = True
+    return np.flatnonzero(hit)
+
+
 def mertens_oracle(x: int) -> int:
     return sum(mobius_oracle(n) for n in range(1, x + 1))
 

@@ -506,6 +506,21 @@ def test_summatory_direct_route_past_memory_is_refused(monkeypatch, capsys):
     assert code == 0 and out.startswith("x,M,G,Qsq,pi\n")
 
 
+@pytest.mark.parametrize("policy, line", [
+    ("all", "G route direct: 3000 checkpoints, 3000 eval points"),
+    # [1, isqrt(5100)] plus the quotients above 71 of 100, 2000 and 3000
+    ("explicit:100,2000", "G route quotient: 3 checkpoints, 126 eval points"),
+])
+def test_summatory_verbose_names_g_route(policy, line, capsys):
+    # -v logs the route and the table sizes on stderr; stdout is unchanged
+    args = ["summatory", "--limit", "3000", "--checkpoints", policy]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and "G route" not in err
+    code, out_v, err_v = run_cli(args + ["-v"], capsys)
+    assert code == 0 and out_v == out
+    assert [l for l in err_v.splitlines() if "G route" in l] == [f"INFO mforge: {line}"]
+
+
 def test_summatory_direct_peak_within_documented_bytes_per_n():
     import tracemalloc
 

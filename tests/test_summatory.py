@@ -1,4 +1,5 @@
 import io
+import sys
 import tracemalloc
 from math import isqrt
 
@@ -31,6 +32,7 @@ from oracles import (
     mertens_oracle,
     mobius_block_oracle,
     mobius_oracle,
+    quotient_closure_oracle,
     squarefree_count_oracle,
 )
 
@@ -130,13 +132,24 @@ def test_series_routes_agree():
 
 
 def test_series_segment_size_and_workers_invariant():
-    pol = CheckpointPolicy(kind="geometric", ratio=1.8)
-    a = build_series(10**5, pol, segment_size=10**5 + 1)
-    b = build_series(10**5, pol, segment_size=977)
-    c = build_series(10**5, pol, segment_size=977, pool=WorkerPool(4))
-    for col in ("M", "G", "Qsq", "pi"):
-        assert np.array_equal(getattr(a, col), getattr(b, col))
-        assert np.array_equal(getattr(b, col), getattr(c, col))
+    # segments on different threads write disjoint slices of the shared
+    # tables (prefix sums, and omega on the direct route); with more workers
+    # than cores and a short switch interval a lost or misplaced write would
+    # change some recorded value
+    for pol, route in ((CheckpointPolicy(kind="geometric", ratio=1.8), "quotient"),
+                       (CheckpointPolicy(kind="all"), "direct")):
+        a = build_series(10**5, pol, segment_size=10**5 + 1)
+        b = build_series(10**5, pol, segment_size=977)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            c = build_series(10**5, pol, segment_size=977, pool=WorkerPool(4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert a.route == route
+        for col in ("M", "G", "Qsq", "pi", "M_eval", "U_eval", "pi_eval"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+            assert np.array_equal(getattr(b, col), getattr(c, col))
 
 
 @st.composite
@@ -178,6 +191,37 @@ def test_series_invariant_under_segments_workers_and_route(case):
     for col in ("checkpoints", "M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(s, col), getattr(ref, col)), col
     assert np.array_equal(s.G, np.cumsum(g_table(N))[s.checkpoints - 1])
+
+
+@st.composite
+def _eval_case(draw):
+    N = draw(st.integers(1, 30000))
+    pol = draw(_policies(N))
+    # the brute-force closure walks every k <= c of every point: keep the
+    # sum of the checkpoints near 1e7 at most
+    if pol.kind == "all":
+        N = min(N, 3000)
+    elif pol.kind == "geometric":
+        N = min(N, max(1000, int(2e7 * (pol.ratio - 1))))
+    return N, pol
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_eval_case())
+def test_eval_points_are_the_closed_quotient_set(case):
+    # [1, T] plus the checkpoints' quotients above T, T = isqrt(sum c):
+    # closed under x -> x // k, so every quotient sum at every point reads
+    # recorded values, and small unless it is all of 1..N
+    N, pol = case
+    cps = pol.checkpoints(N)
+    E = summatory._eval_point_union(cps, N)
+    assert E.dtype == np.int64 and np.all(np.diff(E) > 0)
+    assert E[0] == 1 and E[-1] == N
+    assert np.isin(cps, E).all()
+    assert np.array_equal(quotient_closure_oracle(E), E)
+    assert np.isin(quotient_closure_oracle(cps), E).all()
+    total = sum(int(c) for c in cps)
+    assert len(E) < 2 * isqrt(total) + 2 or np.array_equal(E, np.arange(1, N + 1))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -358,10 +402,27 @@ def test_series_memory_per_segment_entry_flat_in_N():
     assert max(small, large) <= 36 * size
 
 
+def test_direct_route_peak_bytes_per_n():
+    # segments write their prefix sums and omega into arrays allocated once,
+    # so no per-segment block sums or omega copies are alive at the peak:
+    # recorded (32 B/n), checkpoints, eval points and G (8 each) and
+    # g_table's working set for "all"; g_table alone for a sparser ladder
+    N, size = 2**20, 2**16
+    for policy, bytes_per_n in ((CheckpointPolicy(kind="all"), 80),
+                                (CheckpointPolicy(kind="geometric", ratio=1.001), 24)):
+        build_series(size, policy, segment_size=size)       # one-time allocations
+        tracemalloc.start()
+        try:
+            assert build_series(N, policy, segment_size=size).route == "direct"
+            assert tracemalloc.get_traced_memory()[1] <= bytes_per_n * N, policy
+        finally:
+            tracemalloc.stop()
+
+
 def test_direct_route_narrow_segments_keep_only_their_omega():
-    # a profile's omega is a view into a wheel tile of 30030 entries; the
-    # direct route keeps every segment's omega until g_table, so a view per
-    # 1-wide segment would hold 1000 tiles (30 MB) here
+    # a profile's omega is a view into a wheel tile of 30030 entries; each
+    # segment copies its omega into the one N-byte array g_table reads, so
+    # no 1-wide segment keeps its tile alive (1000 tiles would be 30 MB here)
     pol = CheckpointPolicy(kind="all")
     build_series(100, pol, segment_size=1)
     tracemalloc.start()
