@@ -57,7 +57,6 @@ from .tracker import (
     build_trace,
     heuristic_sums,
     qhat_prediction,
-    recompute_trace_row,
 )
 from .parallel import WorkerPool
 

@@ -9,7 +9,7 @@ and for sparse checkpoints they are how G itself is assembled without ever
 storing the per-n inverse table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf, isqrt
 
 import numpy as np
@@ -61,8 +61,8 @@ class CheckpointPolicy:
                 pts.append(d)
                 d *= 10
             pts.append(N)
-            return np.unique(np.asarray(pts, dtype=np.int64))
-        pts = np.unique(np.asarray(self.points, dtype=np.int64))
+            return _sorted_unique(np.asarray(pts, dtype=np.int64))
+        pts = _sorted_unique(np.asarray(self.points, dtype=np.int64))
         if pts.size == 0 or pts[0] < 1 or pts[-1] > N:
             raise ValueError("explicit checkpoints must lie in [1, N]")
         if pts[-1] != N:
@@ -102,9 +102,7 @@ class SummatorySeries(SummatoryRows):
     M_eval: np.ndarray
     U_eval: np.ndarray
     pi_eval: np.ndarray
-    G_eval: np.ndarray
     route: str                  # "direct" (per-n g summed) or "quotient"
-    _G_valid: np.ndarray = field(repr=False)
 
     def _idx_many(self, xs) -> np.ndarray:
         idx = np.searchsorted(self.eval_points, xs)
@@ -116,55 +114,64 @@ class SummatorySeries(SummatoryRows):
     def pi_many(self, xs: np.ndarray) -> np.ndarray:
         return self.pi_eval[self._idx_many(xs)]
 
-    def G_at(self, x: int) -> int:
-        i = self._idx_many(x)
-        if not self._G_valid[i]:
-            # G(x) = sum_{n <= x} u(n) * M(x // n) with u = liouville * c_omega;
-            # every point touched is in the quotient closure of x, hence recorded.
-            self.G_eval[i] = _quotient_sum(x, lambda ys: self.U_eval[self._idx_many(ys)],
-                                           lambda ys: self.M_eval[self._idx_many(ys)])
-            self._G_valid[i] = True
-        return int(self.G_eval[i])
-
-    def G_many(self, xs: np.ndarray) -> np.ndarray:
-        idx = self._idx_many(xs)
-        for j in np.nonzero(~self._G_valid[idx])[0]:
-            self.G_at(int(xs[j]))
-        return self.G_eval[idx]
+    def G_at(self, xs) -> np.ndarray:
+        """G at the support points xs, as sum_{n <= x} u(n) * M(x // n) with
+        u = liouville * c_omega.  Every point touched is in the quotient
+        closure of x, hence recorded; the series is only read."""
+        return _quotient_sums(xs, lambda ys: self.U_eval[self._idx_many(ys)],
+                              lambda ys: self.M_eval[self._idx_many(ys)])
 
 
-def _quotient_sum(x: int, A, B) -> int:
-    """sum_{n <= x} a(n) * B(x // n), given the partial sums A(y) of a.
+def _runs(lengths: np.ndarray) -> tuple:
+    """(owner, k) over the runs 1..lengths[i] laid end to end: entry j is k[j] of run owner[j]."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return owner, np.arange(1, len(owner) + 1) - starts[owner]
 
-    n <= isqrt(x) is walked one at a time; the larger n are grouped into
-    blocks of equal quotient q, of weight A(x // q) - A(x // (q + 1)).  A and
-    B map int64 arrays of quotient points of x to int64 arrays.
+
+def _quotient_sums(xs, A, B) -> np.ndarray:
+    """sum_{n <= x} a(n) * B(x // n) at every x of xs, given the partial sums A(y) of a.
+
+    For each x, n <= t = isqrt(x) is taken one at a time; the larger n are
+    grouped into blocks of equal quotient q <= x // (t + 1), of weight
+    A(x // q) - A(max(x // (q + 1), t)).  Both parts of every x are laid out
+    as ragged runs, so A and B are each called once, on an int64 array of
+    quotient points of the xs, and return int64 arrays.
     """
-    t = isqrt(x)
-    ns = np.arange(1, t + 1, dtype=np.int64)
-    a_small = np.diff(A(ns), prepend=np.int64(0))      # pointwise a(n), n <= t
-    total = int(a_small @ B(x // ns))
-    qs = np.arange(1, x // (t + 1) + 1, dtype=np.int64)
-    if qs.size:
-        w = A(x // qs) - A(np.maximum(x // (qs + 1), t))
-        total += int(w @ B(qs))
-    return total
+    xs = np.asarray(xs, dtype=np.int64)
+    t = np.array([isqrt(x) for x in xs.tolist()], dtype=np.int64)
+    small, n = _runs(t)
+    block, q = _runs(xs // (t + 1))
+    x = xs[block]
+    lo = np.maximum(x // (q + 1), t[block])
+    ns = np.arange(1, t.max(initial=0) + 1, dtype=np.int64)   # A(ns) gives a(n), n <= t
+    A_small, A_hi, A_lo = np.split(A(np.concatenate([ns, x // q, lo])), [len(ns), len(ns) + len(q)])
+    terms = np.concatenate([np.diff(A_small, prepend=np.int64(0))[n - 1], A_hi - A_lo])
+    terms *= B(np.concatenate([xs[small] // n, q]))
+    sums = np.zeros(len(xs), dtype=np.int64)
+    np.add.at(sums, np.concatenate([small, block]), terms)
+    return sums
 
 
 def _eval_point_union(checkpoints: np.ndarray, N: int) -> np.ndarray:
     """[1, T] plus every quotient c // k > T of a checkpoint c, T = min(N, isqrt(sum c)).
 
     Any T gives a set closed under x -> x // k that holds the checkpoints'
-    quotients, hence every point ``_quotient_sum`` touches, so T need not be
+    quotients, hence every point ``_quotient_sums`` touches, so T need not be
     exact and the sum is taken in float64, which cannot wrap.  With T =
     isqrt(sum c) < N, each c has at most c / (T + 1) quotients above T, so
     the set has fewer than 2 T + 1 points, built from N // (T + 1) slices."""
     T = min(N, isqrt(int(checkpoints.sum(dtype=np.float64))))
-    pts = np.concatenate([np.arange(1, T + 1, dtype=np.int64)]
-                         + [checkpoints[np.searchsorted(checkpoints, k * (T + 1)):] // k
-                            for k in range(1, N // (T + 1) + 1)])
-    pts.sort(kind="stable")     # merges the sorted parts; np.unique would hash them
-    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+    return _sorted_unique(np.concatenate(
+        [np.arange(1, T + 1, dtype=np.int64)]
+        + [checkpoints[np.searchsorted(checkpoints, k * (T + 1)):] // k
+           for k in range(1, N // (T + 1) + 1)]))
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of int64 ``a`` by a merging stable sort and a mask (np.unique hashes int64)."""
+    a = np.sort(a, kind="stable")
+    return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
 def _block_sums(narrow, wide: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -257,20 +264,16 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         if N * max(int(g.max()), -int(g.min())) > _SAFE_SUM:
             raise OverflowError("G's partial sums could exceed the summatory bound")
         G = np.cumsum(g, out=g)
-        G_eval = G if n_eval == N else G[eval_points - 1]
-    else:
-        G_eval = np.zeros(n_eval, dtype=np.int64)
+        G = G if len(cps) == N else G[cps - 1]
     # every checkpoint is an eval point; when they are all of them, rows are views
     cp = slice(None) if len(cps) == n_eval else np.searchsorted(eval_points, cps)
     series = SummatorySeries(
-        checkpoints=cps, M=recorded[0][cp], G=G_eval[cp], Qsq=recorded[1][cp],
+        checkpoints=cps, M=recorded[0][cp], G=None, Qsq=recorded[1][cp],
         pi=recorded[2][cp], N=N, eval_points=eval_points,
-        M_eval=recorded[0], U_eval=recorded[3], pi_eval=recorded[2], G_eval=G_eval,
+        M_eval=recorded[0], U_eval=recorded[3], pi_eval=recorded[2],
         route="direct" if direct else "quotient",
-        _G_valid=np.full(n_eval, direct),
     )
-    if not direct:      # G_eval holds nothing yet: assemble G at the checkpoints
-        series.G = series.G_many(cps)
+    series.G = G if direct else series.G_at(cps)
     return series
 
 
@@ -300,14 +303,15 @@ def mertens_via_g_pi(x: int, g: np.ndarray, pi_table: PrimeCountTable) -> int:
 def mertens_via_G_over_primes(x: int, series: SummatorySeries) -> int:
     """M(x) evaluated as G(x) + sum over primes p <= x of G(floor(x / p)).
 
-    The prime sum is a quotient sum over the prime indicator, whose partial
-    sums are pi, so only G and pi values at the quotient points of x are
-    touched; x itself must be one of the series' recorded support points
-    (any checkpoint qualifies).
+    With G(x) as the n = 1 term, the whole right side is one quotient sum
+    over the indicator of {1} and the primes, whose partial sums are 1 + pi,
+    so only G and pi values at the quotient points of x are touched; x itself
+    must be one of the series' recorded support points (any checkpoint
+    qualifies).
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    return series.G_at(x) + _quotient_sum(x, series.pi_many, series.G_many)
+    return int(_quotient_sums([x], lambda ys: series.pi_many(ys) + 1, series.G_at)[0])
 
 
 def q_hat(n: int, x: int, profile) -> int:

@@ -3,14 +3,12 @@
 The traces visualize conjectured limiting behaviour without asserting any
 limit: every column is plain arithmetic on exact (x, M, G) rows, and the
 conjectured constants are emitted as horizontal reference lines in the CSV
-metadata.  A slow independent re-computation path exists purely to validate
-the vectorized arithmetic.
+metadata.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,36 +88,6 @@ def build_trace(rows) -> RatioTrace:
     )
 
 
-def recompute_trace_row(x: int, M: int, G: int) -> dict:
-    """Slow scalar re-computation of one trace row.
-
-    Independent of the vectorized path: rational parts are exact Fractions
-    converted to float at the last step, the rest is plain math calls.
-    Used to validate the fast arithmetic to 1e-12 relative.
-    """
-    if x < TRACE_MIN_X:
-        raise ValueError(f"x must be >= {TRACE_MIN_X}")
-    lx = math.log(x)
-    ll = math.log(lx)
-    lll = math.log(ll)
-    sign = 1 if M >= 0 else -1
-    q = sign * math.sqrt(float(Fraction(M * M, x)))
-    abs_m_over_sx = math.sqrt(float(Fraction(M * M, x)))
-    abs_g_over_sx = math.sqrt(float(Fraction(G * G, x)))
-    row = {
-        "q": q,
-        "gonek": abs_m_over_sx / lll ** 1.25,
-        "r1": abs_m_over_sx * lll ** 1.5,
-        "r2": abs_m_over_sx * lll / math.sqrt(ll),
-        "rG1": abs_g_over_sx * lll ** 1.5,
-        "rG2": abs_g_over_sx * lll / math.sqrt(ll),
-        "twice_g": float(Fraction(M, 2 * G)) if G != 0 else math.nan,
-        "qhat_pred": qhat_prediction(float(x)),
-        "qhat_exact": M,
-    }
-    return row
-
-
 @dataclass
 class HeuristicEval:
     """Direct evaluation of the Stirling-side sums at one x."""
@@ -164,20 +132,14 @@ def heuristic_sums(x: float, K: int) -> HeuristicEval:
                          b_hat=s_w / s_inv)
 
 
-def near_parity_boundary(x: float, tol: float = 1e-9) -> bool:
-    """True when loglog(x) sits within tol of an integer, where the sign
-    factor (-1)^floor(loglog x) flips."""
-    ll = math.log(math.log(x))
-    return abs(ll - round(ll)) < tol
-
-
 def qhat_prediction(x: float) -> float:
     """Heuristic main term for the signed squarefree sum:
     (6x/pi^2) (-1)^floor(loglog x) / (2 sqrt(2 pi loglog x))."""
     if not x > math.e:
         raise ValueError(f"x must exceed e, got {x}")
     ll = math.log(math.log(x))
-    if near_parity_boundary(x):
+    # the sign factor flips where loglog x crosses an integer
+    if abs(ll - round(ll)) < 1e-9:
         log.warning("x=%s lies within 1e-9 of a parity boundary of "
                     "floor(loglog x); the sign factor is unstable there", x)
     sign = -1.0 if math.floor(ll) % 2 else 1.0

@@ -7,6 +7,7 @@ product-tracking Mobius block sieve that shares no code with the profiler.
 
 import json
 import math
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -146,6 +147,17 @@ def quotient_closure_oracle(points) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
+def quotient_sum_oracle(x: int, A, B) -> int:
+    """sum_{n <= x} a(n) * B(x // n) in Python ints, given the partial sums
+    A(y) of a (A(0) = 0): n <= isqrt(x) one at a time, the larger n in blocks
+    of equal quotient q, of weight A(x // q) - A(max(x // (q + 1), isqrt(x)))."""
+    t = isqrt(x)
+    total = sum((A(n) - A(n - 1)) * B(x // n) for n in range(1, t + 1))
+    for q in range(1, x // (t + 1) + 1):
+        total += (A(x // q) - A(max(x // (q + 1), t))) * B(q)
+    return total
+
+
 def mertens_oracle(x: int) -> int:
     return sum(mobius_oracle(n) for n in range(1, x + 1))
 
@@ -246,6 +258,36 @@ def sorted_sample_cdf(sample, standardize: bool = True):
     phi = ndtr(v)
     steps = np.arange(1, n + 1) / n
     return v, float(max(np.abs(steps - phi).max(), np.abs(steps - 1.0 / n - phi).max()))
+
+
+def recompute_trace_row(x: int, M: int, G: int) -> dict:
+    """Slow scalar re-computation of one trace row (x >= 16, past e^e).
+
+    Independent of the vectorized path: rational parts are exact Fractions
+    converted to float at the last step, the rest is plain math calls.
+    Used to validate the fast arithmetic to 1e-12 relative.
+    """
+    if x < 16:
+        raise ValueError("x must be >= 16")
+    lx = math.log(x)
+    ll = math.log(lx)
+    lll = math.log(ll)
+    sign = 1 if M >= 0 else -1
+    q = sign * math.sqrt(float(Fraction(M * M, x)))
+    abs_m_over_sx = math.sqrt(float(Fraction(M * M, x)))
+    abs_g_over_sx = math.sqrt(float(Fraction(G * G, x)))
+    parity = -1.0 if math.floor(ll) % 2 else 1.0
+    return {
+        "q": q,
+        "gonek": abs_m_over_sx / lll ** 1.25,
+        "r1": abs_m_over_sx * lll ** 1.5,
+        "r2": abs_m_over_sx * lll / math.sqrt(ll),
+        "rG1": abs_g_over_sx * lll ** 1.5,
+        "rG2": abs_g_over_sx * lll / math.sqrt(ll),
+        "twice_g": float(Fraction(M, 2 * G)) if G != 0 else math.nan,
+        "qhat_pred": (6.0 * x / math.pi**2) * parity / (2.0 * math.sqrt(2.0 * math.pi * ll)),
+        "qhat_exact": M,
+    }
 
 
 # Row-at-a-time table writers: the reference layout of every data file the

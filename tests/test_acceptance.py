@@ -26,9 +26,14 @@ from mforge.summatory import (
     mertens_via_g_pi,
 )
 from mforge.cli import main
-from mforge.tracker import REFERENCE_LINES, build_trace, recompute_trace_row
+from mforge.tracker import REFERENCE_LINES, build_trace
 
-from oracles import MERTENS_AT_POW10, g_recursion_oracle, mobius_block_oracle
+from oracles import (
+    MERTENS_AT_POW10,
+    g_recursion_oracle,
+    mobius_block_oracle,
+    recompute_trace_row,
+)
 
 POOL = WorkerPool(4)
 

@@ -33,6 +33,7 @@ from oracles import (
     mobius_block_oracle,
     mobius_oracle,
     quotient_closure_oracle,
+    quotient_sum_oracle,
     squarefree_count_oracle,
 )
 
@@ -56,6 +57,23 @@ def test_policy_explicit():
         CheckpointPolicy(kind="explicit", points=(0, 5)).checkpoints(20)
     with pytest.raises(ValueError):
         CheckpointPolicy(kind="explicit", points=(30,)).checkpoints(20)
+
+
+@pytest.mark.parametrize("policy, N", [
+    (CheckpointPolicy(kind="geometric", ratio=1.00001), 10**6),
+    (CheckpointPolicy(kind="geometric", ratio=1.25), 10**6),
+    (CheckpointPolicy(kind="geometric", ratio=2.0), 10**6),
+    (CheckpointPolicy(kind="explicit", points=(500, 7, 10**6, 7, 3, 500, 42, 3)), 10**6),
+])
+def test_policy_dedup_equals_np_unique(policy, N):
+    # the ladder (then every power of 10, then N) or the explicit list, as given
+    pts = list(policy.points)
+    if policy.kind == "geometric":
+        pts = [1]
+        while pts[-1] < N:
+            pts.append(min(max(int(pts[-1] * policy.ratio), pts[-1] + 1), N))
+        pts += [10**k for k in range(1, len(str(N)))] + [N]
+    assert np.array_equal(policy.checkpoints(N), np.unique(np.asarray(pts, dtype=np.int64)))
 
 
 def test_policy_validation():
@@ -123,12 +141,64 @@ def test_series_routes_agree():
     assert sparse.route == "quotient" and dense.route == "direct"
     for s in (sparse, dense):
         assert np.array_equal(s.G, G[s.checkpoints - 1])
-        assert np.array_equal(s.G_many(s.eval_points), G[s.eval_points - 1])
+        assert np.array_equal(s.G_at(s.eval_points), G[s.eval_points - 1])
     common, i, j = np.intersect1d(sparse.checkpoints, dense.checkpoints,
                                   return_indices=True)
     assert len(common) > 20
     for col in ("M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(sparse, col)[i], getattr(dense, col)[j]), col
+
+
+def test_G_at_every_support_point_small_N():
+    # both routes assemble G at any recorded point from M and U alone
+    seen = set()
+    for N in range(1, 61):
+        G = np.cumsum(g_table(N))
+        for policy in (CheckpointPolicy(kind="all"),
+                       CheckpointPolicy(kind="explicit", points=(N,))):
+            s = build_series(N, policy)
+            seen.add(s.route)
+            assert s.route == _expected_route(s.checkpoints, N)
+            assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, policy)
+            assert np.array_equal(s.G_at(s.eval_points), G[s.eval_points - 1]), (N, policy)
+    assert seen == {"direct", "quotient"}
+
+
+def test_quotient_sums_match_scalar_oracle():
+    # random int64 partial-sum tables, small enough that no sum wraps
+    rng = np.random.default_rng(5)
+    X = 20000
+    for _ in range(5):
+        A = np.concatenate([[0], rng.integers(-2**30, 2**30, size=X)])
+        B = np.concatenate([[0], rng.integers(-2**20, 2**20, size=X)])
+        # x = 1 has no block of equal quotient
+        xs = np.concatenate([[1, 2, 3], rng.integers(1, X + 1, size=40), [X]])
+        calls = []
+
+        def lookup(table):
+            def read(ys):
+                calls.append(len(ys))
+                return table[ys]
+            return read
+
+        got = summatory._quotient_sums(xs, lookup(A), lookup(B))
+        assert got.dtype == np.int64 and len(calls) == 2
+        want = [quotient_sum_oracle(int(x), lambda y: int(A[y]), lambda y: int(B[y]))
+                for x in xs]
+        assert got.tolist() == want
+    empty = summatory._quotient_sums(np.array([], dtype=np.int64), lookup(A), lookup(B))
+    assert empty.dtype == np.int64 and empty.size == 0
+
+
+def test_mertens_via_G_over_primes_reads_the_series_only():
+    s = build_series(10**5, CheckpointPolicy(kind="explicit", points=(10**5,)))
+    assert s.route == "quotient"
+    before = {k: v.copy() for k, v in vars(s).items() if isinstance(v, np.ndarray)}
+    assert mertens_via_G_over_primes(10**5, s) == MERTENS_AT_POW10[10**5]
+    after = {k: v for k, v in vars(s).items() if isinstance(v, np.ndarray)}
+    assert after.keys() == before.keys()
+    for k, v in before.items():
+        assert np.array_equal(after[k], v), k
 
 
 def test_series_segment_size_and_workers_invariant():

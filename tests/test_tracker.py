@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -11,12 +12,10 @@ from mforge.tracker import (
     REF_SCALED_LIMSUP,
     build_trace,
     heuristic_sums,
-    near_parity_boundary,
     qhat_prediction,
-    recompute_trace_row,
 )
 
-from oracles import MERTENS_AT_POW10
+from oracles import MERTENS_AT_POW10, recompute_trace_row
 
 
 def test_reference_constants():
@@ -162,10 +161,13 @@ def test_qhat_prediction_pairs_with_exact():
     assert pred != exact                        # heuristic, not the value
 
 
-def test_parity_boundary_flag():
-    x_boundary = math.exp(math.exp(2.0))        # loglog exactly 2
-    assert near_parity_boundary(x_boundary)
-    assert not near_parity_boundary(10**6)
+def test_parity_boundary_flag(caplog):
+    caplog.set_level(logging.WARNING, logger="mforge.tracker")
+    qhat_prediction(math.exp(math.exp(2.0)))    # loglog exactly 2
+    assert "parity boundary" in caplog.text
+    caplog.clear()
+    qhat_prediction(10**6)
+    assert not caplog.records
 
 
 def test_qhat_sign_flips_across_boundary():
