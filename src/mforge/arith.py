@@ -29,9 +29,15 @@ _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL = math.prod(_WHEEL_PRIMES)
 
 
-def _lg(p: int) -> int:
-    """floor(4 * log2(p)), exactly: the byte log a prime adds per level."""
-    return (p**4).bit_length() - 1
+#: ceil(2^(k/4)) for k = 0..128, the least t with t^4 >= 2^k: a prime
+#: p < 2^32 has floor(4 log2 p) = k exactly when it lies in [t_k, t_(k+1)).
+_LG_STEPS = np.array([isqrt(isqrt((1 << k) - 1)) + 1 for k in range(129)], dtype=np.int64)
+
+
+def _lg(p):
+    """floor(4 * log2(p)) per prime p < 2^32, exactly, as uint8: the byte log
+    a prime adds per level."""
+    return (np.searchsorted(_LG_STEPS, p, side="right") - 1).astype(np.uint8)
 
 
 def _wheel_pattern():
@@ -51,6 +57,10 @@ _WHEEL_OMEGA, _WHEEL_LOG = _wheel_pattern()
 #: 1.4 MB) stay in cache.
 _SHORT_STRIDE = 256
 _BLOCK = 1 << 17
+
+#: A step whose stride is at least the segment width over this hits the
+#: segment at most this many times, and goes through the one scatter pass.
+_SPARSE_HITS = 16
 
 #: k! for k <= 20; 21! exceeds 2^63.
 _FACTORIAL = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
@@ -105,12 +115,18 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
 
     * Presieve: omega and the byte log L for the wheel primes 2..13 start as
       a tiled period-30030 pattern, offset by ``lo % 30030``.
-    * Prime loop: every other seed prime p <= r = isqrt(hi - 1) adds 1 to
-      omega on its multiples.  Every level p^e < hi of a seed or wheel prime
-      adds lg(p) = floor(4 log2 p) to the uint8 byte log L; a level with
-      e >= 2 also adds 1 to the excess count ``extra`` and multiplies the
+    * Steps: every other seed prime p <= r = isqrt(hi - 1) adds 1 to omega
+      on its multiples.  Every level p^e < hi of a seed or wheel prime adds
+      lg(p) = floor(4 log2 p) to the uint8 byte log L; a level with e >= 2
+      also adds 1 to the excess count ``extra`` and multiplies the
       denominator ``den`` by e, so ``den`` ends as the product of alpha_i!.
-      Strides below 256 run one cache-sized block of the segment at a time.
+      The table of strides q = p^e, byte logs and levels is built in numpy.
+      A step runs in one of three tiers by its stride: strides of at least
+      width / 16 hit the segment at most 16 times each, and all their hits
+      are applied in one scatter pass (the bucket idea of Oliveira e Silva,
+      Herzog & Pardi, Math. Comp. 2014); strides below 256 run one
+      cache-sized block of the segment at a time; the rest run as one
+      strided slice update each.
     * Byte-log test (approximate logs, as in the quadratic sieve; Pomerance,
       EUROCRYPT '84): a prime factor q of n that is neither a seed nor a
       wheel prime has q > max(r, 13) and q^2 > hi - 1 >= n, so n has at most
@@ -160,24 +176,18 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     extra = np.zeros(width, dtype=np.uint8) if want - {"omega"} else None
     den = np.ones(width, dtype=np.int64) if "c_omega" in want else None
 
-    # (stride q, byte log lg(p), level e): q = p for a new prime, q = p^e for e >= 2
-    steps = []
-    for p in map(int, seeds):
-        lg = _lg(p)
-        if p > _WHEEL_PRIMES[-1]:
-            steps.append((p, lg, 1))
-        pe, e = p * p, 2
-        while pe < hi:
-            steps.append((pe, lg, e))
-            pe *= p
-            e += 1
     cols = (omega, extra, logs, den)
+    q, lg, e = _step_table(seeds, hi)
+    sparse = q * _SPARSE_HITS >= width
+    _scatter_steps(cols, lo, width, q[sparse], lg[sparse], e[sparse])
+    short = q < _SHORT_STRIDE
+    blocked, strided = (list(zip(q[m].tolist(), lg[m].tolist(), e[m].tolist()))
+                        for m in (~sparse & short, ~sparse & ~short))
     # Short strides touch every cache line of the segment; running them one
     # block at a time halves their cost, and more so with two workers.
-    short = [st for st in steps if st[0] < _SHORT_STRIDE]
     for b0 in range(0, width, _BLOCK):
-        _sieve_steps(cols, lo, b0, min(b0 + _BLOCK, width), short)
-    _sieve_steps(cols, lo, 0, width, [st for st in steps if st[0] >= _SHORT_STRIDE])
+        _sieve_steps(cols, lo, b0, min(b0 + _BLOCK, width), blocked)
+    _sieve_steps(cols, lo, 0, width, strided)
 
     for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
         a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
@@ -205,6 +215,51 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
         big_omega=big if "big_omega" in want else None,
         mobius=mobius, liouville=liouville, c_omega=c,
     )
+
+
+def _step_table(seeds: np.ndarray, hi: int) -> tuple:
+    """Every sieve step below hi as arrays: stride q, byte log lg (uint8), level e.
+
+    Level 1 is q = p for each seed prime p > 13; level e >= 2 is q = p^e < hi
+    for every seed prime, built from level e - 1 by keeping the p^(e-1) <=
+    (hi - 1) // p before multiplying, so no product passes hi.
+    """
+    lgs = _lg(seeds)
+    new = seeds > _WHEEL_PRIMES[-1]
+    table = [(seeds[new], lgs[new], 1)]
+    p, pe, e = seeds, seeds, 1
+    while len(p):
+        keep = pe <= (hi - 1) // p
+        p, lgs, pe, e = p[keep], lgs[keep], pe[keep] * p[keep], e + 1
+        table.append((pe, lgs, e))
+    return (np.concatenate([t[0] for t in table]), np.concatenate([t[1] for t in table]),
+            np.concatenate([np.full(len(t[0]), t[2], dtype=np.int64) for t in table]))
+
+
+def _runs(lengths: np.ndarray) -> tuple:
+    """(owner, k) over the runs 1..lengths[i] laid end to end: entry j is k[j] of run owner[j]."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return owner, np.arange(1, len(owner) + 1) - starts[owner]
+
+
+def _scatter_steps(cols, lo: int, width: int, q, lg, e):
+    """Apply steps of stride q >= width / 16 to the segment [lo, lo + width)
+    in one pass: their few hits each are laid out as ragged runs and added
+    (multiplied, for den) with the unbuffered ``.at`` ufuncs, so an entry hit
+    by two of the steps gets both."""
+    omega, extra, logs, den = cols
+    first = -lo % q
+    step, k = _runs((width - first + q - 1) // q)
+    at = first[step] + (k - 1) * q[step]
+    np.add.at(logs, at, lg[step])
+    level = e[step]
+    power = level > 1
+    np.add.at(omega, at[~power], 1)
+    if extra is not None:
+        np.add.at(extra, at[power], 1)
+    if den is not None:
+        np.multiply.at(den, at[power], level[power])
 
 
 def _sieve_steps(cols, lo: int, b0: int, b1: int, steps):

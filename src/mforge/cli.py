@@ -133,8 +133,10 @@ def cmd_sieve(config: argparse.Namespace) -> int:
     return 0
 
 
-#: Peak bytes per n of ``verify --identity all`` and ``oeis-check`` (one profile
-#: of 1..limit: 432 MB and 165 MB at 1e7), of ``summatory``'s direct G route
+#: Peak bytes per n of ``verify --identity all`` (one profile of 1..limit:
+#: 432 MB at 1e7), of ``oeis-check --sequence g`` (the prefix table g: 163 MB
+#: at 1e7; mu and lambda are streamed one segment at a time and need no
+#: guard), of ``summatory``'s direct G route
 #: (116.5 B/n traced at 5e4, one segment, plus 8%; 76.7 at 1e7), and of
 #: ``sieve`` (a bool mask of 1..limit plus the int64 primes, 1.68 B/n traced
 #: at 1e6 and 1.54 at 1e7).
@@ -281,12 +283,9 @@ def cmd_trace(config: argparse.Namespace) -> int:
     return 0
 
 
-#: Profile attribute each sequence reads, and the kernel column it is built from.
-OEIS_SEQUENCES = {
-    "mu": ("mobius", "mobius"),
-    "lambda": ("liouville", "liouville"),
-    "g": ("g", "omega"),
-}
+#: The kernel column each streamed sequence is read from; ``g`` has none, as
+#: it is a prefix table, built whole.
+OEIS_SEQUENCES = {"mu": "mobius", "lambda": "liouville", "g": None}
 
 
 def cmd_oeis_check(config: argparse.Namespace) -> int:
@@ -297,15 +296,32 @@ def cmd_oeis_check(config: argparse.Namespace) -> int:
             limit = min(limit, config.limit)
         if limit < 1:
             raise ValueError("no usable entries")
-    _require_memory("oeis-check", limit, OEIS_BYTES_PER_N)
-    attr, column = OEIS_SEQUENCES[config.sequence]
-    profile = arith.profile_range(sieve.Segment(1, limit + 1), columns={column})
-    values = getattr(profile, attr)
-    mismatch = arith.compare_bfile(entries, values[:limit], start=1)
-    if mismatch is None:
+    column = OEIS_SEQUENCES[config.sequence]
+    if column is None:
+        _require_memory("oeis-check", limit, OEIS_BYTES_PER_N)
+        mismatches = [arith.compare_bfile(entries, arith.g_table(limit))]
+    else:
+        # the entries of each segment, in file order, so a segment reads only its own
+        size = config.segment_size
+        by_segment = {}
+        for idx, val in entries:
+            if 1 <= idx <= limit:
+                by_segment.setdefault((idx - 1) // size, []).append((idx, val))
+
+        def check(seg):
+            mine = by_segment.get((seg.lo - 1) // size)
+            if mine is None:
+                return None
+            values = getattr(arith.profile_range(seg, columns={column}), column)
+            return arith.compare_bfile(mine, values, start=seg.lo)
+        mismatches = WorkerPool(config.threads).sweep(1, limit + 1, size, check)
+    # each segment reports its first mismatch in file order; the first of those
+    # in file order is the first mismatch of the whole file
+    found = [m for m in mismatches if m is not None]
+    if not found:
         print(f"{config.sequence}: all entries up to {limit} match {config.bfile}")
         return 0
-    idx, want, got = mismatch
+    idx, want, got = min(found, key=lambda m: entries.index(m[:2]))
     print(f"{config.sequence}: first mismatch at index {idx}: "
           f"file has {want}, computed {got}")
     return 1
@@ -402,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=POSITIVE, default=argparse.SUPPRESS,
                         help="worker count (default: MFORGE_THREADS or 1)")
     common.add_argument("--segment-size", type=POSITIVE, default=argparse.SUPPRESS,
-                        help="sieve segment capacity (default 2^22)")
+                        help="sieve segment capacity (default 2^20)")
     common.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,
                         help="more logging on stderr")
     common.add_argument("-q", "--quiet", action="store_true",

@@ -4,19 +4,21 @@
 :func:`primes_up_to` supplies the seed primes of the segment kernel in
 ``arith``.  :class:`PrimeCountTable` is a rank-query bit set answering pi(x)
 in O(1); :func:`factorize` is the pointwise trial division behind the exact
-multinomial ``arith.c_omega``.  Seed primes can be cached to a binary file.
+multinomial ``arith.c_omega``.  ``mforge sieve`` exports the primes up to a
+limit to a binary file, which no command reads back.
 """
 
-import os
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
-#: Default number of entries per sieve segment (fits comfortably in cache).
-DEFAULT_SEGMENT_CAPACITY = 1 << 22
+#: Default number of entries per sieve segment.  A sweep's memory is this
+#: width times the workers times the bytes its kernel keeps per entry (about
+#: 19 for the series sweep), so the default keeps a worker near 20 MB.
+DEFAULT_SEGMENT_CAPACITY = 1 << 20
 
-#: Magic header of the binary seed-prime cache file.
+#: Magic header of the binary prime export file.
 PRIME_CACHE_MAGIC = b"MFPRIMES1"
 
 
@@ -132,20 +134,10 @@ class PrimeCountTable:
 
 
 def save_prime_cache(path, primes: np.ndarray):
-    """Write the binary seed-prime cache: magic header + little-endian u64s."""
+    """Write the binary prime export: magic header + little-endian u64s."""
     # primes are non-negative, so their little-endian int64 bytes are the
     # u64s; an int64 array is written from its own buffer, without a copy
     arr = np.ascontiguousarray(primes, dtype="<i8")
     with open(path, "wb") as fh:
         fh.write(PRIME_CACHE_MAGIC)
         fh.write(arr)
-
-
-def load_prime_cache(path) -> np.ndarray:
-    """Read a seed-prime cache written by :func:`save_prime_cache`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(PRIME_CACHE_MAGIC))
-        if magic != PRIME_CACHE_MAGIC:
-            raise ValueError(f"{os.fspath(path)}: bad magic {magic!r}")
-        data = fh.read()
-    return np.frombuffer(data, dtype="<u8").astype(np.int64)

@@ -14,7 +14,7 @@ from math import inf, isqrt
 
 import numpy as np
 
-from .arith import g_table, profile_range
+from .arith import _runs, g_table, profile_range
 from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError
 
@@ -120,13 +120,6 @@ class SummatorySeries(SummatoryRows):
         closure of x, hence recorded; the series is only read."""
         return _quotient_sums(xs, lambda ys: self.U_eval[self._idx_many(ys)],
                               lambda ys: self.M_eval[self._idx_many(ys)])
-
-
-def _runs(lengths: np.ndarray) -> tuple:
-    """(owner, k) over the runs 1..lengths[i] laid end to end: entry j is k[j] of run owner[j]."""
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    starts = np.cumsum(lengths) - lengths
-    return owner, np.arange(1, len(owner) + 1) - starts[owner]
 
 
 def _quotient_sums(xs, A, B) -> np.ndarray:

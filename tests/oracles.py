@@ -14,6 +14,17 @@ import numpy as np
 from scipy.special import ndtr
 
 
+def load_prime_cache(path) -> np.ndarray:
+    """Read a prime export written by ``mforge sieve``: the 9-byte header
+    ``MFPRIMES1``, then the primes as little-endian u64s."""
+    with open(path, "rb") as fh:
+        magic = fh.read(9)
+        if magic != b"MFPRIMES1":
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        data = fh.read()
+    return np.frombuffer(data, dtype="<u8").astype(np.int64)
+
+
 def trial_factorize(n: int):
     """(prime, exponent) pairs by trial division."""
     out = []

@@ -220,9 +220,10 @@ def _profile_rows(prof):
     return list(zip(*(getattr(prof, col).tolist() for col in COLUMNS)))
 
 
-#: Windows of +-64 around 2^k for k above this cost over a second each in the
-#: kernel's per-seed-prime loop (pi(2^(k/2)) seed primes).
-_EDGE_K_MAX = 40
+#: Windows of +-64 around 2^k for k above this cost over a second each, most
+#: of it in the trial-division oracle (up to 2^(k/3) per entry); the kernel
+#: scatters the pi(2^(k/2)) seed primes' steps in one pass (0.16 s at k = 46).
+_EDGE_K_MAX = 46
 
 
 @pytest.mark.parametrize("k", range(1, _EDGE_K_MAX + 1))
@@ -230,6 +231,32 @@ def test_profile_matches_oracles_around_binary_range_edges(k):
     # the byte-log test compares L with 3k on each binary range [2^k, 2^(k+1)),
     # so every entry of a window across 2^k is checked against its factorization
     lo, hi = max(1, 2**k - 64), 2**k + 64
+    rows = _profile_rows(profile_range(Segment(lo, hi)))
+    for n, row in zip(range(lo, hi), rows):
+        assert row == columns_from_exponents(exponents_oracle(n)), n
+
+
+def _sparse_steps_dividing(n: int, width: int, hi: int) -> int:
+    """How many of the kernel's steps of stride >= width / 16 divide n: one per
+    prime-power level p^e | n with p a seed (p^2 < hi) and e >= 2 or p > 13."""
+    return sum(1 for p, a in trial_factorize(n) if p * p < hi
+               for e in range(1, a + 1) if 16 * p**e >= width and (e >= 2 or p > 13))
+
+
+@pytest.mark.parametrize("width", [64, 1024])
+@pytest.mark.parametrize("n0", [
+    7 * (11 * 13) ** 2,            # 11^2 and 13^2
+    (67 * 71) ** 2,                # 67, 71, 67^2 and 71^2
+    67 * 71 * 73 * 79,             # four sparse primes
+    2**12 * 3**5 * 5**3,           # 2^e for e >= 6 (or 2), 3^4, 3^5, 5^3
+    3 * (257 * 263) ** 2,          # primes and squares above width / 16
+])
+def test_profile_entries_hit_by_several_sparse_steps(n0, width):
+    # every entry of the window is checked, and n0 is hit by at least two of
+    # the steps that the kernel applies in one scatter pass, which must add
+    # (and multiply, for the denominators) every one of them
+    lo, hi = n0 - width // 2, n0 + width // 2
+    assert _sparse_steps_dividing(n0, width, hi) >= 2
     rows = _profile_rows(profile_range(Segment(lo, hi)))
     for n, row in zip(range(lo, hi), rows):
         assert row == columns_from_exponents(exponents_oracle(n)), n
@@ -255,10 +282,16 @@ def test_profile_matches_oracles_on_every_segment_below_40():
 
 def test_byte_log_is_floor_of_four_log2_on_seed_primes():
     # lg(p) = m exactly when 2^m <= p^4 < 2^(m + 1), in exact integers
-    for p in map(int, primes_up_to(10**6)):
-        m = arith._lg(p)
+    ps = primes_up_to(10**6)
+    for p, m in zip(ps.tolist(), arith._lg(ps).tolist()):
         assert 1 << m <= p**4 < 2 << m, p
         assert m == math.floor(4 * math.log2(p)), p
+    # and on both sides of every threshold 2^(k/4) up to 2^32, past the
+    # largest seed prime of a segment below 10^17
+    ns = sorted({n for k in range(1, 129) for r in [math.isqrt(math.isqrt(1 << k))]
+                 for n in (r - 1, r, r + 1, r + 2) if 2 <= n < 1 << 32})
+    for n, m in zip(ns, arith._lg(np.array(ns)).tolist()):
+        assert 1 << m <= n**4 < 2 << m, n
 
 
 @pytest.mark.parametrize("columns, bytes_per_n", [(COLUMNS, 17), ({"omega"}, 4)])

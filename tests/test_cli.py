@@ -19,7 +19,7 @@ from mforge.cli import (
     parse_config,
 )
 from mforge.randmodel import simulate_many
-from mforge.sieve import load_prime_cache, primes_up_to
+from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, primes_up_to
 from mforge.summatory import CheckpointPolicy, SummatoryRows, build_series
 from mforge.tracker import build_trace
 
@@ -172,7 +172,7 @@ def test_simulate_usage_error():
 def test_sieve_cache(tmp_path):
     out = tmp_path / "primes.bin"
     assert main(["sieve", "--limit", "10000", "--out", str(out)]) == 0
-    assert np.array_equal(load_prime_cache(out), primes_up_to(10000))
+    assert np.array_equal(oracles.load_prime_cache(out), primes_up_to(10000))
 
 
 def test_oeis_check_pass_and_fail(tmp_path, capsys, profile_1e4):
@@ -213,6 +213,41 @@ def test_oeis_check_oracle_fixtures(sequence, fname, capsys):
         capsys)
     assert code == 0, out
     assert "match" in out
+
+
+@pytest.mark.parametrize("sequence, column", [("mu", "mobius"), ("lambda", "liouville")])
+def test_oeis_check_streams_by_segment(sequence, column, tmp_path, monkeypatch, capsys,
+                                       profile_1e4):
+    # mu and lambda are compared one segment at a time, with no memory guard.
+    # Segments of 100 start at 1, 101, 201, 301, ...; the file holds wrong
+    # values at 301 (the first entry of a segment) and 200 (the last entry of
+    # another), and the one listed first in the file is reported
+    import mforge.cli as cli
+
+    monkeypatch.setattr(cli, "available_memory", lambda: 0)
+    values = getattr(profile_1e4, column)
+    lines = {n: f"{n} {int(values[n - 1])}" for n in range(1, 1001)}
+    lines[301], lines[200] = "301 7", "200 -7"
+    path = tmp_path / "b.txt"
+    for order, first in ((range(1000, 0, -1), 301), (range(1, 1001), 200)):
+        path.write_text("\n".join(lines[n] for n in order) + "\n")
+        want = "7" if first == 301 else "-7"
+        expected = (f"{sequence}: first mismatch at index {first}: "
+                    f"file has {want}, computed {int(values[first - 1])}\n")
+        for size, threads in (("100", "1"), ("100", "3"), ("7", "2"), ("4096", "1")):
+            code, out, _ = run_cli(["oeis-check", "--sequence", sequence, "--bfile", str(path),
+                                    "--segment-size", size, "--threads", threads], capsys)
+            assert (code, out) == (1, expected), (first, size, threads)
+    # segments that hold no entry are skipped, and do not hide a later mismatch
+    path.write_text(f"5 {int(values[4])}\n950 7\n")
+    code, out, _ = run_cli(["oeis-check", "--sequence", sequence, "--bfile", str(path),
+                            "--segment-size", "100"], capsys)
+    assert (code, out) == (1, f"{sequence}: first mismatch at index 950: "
+                              f"file has 7, computed {int(values[949])}\n")
+    code, out, _ = run_cli(["oeis-check", "--sequence", sequence, "--segment-size", "64",
+                            "--bfile", str(FIXTURES / ("b008683.txt" if sequence == "mu"
+                                                       else "b008836.txt"))], capsys)
+    assert code == 0 and "all entries up to 1000 match" in out
 
 
 def test_oeis_check_limit_caps_range(capsys):
@@ -433,7 +468,7 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
 
 @pytest.mark.parametrize("args, bytes_per_n, limit", [
     (["verify", "--limit", "2000"], "VERIFY_BYTES_PER_N", 2000),
-    (["oeis-check", "--sequence", "mu", "--bfile", str(FIXTURES / "b008683.txt")],
+    (["oeis-check", "--sequence", "g", "--bfile", str(FIXTURES / "b341444.txt")],
      "OEIS_BYTES_PER_N", 1000),
     (["sieve", "--limit", "2000", "--out", os.devnull], "SIEVE_BYTES_PER_N", 2000),
 ])
@@ -535,6 +570,40 @@ def test_summatory_direct_peak_within_documented_bytes_per_n():
         assert tracemalloc.get_traced_memory()[1] <= SUMMATORY_DIRECT_BYTES_PER_N * N
     finally:
         tracemalloc.stop()
+
+
+def _child_peak_rss_mb(argv) -> float:
+    """Peak RSS in MiB of one ``mforge`` child process, read with os.wait4."""
+    proc = subprocess.Popen([sys.executable, "-m", "mforge.cli", *argv],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, proc.stderr.read()
+    proc.stderr.close()
+    return usage.ru_maxrss / 1024           # ru_maxrss is in KiB on Linux
+
+
+#: A streamed command's peak RSS over that of ``mforge --help``, per entry of
+#: the default segment (about 21 for the quotient-route series, 10 for the
+#: omega CDF and 19 for the log c_omega CDF, one worker), and the growth
+#: allowed from 4e6 to 1.6e7 (4 to 16 default segments).
+STREAMED_BYTES_PER_SEGMENT_ENTRY = 28
+STREAMED_RSS_GROWTH_MB = 4
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("args", [
+    ["summatory", "--limit"],                 # the default ladder: quotient G route
+    ["stats", "--report", "cdf", "--x"],
+    ["stats", "--report", "cdf", "--statistic", "log_c_omega", "--x"],
+])
+def test_streamed_peak_rss_is_flat_in_the_limit(args):
+    base = _child_peak_rss_mb(["--help"])
+    small, large = (_child_peak_rss_mb(args + [str(limit), "--threads", "1",
+                                               "--out", os.devnull])
+                    for limit in (4_000_000, 16_000_000))
+    assert abs(large - small) <= STREAMED_RSS_GROWTH_MB, (small, large)
+    bound = STREAMED_BYTES_PER_SEGMENT_ENTRY * DEFAULT_SEGMENT_CAPACITY / 2**20
+    assert max(small, large) - base <= bound, (base, small, large)
 
 
 def test_available_memory_within_physical_memory(tmp_path):

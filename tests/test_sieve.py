@@ -9,12 +9,11 @@ from mforge.sieve import (
     RangeCoverageError,
     Segment,
     factorize,
-    load_prime_cache,
     primes_up_to,
     save_prime_cache,
 )
 
-from oracles import trial_factorize
+from oracles import load_prime_cache, trial_factorize
 
 
 def test_segment_validation():
