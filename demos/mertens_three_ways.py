@@ -13,7 +13,6 @@ import numpy as np
 
 from mforge import (
     CheckpointPolicy,
-    PrimeCountTable,
     build_series,
     g_table,
     mertens_via_G_over_primes,
@@ -25,13 +24,12 @@ ladder = [10, 100, 1000, 10**4, 10**5, N]
 
 series = build_series(N, CheckpointPolicy(kind="explicit", points=tuple(ladder)))
 g = g_table(N)
-pi = PrimeCountTable(N)
 
 print(f"{'x':>9} {'direct':>8} {'via g*pi':>9} {'via G/p':>9}")
 for x in ladder:
     i = int(np.searchsorted(series.checkpoints, x))
     direct = int(series.M[i])
-    a = mertens_via_g_pi(x, g, pi)
+    a = mertens_via_g_pi(x, g)
     b = mertens_via_G_over_primes(x, series)
     marker = "" if a == b == direct else "  <-- MISMATCH"
     print(f"{x:>9} {direct:>8} {a:>9} {b:>9}{marker}")

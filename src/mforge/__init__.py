@@ -10,7 +10,6 @@ traces.
 from .sieve import (
     DEFAULT_SEGMENT_CAPACITY,
     Factorization,
-    PrimeCountTable,
     Segment,
     factorize,
     primes_up_to,

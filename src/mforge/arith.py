@@ -94,17 +94,9 @@ class ArithmeticProfile:
             return None
         return g_table(self.segment.hi - 1, omega=self.omega)
 
-    def mu_squared(self) -> np.ndarray:
-        """Squarefree indicator as int8."""
-        return (self.mobius != 0).astype(np.int8)
-
     def signed_c_omega(self) -> np.ndarray:
         """liouville(n) * c_omega(n) as int64."""
         return np.multiply(self.c_omega, self.liouville)
-
-    def prime_mask(self) -> np.ndarray:
-        """Boolean primality mask (big_omega == 1)."""
-        return self.big_omega == 1
 
 
 def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfile:

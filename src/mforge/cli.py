@@ -222,8 +222,7 @@ def cmd_stats(config: argparse.Namespace) -> int:
                  int(r.undefined))]
     elif kind == "exponent":
         table = stats.prime_exponent_distribution(x, _require(config.p, "--p"),
-                                                  config.k if config.k is not None else 6,
-                                                  config.segment_size, pool=pool)
+                                                  config.k if config.k is not None else 6)
         header = ["x", "p", "k", "count", "empirical", "predicted"]
         rows = [(r.x, config.p, r.k, r.count, _fmt_float(r.empirical),
                  _fmt_float(r.predicted)) for r in table]

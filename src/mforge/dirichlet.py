@@ -222,7 +222,7 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
         rhs = unit_sequence(N)
     elif name == "c":
         lhs = profile.liouville * profile.g
-        rhs = convolve(profile.c_omega, profile.mu_squared())
+        rhs = convolve(profile.c_omega, profile.mobius != 0)
     elif name == "d":
         lhs = profile.g
         rhs = convolve(profile.signed_c_omega(), profile.mobius)

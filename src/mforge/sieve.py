@@ -1,9 +1,9 @@
-"""Segments, prime lists and exact prime counting.
+"""Segments, the prime list and pointwise factoring.
 
 :class:`Segment` is the half-open range every sweep works on, and
 :func:`primes_up_to` supplies the seed primes of the segment kernel in
-``arith``.  :class:`PrimeCountTable` is a rank-query bit set answering pi(x)
-in O(1); :func:`factorize` is the pointwise trial division behind the exact
+``arith``; a binary search in that list also gives pi(x).
+:func:`factorize` is the pointwise trial division behind the exact
 multinomial ``arith.c_omega``.  ``mforge sieve`` exports the primes up to a
 limit to a binary file, which no command reads back.
 """
@@ -42,9 +42,6 @@ class Segment:
     @property
     def width(self) -> int:
         return self.hi - self.lo
-
-    def __contains__(self, n) -> bool:
-        return self.lo <= n < self.hi
 
 
 @dataclass(frozen=True)
@@ -88,49 +85,6 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         factors.append((m, 1))
     return Factorization(n=n, factors=tuple(factors))
-
-
-class PrimeCountTable:
-    """pi(x) for 1 <= x <= limit via a block-summarized bit set.
-
-    Prime flags are packed 64 per word; a per-word cumulative count turns
-    every query into one popcount plus one table lookup.
-    """
-
-    def __init__(self, limit: int, primes: np.ndarray | None = None):
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        self.limit = limit
-        if primes is None:
-            primes = primes_up_to(limit)
-        mask = np.zeros(limit + 1, dtype=bool)
-        mask[primes[primes <= limit]] = True
-        packed = np.packbits(mask, bitorder="little")
-        pad = (-len(packed)) % 8
-        if pad:
-            packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        self._words = packed.view(np.uint64)
-        counts = np.bitwise_count(self._words).astype(np.int64)
-        self._cum = np.concatenate([[0], np.cumsum(counts)])
-
-    def rank(self, x: int) -> int:
-        """Number of primes <= x."""
-        if not 1 <= x <= self.limit:
-            raise RangeCoverageError(f"x={x} outside [1, {self.limit}]")
-        w, r = x >> 6, x & 63
-        masked = self._words[w] & np.uint64((1 << (r + 1)) - 1)
-        return int(self._cum[w]) + int(np.bitwise_count(masked))
-
-    def rank_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rank` over an integer array."""
-        xs = np.asarray(xs, dtype=np.int64)
-        if xs.size and (xs.min() < 1 or xs.max() > self.limit):
-            raise RangeCoverageError("query outside [1, limit]")
-        w = xs >> 6
-        r = (xs & 63).astype(np.uint64)
-        ones = np.uint64((1 << 64) - 1)
-        masked = self._words[w] & (ones >> (np.uint64(63) - r))
-        return self._cum[w] + np.bitwise_count(masked).astype(np.int64)
 
 
 def save_prime_cache(path, primes: np.ndarray):

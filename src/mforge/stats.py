@@ -1,11 +1,11 @@
 """Empirical distribution measurements over the integers up to x.
 
-Exact counts (segmented sweeps) paired with the heuristic predictions they
-are compared against: densities of a fixed total prime-factor count, excess
-factor-count densities against the Euler-product coefficients, squarefree
-sign balance, conditional-independence diagnostics, the geometric law of a
-fixed prime's exponent, and empirical central-limit behaviour.  Counts are
-the ground truth; predictions are floating point.
+Exact counts paired with the heuristic predictions they are compared
+against: densities of a fixed total prime-factor count, excess factor-count
+densities against the Euler-product coefficients, squarefree sign balance,
+conditional-independence diagnostics and central-limit behaviour (segmented
+sweeps), and the geometric law of a fixed prime's exponent (floor counts).
+Counts are the ground truth; predictions are floating point.
 """
 
 import math
@@ -240,36 +240,19 @@ def conditional_squarefree(x: int, k: int, counts: RangeCounts | None = None) ->
     )
 
 
-def prime_exponent_distribution(x: int, p: int, k_max: int,
-                                segment_size: int = DEFAULT_SEGMENT_CAPACITY,
-                                pool: WorkerPool | None = None) -> list:
+def prime_exponent_distribution(x: int, p: int, k_max: int) -> list:
     """Per-k table of the exact density of p^k exactly dividing n <= x,
     next to the geometric prediction (1 - 1/p) p^-k.
 
-    Counts come from an explicit valuation scan, one segment at a time: every
-    n gets 1 added per power p^j dividing it, by a strided pass per p^j, and
-    the counts are the histogram of those valuations (the closed-form floor
-    counts are the independent oracle for them)."""
+    The count is Legendre's floor count: p^k divides floor(x / p^k) of the
+    n <= x, and p^(k + 1) divides floor(x / p^(k + 1)) of those."""
     if p < 2 or x < p or factorize(p).factors != ((p, 1),):
         raise ValueError(f"need a prime p <= x, got p={p}, x={x}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-
-    def scan(seg):
-        v = np.zeros(seg.width, dtype=np.uint8)
-        pj = p
-        while pj < seg.hi:
-            v[-seg.lo % pj::pj] += 1
-            pj *= p
-        return np.bincount(v, minlength=k_max + 1)[:k_max + 1]
-
-    pool = pool or WorkerPool(1)
-    counts = np.sum(pool.sweep(1, x + 1, segment_size, scan), axis=0)
-    rows = []
-    for k in range(k_max + 1):
-        predicted = (1.0 - 1.0 / p) * p ** (-k)
-        rows.append(DensityReport(x=x, k=k, count=int(counts[k]), predicted=predicted))
-    return rows
+    return [DensityReport(x=x, k=k, count=x // p**k - x // p ** (k + 1),
+                          predicted=(1.0 - 1.0 / p) * p ** (-k))
+            for k in range(k_max + 1)]
 
 
 def normal_cdf(z: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import _runs, g_table, profile_range
 from .parallel import WorkerPool
-from .sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError
+from .sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, primes_up_to
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -62,9 +62,10 @@ class CheckpointPolicy:
                 d *= 10
             pts.append(N)
             return _sorted_unique(np.asarray(pts, dtype=np.int64))
-        pts = _sorted_unique(np.asarray(self.points, dtype=np.int64))
-        if pts.size == 0 or pts[0] < 1 or pts[-1] > N:
+        # checked as Python ints, so a point past int64 is out of range, not an overflow
+        if not self.points or min(self.points) < 1 or max(self.points) > N:
             raise ValueError("explicit checkpoints must lie in [1, N]")
+        pts = _sorted_unique(np.asarray(self.points, dtype=np.int64))
         if pts[-1] != N:
             pts = np.append(pts, N)
         return pts
@@ -238,7 +239,7 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         i1 = int(np.searchsorted(eval_points, seg.hi))
         starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
         starts = starts[starts < seg.width]
-        sums = _block_sums((prof.mobius, prof.mobius != 0, prof.prime_mask()), c, starts)
+        sums = _block_sums((prof.mobius, prof.mobius != 0, prof.big_omega == 1), c, starts)
         recorded[:, i0:i1] = sums[:, :i1 - i0]
         if direct:
             omega[seg.lo - 1:seg.hi - 1] = prof.omega
@@ -270,22 +271,21 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     return series
 
 
-def mertens_via_g_pi(x: int, g: np.ndarray, pi_table: PrimeCountTable) -> int:
+def mertens_via_g_pi(x: int, g: np.ndarray) -> int:
     """M(x) evaluated as G(x) + sum_{k <= x} g(k) * pi(floor(x / k)).
 
     ``g`` is the inverse table covering 1..x, entry i at n = i + 1 (as
-    ``g_table`` returns it); the prime counts come from the rank bit set.
+    ``g_table`` returns it); pi(y) is the number of primes <= y in
+    ``primes_up_to(x)``, found by binary search.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     g = np.asarray(g)
     if g.shape[0] < x:
         raise RangeCoverageError(f"g table covers {g.shape[0]} < x = {x}")
-    if pi_table.limit < x:
-        raise RangeCoverageError(f"pi table limit {pi_table.limit} < x = {x}")
     gx = g[:x].astype(np.int64, copy=False)
     qs = x // np.arange(1, x + 1, dtype=np.int64)
-    ranks = pi_table.rank_many(qs)
+    ranks = np.searchsorted(primes_up_to(x), qs, side="right")
     # every partial sum of both sums is at most max|g| * (sum of ranks + x)
     max_g = max(int(gx.max()), -int(gx.min()))
     if max_g * (int(ranks.sum()) + x) > _INT64_MAX:

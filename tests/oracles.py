@@ -122,6 +122,20 @@ def exponents_oracle(n: int) -> list:
     return out + ([2] if isqrt(m) ** 2 == m else [1, 1])
 
 
+def valuation_counts_oracle(x: int, p: int, k_max: int) -> list:
+    """Number of n <= x with p^k exactly dividing n, for k = 0..k_max, by
+    dividing each n by p for as long as p divides it."""
+    counts = [0] * (k_max + 1)
+    for n in range(1, x + 1):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k <= k_max:
+            counts[k] += 1
+    return counts
+
+
 def columns_from_exponents(exps: list) -> tuple:
     """(omega, big_omega, mobius, liouville, c_omega) of n from its exponents."""
     big = sum(exps)

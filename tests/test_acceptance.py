@@ -16,7 +16,7 @@ from mforge.arith import g_squarefree_closed_form, g_table, profile_range
 from mforge.dirichlet import IDENTITY_NAMES, verify_identity
 from mforge.parallel import WorkerPool
 from mforge.randmodel import LIL_CONSTANT, P_NONZERO, lil_statistic, simulate_many
-from mforge.sieve import PrimeCountTable, Segment
+from mforge.sieve import Segment
 from mforge.stats import erdos_kac_cdf, prime_exponent_distribution
 from mforge.summatory import (
     CheckpointPolicy,
@@ -33,6 +33,7 @@ from oracles import (
     g_recursion_oracle,
     mobius_block_oracle,
     recompute_trace_row,
+    valuation_counts_oracle,
 )
 
 POOL = WorkerPool(4)
@@ -67,22 +68,20 @@ def test_criterion_02_mertens_identities_exact():
     mu = mobius_block_oracle(N)
     m_direct = np.concatenate([[0], np.cumsum(mu[1:])])
     g = g_table(N)
-    pt = PrimeCountTable(N)
     series4 = build_series(N, CheckpointPolicy(kind="all"))
     assert np.array_equal(series4.M, m_direct[1:])
     for x in range(1, N + 1):
         expect = int(m_direct[x])
-        assert mertens_via_g_pi(x, g, pt) == expect, f"g*pi identity broke at x={x}"
+        assert mertens_via_g_pi(x, g) == expect, f"g*pi identity broke at x={x}"
         assert mertens_via_G_over_primes(x, series4) == expect, \
             f"prime-grouped identity broke at x={x}"
     # spot checks against published Mertens values
     spots = (10**5, 10**6, 10**7)
     series7 = build_series(10**7, CheckpointPolicy(kind="explicit", points=spots))
     g7 = g_table(10**7)
-    pt7 = PrimeCountTable(10**7)
     for x in spots:
         expect = MERTENS_AT_POW10[x]
-        assert mertens_via_g_pi(x, g7, pt7) == expect
+        assert mertens_via_g_pi(x, g7) == expect
         assert mertens_via_G_over_primes(x, series7) == expect
     elapsed = time.time() - t0
     assert report(2, elapsed < 120.0,
@@ -137,9 +136,10 @@ def test_criterion_06_geometric_exponent_law():
     x = 10**6
     for p in (2, 3, 5):
         rows = prime_exponent_distribution(x, p, 6)
+        valuations = valuation_counts_oracle(x, p, 6)
         for r in rows:
             closed = x // p**r.k - x // p ** (r.k + 1)
-            assert r.count == closed, f"count mismatch at p={p}, k={r.k}"
+            assert r.count == closed == valuations[r.k], f"count mismatch at p={p}, k={r.k}"
             assert abs(r.empirical - r.predicted) <= 2 * p / x, \
                 f"density off at p={p}, k={r.k}"
     assert report(6, True,

@@ -309,6 +309,11 @@ def test_missing_config_file_is_io_error(tmp_path):
     (["trace", "--in", ""], "--in"),
     (["oeis-check", "--sequence", "mu", "--bfile", ""], "--bfile"),
     (["--config", "", "summatory", "--limit", "10"], "--config"),
+    # a checkpoint past int64 is out of range like any other, not an overflow
+    (["summatory", "--limit", "10", "--checkpoints", "explicit:99999999999999999999999"],
+     "explicit checkpoints must lie in [1, N]"),
+    (["simulate", "--x-max", "16", "--checkpoints", "explicit:1,99999999999999999999"],
+     "explicit checkpoints must lie in [1, N]"),
 ])
 def test_bad_flag_value_is_usage_error(args, flag, capsys):
     # a value caught by the parser raises SystemExit, one caught by the
@@ -590,16 +595,29 @@ STREAMED_BYTES_PER_SEGMENT_ENTRY = 28
 STREAMED_RSS_GROWTH_MB = 4
 
 
+def _streamed_argv(args, limit, tmp_path):
+    """``args`` run up to ``limit`` on one thread, output discarded; for
+    oeis-check, against a b-file of two true entries, at 1 and at limit."""
+    if args[0] != "oeis-check":
+        return args + [str(limit), "--threads", "1", "--out", os.devnull]
+    bfile = tmp_path / f"b{limit}.txt"
+    bfile.write_text(f"1 1\n{limit} 0\n")      # 4 divides both limits, so mu = 0
+    return args + ["--bfile", str(bfile), "--threads", "1"]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 @pytest.mark.parametrize("args", [
     ["summatory", "--limit"],                 # the default ladder: quotient G route
     ["stats", "--report", "cdf", "--x"],
     ["stats", "--report", "cdf", "--statistic", "log_c_omega", "--x"],
+    ["stats", "--report", "sign", "--x"],
+    ["stats", "--report", "exponent", "--p", "3", "--x"],
+    ["simulate", "--x-max"],
+    ["oeis-check", "--sequence", "mu"],
 ])
-def test_streamed_peak_rss_is_flat_in_the_limit(args):
+def test_streamed_peak_rss_is_flat_in_the_limit(args, tmp_path):
     base = _child_peak_rss_mb(["--help"])
-    small, large = (_child_peak_rss_mb(args + [str(limit), "--threads", "1",
-                                               "--out", os.devnull])
+    small, large = (_child_peak_rss_mb(_streamed_argv(args, limit, tmp_path))
                     for limit in (4_000_000, 16_000_000))
     assert abs(large - small) <= STREAMED_RSS_GROWTH_MB, (small, large)
     bound = STREAMED_BYTES_PER_SEGMENT_ENTRY * DEFAULT_SEGMENT_CAPACITY / 2**20

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mforge.arith import profile_range
 from mforge.sieve import (
-    PrimeCountTable,
-    RangeCoverageError,
     Segment,
     factorize,
     primes_up_to,
@@ -23,7 +19,6 @@ def test_segment_validation():
         Segment(5, 5)
     seg = Segment(3, 10)
     assert seg.width == 7
-    assert 3 in seg and 9 in seg and 10 not in seg
 
 
 def test_factorize_examples():
@@ -51,42 +46,7 @@ def test_primes_up_to():
     assert primes_up_to(10).tolist() == [2, 3, 5, 7]
     assert primes_up_to(1).size == 0
     assert len(primes_up_to(100)) == 25
-
-
-def test_prime_pi_table():
-    t = PrimeCountTable(10**5)
-    ps = primes_up_to(10**5)
-    # exhaustive: pi(x) equals the count of listed primes <= x
-    pis = t.rank_many(np.arange(1, 10**5 + 1))
-    expect = np.searchsorted(ps, np.arange(1, 10**5 + 1), side="right")
-    assert np.array_equal(pis, expect)
-    assert np.all(np.diff(pis) >= 0)
-    with pytest.raises(RangeCoverageError):
-        t.rank(10**5 + 1)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.integers(1, 5000).flatmap(
-    lambda limit: st.tuples(st.just(limit), st.lists(st.integers(1, limit), max_size=40))))
-def test_rank_many_agrees_with_rank(case):
-    limit, xs = case
-    t = PrimeCountTable(limit)
-    got = t.rank_many(np.array(xs, dtype=np.int64))
-    assert got.tolist() == [t.rank(x) for x in xs]
-    assert t.rank(limit) == len(primes_up_to(limit))
-
-
-def test_prime_pi_millionth():
-    t = PrimeCountTable(10**6)
-    assert t.rank(10**6) == 78498
-
-
-def test_prime_pi_degenerate_limits():
-    t = PrimeCountTable(1)
-    assert t.rank(1) == 0
-    assert PrimeCountTable(2).rank(2) == 1
-    with pytest.raises(ValueError):
-        PrimeCountTable(0)
+    assert len(primes_up_to(10**6)) == 78498
 
 
 def test_segmented_matches_monolithic():

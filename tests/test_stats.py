@@ -23,7 +23,14 @@ from mforge.stats import (
     sign_balance,
 )
 
-from oracles import big_omega_oracle, mobius_oracle, omega_oracle, sorted_sample_cdf
+from oracles import (
+    big_omega_oracle,
+    mobius_oracle,
+    omega_oracle,
+    sorted_sample_cdf,
+    trial_factorize,
+    valuation_counts_oracle,
+)
 
 
 X = 10**5
@@ -169,16 +176,14 @@ def test_prime_exponent_distribution_pow2():
     assert rows[0].count == x // 2              # k = 0: odd numbers
     assert rows[0].empirical == 0.5
     assert rows[1].empirical == 0.25
-    for r in rows:
-        k = r.k
-        assert r.count == x // 2**k - x // 2 ** (k + 1)
+    assert [r.count for r in rows] == valuation_counts_oracle(x, 2, 3)
 
 
 def test_prime_exponent_distribution_p3():
     x = 10**6
     rows = prime_exponent_distribution(x, 3, 4)
     r2 = rows[2]
-    assert r2.count == x // 9 - x // 27
+    assert r2.count == valuation_counts_oracle(x, 3, 4)[2]
     assert abs(r2.empirical - (2 / 3) / 9) < 1e-5
     with pytest.raises(ValueError):
         prime_exponent_distribution(10, 11, 2)
@@ -282,14 +287,10 @@ def test_empirical_cdf_ks_matches_scipy():
     assert mine.ks == pytest.approx(theirs, abs=1e-12)
 
 
-def _floor_counts(x, p, k_max):
-    return [x // p**k - x // p ** (k + 1) for k in range(k_max + 1)]
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.integers(2, 2 * 10**5), st.sampled_from(primes_up_to(50).tolist()),
+@given(st.integers(2, 2 * 10**4), st.sampled_from(primes_up_to(50).tolist()),
        st.integers(0, 40))
-def test_prime_exponent_counts_match_floor_formula(x, p, k_max):
+def test_prime_exponent_counts_match_valuation_count(x, p, k_max):
     # k_max up to 40 reaches powers of p past x, whose rows must read 0
     if p > x:
         with pytest.raises(ValueError):
@@ -297,25 +298,26 @@ def test_prime_exponent_counts_match_floor_formula(x, p, k_max):
         return
     rows = prime_exponent_distribution(x, p, k_max)
     assert [r.k for r in rows] == list(range(k_max + 1))
-    assert [r.count for r in rows] == _floor_counts(x, p, k_max)
+    assert [r.count for r in rows] == valuation_counts_oracle(x, p, k_max)
+
+
+@pytest.mark.parametrize("p", primes_up_to(50).tolist())
+def test_prime_exponent_counts_around_prime_powers(p):
+    # x = p^j - 1, p^j, p^j + 1: the row of k = j turns on at x = p^j
+    pj = p
+    while pj <= 2 * 10**4:
+        for x in (pj - 1, pj, pj + 1):
+            if x >= p:
+                rows = prime_exponent_distribution(x, p, 40)
+                assert [r.count for r in rows] == valuation_counts_oracle(x, p, 40), x
+        pj *= p
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_prime_exponent_counts_across_segment_edge(p):
     x = DEFAULT_SEGMENT_CAPACITY + 12345
     rows = prime_exponent_distribution(x, p, 30)
-    assert [r.count for r in rows] == _floor_counts(x, p, 30)
-
-
-@pytest.mark.parametrize("p", [2, 3, 7])
-def test_prime_exponent_counts_independent_of_segments_and_workers(p):
-    x = 5000
-    want = [r.count for r in prime_exponent_distribution(x, p, 12)]
-    for size in (1, 977, DEFAULT_SEGMENT_CAPACITY):
-        for threads in (1, 2):
-            rows = prime_exponent_distribution(x, p, 12, size, pool=WorkerPool(threads))
-            assert [r.count for r in rows] == want, (size, threads)
-    assert want == _floor_counts(x, p, 12)
+    assert [r.count for r in rows] == valuation_counts_oracle(x, p, 30)
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 12, 49])
@@ -325,8 +327,9 @@ def test_prime_exponent_rejects_non_primes(p):
 
 
 def test_geometric_counts_closed_form_oracle():
-    # the exact scan agrees with floor(x/p^k) - floor(x/p^(k+1)) everywhere
-    for p in (2, 3, 5):
-        for x in (10**3, 10**4 + 7):
+    # the floor counts agree with the exponents of a trial-division factoring
+    for x in (10**3, 10**4 + 7):
+        exps = [dict(trial_factorize(n)) for n in range(1, x + 1)]
+        for p in (2, 3, 5):
             for r in prime_exponent_distribution(x, p, 5):
-                assert r.count == x // p**r.k - x // p ** (r.k + 1)
+                assert r.count == sum(e.get(p, 0) == r.k for e in exps)

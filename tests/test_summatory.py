@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mforge.arith import g_table, profile_range
 from mforge.parallel import WorkerPool
-from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, PrimeCountTable, RangeCoverageError, Segment
+from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, Segment
 from mforge import summatory
 from mforge.cli import main, read_series
 from mforge.summatory import (
@@ -510,19 +510,16 @@ def test_series_rejects_zero():
 
 def test_mertens_via_g_pi_examples():
     g = g_table(100)
-    pt = PrimeCountTable(100)
-    assert mertens_via_g_pi(1, g, pt) == 1
-    assert mertens_via_g_pi(4, g, pt) == -1
+    assert mertens_via_g_pi(1, g) == 1
+    assert mertens_via_g_pi(4, g) == -1
     for x in range(1, 101):
-        assert mertens_via_g_pi(x, g, pt) == mertens_oracle(x)
+        assert mertens_via_g_pi(x, g) == mertens_oracle(x)
 
 
 def test_mertens_via_g_pi_range_errors():
     g = g_table(50)
     with pytest.raises(RangeCoverageError):
-        mertens_via_g_pi(60, g, PrimeCountTable(100))
-    with pytest.raises(RangeCoverageError):
-        mertens_via_g_pi(50, g, PrimeCountTable(40))
+        mertens_via_g_pi(60, g)
 
 
 def test_mertens_via_g_pi_exact_past_int64():
@@ -536,7 +533,7 @@ def test_mertens_via_g_pi_exact_past_int64():
         pi[n] = pi[n - 1] + (big_omega_oracle(n) == 1)
     want = sum(int(g[k - 1]) * pi[x // k] + int(g[k - 1]) for k in range(1, x + 1))
     assert want > np.iinfo(np.int64).max
-    assert mertens_via_g_pi(x, g, PrimeCountTable(x)) == want
+    assert mertens_via_g_pi(x, g) == want
 
 
 def test_mertens_via_G_over_primes_examples():
@@ -550,10 +547,9 @@ def test_mertens_via_G_over_primes_examples():
 def test_mertens_identities_spot_1e6():
     s = build_series(10**6, CheckpointPolicy(kind="explicit", points=(10**5,)))
     g = g_table(10**6)
-    pt = PrimeCountTable(10**6)
     for x in (10**5, 10**6):
         expect = MERTENS_AT_POW10[x]
-        assert mertens_via_g_pi(x, g, pt) == expect
+        assert mertens_via_g_pi(x, g) == expect
         assert mertens_via_G_over_primes(x, s) == expect
 
 
