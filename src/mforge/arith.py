@@ -147,17 +147,14 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     are computed exactly by trial division instead.  The int64 column cannot
     overflow for n <= 10^17: the exponent-signature search in
     ``tests/test_arith.py::test_c_omega_int64_bound_by_signature_search``
-    bounds c_omega there below 2^60, so segments reaching past 10^17 raise
-    OverflowError before any sieving.
+    bounds c_omega there below 2^60, so a ``Segment`` reaching past 10^17
+    raises OverflowError when it is made, before any sieving.
     """
     want = frozenset(columns)
     if not want <= set(PROFILE_COLUMNS):
         raise ValueError(f"unknown profile columns {sorted(want - set(PROFILE_COLUMNS))}, "
                          f"expected some of {PROFILE_COLUMNS}")
     lo, hi = segment.lo, segment.hi
-    if hi - 1 > 10**17:
-        raise OverflowError(f"segment end {hi - 1} is past 10^17, where c_omega is "
-                            "not proven to fit int64")
     width = segment.width
     seeds = primes_up_to(isqrt(hi - 1))
 
@@ -320,9 +317,9 @@ def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if omega is None:
-        omega = np.concatenate(WorkerPool(1).sweep(
+        omega = np.concatenate(list(WorkerPool(1).sweep(
             1, N + 1, DEFAULT_SEGMENT_CAPACITY,
-            lambda seg: profile_range(seg, columns={"omega"}).omega))
+            lambda seg: profile_range(seg, columns={"omega"}).omega)))
     omega = np.asarray(omega)
     if omega.shape[0] < N:
         raise ValueError("omega table shorter than N")

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
 
 import numpy as np
@@ -35,6 +35,10 @@ TRACE_COLUMNS = ("x", "q", "gonek", "r1", "r2", "rG1", "rG2",
 TRACE_FORMATS = ("%d",) + ("%.12g",) * 8 + ("%d",)
 RUNS_COLUMNS = ("trial", "x", "Mbar", "lil_stat")
 RUNS_FORMATS = ("%d", "%d", "%d", "%.9f")
+
+#: Header of the ``sieve`` export, which is followed by every prime up to
+#: the limit as a little-endian u64.
+PRIME_EXPORT_MAGIC = b"MFPRIMES1"
 
 #: Rows formatted per write.  Small, so that a table of N rows adds no peak
 #: that grows with N (summatory's direct route is held to 128 B/n).
@@ -126,24 +130,36 @@ def _fmt_float(v: float) -> str:
 
 
 def cmd_sieve(config: argparse.Namespace) -> int:
-    _require_memory("sieve", config.limit, SIEVE_BYTES_PER_N)
-    primes = sieve.primes_up_to(config.limit)
-    sieve.save_prime_cache(config.out, primes)
-    log.info("cached %d primes <= %d to %s", len(primes), config.limit, config.out)
+    def primes(seg):    # the series' own prime test; as <i8, the export's u64s
+        big_omega = arith.profile_range(seg, columns={"big_omega"}).big_omega
+        return (np.flatnonzero(big_omega == 1) + seg.lo).astype("<i8", copy=False)
+
+    # the range is checked before --out is created; chunks are written as they come
+    chunks = WorkerPool(config.threads).sweep(1, config.limit + 1, config.segment_size, primes)
+    count = 0
+    with open(config.out, "wb") as fh:
+        try:
+            fh.write(PRIME_EXPORT_MAGIC)
+            for chunk in chunks:
+                fh.write(chunk)
+                count += len(chunk)
+        except BaseException:
+            # emptied, a partial export has no header (a device or FIFO stays as is)
+            with suppress(OSError):
+                fh.truncate(0)
+            raise
+    log.info("exported %d primes <= %d to %s", count, config.limit, config.out)
     return 0
 
 
 #: Peak bytes per n of ``verify --identity all`` (one profile of 1..limit:
 #: 432 MB at 1e7), of ``oeis-check --sequence g`` (the prefix table g: 163 MB
 #: at 1e7; mu and lambda are streamed one segment at a time and need no
-#: guard), of ``summatory``'s direct G route
-#: (116.5 B/n traced at 5e4, one segment, plus 8%; 76.7 at 1e7), and of
-#: ``sieve`` (a bool mask of 1..limit plus the int64 primes, 1.68 B/n traced
-#: at 1e6 and 1.54 at 1e7).
+#: guard), and of ``summatory``'s direct G route
+#: (116.5 B/n traced at 5e4, one segment, plus 8%; 76.7 at 1e7).
 VERIFY_BYTES_PER_N = 44
 OEIS_BYTES_PER_N = 18
 SUMMATORY_DIRECT_BYTES_PER_N = 128
-SIEVE_BYTES_PER_N = 2
 
 
 def available_memory(meminfo: str = "/proc/meminfo") -> int:
@@ -438,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="csv (default) or json, one object per row")
 
-    p = sub.add_parser("sieve", help="build and cache seed primes")
+    p = sub.add_parser("sieve", help="export the primes up to --limit")
     p.add_argument("--limit", type=POSITIVE, required=True)
     p.add_argument("--out", "--output", dest="out", type=_path, required=True,
-                   help="binary cache path (MFPRIMES1 header + u64le primes)")
+                   help="binary export path (MFPRIMES1 header + u64le primes)")
 
     p = sub.add_parser("verify", help="exact convolution identity suite")
     p.add_argument("--identity", default="all",
@@ -472,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
 
     p = sub.add_parser("simulate", help="randomized Mobius model runs")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed; trial i uses stream seed+i (default: 0)")
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0,
+                   help="base seed >= 0; trial i uses stream seed+i (default: 0)")
     p.add_argument("--trials", type=POSITIVE, default=1,
                    help="independent trajectories (default: 1)")
     p.add_argument("--x-max", type=_at_least(randmodel.LIL_MIN_X), required=True,

@@ -1,7 +1,8 @@
-"""Deterministic worker pool shared by the sweep-style operations.
+"""Deterministic worker pool: the one sweep engine of every scanning command.
 
-Work items are mapped in submission order and merged sequentially, so results
-are byte-identical regardless of the worker count.  Threads suffice here: the
+Results are yielded as a stream in submission order (on one thread, each
+result taken pulls one item) and merged sequentially, so output is
+byte-identical regardless of the worker count.  Threads suffice here: the
 heavy lifting is numpy, which releases the GIL.
 """
 
@@ -28,13 +29,14 @@ class WorkerPool:
 
     def map(self, fn, items):
         """Apply fn to each item, yielding results in input order."""
-        items = list(items)
-        if self.threads == 1 or len(items) <= 1:
-            return [fn(it) for it in items]
+        if self.threads == 1:
+            yield from map(fn, items)
+            return
         with ThreadPoolExecutor(max_workers=self.threads) as ex:
-            return list(ex.map(fn, items))
+            yield from ex.map(fn, items)
 
     def sweep(self, lo: int, hi: int, size: int, fn):
         """Apply fn to consecutive Segments of width <= size covering [lo, hi),
-        returning the results in segment order."""
+        yielding the results in segment order; [lo, hi) is checked whole first."""
+        Segment(lo, hi)
         return self.map(fn, (Segment(a, min(a + size, hi)) for a in range(lo, hi, size)))

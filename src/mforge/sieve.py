@@ -4,8 +4,7 @@
 :func:`primes_up_to` supplies the seed primes of the segment kernel in
 ``arith``; a binary search in that list also gives pi(x).
 :func:`factorize` is the pointwise trial division behind the exact
-multinomial ``arith.c_omega``.  ``mforge sieve`` exports the primes up to a
-limit to a binary file, which no command reads back.
+multinomial ``arith.c_omega``.
 """
 
 from dataclasses import dataclass
@@ -18,9 +17,6 @@ import numpy as np
 #: 19 for the series sweep), so the default keeps a worker near 20 MB.
 DEFAULT_SEGMENT_CAPACITY = 1 << 20
 
-#: Magic header of the binary prime export file.
-PRIME_CACHE_MAGIC = b"MFPRIMES1"
-
 
 class RangeCoverageError(ValueError):
     """A lookup fell outside the range covered by the available tables."""
@@ -28,7 +24,7 @@ class RangeCoverageError(ValueError):
 
 @dataclass(frozen=True)
 class Segment:
-    """Half-open integer range [lo, hi) with lo >= 1."""
+    """Half-open integer range [lo, hi), 1 <= lo < hi <= 10^17 + 1 (the kernel's bound)."""
 
     lo: int
     hi: int
@@ -38,6 +34,9 @@ class Segment:
             raise ValueError(f"segment lo must be >= 1, got {self.lo}")
         if self.hi <= self.lo:
             raise ValueError(f"segment hi must exceed lo, got [{self.lo}, {self.hi})")
+        if self.hi - 1 > 10**17:
+            raise OverflowError(f"segment end {self.hi - 1} is past 10^17, where c_omega "
+                                "is not proven to fit int64")
 
     @property
     def width(self) -> int:
@@ -85,13 +84,3 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         factors.append((m, 1))
     return Factorization(n=n, factors=tuple(factors))
-
-
-def save_prime_cache(path, primes: np.ndarray):
-    """Write the binary prime export: magic header + little-endian u64s."""
-    # primes are non-negative, so their little-endian int64 bytes are the
-    # u64s; an int64 array is written from its own buffer, without a copy
-    arr = np.ascontiguousarray(primes, dtype="<i8")
-    with open(path, "wb") as fh:
-        fh.write(PRIME_CACHE_MAGIC)
-        fh.write(arr)

@@ -312,7 +312,7 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
         k = np.nonzero(h)[0]
         return k, h[k]
 
-    parts = pool.sweep(3, x + 1, segment_size, histogram)
+    parts = list(pool.sweep(3, x + 1, segment_size, histogram))
     keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
     counts = np.zeros(len(keys), dtype=np.int64)
     np.add.at(counts, where, np.concatenate([c for _, c in parts]))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import _runs, g_table, profile_range
 from .parallel import WorkerPool
-from .sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, primes_up_to
+from .sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, Segment, primes_up_to
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -212,6 +212,7 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     """
     if N < 1:
         raise ValueError(f"x must be >= 1, got {N}")
+    Segment(1, N + 1)           # past the kernel's bound, refuse before any planning
     policy = policy or CheckpointPolicy()
     pool = pool or WorkerPool(1)
     cps = policy.checkpoints(N)

@@ -175,6 +175,103 @@ def test_sieve_cache(tmp_path):
     assert np.array_equal(oracles.load_prime_cache(out), primes_up_to(10000))
 
 
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 10, 30031, 2**20, 2**20 + 1])
+def test_sieve_export_independent_of_segments_and_threads(limit, tmp_path):
+    # the streamed export holds the classical sieve's primes, whatever the cut
+    want = primes_up_to(limit)
+    out = tmp_path / "primes.bin"
+    for size in ([7] if limit <= 30031 else []) + [1000, None]:
+        for threads in (1, 2, 3):
+            args = ["sieve", "--limit", str(limit), "--out", str(out), "--threads", str(threads)]
+            assert main(args + (["--segment-size", str(size)] if size else [])) == 0
+            assert np.array_equal(oracles.load_prime_cache(out), want), (size, threads)
+
+
+def test_sieve_export_at_1e8(tmp_path):
+    out = tmp_path / "primes.bin"
+    want = primes_up_to(10**8)
+    for threads in ("1", "2"):
+        assert main(["sieve", "--limit", str(10**8), "--out", str(out),
+                     "--threads", threads]) == 0
+        got = oracles.load_prime_cache(out)
+        assert len(got) == 5_761_455 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_sieve_export_is_emptied(threads, tmp_path, monkeypatch, capsys):
+    # a run that fails after --out is opened leaves no header, so no reader
+    # takes the part written before the failure for a whole export
+    import stat
+
+    from mforge import arith
+
+    profile_range = arith.profile_range
+
+    def fail_after_first(seg, *args, **kwargs):
+        if seg.lo > 1:
+            raise MemoryError("no room for a segment")
+        return profile_range(seg, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "profile_range", fail_after_first)
+    out = tmp_path / "primes.bin"
+    for path in (str(out), os.devnull):
+        code, _, err = run_cli(["sieve", "--limit", "1000", "--segment-size", "100",
+                                "--threads", threads, "--out", path], capsys)
+        assert code == 1 and "no room for a segment" in err
+    assert out.read_bytes() == b""
+    with pytest.raises(ValueError):
+        oracles.load_prime_cache(out)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)    # emptied, never replaced
+
+
+def test_sieve_export_to_fifo(tmp_path, monkeypatch, capsys):
+    # a FIFO takes the export; a failure midway reports itself, not the
+    # truncation that a FIFO refuses
+    import threading
+
+    from mforge import arith
+
+    def no_room(*args, **kwargs):
+        raise MemoryError("no room for a segment")
+
+    fifo = tmp_path / "primes.fifo"
+    os.mkfifo(fifo)
+    args = ["sieve", "--limit", "1000", "--out", str(fifo)]
+    for fails in (False, True):
+        if fails:
+            monkeypatch.setattr(arith, "profile_range", no_room)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, err = run_cli(args, capsys)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        if fails:
+            assert code == 1 and "no room for a segment" in err
+        else:
+            assert code == 0
+            assert got == [b"MFPRIMES1" + primes_up_to(1000).astype("<u8").tobytes()]
+
+
+@pytest.mark.parametrize("args", [
+    ["stats", "--x", str(10**18), "--report", "sign"],
+    ["summatory", "--limit", str(10**18)],
+    ["sieve", "--limit", str(10**18)],
+])
+def test_limit_past_kernel_bound_fails_before_sieving(args, tmp_path, monkeypatch, capsys):
+    # the range is checked whole before it is cut, planned or written to
+    from mforge import arith, stats, summatory
+
+    for module in (arith, stats, summatory):
+        monkeypatch.setattr(module, "profile_range",
+                            lambda *a, **k: pytest.fail("sieved past the bound"))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert "past 10^17" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_oeis_check_pass_and_fail(tmp_path, capsys, profile_1e4):
     good = tmp_path / "b008683.txt"
     mu = profile_1e4.mobius[:500]
@@ -314,6 +411,7 @@ def test_missing_config_file_is_io_error(tmp_path):
      "explicit checkpoints must lie in [1, N]"),
     (["simulate", "--x-max", "16", "--checkpoints", "explicit:1,99999999999999999999"],
      "explicit checkpoints must lie in [1, N]"),
+    (["simulate", "--seed", "-1", "--x-max", "16"], "--seed"),
 ])
 def test_bad_flag_value_is_usage_error(args, flag, capsys):
     # a value caught by the parser raises SystemExit, one caught by the
@@ -475,7 +573,6 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
     (["verify", "--limit", "2000"], "VERIFY_BYTES_PER_N", 2000),
     (["oeis-check", "--sequence", "g", "--bfile", str(FIXTURES / "b341444.txt")],
      "OEIS_BYTES_PER_N", 1000),
-    (["sieve", "--limit", "2000", "--out", os.devnull], "SIEVE_BYTES_PER_N", 2000),
 ])
 def test_limit_past_physical_memory_is_refused(args, bytes_per_n, limit,
                                                monkeypatch, capsys):
@@ -508,21 +605,6 @@ def test_verify_peak_within_documented_bytes_per_n():
     try:
         assert main(["verify", "--limit", str(N), "--out", "/dev/null"]) == 0
         assert tracemalloc.get_traced_memory()[1] <= VERIFY_BYTES_PER_N * N
-    finally:
-        tracemalloc.stop()
-
-
-def test_sieve_peak_within_documented_bytes_per_n(tmp_path):
-    import tracemalloc
-
-    from mforge.cli import SIEVE_BYTES_PER_N
-
-    N = 1_000_000
-    main(["sieve", "--limit", "100", "--out", os.devnull])
-    tracemalloc.start()
-    try:
-        assert main(["sieve", "--limit", str(N), "--out", str(tmp_path / "p.bin")]) == 0
-        assert tracemalloc.get_traced_memory()[1] <= SIEVE_BYTES_PER_N * N
     finally:
         tracemalloc.stop()
 
@@ -600,8 +682,10 @@ def _streamed_argv(args, limit, tmp_path):
     oeis-check, against a b-file of two true entries, at 1 and at limit."""
     if args[0] != "oeis-check":
         return args + [str(limit), "--threads", "1", "--out", os.devnull]
+    # 4e6 = 2^8 5^6 and 1.6e7 = 2^10 5^6, so mu = 0 and lambda = 1 at both
+    value = {"mu": 0, "lambda": 1}[args[2]]
     bfile = tmp_path / f"b{limit}.txt"
-    bfile.write_text(f"1 1\n{limit} 0\n")      # 4 divides both limits, so mu = 0
+    bfile.write_text(f"1 1\n{limit} {value}\n")
     return args + ["--bfile", str(bfile), "--threads", "1"]
 
 
@@ -614,6 +698,8 @@ def _streamed_argv(args, limit, tmp_path):
     ["stats", "--report", "exponent", "--p", "3", "--x"],
     ["simulate", "--x-max"],
     ["oeis-check", "--sequence", "mu"],
+    ["sieve", "--limit"],
+    ["oeis-check", "--sequence", "lambda"],
 ])
 def test_streamed_peak_rss_is_flat_in_the_limit(args, tmp_path):
     base = _child_peak_rss_mb(["--help"])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from mforge.arith import profile_range
+from mforge.cli import main
 from mforge.sieve import (
     Segment,
     factorize,
     primes_up_to,
-    save_prime_cache,
 )
 
 from oracles import load_prime_cache, trial_factorize
@@ -19,6 +19,10 @@ def test_segment_validation():
         Segment(5, 5)
     seg = Segment(3, 10)
     assert seg.width == 7
+    # the kernel's bound: n = 10^17 is in, 10^17 + 1 is refused when the range is made
+    assert Segment(1, 10**17 + 1).width == 10**17
+    with pytest.raises(OverflowError, match="past 10\\^17"):
+        Segment(10**17, 10**17 + 2)
 
 
 def test_factorize_examples():
@@ -62,7 +66,7 @@ def test_segmented_matches_monolithic():
 def test_prime_cache_roundtrip(tmp_path):
     path = tmp_path / "primes.bin"
     ps = primes_up_to(10**4)
-    save_prime_cache(path, ps)
+    assert main(["sieve", "--limit", str(10**4), "--out", str(path)]) == 0
     raw = path.read_bytes()
     assert raw[:9] == b"MFPRIMES1"
     assert np.array_equal(load_prime_cache(path), ps)
@@ -74,7 +78,11 @@ def test_prime_cache_roundtrip(tmp_path):
 
 
 def test_prime_cache_bad_magic(tmp_path):
+    # an export with another header, or none (as a failed export is left), is refused
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTPRIMES" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_prime_cache(path)
+    assert main(["sieve", "--limit", "100", "--out", str(path)]) == 0
+    raw = path.read_bytes()
+    for bad in (b"NOTPRIMES" + raw[9:], raw[9:], b""):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            load_prime_cache(path)
