@@ -10,7 +10,7 @@ for prefix ranges starting at 1 because its recursion is a prefix dependency.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt
 
 import numpy as np
@@ -40,34 +40,87 @@ def _lg(p):
     return (np.searchsorted(_LG_STEPS, p, side="right") - 1).astype(np.uint8)
 
 
+#: The sieve keeps the byte log L of each entry in the low byte of one
+#: little-endian uint16 word and -omega (mod 256) in its high byte, so a
+#: level-1 step is one add of lg - 256 (mod 2^16).
+_WORD = np.dtype("<u2")
+_LEVEL_ONE = 0xFF00
+
+
 def _wheel_pattern():
-    """omega and byte log over the wheel primes, per residue mod 30030."""
-    omega = np.zeros(_WHEEL, dtype=np.uint8)
-    logs = np.zeros(_WHEEL, dtype=np.uint8)
+    """The (-omega, byte log) word over the wheel primes, per residue mod 30030."""
+    word = np.zeros(_WHEEL, dtype=_WORD)
     for p in _WHEEL_PRIMES:
-        omega[::p] += 1
-        logs[::p] += _lg(p)
-    return omega, logs
+        word[::p] += _LEVEL_ONE + int(_lg(p))
+    return word
 
 
-_WHEEL_OMEGA, _WHEEL_LOG = _wheel_pattern()
+_WHEEL_WORD = _wheel_pattern()
 
-#: Sieve strides below this are applied block by block, _BLOCK entries at a
-#: time, so a block's working columns (three of one byte, den of eight:
-#: 1.4 MB) stay in cache.
-_SHORT_STRIDE = 256
-_BLOCK = 1 << 17
+#: After the sieve, the derived columns are built this many entries at a
+#: time, so their temporaries stay in cache whatever the segment width.
+_CHUNK = 1 << 16
 
 #: A step whose stride is at least the segment width over this hits the
 #: segment at most this many times, and goes through the one scatter pass.
 _SPARSE_HITS = 16
 
-#: k! for k <= 20; 21! exceeds 2^63.
-_FACTORIAL = np.array([math.factorial(k) for k in range(21)], dtype=np.int64)
+
+def _level_code(e: int) -> int:
+    """The denominator code a level-e step adds: v2(e) in bits 10-14, and
+    v3(e) + 9 v5(e) + 45 v7(e) + 135 [e in {11, 13, 17, 19}] in bits 0-9.
+
+    Where big_omega <= 20, the product den of alpha_i! over n's exponents
+    divides big_omega! and so 20!, whose v2, v3, v5, v7 are 18, 8, 4, 2: no
+    digit carries.  At most one exponent reaches 11 (two would make big_omega
+    >= 22), so den's factors 11, 13, 17, 19 are a prefix of that list, fixed
+    by their count j <= 4.  A level with a prime factor above 19 exists only
+    where big_omega > 20, whose entries take the exact path; it adds 0.
+    """
+    if not 2 <= e <= 20:
+        return 0
+    v = [0] * 4
+    for i, p in enumerate((2, 3, 5, 7)):
+        while e % p == 0:
+            e //= p
+            v[i] += 1
+    return v[0] << 10 | v[1] + 9 * v[2] + 45 * v[3] + 135 * (e > 1)
+
+
+#: The code of each level e <= 56 (2^57 > 10^17), as uint16.
+_CODE = np.array([_level_code(e) for e in range(57)], dtype=np.uint16)
+
+
+@cache
+def _quotient_tables() -> tuple:
+    """Flat int64 tables T and (-1)^b T with T[1024 b + k] = b! / odd(k), b <= 20.
+
+    odd(k) is the odd part of a denominator with low code k: 3^d0 5^d1 7^d2
+    times the first j of 11, 13, 17, 19, for k = d0 + 9 d1 + 45 d2 + 135 j.
+    Where odd(k) does not divide b! (no n with big_omega = b has that code)
+    the entry is 0, as are the codes from 675 on.  Since den divides b!, the
+    entry at n is divisible by 2^v2(den), so ``T[...] >> v2`` is exact, for
+    the signed table too (an arithmetic shift).
+    """
+    k = np.arange(675)
+    odd = (3 ** (k % 9) * 5 ** (k // 9 % 5) * 7 ** (k // 45 % 3)
+           * np.array([1, 11, 11 * 13, 11 * 13 * 17, 11 * 13 * 17 * 19])[k // 135])
+    fact = np.array([math.factorial(b) for b in range(21)], dtype=np.int64)[:, None]
+    table = np.zeros((21, 1024), dtype=np.int64)
+    table[:, :675] = np.where(fact % odd == 0, fact // odd, 0)
+    signs = np.where(np.arange(21) % 2 == 1, -1, 1)[:, None]
+    tables = table.ravel(), (table * signs).ravel()
+    for t in tables:
+        t.flags.writeable = False           # shared by every caller
+    return tables
 
 
 #: The per-n columns ``profile_range`` can compute, in profile field order.
 PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega")
+
+#: Dtypes of the columns built chunk by chunk; "u" is liouville * c_omega,
+#: which ``profile_chunks`` gives straight from the signed table.
+_DERIVED = {"mobius": np.int8, "liouville": np.int8, "c_omega": np.int64, "u": np.int64}
 
 
 @dataclass
@@ -105,20 +158,22 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     A segmented Mobius sieve in the manner of Deleglise & Rivat (Exp. Math.
     1996), with no division and no table gather per prime:
 
-    * Presieve: omega and the byte log L for the wheel primes 2..13 start as
-      a tiled period-30030 pattern, offset by ``lo % 30030``.
-    * Steps: every other seed prime p <= r = isqrt(hi - 1) adds 1 to omega
-      on its multiples.  Every level p^e < hi of a seed or wheel prime adds
-      lg(p) = floor(4 log2 p) to the uint8 byte log L; a level with e >= 2
-      also adds 1 to the excess count ``extra`` and multiplies the
-      denominator ``den`` by e, so ``den`` ends as the product of alpha_i!.
-      The table of strides q = p^e, byte logs and levels is built in numpy.
-      A step runs in one of three tiers by its stride: strides of at least
-      width / 16 hit the segment at most 16 times each, and all their hits
-      are applied in one scatter pass (the bucket idea of Oliveira e Silva,
-      Herzog & Pardi, Math. Comp. 2014); strides below 256 run one
-      cache-sized block of the segment at a time; the rest run as one
-      strided slice update each.
+    * Sieve word: each entry's byte log L and -omega (mod 256) share one
+      little-endian uint16 word, L in the low byte.  For the wheel primes
+      2..13 the words start as a tiled period-30030 pattern, offset by
+      ``lo % 30030``.
+    * Steps: every other seed prime p <= r = isqrt(hi - 1) adds lg(p) - 256
+      to the words of its multiples, where lg(p) = floor(4 log2 p): lg(p) to
+      L and -1 to the high byte, in one add.  Every level p^e < hi, e >= 2,
+      of a seed or wheel prime adds lg(p) to the word, 1 to the excess count
+      ``extra`` and the level's code ``_CODE[e]`` to the uint16 ``code``, the
+      2- and 3-5-7-prefix digits of the denominator prod(alpha_i!) (see
+      ``_level_code``).  The table of strides q = p^e, word adds and levels
+      is built in numpy.  Strides of at least width / 16 hit the segment at
+      most 16 times each, and all their hits are applied in one scatter pass
+      (the bucket idea of Oliveira e Silva, Herzog & Pardi, Math. Comp.
+      2014); every other step is one strided slice update of the whole
+      segment per column.
     * Byte-log test (approximate logs, as in the quadratic sieve; Pomerance,
       EUROCRYPT '84): a prime factor q of n that is neither a seed nor a
       wheel prime has q > max(r, 13) and q^2 > hi - 1 >= n, so n has at most
@@ -127,21 +182,26 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       L < 3k.  With every factor counted, each of the Omega(n) <= k levels
       falls short by less than 1, so L > 4 log2 n - Omega(n) >= 3k.  With q,
       n < q^2 gives k < 2 log2 q, and q > 13 gives log2 q > 2, so
-      L <= 4 log2(n / q) < 4 (k + 1 - log2 q) <= 3k.  L < 226 fits uint8.
-    * Derived columns: big_omega = omega + extra; n is squarefree iff
-      extra == 0; c_omega = big_omega! / prod(alpha_i!) from a table of
-      factorials up to 20!, divided into ``den`` in place one block at a
-      time, so the int64 column is never allocated twice.
+      L <= 4 log2(n / q) < 4 (k + 1 - log2 q) <= 3k.  The test takes no pass
+      of its own: with 256 - 3k added to the words of the range, L < 226
+      carries into the high byte exactly when L >= 3k, and then
+      omega = 1 - high byte (mod 256) is read out in one pass.
+    * Derived columns, one ``_CHUNK`` of entries at a time into the output
+      columns: big_omega = omega + extra, formed in place in ``extra``; n is
+      squarefree iff extra == 0; c_omega = big_omega! / prod(alpha_i!) is one
+      gather and a shift, ``T[big_omega, code & 1023] >> (code >> 10)``, from
+      the 21 x 1024 table of ``_quotient_tables``.  No division, no factorial
+      column and no temporary of the segment's width.
 
     ``columns`` names the profile fields to build (default: all five); the
     others are left None, and an unknown name raises ValueError.  Each column
     pays only for the steps it needs:
 
-    * ``omega``: the wheel tile, the prime steps and the byte-log test.
+    * ``omega``: the wheel tile, the word steps and the byte-log test.
       Every prime-power level still adds to L, so the test stays exact.
     * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` updates.
-    * ``c_omega``: also the ``den`` updates, the factorial take, the
-      division and the exact path below.
+    * ``c_omega``: also the ``code`` updates, the gather and the exact path
+      below.
 
     The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63 and
     are computed exactly by trial division instead.  The int64 column cannot
@@ -150,72 +210,136 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     bounds c_omega there below 2^60, so a ``Segment`` reaching past 10^17
     raises OverflowError when it is made, before any sieving.
     """
+    want = _wanted(columns, PROFILE_COLUMNS)
+    # outputs first, so that the long-lived columns sit below the sieve's
+    # temporaries and the allocator reuses the space those leave (with glibc
+    # on x86_64, the log c_omega CDF at 1e7 peaks 4 MB lower in RSS)
+    out = {name: np.empty(segment.width, dtype=_DERIVED[name]) for name in want & _DERIVED.keys()}
+    cols = _sieve(segment, want)
+    for s in _chunks(segment.width):
+        _derive(segment.lo + s.start, *_cut(cols, s), {k: v[s] for k, v in out.items()})
+    omega, big = cols[0], cols[1]       # extra now holds big_omega
+    return ArithmeticProfile(
+        segment=segment, omega=omega if "omega" in want else None,
+        big_omega=big if "big_omega" in want else None, mobius=out.get("mobius"),
+        liouville=out.get("liouville"), c_omega=out.get("c_omega"),
+    )
+
+
+def profile_chunks(segment: Segment, columns):
+    """Sieve the segment once and yield ``(offset, columns)`` for each chunk of
+    up to ``_CHUNK`` entries in order: a dict of the named columns of the
+    entries from ``offset`` on, as ``profile_range`` would give them, where
+    the name "u" also gives liouville * c_omega, straight from the signed
+    table.  omega and big_omega are views of the sieve's columns (4 bytes
+    per entry with c_omega or "u"); the other arrays are made per chunk, so
+    nothing else grows with the segment width."""
+    want = _wanted(columns, PROFILE_COLUMNS + ("u",))
+    cols = _sieve(segment, want)
+    for s in _chunks(segment.width):
+        omega, extra, code = _cut(cols, s)
+        out = {name: np.empty(len(omega), dtype=_DERIVED[name]) for name in want & _DERIVED.keys()}
+        _derive(segment.lo + s.start, omega, extra, code, out)
+        if "omega" in want:
+            out["omega"] = omega
+        if "big_omega" in want:
+            out["big_omega"] = extra
+        yield s.start, out
+
+
+def _wanted(columns, names) -> frozenset:
     want = frozenset(columns)
-    if not want <= set(PROFILE_COLUMNS):
-        raise ValueError(f"unknown profile columns {sorted(want - set(PROFILE_COLUMNS))}, "
-                         f"expected some of {PROFILE_COLUMNS}")
+    if not want <= set(names):
+        raise ValueError(f"unknown profile columns {sorted(want - set(names))}, "
+                         f"expected some of {names}")
+    return want
+
+
+def _chunks(width: int):
+    return (slice(a, min(a + _CHUNK, width)) for a in range(0, width, _CHUNK))
+
+
+def _cut(cols, s: slice) -> tuple:
+    return tuple(None if c is None else c[s] for c in cols)
+
+
+def _sieve(segment: Segment, want) -> tuple:
+    """The segment's omega after the byte-log test, with ``extra`` (unless
+    only omega is wanted) and ``code`` (for c_omega or "u"), else None."""
     lo, hi = segment.lo, segment.hi
     width = segment.width
     seeds = primes_up_to(isqrt(hi - 1))
 
+    omega = np.empty(width, dtype=np.uint8)       # before the word, as in profile_range
     off = lo % _WHEEL
     reps = (off + width - 1) // _WHEEL + 1
-    omega = np.tile(_WHEEL_OMEGA, reps)[off:off + width]
-    logs = np.tile(_WHEEL_LOG, reps)[off:off + width]
+    word = np.tile(_WHEEL_WORD, reps)[off:off + width]
     extra = np.zeros(width, dtype=np.uint8) if want - {"omega"} else None
-    den = np.ones(width, dtype=np.int64) if "c_omega" in want else None
+    code = np.zeros(width, dtype=np.uint16) if want & {"c_omega", "u"} else None
 
-    cols = (omega, extra, logs, den)
-    q, lg, e = _step_table(seeds, hi)
+    cols = (word, extra, code)
+    q, inc, e = _step_table(seeds, hi)
     sparse = q * _SPARSE_HITS >= width
-    _scatter_steps(cols, lo, width, q[sparse], lg[sparse], e[sparse])
-    short = q < _SHORT_STRIDE
-    blocked, strided = (list(zip(q[m].tolist(), lg[m].tolist(), e[m].tolist()))
-                        for m in (~sparse & short, ~sparse & ~short))
-    # Short strides touch every cache line of the segment; running them one
-    # block at a time halves their cost, and more so with two workers.
-    for b0 in range(0, width, _BLOCK):
-        _sieve_steps(cols, lo, b0, min(b0 + _BLOCK, width), blocked)
-    _sieve_steps(cols, lo, 0, width, strided)
+    _scatter_steps(cols, lo, width, q[sparse], inc[sparse], e[sparse])
+    dense = ~sparse
+    _sieve_steps(cols, lo, zip(q[dense].tolist(), inc[dense].tolist(), e[dense].tolist()))
 
+    # the byte-log test: on the binary range of k, 256 - 3k more makes the
+    # low byte carry into the high one exactly when L >= 3k, so that the high
+    # byte is [L >= 3k] - omega and the full omega is 1 minus it (mod 256)
     for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
-        a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
-        omega[a:b] += logs[a:b] < 3 * k
-    del cols, logs                      # frees the logs tile before the derived columns
-    big = mobius = liouville = c = None
-    one, two = np.int8(1), np.int8(2)
-    if want & {"big_omega", "liouville", "c_omega"}:
-        big = omega + extra
-    if "c_omega" in want:
-        hot = np.nonzero(big > 20)[0]
-        for b0 in range(0, width, _BLOCK):
-            blk = slice(b0, b0 + _BLOCK)
-            np.floor_divide(np.take(_FACTORIAL, big[blk], mode="clip"), den[blk], out=den[blk])
-        c = den
-        for i in map(int, hot):
-            c[i] = _exact_c_omega(lo + i)
-    if "mobius" in want:
-        mobius = (one - two * (omega & 1).view(np.int8)) * (extra == 0)
-    if "liouville" in want:
-        liouville = one - two * (big & 1).view(np.int8)
+        word[max(lo, 1 << k) - lo:min(hi, 2 << k) - lo] += 256 - 3 * k
+    np.subtract(np.uint8(1), word.view(np.uint8)[1::2], out=omega)
+    return omega, extra, code
 
-    return ArithmeticProfile(
-        segment=segment, omega=omega if "omega" in want else None,
-        big_omega=big if "big_omega" in want else None,
-        mobius=mobius, liouville=liouville, c_omega=c,
-    )
+
+def _derive(lo: int, omega, extra, code, out: dict):
+    """Fill the chunk-wide arrays of ``out`` (keyed by ``_DERIVED`` names)
+    from the sieve columns of the entries from n = lo on; ``extra`` becomes
+    big_omega in place."""
+    if "mobius" in out:
+        _signs(omega, out["mobius"])
+        out["mobius"] *= extra == 0
+    if extra is None:
+        return
+    big = np.add(extra, omega, out=extra)
+    if "liouville" in out:
+        _signs(big, out["liouville"])
+    wanted = [(out[name], table, name == "u")
+              for name, table in zip(("c_omega", "u"), _quotient_tables()) if name in out]
+    if not wanted:
+        return
+    at = np.minimum(big, 20, out=np.empty(len(big), dtype=np.intp))
+    at <<= 10
+    at |= code & 1023
+    shift = code >> 10
+    for col, table, _ in wanted:
+        np.take(table, at, out=col, mode="clip")       # "raise" would buffer out
+        np.right_shift(col, shift, out=col)
+    for i in np.flatnonzero(big > 20).tolist():
+        exact = _exact_c_omega(lo + i)
+        for col, _, signed in wanted:
+            col[i] = -exact if signed and big[i] & 1 else exact
+
+
+def _signs(count, out):
+    """(-1)^count into the int8 array ``out``."""
+    np.bitwise_and(count, 1, out=out.view(np.uint8))
+    np.multiply(out, -2, out=out)
+    out += 1
 
 
 def _step_table(seeds: np.ndarray, hi: int) -> tuple:
-    """Every sieve step below hi as arrays: stride q, byte log lg (uint8), level e.
+    """Every sieve step below hi as arrays: stride q, the add inc to the
+    (-omega, byte log) word (uint16: lg(p), less 256 on level 1), level e.
 
     Level 1 is q = p for each seed prime p > 13; level e >= 2 is q = p^e < hi
     for every seed prime, built from level e - 1 by keeping the p^(e-1) <=
     (hi - 1) // p before multiplying, so no product passes hi.
     """
-    lgs = _lg(seeds)
+    lgs = _lg(seeds).astype(np.uint16)
     new = seeds > _WHEEL_PRIMES[-1]
-    table = [(seeds[new], lgs[new], 1)]
+    table = [(seeds[new], lgs[new] + np.uint16(_LEVEL_ONE), 1)]
     p, pe, e = seeds, seeds, 1
     while len(p):
         keep = pe <= (hi - 1) // p
@@ -232,39 +356,37 @@ def _runs(lengths: np.ndarray) -> tuple:
     return owner, np.arange(1, len(owner) + 1) - starts[owner]
 
 
-def _scatter_steps(cols, lo: int, width: int, q, lg, e):
+def _scatter_steps(cols, lo: int, width: int, q, inc, e):
     """Apply steps of stride q >= width / 16 to the segment [lo, lo + width)
     in one pass: their few hits each are laid out as ragged runs and added
-    (multiplied, for den) with the unbuffered ``.at`` ufuncs, so an entry hit
-    by two of the steps gets both."""
-    omega, extra, logs, den = cols
+    with the unbuffered ``np.add.at``, so an entry hit by two of the steps
+    gets both.  Every added value is an array or numpy scalar of the column's
+    dtype (a Python int takes numpy's slow path, about 30x the cost per hit)."""
+    word, extra, code = cols
     first = -lo % q
     step, k = _runs((width - first + q - 1) // q)
     at = first[step] + (k - 1) * q[step]
-    np.add.at(logs, at, lg[step])
+    np.add.at(word, at, inc[step])
     level = e[step]
     power = level > 1
-    np.add.at(omega, at[~power], 1)
     if extra is not None:
-        np.add.at(extra, at[power], 1)
-    if den is not None:
-        np.multiply.at(den, at[power], level[power])
+        np.add.at(extra, at[power], np.uint8(1))
+    if code is not None:
+        np.add.at(code, at[power], _CODE[level[power]])
 
 
-def _sieve_steps(cols, lo: int, b0: int, b1: int, steps):
-    """Apply sieve steps to entries [b0, b1) of the segment starting at lo;
-    a column given as None is skipped."""
-    omega, extra, logs, den = cols
-    for q, lg, e in steps:
-        s = b0 + -(lo + b0) % q
-        if e == 1:
-            omega[s:b1:q] += 1
-        else:
+def _sieve_steps(cols, lo: int, steps):
+    """Apply sieve steps, each one strided slice update of the whole segment
+    starting at lo; a column given as None is skipped."""
+    word, extra, code = cols
+    for q, inc, e in steps:
+        s = -lo % q
+        word[s::q] += inc
+        if e > 1:
             if extra is not None:
-                extra[s:b1:q] += 1
-            if den is not None:
-                den[s:b1:q] *= e
-        logs[s:b1:q] += lg
+                extra[s::q] += 1
+            if code is not None:
+                code[s::q] += _CODE[e]
 
 
 def _exact_c_omega(n: int) -> int:

@@ -4,8 +4,8 @@ Subcommands: sieve, verify, summatory, stats, simulate, trace, oeis-check.
 Data goes to stdout or the --out file (CSV by default, NDJSON with
 --format json: one object per row); logging goes to stderr.  Exit codes:
 0 success; 1 failed identity/comparison, I/O error, malformed input file,
-arithmetic overflow or a limit that cannot fit in available memory; 2 usage
-error.
+arithmetic overflow, or a limit or segment that cannot fit in available
+memory; 2 usage error.
 """
 
 import argparse
@@ -130,6 +130,8 @@ def _fmt_float(v: float) -> str:
 
 
 def cmd_sieve(config: argparse.Namespace) -> int:
+    _require_segment(config, config.limit)
+
     def primes(seg):    # the series' own prime test; as <i8, the export's u64s
         big_omega = arith.profile_range(seg, columns={"big_omega"}).big_omega
         return (np.flatnonzero(big_omega == 1) + seg.lo).astype("<i8", copy=False)
@@ -154,9 +156,9 @@ def cmd_sieve(config: argparse.Namespace) -> int:
 
 #: Peak bytes per n of ``verify --identity all`` (one profile of 1..limit:
 #: 432 MB at 1e7), of ``oeis-check --sequence g`` (the prefix table g: 163 MB
-#: at 1e7; mu and lambda are streamed one segment at a time and need no
-#: guard), and of ``summatory``'s direct G route
-#: (116.5 B/n traced at 5e4, one segment, plus 8%; 76.7 at 1e7).
+#: at 1e7; mu and lambda are streamed one segment at a time and need only
+#: the segment guard), and of ``summatory``'s direct G route
+#: (117.4 B/n traced at 5e4, one segment, plus 9%; 76.7 at 1e7).
 VERIFY_BYTES_PER_N = 44
 OEIS_BYTES_PER_N = 18
 SUMMATORY_DIRECT_BYTES_PER_N = 128
@@ -180,6 +182,23 @@ def _require_memory(command: str, limit: int, bytes_per_n: int):
                           f"more than the {have / 2**30:.1f} GiB of available memory")
 
 
+#: Peak bytes per entry of one kernel call on all five columns, the bound of
+#: ``tests/test_arith.py::test_profile_peak_bytes_per_entry``.
+KERNEL_BYTES_PER_ENTRY = 17
+
+
+def _require_segment(config, extent: int):
+    """Refuse a --segment-size whose kernel columns, on every worker a sweep
+    over ``extent`` entries keeps busy, exceed the available memory."""
+    size = config.segment_size
+    workers = min(config.threads, -(-extent // size))
+    need, have = min(size, extent) * workers * KERNEL_BYTES_PER_ENTRY, available_memory()
+    if need > have:
+        raise MemoryError(f"--segment-size {size} needs about {need / 2**30:.1f} GiB on "
+                          f"{workers} worker(s), more than the {have / 2**30:.1f} GiB of "
+                          "available memory")
+
+
 def cmd_verify(config: argparse.Namespace) -> int:
     names = dirichlet.IDENTITY_NAMES if config.identity == "all" else (config.identity,)
     _require_memory("verify", config.limit, VERIFY_BYTES_PER_N)
@@ -194,10 +213,13 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
 
 def cmd_summatory(config: argparse.Namespace) -> int:
-    if direct_route(config.checkpoints.checkpoints(config.limit), config.limit):
-        _require_memory("summatory", config.limit, SUMMATORY_DIRECT_BYTES_PER_N)
-    series = build_series(config.limit, config.checkpoints,
-                          segment_size=config.segment_size, pool=WorkerPool(config.threads))
+    policy, limit = config.checkpoints, config.limit
+    # "all" takes the direct route at every limit, so it is refused before its ladder
+    if policy.kind == "all" or direct_route(policy.checkpoints(limit), limit):
+        _require_memory("summatory", limit, SUMMATORY_DIRECT_BYTES_PER_N)
+    _require_segment(config, limit)
+    series = build_series(limit, policy, segment_size=config.segment_size,
+                          pool=WorkerPool(config.threads))
     log.info("G route %s: %d checkpoints, %d eval points",
              series.route, len(series.checkpoints), len(series.eval_points))
     _emit_rows(config, SERIES_COLUMNS,
@@ -210,6 +232,8 @@ def cmd_stats(config: argparse.Namespace) -> int:
     pool = WorkerPool(config.threads)
     x = config.x
     kind = config.report
+    if kind != "exponent":          # every other report sweeps 1..x
+        _require_segment(config, x)
     if kind in ("omega-k", "excess", "sign", "conditional"):
         counts = stats.collect_counts(x, config.segment_size, pool=pool)
     if kind == "omega-k":
@@ -316,6 +340,7 @@ def cmd_oeis_check(config: argparse.Namespace) -> int:
         _require_memory("oeis-check", limit, OEIS_BYTES_PER_N)
         mismatches = [arith.compare_bfile(entries, arith.g_table(limit))]
     else:
+        _require_segment(config, limit)
         # the entries of each segment, in file order, so a segment reads only its own
         size = config.segment_size
         by_segment = {}

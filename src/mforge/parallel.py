@@ -7,6 +7,7 @@ heavy lifting is numpy, which releases the GIL.
 """
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from .sieve import Segment
@@ -28,12 +29,27 @@ class WorkerPool:
         self.threads = max(1, threads if threads is not None else default_threads())
 
     def map(self, fn, items):
-        """Apply fn to each item, yielding results in input order."""
+        """Apply fn to each item, yielding results in input order.
+
+        On several threads at most 2 x threads items are in flight: one is
+        pulled and submitted, and once that many are waiting the oldest
+        result is yielded first, so memory stays bounded however many items
+        come.  Items still queued when the stream stops are cancelled.
+        """
         if self.threads == 1:
             yield from map(fn, items)
             return
-        with ThreadPoolExecutor(max_workers=self.threads) as ex:
-            yield from ex.map(fn, items)
+        ex = ThreadPoolExecutor(max_workers=self.threads)
+        window = deque()
+        try:
+            for item in items:
+                window.append(ex.submit(fn, item))
+                if len(window) == 2 * self.threads:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            ex.shutdown(cancel_futures=True)
 
     def sweep(self, lo: int, hi: int, size: int, fn):
         """Apply fn to consecutive Segments of width <= size covering [lo, hi),

@@ -14,7 +14,7 @@ from math import inf, isqrt
 
 import numpy as np
 
-from .arith import _runs, g_table, profile_range
+from .arith import _runs, g_table, profile_chunks
 from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, Segment, primes_up_to
 
@@ -168,14 +168,15 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
-def _block_sums(narrow, wide: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _block_sums(narrow, wide: np.ndarray, starts: np.ndarray, out=None) -> np.ndarray:
     """Running sums of the ``narrow`` columns, then ``wide``, over the blocks
-    that begin at ``starts``, as int64 rows.  The one-byte ``narrow`` columns
-    (entries in {-1, 0, 1}) are summed per block in int32, exact since a
-    column of 2^31 or more entries is refused before any sum."""
+    that begin at ``starts``, as int64 rows (written into ``out`` if given).
+    The one-byte ``narrow`` columns (entries in {-1, 0, 1}) are summed per
+    block in int32, exact since a column of 2^31 or more entries is refused
+    before any sum."""
     if max(len(col) for col in narrow) > _INT32_MAX:
         raise OverflowError("a segment of 2^31 or more entries overflows its int32 block sums")
-    sums = np.empty((len(narrow) + 1, len(starts)), dtype=np.int64)
+    sums = np.empty((len(narrow) + 1, len(starts)), dtype=np.int64) if out is None else out
     for row, col in zip(sums, narrow):
         np.cumsum(np.add.reduceat(col, starts, dtype=np.int32), dtype=np.int64, out=row)
     np.cumsum(np.add.reduceat(wide, starts), dtype=np.int64, out=sums[-1])
@@ -222,28 +223,40 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     n_eval = len(eval_points)
     recorded = np.zeros((4, n_eval), dtype=np.int64)    # rows: M, Qsq, pi, U
     omega = np.empty(N, dtype=np.uint8) if direct else None
+    columns = {"big_omega", "mobius", "u"} | ({"omega"} if direct else set())
 
     def summarize(seg):
         # Sums of each column over the blocks [0, o1], (o1, o2], ..., (ok, end)
-        # between the eval-point offsets o; their cumsum holds the prefix sums
-        # at the eval points and, last, the segment total.  Each segment
+        # between the eval-point offsets o; their running sums are the prefix
+        # sums at the eval points and, last, the segment total.  The kernel
+        # derives its columns one chunk at a time: a chunk writes the running
+        # sums at the ends of the blocks that meet it, and a block that goes
+        # on past the chunk is written again by the next one.  Each segment
         # writes its own slices of recorded and omega; the merge adds the base.
-        prof = profile_range(seg)
-        c = prof.c_omega
-        # every |entry| is at most c_max >= 1, so every partial sum of every
-        # column within the segment is at most span
-        span = seg.width * int(c.max())
-        if span > _SAFE_SUM:
-            raise OverflowError("a segment's sums could exceed the summatory bound")
-        np.multiply(c, prof.liouville, out=c)               # liouville * c_omega
         i0 = int(np.searchsorted(eval_points, seg.lo))
         i1 = int(np.searchsorted(eval_points, seg.hi))
         starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
         starts = starts[starts < seg.width]
-        sums = _block_sums((prof.mobius, prof.mobius != 0, prof.big_omega == 1), c, starts)
+        sums = np.empty((4, len(starts)), dtype=np.int64)
+        run = np.zeros((4, 1), dtype=np.int64)
+        span = 0
+        for a, cols in profile_chunks(seg, columns):
+            u, mu = cols["u"], cols["mobius"]               # u = liouville * c_omega
+            # every |entry| of a chunk is at most its max|u| >= 1, so every
+            # partial sum of every column up to this chunk's end is at most span
+            span += len(u) * max(int(u.max()), -int(u.min()))
+            if span > _SAFE_SUM:
+                raise OverflowError("a segment's sums could exceed the summatory bound")
+            i = int(np.searchsorted(starts, a, side="right")) - 1
+            j = int(np.searchsorted(starts, a + len(u)))
+            # the block starts in the chunk, from 0; a first chunk reads them as they are
+            cuts = starts[:j] if a == 0 else np.concatenate([[0], starts[i + 1:j] - a])
+            _block_sums((mu, mu != 0, cols["big_omega"] == 1), u, cuts, out=sums[:, i:j])
+            sums[:, i:j] += run
+            run = sums[:, j - 1:j].copy()
+            if direct:
+                omega[seg.lo - 1 + a:seg.lo - 1 + a + len(u)] = cols["omega"]
         recorded[:, i0:i1] = sums[:, :i1 - i0]
-        if direct:
-            omega[seg.lo - 1:seg.hi - 1] = prof.omega
         return i0, i1, sums[:, -1].tolist(), span
 
     base = [0] * 4

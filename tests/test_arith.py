@@ -15,6 +15,7 @@ from mforge.arith import (
     compare_bfile,
     g_squarefree_closed_form,
     g_table,
+    profile_chunks,
     profile_range,
     read_bfile,
 )
@@ -150,9 +151,9 @@ def test_profile_split_invariant_and_matches_oracles(seg):
     (10**8 - 2**19 + 7, 10**8 - 2**18 + 3, 10**8 + 1),
 ])
 def test_profile_split_invariant_across_blocks(lo, mid, hi):
-    # wider than the kernel's cache block, so block edges fall at different n
+    # wider than the kernel's derivation chunk, so chunk edges fall at different n
     whole = _profile_split_invariant(lo, mid, hi)
-    for b in range(0, hi - lo, 1 << 17):
+    for b in range(0, hi - lo, arith._CHUNK):
         for n in range(lo + max(b - 3, 0), min(lo + b + 3, hi)):
             j = n - lo
             assert (whole.omega[j], whole.big_omega[j], whole.c_omega[j]) == (
@@ -188,7 +189,7 @@ def test_profile_column_subsets_match_full_profile(seg):
 
 def test_profile_column_subsets_on_exact_path_and_block_edges():
     # entries with big_omega > 20 take the exact c_omega path; the segment is
-    # wider than the kernel's cache block
+    # wider than the kernel's derivation chunk
     _check_column_subsets(2**21 - 3, 2**21 + 3 * 2**17 + 5)
 
 
@@ -254,7 +255,7 @@ def _sparse_steps_dividing(n: int, width: int, hi: int) -> int:
 def test_profile_entries_hit_by_several_sparse_steps(n0, width):
     # every entry of the window is checked, and n0 is hit by at least two of
     # the steps that the kernel applies in one scatter pass, which must add
-    # (and multiply, for the denominators) every one of them
+    # every one of them (their codes, for the denominators)
     lo, hi = n0 - width // 2, n0 + width // 2
     assert _sparse_steps_dividing(n0, width, hi) >= 2
     rows = _profile_rows(profile_range(Segment(lo, hi)))
@@ -296,8 +297,9 @@ def test_byte_log_is_floor_of_four_log2_on_seed_primes():
 
 @pytest.mark.parametrize("columns, bytes_per_n", [(COLUMNS, 17), ({"omega"}, 4)])
 def test_profile_peak_bytes_per_entry(columns, bytes_per_n):
-    # one-byte logs and c_omega divided into den leave no int64 temporary
-    # beside den itself; omega alone keeps two byte columns and a mask
+    # one-byte logs, a two-byte denominator code and derived columns built
+    # one chunk at a time leave no full-width temporary beside the outputs;
+    # omega alone keeps two byte columns and a mask
     seg = Segment(10**8 - 2**20 + 1, 10**8 + 1)
     profile_range(seg, columns=columns)
     tracemalloc.start()
@@ -306,6 +308,87 @@ def test_profile_peak_bytes_per_entry(columns, bytes_per_n):
         assert tracemalloc.get_traced_memory()[1] <= bytes_per_n * seg.width
     finally:
         tracemalloc.stop()
+
+
+def _partitions(n, cap=None):
+    """Every exponent multiset summing to n, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for a in range(min(n, cap or n), 0, -1):
+        for rest in _partitions(n - a, a):
+            yield (a,) + rest
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_denominator_code_is_carry_free_and_gathers_c_omega():
+    # every exponent multiset with big_omega <= 20: the codes of its levels
+    # sum without a carry to the digits of den = prod(alpha!), and one gather
+    # and shift give c_omega and liouville * c_omega
+    primes = primes_up_to(80).tolist()
+    unsigned, signed = arith._quotient_tables()
+    cases = [alphas for total in range(21) for alphas in _partitions(total)]
+    assert len(cases) == 2714
+    codes, bigs, want = [], [], []
+    for alphas in cases:
+        code = sum(int(arith._CODE[e]) for a in alphas for e in range(2, a + 1))
+        den = math.prod(math.factorial(a) for a in alphas)
+        low = code & 1023
+        d0, d1, d2, levels = low % 9, low // 9 % 5, low // 45 % 3, low // 135
+        assert code < 1 << 15 and levels <= 4, alphas
+        assert code >> 10 == _valuation(den, 2), alphas
+        assert (d0, d1, d2) == tuple(_valuation(den, p) for p in (3, 5, 7)), alphas
+        assert den == (2 ** (code >> 10) * 3**d0 * 5**d1 * 7**d2
+                       * math.prod((11, 13, 17, 19)[:levels])), alphas
+        big = sum(alphas)
+        codes.append(code)
+        bigs.append(big)
+        want.append(c_omega(Factorization(0, tuple(zip(primes, alphas)))))
+    code = np.array(codes, dtype=np.uint16)
+    at = np.array(bigs, dtype=np.uint16) << 10 | code & 1023
+    sign = 1 - 2 * (np.array(bigs) & 1)
+    assert (unsigned[at] >> (code >> 10)).tolist() == want
+    assert (signed[at] >> (code >> 10)).tolist() == (sign * np.array(want)).tolist()
+
+
+@pytest.mark.parametrize("lo", [9 * 10**7, 2**21 - arith._CHUNK + 2])
+@pytest.mark.parametrize("width", [arith._CHUNK - 1, arith._CHUNK, 3 * arith._CHUNK + 5])
+def test_chunked_columns_equal_one_piece(lo, width, monkeypatch):
+    # the derived columns are built one chunk at a time; below, at and past
+    # the chunk width they equal one piece, and so do the chunks of
+    # profile_chunks, whose "u" is liouville * c_omega; 2^21 (big_omega
+    # 21, the exact path) is the second-to-last entry of the first chunk
+    seg = Segment(lo, lo + width)
+    chunked = profile_range(seg)
+    chunk = arith._CHUNK
+    pieces = list(profile_chunks(seg, (*COLUMNS, "u")))
+    monkeypatch.setattr(arith, "_CHUNK", width)
+    whole = profile_range(seg)
+    assert lo > 2**21 or whole.big_omega[2**21 - lo] == 21
+    assert [a for a, _ in pieces] == list(range(0, width, chunk))
+    assert all(len(p["u"]) == min(chunk, width - a) for a, p in pieces)
+    for col in (*COLUMNS, "u"):
+        ref = whole.signed_c_omega() if col == "u" else getattr(whole, col)
+        joined = np.concatenate([p[col] for _, p in pieces])
+        assert joined.dtype == ref.dtype and np.array_equal(joined, ref), col
+        if col != "u":
+            assert np.array_equal(getattr(chunked, col), ref), col
+
+
+def test_profile_chunks_yields_only_the_named_columns():
+    pieces = list(profile_chunks(Segment(1, 1000), {"mobius", "u"}))
+    assert [sorted(p) for _, p in pieces] == [["mobius", "u"]]
+    with pytest.raises(ValueError, match="unknown profile columns"):
+        next(profile_chunks(Segment(1, 100), {"g"}))
+    with pytest.raises(ValueError, match="unknown profile columns"):
+        profile_range(Segment(1, 100), columns={"u"})
 
 
 def test_signed_c_omega_is_one_int64_product(profile_1e5):

@@ -260,11 +260,10 @@ def test_sieve_export_to_fifo(tmp_path, monkeypatch, capsys):
 ])
 def test_limit_past_kernel_bound_fails_before_sieving(args, tmp_path, monkeypatch, capsys):
     # the range is checked whole before it is cut, planned or written to
-    from mforge import arith, stats, summatory
+    from mforge import arith
 
-    for module in (arith, stats, summatory):
-        monkeypatch.setattr(module, "profile_range",
-                            lambda *a, **k: pytest.fail("sieved past the bound"))
+    # every profile, whole or in chunks, starts in the one sieve
+    monkeypatch.setattr(arith, "_sieve", lambda *a, **k: pytest.fail("sieved past the bound"))
     out = tmp_path / "out"
     code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
     assert code == 1 and stdout == ""
@@ -315,13 +314,15 @@ def test_oeis_check_oracle_fixtures(sequence, fname, capsys):
 @pytest.mark.parametrize("sequence, column", [("mu", "mobius"), ("lambda", "liouville")])
 def test_oeis_check_streams_by_segment(sequence, column, tmp_path, monkeypatch, capsys,
                                        profile_1e4):
-    # mu and lambda are compared one segment at a time, with no memory guard.
-    # Segments of 100 start at 1, 101, 201, 301, ...; the file holds wrong
-    # values at 301 (the first entry of a segment) and 200 (the last entry of
-    # another), and the one listed first in the file is reported
+    # mu and lambda are compared one segment at a time, with no guard on the
+    # limit: the memory below holds the widest segment here (1000 entries on
+    # one worker) but not 18 B/n for a prefix table.  Segments of 100 start
+    # at 1, 101, 201, 301, ...; the file holds wrong values at 301 (the first
+    # entry of a segment) and 200 (the last entry of another), and the one
+    # listed first in the file is reported
     import mforge.cli as cli
 
-    monkeypatch.setattr(cli, "available_memory", lambda: 0)
+    monkeypatch.setattr(cli, "available_memory", lambda: 1000 * cli.KERNEL_BYTES_PER_ENTRY)
     values = getattr(profile_1e4, column)
     lines = {n: f"{n} {int(values[n - 1])}" for n in range(1, 1001)}
     lines[301], lines[200] = "301 7", "200 -7"
@@ -623,9 +624,53 @@ def test_summatory_direct_route_past_memory_is_refused(monkeypatch, capsys):
     monkeypatch.undo()
     monkeypatch.setattr(cli, "available_memory", lambda: need)
     assert run_cli(["summatory", "--checkpoints", "all", "--limit", "2000"], capsys)[0] == 0
-    monkeypatch.setattr(cli, "available_memory", lambda: 0)
+    # room for one segment's kernel columns, far short of 128 B/n
+    monkeypatch.setattr(cli, "available_memory", lambda: 100_000 * cli.KERNEL_BYTES_PER_ENTRY)
     code, out, _ = run_cli(["summatory", "--limit", "100000"], capsys)
     assert code == 0 and out.startswith("x,M,G,Qsq,pi\n")
+
+
+def test_checkpoints_all_is_refused_before_its_ladder(monkeypatch, capsys):
+    # "all" is the direct route at every limit, so its guard reads the limit
+    # alone and never builds the 8 B/n ladder
+    import mforge.cli as cli
+
+    monkeypatch.setattr(cli, "available_memory", lambda: 2**20)
+    monkeypatch.setattr(CheckpointPolicy, "checkpoints",
+                        lambda *a, **k: pytest.fail("built the ladder of a refused limit"))
+    code, out, err = run_cli(["summatory", "--checkpoints", "all", "--limit", str(10**9)], capsys)
+    assert code == 1 and out == ""
+    assert f"summatory up to {10**9} needs about" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["sieve", "--limit", "3000000"],
+    ["stats", "--report", "sign", "--x", "3000000"],
+    ["stats", "--report", "cdf", "--statistic", "log_c_omega", "--x", "3000000"],
+])
+def test_segment_past_memory_is_refused(args, tmp_path, monkeypatch, capsys):
+    # a segment's kernel columns need KERNEL_BYTES_PER_ENTRY per entry on each
+    # busy worker; past the available memory the run exits 1 naming the flag,
+    # before any sieving or output file
+    import mforge.cli as cli
+    from mforge import arith
+
+    out = tmp_path / "out"
+    argv = args + ["--out", str(out), "--segment-size", str(2**20), "--threads", "2"]
+    have = 2 * 2**20 * cli.KERNEL_BYTES_PER_ENTRY - 1
+    monkeypatch.setattr(cli, "available_memory", lambda: have)
+    sieve = arith._sieve
+    monkeypatch.setattr(arith, "_sieve", lambda *a, **k: pytest.fail("sieved a refused segment"))
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert "--segment-size 1048576 needs about" in err and "Traceback" not in err
+    # one worker, or a segment no wider than the range, fits
+    monkeypatch.setattr(arith, "_sieve", sieve)
+    assert run_cli(argv[:-1] + ["1"], capsys)[0] == 0
+    assert run_cli(argv[:-3] + [str(10**9), "--threads", "2"], capsys)[0] == 1
+    limit = str(have // cli.KERNEL_BYTES_PER_ENTRY)
+    short = [limit if a == "3000000" else a for a in argv[:-3]]
+    assert run_cli(short + [str(10**9)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("policy, line", [

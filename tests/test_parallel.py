@@ -32,6 +32,38 @@ def test_threads_yield_jittered_items_in_input_order(threads):
     assert list(WorkerPool(threads).map(slow, range(50))) == list(range(50))
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threads_pull_at_most_a_window_ahead(threads):
+    # a stream of any length holds at most 2 x threads items in flight
+    pulled = []
+
+    def items():
+        for i in range(60):
+            pulled.append(i)
+            yield i
+
+    taken = 0
+    for result in WorkerPool(threads).map(lambda i: i * i, items()):
+        assert result == taken * taken
+        taken += 1
+        assert len(pulled) - taken < 2 * threads, (len(pulled), taken)
+    assert taken == len(pulled) == 60
+
+
+def test_threads_cancel_queued_items_when_the_stream_stops():
+    started = []
+
+    def slow(i):
+        started.append(i)
+        time.sleep(0.01)
+        return i
+
+    results = WorkerPool(2).map(slow, range(100))
+    assert next(results) == 0
+    results.close()
+    assert len(started) <= 4
+
+
 def test_sweep_checks_its_whole_range_before_cutting():
     calls = []
     with pytest.raises(OverflowError, match="past 10\\^17"):

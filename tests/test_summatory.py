@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mforge.arith import g_table, profile_range
 from mforge.parallel import WorkerPool
 from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, Segment
-from mforge import summatory
+from mforge import arith, summatory
 from mforge.cli import main, read_series
 from mforge.summatory import (
     CheckpointPolicy,
@@ -329,23 +329,35 @@ def block_oracle():
     return _pointwise_prefix_sums(_BLOCK_N)
 
 
+#: The kernel's chunk width in the block-sum test, so that a 977-wide
+#: segment holds nine chunk edges; the second segment starts at 978.
+_TEST_CHUNK = 100
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("segment_size", [1, 2, 977])
 @pytest.mark.parametrize("route, policy", [
-    ("quotient", CheckpointPolicy(kind="explicit", points=(977, 978, 1954))),
+    ("quotient", CheckpointPolicy(kind="explicit", points=(
+        977, 978, 1954, *(978 + o for o in (_TEST_CHUNK - 1, _TEST_CHUNK, _TEST_CHUNK + 1))))),
     ("direct", CheckpointPolicy(kind="geometric", ratio=1.001)),
 ])
-def test_block_sums_at_segment_edges(route, policy, segment_size, threads, block_oracle):
-    # each segment reads its eval points from the cumsum of block sums
-    # between them: points on a segment's first and last entry (an empty
-    # trailing block) and segments with no point at all must all read the
-    # same prefix sums as one whole-range segment and the pointwise oracles
+def test_block_sums_at_segment_edges(route, policy, segment_size, threads, block_oracle,
+                                     monkeypatch):
+    # each segment reads its eval points from the running block sums
+    # between them, carried across the kernel's chunks: points on a
+    # segment's first and last entry (an empty trailing block), on either
+    # side of a chunk edge, and segments with no point at all must all read
+    # the same prefix sums as one whole-range segment and the pointwise oracles
+    monkeypatch.setattr(arith, "_CHUNK", _TEST_CHUNK)
     N = _BLOCK_N
     ref = build_series(N, policy, segment_size=N + 1)
     s = build_series(N, policy, segment_size=segment_size, pool=WorkerPool(threads))
     assert s.route == ref.route == route
     offs = (s.eval_points - 1) % segment_size
     assert 0 in offs and segment_size - 1 in offs
+    if segment_size > _TEST_CHUNK:
+        c = _TEST_CHUNK
+        assert {0, c - 1, c, c + 1} <= set(offs.tolist())
     # the dense ladder has a point in every 977-wide segment
     if route == "quotient" or segment_size < 977:
         assert len(np.unique((s.eval_points - 1) // segment_size)) < -(-N // segment_size)
@@ -454,8 +466,10 @@ def test_series_bytes_equal_across_segment_sizes(N, policy, route):
 
 
 def test_series_memory_per_segment_entry_flat_in_N():
-    # no full-width int64 column outlives profile_range in a segment, so
-    # the quotient route's peak is set by the segment width, not by N
+    # the kernel derives its columns one chunk at a time, so a segment holds
+    # only its 4 B/n of sieve columns plus a fixed 2 MB of chunk temporaries
+    # (about 14 B per entry of this 2^18 segment, 6 of a 2^20 one), and the
+    # quotient route's peak is set by the segment width, not by N
     size = 2**18
     build_series(size, segment_size=size)       # one-time allocations
 
@@ -469,7 +483,7 @@ def test_series_memory_per_segment_entry_flat_in_N():
 
     small, large = peak(10**6), peak(4 * 10**6)
     assert large < 1.5 * small
-    assert max(small, large) <= 36 * size
+    assert max(small, large) <= 16 * size
 
 
 def test_direct_route_peak_bytes_per_n():
