@@ -90,6 +90,51 @@ def _level_code(e: int) -> int:
 #: The code of each level e <= 56 (2^57 > 10^17), as uint16.
 _CODE = np.array([_level_code(e) for e in range(57)], dtype=np.uint16)
 
+#: Periods of the presieve patterns.  Each pattern holds the steps of every
+#: prime-power level q = p^e, e >= 2, that divides its period: 2^2..2^12,
+#: and 3^2..3^5 with 5^2.  The higher levels, 3^6 and 5^3 the densest, stay
+#: steps: periods 2^16 and 3^6 5^3 sieved 2^20 segments at 9e7 no faster on
+#: a 2-vCPU Xeon VM, with 16 times the table bytes.
+_PATTERN_PERIODS = (1 << 12, 3**5 * 5**2)
+
+
+@cache
+def _power_patterns(periods: tuple) -> tuple:
+    """Per period P of ``periods``, the word, ``extra`` and ``code`` adds of
+    its levels per residue mod P: the sum of what the steps of the levels
+    q | P would add to an entry n with n = residue (mod P).  A level q >= hi
+    has no multiple in [lo, hi), so a pattern is exact on every segment,
+    whether or not p is a seed prime of it."""
+    patterns = []
+    for period in periods:
+        word = np.zeros(period, dtype=_WORD)
+        extra = np.zeros(period, dtype=np.uint8)
+        code = np.zeros(period, dtype=np.uint16)
+        for p in _WHEEL_PRIMES:
+            q, e = p * p, 2
+            while period % q == 0:
+                word[::q] += _lg(p)
+                extra[::q] += 1
+                code[::q] += _CODE[e]
+                q, e = q * p, e + 1
+        for col in (word, extra, code):
+            col.flags.writeable = False     # shared by every caller
+        patterns.append((word, extra, code))
+    return tuple(patterns)
+
+
+def _add_periodic(col, lo: int, pattern):
+    """col[i] += pattern[(lo + i) % P] for every entry, P = len(pattern): a
+    head slice, one broadcast add over the whole periods, and a tail slice."""
+    period, width = len(pattern), len(col)
+    off = lo % period
+    head = min(-off % period, width)
+    col[:head] += pattern[off:off + head]
+    k = (width - head) // period
+    col[head:head + k * period].reshape(k, period)[...] += pattern
+    tail = col[head + k * period:]
+    tail += pattern[:len(tail)]
+
 
 @cache
 def _quotient_tables() -> tuple:
@@ -160,20 +205,23 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
 
     * Sieve word: each entry's byte log L and -omega (mod 256) share one
       little-endian uint16 word, L in the low byte.  For the wheel primes
-      2..13 the words start as a tiled period-30030 pattern, offset by
-      ``lo % 30030``.
+      2..13 the words start as a period-30030 pattern, added at residue
+      ``lo % 30030`` as the power patterns below are.
     * Steps: every other seed prime p <= r = isqrt(hi - 1) adds lg(p) - 256
       to the words of its multiples, where lg(p) = floor(4 log2 p): lg(p) to
       L and -1 to the high byte, in one add.  Every level p^e < hi, e >= 2,
       of a seed or wheel prime adds lg(p) to the word, 1 to the excess count
       ``extra`` and the level's code ``_CODE[e]`` to the uint16 ``code``, the
       2- and 3-5-7-prefix digits of the denominator prod(alpha_i!) (see
-      ``_level_code``).  The table of strides q = p^e, word adds and levels
-      is built in numpy.  Strides of at least width / 16 hit the segment at
-      most 16 times each, and all their hits are applied in one scatter pass
-      (the bucket idea of Oliveira e Silva, Herzog & Pardi, Math. Comp.
-      2014); every other step is one strided slice update of the whole
-      segment per column.
+      ``_level_code``).  The levels 2^2..2^12, 3^2..3^5 and 5^2 are
+      periodic, and are presieved as two patterns per column (periods 4096
+      and 6075, as small primes are in Oliveira e Silva, Herzog & Pardi,
+      Math. Comp. 2014): one broadcast add of each over the segment's whole
+      periods, plus a head and a tail slice.  The table of the other strides
+      q = p^e, word adds and levels is built in numpy.  Strides of at least
+      width / 16 hit the segment at most 16 times each, and all their hits
+      are applied in one scatter pass (the same paper's buckets); every other
+      step is one strided slice update of the whole segment per column.
     * Byte-log test (approximate logs, as in the quadratic sieve; Pomerance,
       EUROCRYPT '84): a prime factor q of n that is neither a seed nor a
       wheel prime has q > max(r, 13) and q^2 > hi - 1 >= n, so n has at most
@@ -190,18 +238,20 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       columns: big_omega = omega + extra, formed in place in ``extra``; n is
       squarefree iff extra == 0; c_omega = big_omega! / prod(alpha_i!) is one
       gather and a shift, ``T[big_omega, code & 1023] >> (code >> 10)``, from
-      the 21 x 1024 table of ``_quotient_tables``.  No division, no factorial
-      column and no temporary of the segment's width.
+      the 21 x 1024 table of ``_quotient_tables``, with a uint16 index.  No
+      division, no factorial column and no temporary of the segment's width.
 
     ``columns`` names the profile fields to build (default: all five); the
     others are left None, and an unknown name raises ValueError.  Each column
     pays only for the steps it needs:
 
-    * ``omega``: the wheel tile, the word steps and the byte-log test.
-      Every prime-power level still adds to L, so the test stays exact.
-    * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` updates.
-    * ``c_omega``: also the ``code`` updates, the gather and the exact path
-      below.
+    * ``omega``: the wheel tile, the word patterns and steps and the
+      byte-log test.  Every prime-power level still adds to L, so the test
+      stays exact.
+    * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` patterns
+      and updates.
+    * ``c_omega``: also the ``code`` patterns and updates, the gather and
+      the exact path below.
 
     The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63 and
     are computed exactly by trial division instead.  The int64 column cannot
@@ -271,13 +321,16 @@ def _sieve(segment: Segment, want) -> tuple:
     seeds = primes_up_to(isqrt(hi - 1))
 
     omega = np.empty(width, dtype=np.uint8)       # before the word, as in profile_range
-    off = lo % _WHEEL
-    reps = (off + width - 1) // _WHEEL + 1
-    word = np.tile(_WHEEL_WORD, reps)[off:off + width]
+    word = np.zeros(width, dtype=_WORD)
+    _add_periodic(word, lo, _WHEEL_WORD)
     extra = np.zeros(width, dtype=np.uint8) if want - {"omega"} else None
     code = np.zeros(width, dtype=np.uint16) if want & {"c_omega", "u"} else None
 
     cols = (word, extra, code)
+    for pattern in _power_patterns(_PATTERN_PERIODS):
+        for col, pat in zip(cols, pattern):
+            if col is not None:
+                _add_periodic(col, lo, pat)
     q, inc, e = _step_table(seeds, hi)
     sparse = q * _SPARSE_HITS >= width
     _scatter_steps(cols, lo, width, q[sparse], inc[sparse], e[sparse])
@@ -309,7 +362,9 @@ def _derive(lo: int, omega, extra, code, out: dict):
               for name, table in zip(("c_omega", "u"), _quotient_tables()) if name in out]
     if not wanted:
         return
-    at = np.minimum(big, 20, out=np.empty(len(big), dtype=np.intp))
+    # big_omega <= 56 below 10^17, so the index fits in 16 bits; an index
+    # past the table (big_omega > 20) is clipped, and its entry rewritten below
+    at = big.astype(np.uint16)
     at <<= 10
     at |= code & 1023
     shift = code >> 10
@@ -330,12 +385,14 @@ def _signs(count, out):
 
 
 def _step_table(seeds: np.ndarray, hi: int) -> tuple:
-    """Every sieve step below hi as arrays: stride q, the add inc to the
-    (-omega, byte log) word (uint16: lg(p), less 256 on level 1), level e.
+    """Every sieve step below hi that no pattern covers, as arrays: stride q,
+    the add inc to the (-omega, byte log) word (uint16: lg(p), less 256 on
+    level 1), level e.
 
     Level 1 is q = p for each seed prime p > 13; level e >= 2 is q = p^e < hi
     for every seed prime, built from level e - 1 by keeping the p^(e-1) <=
-    (hi - 1) // p before multiplying, so no product passes hi.
+    (hi - 1) // p before multiplying, so no product passes hi, and left out
+    where q divides a period of ``_PATTERN_PERIODS``.
     """
     lgs = _lg(seeds).astype(np.uint16)
     new = seeds > _WHEEL_PRIMES[-1]
@@ -344,7 +401,8 @@ def _step_table(seeds: np.ndarray, hi: int) -> tuple:
     while len(p):
         keep = pe <= (hi - 1) // p
         p, lgs, pe, e = p[keep], lgs[keep], pe[keep] * p[keep], e + 1
-        table.append((pe, lgs, e))
+        left = np.logical_and.reduce([period % pe != 0 for period in _PATTERN_PERIODS])
+        table.append((pe[left], lgs[left], e))
     return (np.concatenate([t[0] for t in table]), np.concatenate([t[1] for t in table]),
             np.concatenate([np.full(len(t[0]), t[2], dtype=np.int64) for t in table]))
 

@@ -215,11 +215,12 @@ def cmd_verify(config: argparse.Namespace) -> int:
 def cmd_summatory(config: argparse.Namespace) -> int:
     policy, limit = config.checkpoints, config.limit
     # "all" takes the direct route at every limit, so it is refused before its ladder
-    if policy.kind == "all" or direct_route(policy.checkpoints(limit), limit):
+    cps = None if policy.kind == "all" else policy.checkpoints(limit)
+    if cps is None or direct_route(cps, limit):
         _require_memory("summatory", limit, SUMMATORY_DIRECT_BYTES_PER_N)
     _require_segment(config, limit)
     series = build_series(limit, policy, segment_size=config.segment_size,
-                          pool=WorkerPool(config.threads))
+                          pool=WorkerPool(config.threads), checkpoints=cps)
     log.info("G route %s: %d checkpoints, %d eval points",
              series.route, len(series.checkpoints), len(series.eval_points))
     _emit_rows(config, SERIES_COLUMNS,

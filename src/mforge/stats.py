@@ -207,8 +207,10 @@ def d_m_coefficients(prime_limit: int = 10**6, m_max: int = 16) -> DmCoefficient
         scale /= ps
     coeffs = np.zeros(m_max + 1)
     coeffs[0] = 1.0
-    for row in fac:
-        coeffs = np.convolve(coeffs, row)[: m_max + 1]
+    # np.convolve(a, v) is np.correlate(a, v[::-1], "full"): the rows are
+    # reversed once, not once per prime
+    for row in fac[:, ::-1]:
+        coeffs = np.correlate(coeffs, row, "full")[: m_max + 1]
     return DmCoefficients(prime_limit=prime_limit, m_max=m_max, values=coeffs,
                           tail_bound=1.0 / prime_limit)
 

@@ -123,17 +123,32 @@ class SummatorySeries(SummatoryRows):
                               lambda ys: self.M_eval[self._idx_many(ys)])
 
 
+#: ``_quotient_sums`` lays out the terms of its points in groups of about
+#: this many (a point x has about 2 isqrt(x)), so that its temporaries stay
+#: a few MB however many points it is given.
+_QUOTIENT_TERMS = 1 << 15
+
+
 def _quotient_sums(xs, A, B) -> np.ndarray:
     """sum_{n <= x} a(n) * B(x // n) at every x of xs, given the partial sums A(y) of a.
 
     For each x, n <= t = isqrt(x) is taken one at a time; the larger n are
     grouped into blocks of equal quotient q <= x // (t + 1), of weight
-    A(x // q) - A(max(x // (q + 1), t)).  Both parts of every x are laid out
-    as ragged runs, so A and B are each called once, on an int64 array of
-    quotient points of the xs, and return int64 arrays.
+    A(x // q) - A(max(x // (q + 1), t)).  The xs are taken in order, in
+    groups of about ``_QUOTIENT_TERMS`` terms.  Both parts of every x of a
+    group are laid out as ragged runs, so A and B are each called once per
+    group, on an int64 array of quotient points of its xs, and return int64
+    arrays.
     """
     xs = np.asarray(xs, dtype=np.int64)
     t = np.array([isqrt(x) for x in xs.tolist()], dtype=np.int64)
+    group = (np.cumsum(2 * t) - 2 * t) // _QUOTIENT_TERMS     # where each x's terms start
+    cuts = np.flatnonzero(np.diff(group)) + 1
+    return np.concatenate([_quotient_group(*part, A, B)
+                           for part in zip(np.split(xs, cuts), np.split(t, cuts))])
+
+
+def _quotient_group(xs, t, A, B) -> np.ndarray:
     small, n = _runs(t)
     block, q = _runs(xs // (t + 1))
     x = xs[block]
@@ -199,8 +214,12 @@ def direct_route(checkpoints: np.ndarray, N: int) -> bool:
 
 def build_series(N: int, policy: CheckpointPolicy | None = None, *,
                  segment_size: int = DEFAULT_SEGMENT_CAPACITY,
-                 pool: WorkerPool | None = None) -> SummatorySeries:
+                 pool: WorkerPool | None = None,
+                 checkpoints: np.ndarray | None = None) -> SummatorySeries:
     """One streaming pass computing all summatory functions at the checkpoints.
+
+    ``checkpoints`` is ``policy.checkpoints(N)`` when the caller has built
+    that ladder already; it is not built a second time.
 
     M, Qsq, pi and U are recorded at every support point as the segments
     stream by.  G takes the route the checkpoint density calls for:
@@ -216,17 +235,18 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     Segment(1, N + 1)           # past the kernel's bound, refuse before any planning
     policy = policy or CheckpointPolicy()
     pool = pool or WorkerPool(1)
-    cps = policy.checkpoints(N)
+    cps = policy.checkpoints(N) if checkpoints is None else checkpoints
     eval_points = _eval_point_union(cps, N)
     direct = direct_route(cps, N)
 
     n_eval = len(eval_points)
-    recorded = np.zeros((4, n_eval), dtype=np.int64)    # rows: M, Qsq, pi, U
+    # rows: Qsq, the squarefree n of odd omega, pi, U; since mu is (-1)^omega
+    # on squarefree n and 0 elsewhere, M is the first less twice the second
+    recorded = np.zeros((4, n_eval), dtype=np.int64)
     omega = np.empty(N, dtype=np.uint8) if direct else None
-    columns = {"big_omega", "mobius", "u"} | ({"omega"} if direct else set())
 
     def summarize(seg):
-        # Sums of each column over the blocks [0, o1], (o1, o2], ..., (ok, end)
+        # Sums of each row over the blocks [0, o1], (o1, o2], ..., (ok, end)
         # between the eval-point offsets o; their running sums are the prefix
         # sums at the eval points and, last, the segment total.  The kernel
         # derives its columns one chunk at a time: a chunk writes the running
@@ -238,24 +258,30 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
         starts = starts[starts < seg.width]
         sums = np.empty((4, len(starts)), dtype=np.int64)
-        run = np.zeros((4, 1), dtype=np.int64)
+        run = np.zeros(4, dtype=np.int64)
         span = 0
-        for a, cols in profile_chunks(seg, columns):
-            u, mu = cols["u"], cols["mobius"]               # u = liouville * c_omega
+        for a, cols in profile_chunks(seg, {"omega", "big_omega", "u"}):
+            om, big, u = cols["omega"], cols["big_omega"], cols["u"]   # u = liouville * c_omega
             # every |entry| of a chunk is at most its max|u| >= 1, so every
-            # partial sum of every column up to this chunk's end is at most span
+            # partial sum of every row up to this chunk's end is at most span
             span += len(u) * max(int(u.max()), -int(u.min()))
             if span > _SAFE_SUM:
                 raise OverflowError("a segment's sums could exceed the summatory bound")
+            sq = big == om
+            masks = (sq, om & sq, big == 1)     # squarefree, and of odd omega; prime
             i = int(np.searchsorted(starts, a, side="right")) - 1
             j = int(np.searchsorted(starts, a + len(u)))
-            # the block starts in the chunk, from 0; a first chunk reads them as they are
-            cuts = starts[:j] if a == 0 else np.concatenate([[0], starts[i + 1:j] - a])
-            _block_sums((mu, mu != 0, cols["big_omega"] == 1), u, cuts, out=sums[:, i:j])
-            sums[:, i:j] += run
-            run = sums[:, j - 1:j].copy()
+            if j == i + 1:                      # the chunk lies inside block i
+                run += [*map(np.count_nonzero, masks), u.sum()]
+                sums[:, i] = run
+            else:
+                # the block starts in the chunk, from 0; a first chunk reads them as they are
+                cuts = starts[:j] if a == 0 else np.concatenate([[0], starts[i + 1:j] - a])
+                _block_sums(masks, u, cuts, out=sums[:, i:j])
+                sums[:, i:j] += run[:, None]
+                run = sums[:, j - 1].copy()
             if direct:
-                omega[seg.lo - 1 + a:seg.lo - 1 + a + len(u)] = cols["omega"]
+                omega[seg.lo - 1 + a:seg.lo - 1 + a + len(u)] = om
         recorded[:, i0:i1] = sums[:, :i1 - i0]
         return i0, i1, sums[:, -1].tolist(), span
 
@@ -265,6 +291,9 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
             raise OverflowError("summatory accumulator could exceed its bound")
         recorded[:, i0:i1] += np.asarray(base, dtype=np.int64)[:, None]
         base = [b + t for b, t in zip(base, totals)]
+    M = recorded[1]
+    M *= -2
+    M += recorded[0]
 
     if direct:
         g = g_table(N, omega=omega)
@@ -276,9 +305,9 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     # every checkpoint is an eval point; when they are all of them, rows are views
     cp = slice(None) if len(cps) == n_eval else np.searchsorted(eval_points, cps)
     series = SummatorySeries(
-        checkpoints=cps, M=recorded[0][cp], G=None, Qsq=recorded[1][cp],
+        checkpoints=cps, M=M[cp], G=None, Qsq=recorded[0][cp],
         pi=recorded[2][cp], N=N, eval_points=eval_points,
-        M_eval=recorded[0], U_eval=recorded[3], pi_eval=recorded[2],
+        M_eval=M, U_eval=recorded[3], pi_eval=recorded[2],
         route="direct" if direct else "quotient",
     )
     series.G = G if direct else series.G_at(cps)

@@ -382,6 +382,61 @@ def test_chunked_columns_equal_one_piece(lo, width, monkeypatch):
             assert np.array_equal(getattr(chunked, col), ref), col
 
 
+def _profile_and_u(lo, hi):
+    seg = Segment(lo, hi)
+    prof = profile_range(seg)
+    u = np.concatenate([c["u"] for _, c in profile_chunks(seg, {"u"})])
+    return [getattr(prof, col) for col in COLUMNS] + [u]
+
+
+def _pattern_windows():
+    """Windows that start at 1, at 2..100 with tiny widths, and at residues
+    0, 1 and P - 1 of each presieve period P, with widths below, at and
+    above P; and windows high up, to 2^46."""
+    periods = arith._PATTERN_PERIODS
+    yield from ((1, 1 + w) for w in (1, 2, 3, 64, *periods, 2 * max(periods) + 3))
+    yield from ((lo, lo + w) for lo in range(2, 101) for w in (1, 2, 5))
+    for period in periods:
+        for lo in (5 * period, 5 * period + 1, 5 * period - 1):
+            yield from ((lo, lo + w) for w in (period - 1, period, period + 1, 2 * period + 7))
+    for k in (30, 40, 46):
+        lo = 2**k - 2**k % (3**5 * 5**2) - 1        # -1 mod 6075, 2^k inside
+        yield from ((2**k - 100, 2**k + 100), (lo, lo + 9000))
+
+
+def test_presieve_patterns_equal_per_step_sieve(monkeypatch):
+    # the levels 2^2..2^12, 3^2..3^5 and 5^2 are added as periodic patterns;
+    # every column, and u from profile_chunks, must equal the kernel that
+    # applies them as strided steps (a period of 1 leaves every level a step)
+    windows = list(_pattern_windows())
+    fast = [_profile_and_u(lo, hi) for lo, hi in windows]
+    monkeypatch.setattr(arith, "_PATTERN_PERIODS", (1,))
+    for (lo, hi), got in zip(windows, fast):
+        want = _profile_and_u(lo, hi)
+        for col, a, b in zip((*COLUMNS, "u"), got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (lo, hi, col)
+
+
+def test_presieve_patterns_hold_only_their_periods_levels():
+    # each pattern entry is the sum over the prime-power levels q = p^e,
+    # e >= 2, that divide both its period and its residue; the step table
+    # keeps every other level and drops these
+    for period, (word, extra, code) in zip(arith._PATTERN_PERIODS,
+                                           arith._power_patterns(arith._PATTERN_PERIODS)):
+        levels = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 20)
+                  if period % p**e == 0]
+        for r in (0, 1, 2, 4, 8, 9, 25, 27, 81, 100, 225, 675, period - 1):
+            hit = [(p, e) for p, e in levels if r % p**e == 0]
+            assert extra[r] == len(hit), (period, r)
+            assert word[r] == sum(int(arith._lg(p)) for p, _ in hit), (period, r)
+            assert code[r] == sum(int(arith._CODE[e]) for _, e in hit), (period, r)
+    seeds = primes_up_to(10**4)
+    q, _, e = arith._step_table(seeds, 10**8)
+    powers = set(q[e > 1].tolist())
+    assert not powers & {4, 8, 4096, 9, 243, 25}
+    assert {8192, 729, 125, 49, 121, 169} <= powers
+
+
 def test_profile_chunks_yields_only_the_named_columns():
     pieces = list(profile_chunks(Segment(1, 1000), {"mobius", "u"}))
     assert [sorted(p) for _, p in pieces] == [["mobius", "u"]]

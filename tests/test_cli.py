@@ -643,6 +643,31 @@ def test_checkpoints_all_is_refused_before_its_ladder(monkeypatch, capsys):
     assert f"summatory up to {10**9} needs about" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("policy, route", [
+    ("geometric:1.25", "quotient"),
+    ("geometric:1.00001", "direct"),
+    ("explicit:7,5000,30000", "quotient"),
+    ("all", "direct"),
+])
+def test_summatory_builds_its_ladder_once(policy, route, monkeypatch, capsys):
+    # the route choice and the sweep read one ladder; "all" is guarded on the
+    # limit alone and builds its ladder inside the sweep
+    calls = []
+    ladder = CheckpointPolicy.checkpoints
+
+    def counted(self, N):
+        calls.append(N)
+        return ladder(self, N)
+
+    monkeypatch.setattr(CheckpointPolicy, "checkpoints", counted)
+    args = ["summatory", "--limit", "30000", "--checkpoints", policy]
+    code, out, err = run_cli(args + ["-v"], capsys)
+    assert code == 0 and f"G route {route}" in err
+    assert calls == [30000]
+    monkeypatch.undo()
+    assert run_cli(args, capsys)[1] == out
+
+
 @pytest.mark.parametrize("args", [
     ["sieve", "--limit", "3000000"],
     ["stats", "--report", "sign", "--x", "3000000"],
@@ -753,6 +778,40 @@ def test_streamed_peak_rss_is_flat_in_the_limit(args, tmp_path):
     assert abs(large - small) <= STREAMED_RSS_GROWTH_MB, (small, large)
     bound = STREAMED_BYTES_PER_SEGMENT_ENTRY * DEFAULT_SEGMENT_CAPACITY / 2**20
     assert max(small, large) - base <= bound, (base, small, large)
+
+
+def _guarded_argv(command, limit, tmp_path):
+    """A prefix-table run up to ``limit``, output discarded; oeis-check g
+    reads a b-file of two true entries, g(1) = 1 and g(p) = -2 at the
+    largest prime p <= limit."""
+    if command == "verify":
+        return ["verify", "--limit", str(limit), "--out", os.devnull]
+    if command == "summatory":             # "all": the direct G route
+        return ["summatory", "--checkpoints", "all", "--limit", str(limit), "--out", os.devnull]
+    bfile = tmp_path / f"g{limit}.txt"
+    bfile.write_text(f"1 1\n{int(primes_up_to(limit)[-1])} -2\n")
+    return ["oeis-check", "--sequence", "g", "--bfile", str(bfile)]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("command, guard", [
+    ("verify", "VERIFY_BYTES_PER_N"),
+    ("oeis-check", "OEIS_BYTES_PER_N"),
+    ("summatory", "SUMMATORY_DIRECT_BYTES_PER_N"),
+])
+def test_guarded_peak_rss_is_within_the_guard(command, guard, tmp_path):
+    # the commands that keep per-n tables are refused up front at guard
+    # bytes per n; their peak RSS over that of mforge --help, and its growth
+    # from 5e5 to 2e6, must stay within that many bytes per n
+    import mforge.cli as cli
+
+    bytes_per_n = getattr(cli, guard)
+    lo, hi = 500_000, 2_000_000
+    base = _child_peak_rss_mb(["--help"])
+    small, large = (_child_peak_rss_mb(_guarded_argv(command, limit, tmp_path))
+                    for limit in (lo, hi))
+    assert (large - small) * 2**20 <= bytes_per_n * (hi - lo), (small, large)
+    assert (large - base) * 2**20 <= bytes_per_n * hi, (base, large)
 
 
 def test_available_memory_within_physical_memory(tmp_path):

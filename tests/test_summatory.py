@@ -164,28 +164,33 @@ def test_G_at_every_support_point_small_N():
     assert seen == {"direct", "quotient"}
 
 
-def test_quotient_sums_match_scalar_oracle():
-    # random int64 partial-sum tables, small enough that no sum wraps
+def test_quotient_sums_match_scalar_oracle(monkeypatch):
+    # random int64 partial-sum tables, small enough that no sum wraps; the
+    # xs' terms are laid out in one group, then in groups of about 500
     rng = np.random.default_rng(5)
     X = 20000
-    for _ in range(5):
-        A = np.concatenate([[0], rng.integers(-2**30, 2**30, size=X)])
-        B = np.concatenate([[0], rng.integers(-2**20, 2**20, size=X)])
-        # x = 1 has no block of equal quotient
-        xs = np.concatenate([[1, 2, 3], rng.integers(1, X + 1, size=40), [X]])
-        calls = []
+    for terms in (summatory._QUOTIENT_TERMS, 500):
+        monkeypatch.setattr(summatory, "_QUOTIENT_TERMS", terms)
+        for _ in range(5):
+            A = np.concatenate([[0], rng.integers(-2**30, 2**30, size=X)])
+            B = np.concatenate([[0], rng.integers(-2**20, 2**20, size=X)])
+            # x = 1 has no block of equal quotient
+            xs = np.concatenate([[1, 2, 3], rng.integers(1, X + 1, size=40), [X]])
+            calls = []
 
-        def lookup(table):
-            def read(ys):
-                calls.append(len(ys))
-                return table[ys]
-            return read
+            def lookup(table):
+                def read(ys):
+                    calls.append(len(ys))
+                    return table[ys]
+                return read
 
-        got = summatory._quotient_sums(xs, lookup(A), lookup(B))
-        assert got.dtype == np.int64 and len(calls) == 2
-        want = [quotient_sum_oracle(int(x), lambda y: int(A[y]), lambda y: int(B[y]))
-                for x in xs]
-        assert got.tolist() == want
+            got = summatory._quotient_sums(xs, lookup(A), lookup(B))
+            work = 2 * sum(isqrt(int(x)) for x in xs)
+            assert got.dtype == np.int64
+            assert len(calls) == 2 if terms > work else len(calls) > 2
+            want = [quotient_sum_oracle(int(x), lambda y: int(A[y]), lambda y: int(B[y]))
+                    for x in xs]
+            assert got.tolist() == want
     empty = summatory._quotient_sums(np.array([], dtype=np.int64), lookup(A), lookup(B))
     assert empty.dtype == np.int64 and empty.size == 0
 
