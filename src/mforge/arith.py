@@ -24,11 +24,6 @@ C_OMEGA_CHECK_BOUND = 1 << 127
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: Wheel primes handled by the presieve pattern, and its period.
-_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
-_WHEEL = math.prod(_WHEEL_PRIMES)
-
-
 #: ceil(2^(k/4)) for k = 0..128, the least t with t^4 >= 2^k: a prime
 #: p < 2^32 has floor(4 log2 p) = k exactly when it lies in [t_k, t_(k+1)).
 _LG_STEPS = np.array([isqrt(isqrt((1 << k) - 1)) + 1 for k in range(129)], dtype=np.int64)
@@ -46,16 +41,6 @@ def _lg(p):
 _WORD = np.dtype("<u2")
 _LEVEL_ONE = 0xFF00
 
-
-def _wheel_pattern():
-    """The (-omega, byte log) word over the wheel primes, per residue mod 30030."""
-    word = np.zeros(_WHEEL, dtype=_WORD)
-    for p in _WHEEL_PRIMES:
-        word[::p] += _LEVEL_ONE + int(_lg(p))
-    return word
-
-
-_WHEEL_WORD = _wheel_pattern()
 
 #: After the sieve, the derived columns are built this many entries at a
 #: time, so their temporaries stay in cache whatever the segment width.
@@ -90,36 +75,38 @@ def _level_code(e: int) -> int:
 #: The code of each level e <= 56 (2^57 > 10^17), as uint16.
 _CODE = np.array([_level_code(e) for e in range(57)], dtype=np.uint16)
 
-#: Periods of the presieve patterns.  Each pattern holds the steps of every
-#: prime-power level q = p^e, e >= 2, that divides its period: 2^2..2^12,
-#: and 3^2..3^5 with 5^2.  The higher levels, 3^6 and 5^3 the densest, stay
-#: steps: periods 2^16 and 3^6 5^3 sieved 2^20 segments at 9e7 no faster on
-#: a 2-vCPU Xeon VM, with 16 times the table bytes.
-_PATTERN_PERIODS = (1 << 12, 3**5 * 5**2)
+#: Pairwise coprime periods of the presieve patterns.  Every prime-power
+#: level q = p^e, e >= 1, that divides a period is a pattern: 2..2^12,
+#: 3..3^5 with 5 and 5^2, and 7, 11 and 13; every other level is a step.
+#: The higher levels, 3^6 and 5^3 the densest, stay steps: periods 2^16 and
+#: 3^6 5^3 sieved 2^20 segments at 9e7 no faster on a 2-vCPU Xeon VM, with
+#: 16 times the table bytes, and period 7007 (7^2 too) timed as 1001 did.
+_PATTERN_PERIODS = (1 << 12, 3**5 * 5**2, 7 * 11 * 13)
 
 
 @cache
-def _power_patterns(periods: tuple) -> tuple:
+def _patterns(periods: tuple) -> tuple:
     """Per period P of ``periods``, the word, ``extra`` and ``code`` adds of
     its levels per residue mod P: the sum of what the steps of the levels
-    q | P would add to an entry n with n = residue (mod P).  A level q >= hi
-    has no multiple in [lo, hi), so a pattern is exact on every segment,
-    whether or not p is a seed prime of it."""
+    q | P would add to an entry n with n = residue (mod P), where a level-1
+    step adds lg(p) - 256 to the word alone.  A column that no level adds to
+    is None.  A level q >= hi has no multiple in [lo, hi), so a pattern is
+    exact on every segment, whether or not p is a seed prime of it."""
     patterns = []
     for period in periods:
         word = np.zeros(period, dtype=_WORD)
         extra = np.zeros(period, dtype=np.uint8)
         code = np.zeros(period, dtype=np.uint16)
-        for p in _WHEEL_PRIMES:
-            q, e = p * p, 2
-            while period % q == 0:
-                word[::q] += _lg(p)
-                extra[::q] += 1
-                code[::q] += _CODE[e]
-                q, e = q * p, e + 1
+        for p, a in factorize(period):
+            word[::p] += _LEVEL_ONE               # level 1 also counts in omega
+            for e in range(1, a + 1):
+                word[::p**e] += _lg(p)
+                if e > 1:
+                    extra[::p**e] += 1
+                    code[::p**e] += _CODE[e]
         for col in (word, extra, code):
             col.flags.writeable = False     # shared by every caller
-        patterns.append((word, extra, code))
+        patterns.append(tuple(col if col.any() else None for col in (word, extra, code)))
     return tuple(patterns)
 
 
@@ -204,27 +191,26 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     1996), with no division and no table gather per prime:
 
     * Sieve word: each entry's byte log L and -omega (mod 256) share one
-      little-endian uint16 word, L in the low byte.  For the wheel primes
-      2..13 the words start as a period-30030 pattern, added at residue
-      ``lo % 30030`` as the power patterns below are.
-    * Steps: every other seed prime p <= r = isqrt(hi - 1) adds lg(p) - 256
-      to the words of its multiples, where lg(p) = floor(4 log2 p): lg(p) to
-      L and -1 to the high byte, in one add.  Every level p^e < hi, e >= 2,
-      of a seed or wheel prime adds lg(p) to the word, 1 to the excess count
-      ``extra`` and the level's code ``_CODE[e]`` to the uint16 ``code``, the
-      2- and 3-5-7-prefix digits of the denominator prod(alpha_i!) (see
-      ``_level_code``).  The levels 2^2..2^12, 3^2..3^5 and 5^2 are
-      periodic, and are presieved as two patterns per column (periods 4096
-      and 6075, as small primes are in Oliveira e Silva, Herzog & Pardi,
-      Math. Comp. 2014): one broadcast add of each over the segment's whole
-      periods, plus a head and a tail slice.  The table of the other strides
-      q = p^e, word adds and levels is built in numpy.  Strides of at least
-      width / 16 hit the segment at most 16 times each, and all their hits
-      are applied in one scatter pass (the same paper's buckets); every other
-      step is one strided slice update of the whole segment per column.
+      little-endian uint16 word, L in the low byte.
+    * Steps: every level q = p^e < hi, e >= 1, of a seed prime
+      p <= r = isqrt(hi - 1) or of p in 2..13 adds lg(p) = floor(4 log2 p) to
+      the word of each multiple of q; level 1 also adds -1 to the high
+      byte, in the same add of lg(p) - 256.  A level e >= 2 adds 1 to the
+      excess count ``extra`` and the level's code ``_CODE[e]`` to the uint16
+      ``code``, the 2- and 3-5-7-prefix digits of the denominator
+      prod(alpha_i!) (see ``_level_code``).  One rule splits the levels: those that divide a
+      period of ``_PATTERN_PERIODS`` (2..2^12, 3..3^5, 5, 5^2, 7, 11 and 13)
+      are periodic and presieved as one pattern per period and column (as
+      small primes are in Oliveira e Silva, Herzog & Pardi, Math. Comp.
+      2014): one broadcast add of each over the segment's whole periods,
+      plus a head and a tail slice.  The table of the other strides q, word
+      adds and levels is built in numpy.  Strides of at least width / 16 hit
+      the segment at most 16 times each, and all their hits are applied in
+      one scatter pass (the same paper's buckets); every other step is one
+      strided slice update of the whole segment per column.
     * Byte-log test (approximate logs, as in the quadratic sieve; Pomerance,
-      EUROCRYPT '84): a prime factor q of n that is neither a seed nor a
-      wheel prime has q > max(r, 13) and q^2 > hi - 1 >= n, so n has at most
+      EUROCRYPT '84): a prime factor q of n that is neither a seed prime nor
+      one of 2..13 has q > max(r, 13) and q^2 > hi - 1 >= n, so n has at most
       one, and every other factor is counted in L with full multiplicity.
       On each binary range 2^k <= n < 2^(k+1), n has such a q exactly when
       L < 3k.  With every factor counted, each of the Omega(n) <= k levels
@@ -245,9 +231,8 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     others are left None, and an unknown name raises ValueError.  Each column
     pays only for the steps it needs:
 
-    * ``omega``: the wheel tile, the word patterns and steps and the
-      byte-log test.  Every prime-power level still adds to L, so the test
-      stays exact.
+    * ``omega``: the word patterns and steps and the byte-log test.  Every
+      prime-power level still adds to L, so the test stays exact.
     * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` patterns
       and updates.
     * ``c_omega``: also the ``code`` patterns and updates, the gather and
@@ -322,14 +307,13 @@ def _sieve(segment: Segment, want) -> tuple:
 
     omega = np.empty(width, dtype=np.uint8)       # before the word, as in profile_range
     word = np.zeros(width, dtype=_WORD)
-    _add_periodic(word, lo, _WHEEL_WORD)
     extra = np.zeros(width, dtype=np.uint8) if want - {"omega"} else None
     code = np.zeros(width, dtype=np.uint16) if want & {"c_omega", "u"} else None
 
     cols = (word, extra, code)
-    for pattern in _power_patterns(_PATTERN_PERIODS):
+    for pattern in _patterns(_PATTERN_PERIODS):
         for col, pat in zip(cols, pattern):
-            if col is not None:
+            if col is not None and pat is not None:
                 _add_periodic(col, lo, pat)
     q, inc, e = _step_table(seeds, hi)
     sparse = q * _SPARSE_HITS >= width
@@ -389,22 +373,20 @@ def _step_table(seeds: np.ndarray, hi: int) -> tuple:
     the add inc to the (-omega, byte log) word (uint16: lg(p), less 256 on
     level 1), level e.
 
-    Level 1 is q = p for each seed prime p > 13; level e >= 2 is q = p^e < hi
-    for every seed prime, built from level e - 1 by keeping the p^(e-1) <=
-    (hi - 1) // p before multiplying, so no product passes hi, and left out
-    where q divides a period of ``_PATTERN_PERIODS``.
+    Level e is q = p^e < hi for each seed prime p, built from level e - 1 by
+    keeping the p^(e-1) <= (hi - 1) // p before multiplying, so no product
+    passes hi, and left out where q divides a period of ``_PATTERN_PERIODS``.
     """
     lgs = _lg(seeds).astype(np.uint16)
-    new = seeds > _WHEEL_PRIMES[-1]
-    table = [(seeds[new], lgs[new] + np.uint16(_LEVEL_ONE), 1)]
-    p, pe, e = seeds, seeds, 1
-    while len(p):
-        keep = pe <= (hi - 1) // p
-        p, lgs, pe, e = p[keep], lgs[keep], pe[keep] * p[keep], e + 1
+    p, pe, e, table = seeds, seeds, 1, []
+    while True:
         left = np.logical_and.reduce([period % pe != 0 for period in _PATTERN_PERIODS])
-        table.append((pe[left], lgs[left], e))
-    return (np.concatenate([t[0] for t in table]), np.concatenate([t[1] for t in table]),
-            np.concatenate([np.full(len(t[0]), t[2], dtype=np.int64) for t in table]))
+        inc = lgs[left] + np.uint16(_LEVEL_ONE if e == 1 else 0)
+        table.append((pe[left], inc, np.full(len(inc), e, dtype=np.int64)))
+        keep = pe <= (hi - 1) // p
+        if not keep.any():
+            return tuple(np.concatenate(col) for col in zip(*table))
+        p, lgs, pe, e = p[keep], lgs[keep], pe[keep] * p[keep], e + 1
 
 
 def _runs(lengths: np.ndarray) -> tuple:

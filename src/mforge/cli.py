@@ -163,6 +163,12 @@ VERIFY_BYTES_PER_N = 44
 OEIS_BYTES_PER_N = 18
 SUMMATORY_DIRECT_BYTES_PER_N = 128
 
+#: Peak bytes per output row (trial x checkpoint) of ``simulate``: each
+#: row's mbar and lil values are kept per trial and joined again with x and
+#: the trial index for the table (60.2 B/row over ``mforge --help`` RSS at
+#: 2e6 rows of ``--checkpoints all``, 56 B/row from 2e6 to 4e6, plus 6%).
+SIMULATE_BYTES_PER_ROW = 64
+
 
 def available_memory(meminfo: str = "/proc/meminfo") -> int:
     """Bytes a new run may take: MemAvailable in ``meminfo``, else physical memory."""
@@ -174,11 +180,11 @@ def available_memory(meminfo: str = "/proc/meminfo") -> int:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(command: str, limit: int, bytes_per_n: int):
-    """Refuse a limit whose estimated peak exceeds the available memory."""
-    need, have = limit * bytes_per_n, available_memory()
+def _require_memory(run: str, need: int):
+    """Refuse a run whose estimated peak of ``need`` bytes exceeds the available memory."""
+    have = available_memory()
     if need > have:
-        raise MemoryError(f"{command} up to {limit} needs about {need / 2**30:.1f} GiB, "
+        raise MemoryError(f"{run} needs about {need / 2**30:.1f} GiB, "
                           f"more than the {have / 2**30:.1f} GiB of available memory")
 
 
@@ -201,7 +207,7 @@ def _require_segment(config, extent: int):
 
 def cmd_verify(config: argparse.Namespace) -> int:
     names = dirichlet.IDENTITY_NAMES if config.identity == "all" else (config.identity,)
-    _require_memory("verify", config.limit, VERIFY_BYTES_PER_N)
+    _require_memory(f"verify up to {config.limit}", config.limit * VERIFY_BYTES_PER_N)
     profile = arith.profile_range(sieve.Segment(1, config.limit + 1))
     failed = False
     with _open_out(config) as fh:
@@ -217,7 +223,7 @@ def cmd_summatory(config: argparse.Namespace) -> int:
     # "all" takes the direct route at every limit, so it is refused before its ladder
     cps = None if policy.kind == "all" else policy.checkpoints(limit)
     if cps is None or direct_route(cps, limit):
-        _require_memory("summatory", limit, SUMMATORY_DIRECT_BYTES_PER_N)
+        _require_memory(f"summatory up to {limit}", limit * SUMMATORY_DIRECT_BYTES_PER_N)
     _require_segment(config, limit)
     series = build_series(limit, policy, segment_size=config.segment_size,
                           pool=WorkerPool(config.threads), checkpoints=cps)
@@ -297,9 +303,14 @@ def _require(value, flag):
 
 
 def cmd_simulate(config: argparse.Namespace) -> int:
+    policy, trials, x_max = config.checkpoints, config.trials, config.x_max
+    # every checkpoint of every trial is kept until the table is written, so
+    # the rows are refused up front, those of "all" before its ladder
+    rows = x_max if policy.kind == "all" else len(policy.checkpoints(x_max))
+    _require_memory(f"simulate of {trials} trials x {rows} checkpoints",
+                    trials * rows * SIMULATE_BYTES_PER_ROW)
     pool = WorkerPool(config.threads)
-    runs = randmodel.simulate_many(config.seed, config.trials, config.x_max,
-                                   config.checkpoints, pool=pool)
+    runs = randmodel.simulate_many(config.seed, trials, x_max, policy, pool=pool)
     summary = randmodel.lil_statistic(runs)
     log.info("lil sup: aggregate %.6f (mean %.6f over %d runs; reference %.7f)",
              summary.aggregate_sup, summary.aggregate_mean, len(runs),
@@ -338,7 +349,7 @@ def cmd_oeis_check(config: argparse.Namespace) -> int:
             raise ValueError("no usable entries")
     column = OEIS_SEQUENCES[config.sequence]
     if column is None:
-        _require_memory("oeis-check", limit, OEIS_BYTES_PER_N)
+        _require_memory(f"oeis-check up to {limit}", limit * OEIS_BYTES_PER_N)
         mismatches = [arith.compare_bfile(entries, arith.g_table(limit))]
     else:
         _require_segment(config, limit)

@@ -100,15 +100,15 @@ _INT64_MAX = (1 << 63) - 1
 
 COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega")
 
-# Presieve pattern period and prime powers whose strides restart at a multiple
-_PERIODS = (30030, 4, 8, 9, 25, 27, 49, 121, 169, 289, 1024, 2187, 4913)
+# Presieve pattern periods and prime powers whose strides restart at a multiple
+_PERIODS = (*arith._PATTERN_PERIODS, 4, 8, 9, 25, 27, 49, 121, 169, 289, 1024, 2187, 4913)
 
 
 @st.composite
 def _segment_and_split(draw):
     """[lo, hi) plus a split point lo < mid < hi (mid = hi when width is 1)."""
     if draw(st.booleans()):
-        # tiny segments, where the wheel primes exceed sqrt(hi)
+        # tiny segments, where the pattern primes 2..13 exceed sqrt(hi)
         hi = draw(st.integers(2, 169))
         lo = draw(st.integers(1, hi - 1))
     else:
@@ -271,7 +271,7 @@ def test_exponents_oracle_matches_trial_division():
 
 
 def test_profile_matches_oracles_on_every_segment_below_40():
-    # here r = isqrt(hi - 1) < 7: the wheel counts the primes up to 13 and
+    # here r = isqrt(hi - 1) < 7: the patterns count the primes up to 13 and
     # the primes 17..37 above r are left to the byte-log test
     oracle = {n: (omega_oracle(n), big_omega_oracle(n), mobius_oracle(n),
                   liouville_oracle(n), c_omega_oracle(n)) for n in range(1, 40)}
@@ -405,9 +405,11 @@ def _pattern_windows():
 
 
 def test_presieve_patterns_equal_per_step_sieve(monkeypatch):
-    # the levels 2^2..2^12, 3^2..3^5 and 5^2 are added as periodic patterns;
-    # every column, and u from profile_chunks, must equal the kernel that
-    # applies them as strided steps (a period of 1 leaves every level a step)
+    # the levels 2..2^12, 3..3^5, 5, 5^2, 7, 11 and 13 are added as periodic
+    # patterns; every column, and u from profile_chunks, must equal the
+    # kernel that applies them as strided steps (a period of 1 leaves every
+    # level a step, level 1 of 2..13 included, and 11 and 13 are seed primes
+    # only from hi = 122 and 170 on)
     windows = list(_pattern_windows())
     fast = [_profile_and_u(lo, hi) for lo, hi in windows]
     monkeypatch.setattr(arith, "_PATTERN_PERIODS", (1,))
@@ -418,23 +420,33 @@ def test_presieve_patterns_equal_per_step_sieve(monkeypatch):
 
 
 def test_presieve_patterns_hold_only_their_periods_levels():
-    # each pattern entry is the sum over the prime-power levels q = p^e,
-    # e >= 2, that divide both its period and its residue; the step table
-    # keeps every other level and drops these
-    for period, (word, extra, code) in zip(arith._PATTERN_PERIODS,
-                                           arith._power_patterns(arith._PATTERN_PERIODS)):
-        levels = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 20)
+    # one rule: a level q = p^e, e >= 1, is in the pattern of the period it
+    # divides, whose entry at residue r sums the adds of the levels dividing
+    # both; level 1 adds lg(p) - 256 to the word alone.  The step table keeps
+    # every other level.
+    periods = arith._PATTERN_PERIODS
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(periods, 2))
+    for period, cols in zip(periods, arith._patterns(periods)):
+        levels = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 20)
                   if period % p**e == 0]
-        for r in (0, 1, 2, 4, 8, 9, 25, 27, 81, 100, 225, 675, period - 1):
+        assert levels
+        for r in (0, 1, 2, 4, 7, 8, 9, 11, 13, 25, 27, 77, 81, 100, 143, 225, 675,
+                  period - 1):
+            r %= period
             hit = [(p, e) for p, e in levels if r % p**e == 0]
-            assert extra[r] == len(hit), (period, r)
-            assert word[r] == sum(int(arith._lg(p)) for p, _ in hit), (period, r)
-            assert code[r] == sum(int(arith._CODE[e]) for _, e in hit), (period, r)
+            want = (sum(int(arith._lg(p)) + 0xFF00 * (e == 1) for p, e in hit) % 2**16,
+                    sum(e > 1 for _, e in hit),
+                    sum(int(arith._CODE[e]) for _, e in hit if e > 1))
+            for col, value in zip(cols, want):
+                assert (0 if col is None else int(col[r])) == value, (period, r)
+        powers = any(e > 1 for _, e in levels)
+        for col, holds in zip(cols, (True, powers, powers)):
+            assert (col is not None) == holds, period
     seeds = primes_up_to(10**4)
     q, _, e = arith._step_table(seeds, 10**8)
-    powers = set(q[e > 1].tolist())
-    assert not powers & {4, 8, 4096, 9, 243, 25}
-    assert {8192, 729, 125, 49, 121, 169} <= powers
+    assert all((period % q != 0).all() for period in periods)
+    assert {17, 19, 49, 121, 169, 8192, 729, 125} <= set(q.tolist())
+    assert [len(t) for t in arith._step_table(seeds[:0], 10**8)] == [0, 0, 0]
 
 
 def test_profile_chunks_yields_only_the_named_columns():

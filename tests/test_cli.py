@@ -643,6 +643,37 @@ def test_checkpoints_all_is_refused_before_its_ladder(monkeypatch, capsys):
     assert f"summatory up to {10**9} needs about" in err and "Traceback" not in err
 
 
+def test_simulate_rows_past_memory_are_refused(tmp_path, monkeypatch, capsys):
+    # every trial x checkpoint row is kept until the table is written; "all"
+    # is refused on trials x x_max alone, before its ladder or any draw
+    import mforge.cli as cli
+
+    out = tmp_path / "runs.csv"
+    argv = ["simulate", "--trials", "100", "--x-max", str(10**7), "--out", str(out)]
+    monkeypatch.setattr(cli, "available_memory", lambda: 2**30)
+    monkeypatch.setattr(cli.randmodel, "simulate_many",
+                        lambda *a, **k: pytest.fail("simulated a refused run"))
+    ladder = CheckpointPolicy.checkpoints
+    monkeypatch.setattr(CheckpointPolicy, "checkpoints",
+                        lambda *a, **k: pytest.fail("built the ladder of a refused run"))
+    code, stdout, err = run_cli(argv + ["--checkpoints", "all"], capsys)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert f"simulate of 100 trials x {10**7} checkpoints needs about" in err
+    assert "Traceback" not in err
+    # a ladder's rows are counted from the ladder itself
+    monkeypatch.setattr(CheckpointPolicy, "checkpoints", ladder)
+    rows = len(CheckpointPolicy(kind="geometric", ratio=1.001).checkpoints(10**7))
+    monkeypatch.setattr(cli, "available_memory",
+                        lambda: 100 * rows * cli.SIMULATE_BYTES_PER_ROW - 1)
+    code, _, err = run_cli(argv + ["--checkpoints", "geometric:1.001"], capsys)
+    assert code == 1 and f"simulate of 100 trials x {rows} checkpoints" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "available_memory", lambda: 2 * 50 * cli.SIMULATE_BYTES_PER_ROW)
+    args = ["simulate", "--trials", "2", "--x-max", "50", "--checkpoints", "all"]
+    code, stdout, _ = run_cli(args, capsys)
+    assert code == 0 and len(stdout.splitlines()) == 1 + 2 * 50
+
+
 @pytest.mark.parametrize("policy, route", [
     ("geometric:1.25", "quotient"),
     ("geometric:1.00001", "direct"),
@@ -788,6 +819,8 @@ def _guarded_argv(command, limit, tmp_path):
         return ["verify", "--limit", str(limit), "--out", os.devnull]
     if command == "summatory":             # "all": the direct G route
         return ["summatory", "--checkpoints", "all", "--limit", str(limit), "--out", os.devnull]
+    if command == "simulate":              # one trial: a row per draw
+        return ["simulate", "--checkpoints", "all", "--x-max", str(limit), "--out", os.devnull]
     bfile = tmp_path / f"g{limit}.txt"
     bfile.write_text(f"1 1\n{int(primes_up_to(limit)[-1])} -2\n")
     return ["oeis-check", "--sequence", "g", "--bfile", str(bfile)]
@@ -798,11 +831,13 @@ def _guarded_argv(command, limit, tmp_path):
     ("verify", "VERIFY_BYTES_PER_N"),
     ("oeis-check", "OEIS_BYTES_PER_N"),
     ("summatory", "SUMMATORY_DIRECT_BYTES_PER_N"),
+    ("simulate", "SIMULATE_BYTES_PER_ROW"),
 ])
 def test_guarded_peak_rss_is_within_the_guard(command, guard, tmp_path):
-    # the commands that keep per-n tables are refused up front at guard
-    # bytes per n; their peak RSS over that of mforge --help, and its growth
-    # from 5e5 to 2e6, must stay within that many bytes per n
+    # the commands that keep per-n tables (per-row, for simulate) are refused
+    # up front at guard bytes per n; their peak RSS over that of mforge
+    # --help, and its growth from 5e5 to 2e6, must stay within that many
+    # bytes per n
     import mforge.cli as cli
 
     bytes_per_n = getattr(cli, guard)

@@ -509,9 +509,9 @@ def test_direct_route_peak_bytes_per_n():
 
 
 def test_direct_route_narrow_segments_keep_only_their_omega():
-    # a profile's omega is a view into a wheel tile of 30030 entries; each
+    # profile_chunks' omega is a view of its segment's sieve column; each
     # segment copies its omega into the one N-byte array g_table reads, so
-    # no 1-wide segment keeps its tile alive (1000 tiles would be 30 MB here)
+    # no 1-wide segment keeps its sieve columns alive past its sweep
     pol = CheckpointPolicy(kind="all")
     build_series(100, pol, segment_size=1)
     tracemalloc.start()
