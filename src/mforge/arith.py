@@ -124,34 +124,32 @@ def _add_periodic(col, lo: int, pattern):
 
 
 @cache
-def _quotient_tables() -> tuple:
-    """Flat int64 tables T and (-1)^b T with T[1024 b + k] = b! / odd(k), b <= 20.
+def _quotient_table() -> np.ndarray:
+    """Flat int64 table T with T[1024 b + k] = (-1)^b b! / odd(k), b <= 20.
 
     odd(k) is the odd part of a denominator with low code k: 3^d0 5^d1 7^d2
     times the first j of 11, 13, 17, 19, for k = d0 + 9 d1 + 45 d2 + 135 j.
     Where odd(k) does not divide b! (no n with big_omega = b has that code)
     the entry is 0, as are the codes from 675 on.  Since den divides b!, the
-    entry at n is divisible by 2^v2(den), so ``T[...] >> v2`` is exact, for
-    the signed table too (an arithmetic shift).
+    entry at n is divisible by 2^v2(den), so the arithmetic shift
+    ``T[...] >> v2`` is exact: it gives liouville * c_omega.
     """
     k = np.arange(675)
     odd = (3 ** (k % 9) * 5 ** (k // 9 % 5) * 7 ** (k // 45 % 3)
            * np.array([1, 11, 11 * 13, 11 * 13 * 17, 11 * 13 * 17 * 19])[k // 135])
-    fact = np.array([math.factorial(b) for b in range(21)], dtype=np.int64)[:, None]
+    fact = np.array([(-1) ** b * math.factorial(b) for b in range(21)], dtype=np.int64)[:, None]
     table = np.zeros((21, 1024), dtype=np.int64)
     table[:, :675] = np.where(fact % odd == 0, fact // odd, 0)
-    signs = np.where(np.arange(21) % 2 == 1, -1, 1)[:, None]
-    tables = table.ravel(), (table * signs).ravel()
-    for t in tables:
-        t.flags.writeable = False           # shared by every caller
-    return tables
+    table = table.ravel()
+    table.flags.writeable = False           # shared by every caller
+    return table
 
 
-#: The per-n columns ``profile_range`` can compute, in profile field order.
-PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega")
+#: The per-n columns ``profile_range`` and ``profile_chunks`` can compute, in
+#: profile field order; u is liouville * c_omega.
+PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u")
 
-#: Dtypes of the columns built chunk by chunk; "u" is liouville * c_omega,
-#: which ``profile_chunks`` gives straight from the signed table.
+#: Dtypes of the columns built chunk by chunk.
 _DERIVED = {"mobius": np.int8, "liouville": np.int8, "c_omega": np.int64, "u": np.int64}
 
 
@@ -169,6 +167,7 @@ class ArithmeticProfile:
     mobius: np.ndarray | None       # int8 in {-1, 0, +1}
     liouville: np.ndarray | None    # int8 in {-1, +1}
     c_omega: np.ndarray | None      # int64, exponent multinomial, overflow-checked
+    u: np.ndarray | None            # int64, liouville * c_omega
 
     @cached_property
     def g(self) -> np.ndarray | None:
@@ -178,10 +177,6 @@ class ArithmeticProfile:
         if self.segment.lo != 1:
             return None
         return g_table(self.segment.hi - 1, omega=self.omega)
-
-    def signed_c_omega(self) -> np.ndarray:
-        """liouville(n) * c_omega(n) as int64."""
-        return np.multiply(self.c_omega, self.liouville)
 
 
 def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfile:
@@ -222,12 +217,14 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       omega = 1 - high byte (mod 256) is read out in one pass.
     * Derived columns, one ``_CHUNK`` of entries at a time into the output
       columns: big_omega = omega + extra, formed in place in ``extra``; n is
-      squarefree iff extra == 0; c_omega = big_omega! / prod(alpha_i!) is one
-      gather and a shift, ``T[big_omega, code & 1023] >> (code >> 10)``, from
-      the 21 x 1024 table of ``_quotient_tables``, with a uint16 index.  No
-      division, no factorial column and no temporary of the segment's width.
+      squarefree iff extra == 0; u = liouville * c_omega, with c_omega =
+      big_omega! / prod(alpha_i!), is one gather and a shift,
+      ``T[big_omega, code & 1023] >> (code >> 10)``, from the signed 21 x 1024
+      table of ``_quotient_table``, with a uint16 index, and c_omega is its
+      absolute value.  No division, no factorial column and no temporary of
+      the segment's width.
 
-    ``columns`` names the profile fields to build (default: all five); the
+    ``columns`` names the profile fields to build (default: all six); the
     others are left None, and an unknown name raises ValueError.  Each column
     pays only for the steps it needs:
 
@@ -235,8 +232,8 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       prime-power level still adds to L, so the test stays exact.
     * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` patterns
       and updates.
-    * ``c_omega``: also the ``code`` patterns and updates, the gather and
-      the exact path below.
+    * ``c_omega``, ``u``: also the ``code`` patterns and updates, the gather
+      and the exact path below.
 
     The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63 and
     are computed exactly by trial division instead.  The int64 column cannot
@@ -257,19 +254,18 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     return ArithmeticProfile(
         segment=segment, omega=omega if "omega" in want else None,
         big_omega=big if "big_omega" in want else None, mobius=out.get("mobius"),
-        liouville=out.get("liouville"), c_omega=out.get("c_omega"),
+        liouville=out.get("liouville"), c_omega=out.get("c_omega"), u=out.get("u"),
     )
 
 
 def profile_chunks(segment: Segment, columns):
     """Sieve the segment once and yield ``(offset, columns)`` for each chunk of
     up to ``_CHUNK`` entries in order: a dict of the named columns of the
-    entries from ``offset`` on, as ``profile_range`` would give them, where
-    the name "u" also gives liouville * c_omega, straight from the signed
-    table.  omega and big_omega are views of the sieve's columns (4 bytes
-    per entry with c_omega or "u"); the other arrays are made per chunk, so
-    nothing else grows with the segment width."""
-    want = _wanted(columns, PROFILE_COLUMNS + ("u",))
+    entries from ``offset`` on, as ``profile_range`` would give them.  omega
+    and big_omega are views of the sieve's columns (4 bytes per entry with
+    c_omega or u); the other arrays are made per chunk, so nothing else
+    grows with the segment width."""
+    want = _wanted(columns, PROFILE_COLUMNS)
     cols = _sieve(segment, want)
     for s in _chunks(segment.width):
         omega, extra, code = _cut(cols, s)
@@ -300,7 +296,7 @@ def _cut(cols, s: slice) -> tuple:
 
 def _sieve(segment: Segment, want) -> tuple:
     """The segment's omega after the byte-log test, with ``extra`` (unless
-    only omega is wanted) and ``code`` (for c_omega or "u"), else None."""
+    only omega is wanted) and ``code`` (for c_omega or u), else None."""
     lo, hi = segment.lo, segment.hi
     width = segment.width
     seeds = primes_up_to(isqrt(hi - 1))
@@ -342,23 +338,21 @@ def _derive(lo: int, omega, extra, code, out: dict):
     big = np.add(extra, omega, out=extra)
     if "liouville" in out:
         _signs(big, out["liouville"])
-    wanted = [(out[name], table, name == "u")
-              for name, table in zip(("c_omega", "u"), _quotient_tables()) if name in out]
-    if not wanted:
+    u = out.get("u", out.get("c_omega"))   # the gather fills c_omega when u is not wanted
+    if u is None:
         return
     # big_omega <= 56 below 10^17, so the index fits in 16 bits; an index
     # past the table (big_omega > 20) is clipped, and its entry rewritten below
     at = big.astype(np.uint16)
     at <<= 10
     at |= code & 1023
-    shift = code >> 10
-    for col, table, _ in wanted:
-        np.take(table, at, out=col, mode="clip")       # "raise" would buffer out
-        np.right_shift(col, shift, out=col)
+    np.take(_quotient_table(), at, out=u, mode="clip")     # "raise" would buffer out
+    np.right_shift(u, code >> 10, out=u)
     for i in np.flatnonzero(big > 20).tolist():
         exact = _exact_c_omega(lo + i)
-        for col, _, signed in wanted:
-            col[i] = -exact if signed and big[i] & 1 else exact
+        u[i] = -exact if big[i] & 1 else exact
+    if "c_omega" in out:        # only now, as the exact path writes signed entries
+        np.abs(u, out=out["c_omega"])
 
 
 def _signs(count, out):

@@ -79,33 +79,34 @@ def _values(column) -> list:
     return values
 
 
-def _emit_rows(config, header, columns, formats=None, comments=()):
-    """Write equal-length columns as one table: CSV, or NDJSON objects of the
-    raw values with --format json.
+def _emit_rows(config, header, blocks, formats=None, comments=()):
+    """Write blocks of rows as one table: CSV, or NDJSON objects of the raw
+    values with --format json.  Each block, a list of equal-length columns,
+    is taken from ``blocks`` once the one before is written.
 
     ``formats`` holds one %-format per column (default ``%s``); a missing
     value (None, or NaN in a float column) is an empty CSV field and a JSON
     null.  ``comments`` are written as ``# `` lines before the CSV header.
     """
     formats = formats or ("%s",) * len(header)
-    n = len(columns[0])
     with _open_out(config) as fh:
         if config.format == "csv":
             fh.writelines(f"# {line}\n" for line in comments)
             fh.write(",".join(header) + "\n")
-        for lo in range(0, n, WRITE_CHUNK_ROWS):
-            cols = [_values(c[lo:lo + WRITE_CHUNK_ROWS]) for c in columns]
-            if config.format == "json":
-                fh.writelines(json.dumps(dict(zip(header, row))) + "\n"
-                              for row in zip(*cols))
-                continue
-            fmts = list(formats)
-            for j, col in enumerate(cols):
-                if None in col:
-                    cols[j] = ["" if v is None else fmts[j] % v for v in col]
-                    fmts[j] = "%s"
-            line = ",".join(fmts) + "\n"
-            fh.write("".join(map(line.__mod__, zip(*cols))))
+        for columns in blocks:
+            for lo in range(0, len(columns[0]), WRITE_CHUNK_ROWS):
+                cols = [_values(c[lo:lo + WRITE_CHUNK_ROWS]) for c in columns]
+                if config.format == "json":
+                    fh.writelines(json.dumps(dict(zip(header, row))) + "\n"
+                                  for row in zip(*cols))
+                    continue
+                fmts = list(formats)
+                for j, col in enumerate(cols):
+                    if None in col:
+                        cols[j] = ["" if v is None else fmts[j] % v for v in col]
+                        fmts[j] = "%s"
+                line = ",".join(fmts) + "\n"
+                fh.write("".join(map(line.__mod__, zip(*cols))))
 
 
 def read_series(fh) -> SummatoryRows:
@@ -154,20 +155,20 @@ def cmd_sieve(config: argparse.Namespace) -> int:
     return 0
 
 
-#: Peak bytes per n of ``verify --identity all`` (one profile of 1..limit:
-#: 432 MB at 1e7), of ``oeis-check --sequence g`` (the prefix table g: 163 MB
-#: at 1e7; mu and lambda are streamed one segment at a time and need only
-#: the segment guard), and of ``summatory``'s direct G route
+#: Peak bytes per n of ``verify --identity all`` (a four-column profile of
+#: 1..limit: 421 MB at 1e7), of ``oeis-check --sequence g`` (the prefix table
+#: g: 163 MB at 1e7; mu and lambda are streamed one segment at a time and
+#: need only the segment guard), and of ``summatory``'s direct G route
 #: (117.4 B/n traced at 5e4, one segment, plus 9%; 76.7 at 1e7).
 VERIFY_BYTES_PER_N = 44
 OEIS_BYTES_PER_N = 18
 SUMMATORY_DIRECT_BYTES_PER_N = 128
 
-#: Peak bytes per output row (trial x checkpoint) of ``simulate``: each
-#: row's mbar and lil values are kept per trial and joined again with x and
-#: the trial index for the table (60.2 B/row over ``mforge --help`` RSS at
-#: 2e6 rows of ``--checkpoints all``, 56 B/row from 2e6 to 4e6, plus 6%).
-SIMULATE_BYTES_PER_ROW = 64
+#: Peak bytes per output row (trial x checkpoint) of ``simulate``: the runs'
+#: mbar and lil values and shared ladder, written one trial at a time
+#: (30.7 B/row over ``mforge --help`` RSS at 2e6 rows of ``--checkpoints
+#: all``, 24 B/row from 5e5 to 4e6, plus 6%).
+SIMULATE_BYTES_PER_ROW = 33
 
 
 def available_memory(meminfo: str = "/proc/meminfo") -> int:
@@ -188,8 +189,8 @@ def _require_memory(run: str, need: int):
                           f"more than the {have / 2**30:.1f} GiB of available memory")
 
 
-#: Peak bytes per entry of one kernel call on all five columns, the bound of
-#: ``tests/test_arith.py::test_profile_peak_bytes_per_entry``.
+#: Peak bytes per entry of one kernel call on five columns (no sweep asks for
+#: both c_omega and u), the bound of ``tests/test_arith.py::test_profile_peak_bytes_per_entry``.
 KERNEL_BYTES_PER_ENTRY = 17
 
 
@@ -208,7 +209,9 @@ def _require_segment(config, extent: int):
 def cmd_verify(config: argparse.Namespace) -> int:
     names = dirichlet.IDENTITY_NAMES if config.identity == "all" else (config.identity,)
     _require_memory(f"verify up to {config.limit}", config.limit * VERIFY_BYTES_PER_N)
-    profile = arith.profile_range(sieve.Segment(1, config.limit + 1))
+    # the columns the identities read: c_omega is |u|, and g is built from omega
+    profile = arith.profile_range(sieve.Segment(1, config.limit + 1),
+                                  columns={"omega", "mobius", "liouville", "u"})
     failed = False
     with _open_out(config) as fh:
         for name in names:
@@ -230,7 +233,7 @@ def cmd_summatory(config: argparse.Namespace) -> int:
     log.info("G route %s: %d checkpoints, %d eval points",
              series.route, len(series.checkpoints), len(series.eval_points))
     _emit_rows(config, SERIES_COLUMNS,
-               [series.checkpoints, series.M, series.G, series.Qsq, series.pi],
+               [[series.checkpoints, series.M, series.G, series.Qsq, series.pi]],
                SERIES_FORMATS)
     return 0
 
@@ -282,7 +285,7 @@ def cmd_stats(config: argparse.Namespace) -> int:
     else:
         raise ValueError(f"unknown stats report {kind!r}")
     # the floats are already .12g strings, in CSV and in JSON alike
-    _emit_rows(config, header, list(zip(*rows)))
+    _emit_rows(config, header, [list(zip(*rows))])
     return 0
 
 
@@ -315,12 +318,12 @@ def cmd_simulate(config: argparse.Namespace) -> int:
     log.info("lil sup: aggregate %.6f (mean %.6f over %d runs; reference %.7f)",
              summary.aggregate_sup, summary.aggregate_mean, len(runs),
              summary.reference)
-    x = np.concatenate([r.checkpoints for r in runs])
-    lil = np.concatenate([r.lil_running_max for r in runs])
-    lil[x < randmodel.LIL_MIN_X] = np.nan      # the statistic is undefined below 16
-    trial = np.repeat(np.arange(len(runs)), [len(r.checkpoints) for r in runs])
+    for r in runs:      # the statistic is undefined below x = 16; the ladder is ascending
+        r.lil_running_max[:np.searchsorted(r.checkpoints, randmodel.LIL_MIN_X)] = np.nan
+    # one block per trial, written from the run's own arrays
     _emit_rows(config, RUNS_COLUMNS,
-               [trial, x, np.concatenate([r.mbar for r in runs]), lil], RUNS_FORMATS)
+               ([np.broadcast_to(t, len(r.checkpoints)), r.checkpoints, r.mbar,
+                 r.lil_running_max] for t, r in enumerate(runs)), RUNS_FORMATS)
     return 0
 
 
@@ -328,7 +331,7 @@ def cmd_trace(config: argparse.Namespace) -> int:
     with _reading(config.infile), _open_in(config.infile) as fh:
         trace = tracker.build_trace(read_series(fh))
     # twice_g is NaN exactly where it is undefined, so it is written empty there
-    _emit_rows(config, TRACE_COLUMNS, [getattr(trace, c) for c in TRACE_COLUMNS],
+    _emit_rows(config, TRACE_COLUMNS, [[getattr(trace, c) for c in TRACE_COLUMNS]],
                TRACE_FORMATS,
                comments=[f"reference {k} = {v}" for k, v in trace.references.items()])
     return 0

@@ -221,15 +221,16 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
         lhs = convolve(profile.omega + 1, profile.g)
         rhs = unit_sequence(N)
     elif name == "c":
+        # c_omega = |u|; the right side first, so lambda * g is not held beside its temporaries
+        rhs = convolve(np.abs(profile.u), profile.mobius != 0)
         lhs = profile.liouville * profile.g
-        rhs = convolve(profile.c_omega, profile.mobius != 0)
     elif name == "d":
         lhs = profile.g
-        rhs = convolve(profile.signed_c_omega(), profile.mobius)
+        rhs = convolve(profile.u, profile.mobius)
     elif name == "e":
-        lhs = profile.signed_c_omega()
+        lhs = profile.u
         rhs = dirichlet_inverse(prime_indicator(N) + unit_sequence(N))
     else:  # f
         lhs = convolve(profile.g, np.ones(N, dtype=np.int8))
-        rhs = profile.signed_c_omega()
+        rhs = profile.u
     return _first_failure(name, N, lhs, rhs)

@@ -14,7 +14,7 @@ import numpy as np
 
 #: Default number of entries per sieve segment.  A sweep's memory is this
 #: width times the workers times the bytes its kernel keeps per entry (about
-#: 6 for the series sweep, 16 for a profile of all five columns), so the
+#: 6 for the series sweep, 16 for a profile of five columns), so the
 #: default keeps a worker near 6-16 MB.
 DEFAULT_SEGMENT_CAPACITY = 1 << 20
 

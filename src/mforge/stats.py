@@ -296,8 +296,8 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
     statistic "omega" uses the classical centering
     (omega(n) - loglog x) / sqrt(loglog x); "log_c_omega" has no published
     centering constants, so it is standardized empirically by sample mean
-    and standard deviation.  Each segment contributes an exact
-    (value -> count) histogram, so memory is bounded by the segment width.
+    and standard deviation.  Each segment's exact (value -> count) histogram is
+    merged as it arrives, so memory is bounded by the segment width.
     """
     if x < 100:
         raise ValueError(f"x must be >= 100, got {x}")
@@ -314,10 +314,12 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
         k = np.nonzero(h)[0]
         return k, h[k]
 
-    parts = list(pool.sweep(3, x + 1, segment_size, histogram))
-    keys, where = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    keys = counts = np.empty(0, dtype=np.int64)
+    for k, c in pool.sweep(3, x + 1, segment_size, histogram):
+        keys, where = np.unique(np.concatenate([keys, k]), return_inverse=True)
+        merged = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(merged, where, np.concatenate([counts, c]))
+        counts = merged
     if is_omega:
         ll = math.log(math.log(x))
         return _ks_from_counts(keys, counts, ll, math.sqrt(ll))

@@ -373,7 +373,7 @@ def g_via_double_sum(x: int, profile) -> int:
         raise ValueError(f"x must be >= 1, got {x}")
     if profile.segment.lo != 1 or profile.segment.hi <= x:
         raise RangeCoverageError("profile must cover [1, x] starting at 1")
-    u = profile.signed_c_omega()[:x]
+    u = profile.u[:x]
     lam_mu2 = profile.liouville[:x].astype(np.int64) * (profile.mobius[:x] != 0)
     inner = np.concatenate([[0], np.cumsum(lam_mu2)])   # inner[y] for y = 0..x
     ns = np.arange(1, x + 1, dtype=np.int64)

@@ -13,8 +13,3 @@ from mforge.arith import profile_range
 def profile_1e4():
     """Profile of [1, 10^4], g included; shared across test modules."""
     return profile_range(Segment(1, 10**4 + 1))
-
-
-@pytest.fixture(scope="session")
-def profile_1e5():
-    return profile_range(Segment(1, 10**5 + 1))

@@ -137,13 +137,14 @@ def valuation_counts_oracle(x: int, p: int, k_max: int) -> list:
 
 
 def columns_from_exponents(exps: list) -> tuple:
-    """(omega, big_omega, mobius, liouville, c_omega) of n from its exponents."""
+    """(omega, big_omega, mobius, liouville, c_omega, u) of n from its
+    exponents, where u = liouville * c_omega."""
     big = sum(exps)
     c = math.factorial(big)
     for a in exps:
         c //= math.factorial(a)
     mobius = 0 if any(a > 1 for a in exps) else (-1) ** len(exps)
-    return len(exps), big, mobius, (-1) ** big, c
+    return len(exps), big, mobius, (-1) ** big, c, (-1) ** big * c
 
 
 def g_recursion_oracle(N: int):

@@ -98,7 +98,7 @@ def test_profile_bulk_agrees_with_pointwise_1e4_samples():
 
 _INT64_MAX = (1 << 63) - 1
 
-COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega")
+COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u")
 
 # Presieve pattern periods and prime powers whose strides restart at a multiple
 _PERIODS = (*arith._PATTERN_PERIODS, 4, 8, 9, 25, 27, 49, 121, 169, 289, 1024, 2187, 4913)
@@ -273,8 +273,7 @@ def test_exponents_oracle_matches_trial_division():
 def test_profile_matches_oracles_on_every_segment_below_40():
     # here r = isqrt(hi - 1) < 7: the patterns count the primes up to 13 and
     # the primes 17..37 above r are left to the byte-log test
-    oracle = {n: (omega_oracle(n), big_omega_oracle(n), mobius_oracle(n),
-                  liouville_oracle(n), c_omega_oracle(n)) for n in range(1, 40)}
+    oracle = {n: columns_from_exponents(exponents_oracle(n)) for n in range(1, 40)}
     for hi in range(2, 41):
         for lo in range(1, hi):
             rows = _profile_rows(profile_range(Segment(lo, hi)))
@@ -295,11 +294,13 @@ def test_byte_log_is_floor_of_four_log2_on_seed_primes():
         assert 1 << m <= n**4 < 2 << m, n
 
 
-@pytest.mark.parametrize("columns, bytes_per_n", [(COLUMNS, 17), ({"omega"}, 4)])
+@pytest.mark.parametrize("columns, bytes_per_n", [
+    (set(COLUMNS) - {"u"}, 17), ({"omega"}, 4), (set(COLUMNS) - {"c_omega"}, 17)])
 def test_profile_peak_bytes_per_entry(columns, bytes_per_n):
     # one-byte logs, a two-byte denominator code and derived columns built
     # one chunk at a time leave no full-width temporary beside the outputs;
-    # omega alone keeps two byte columns and a mask
+    # omega alone keeps two byte columns and a mask.  No sweep asks for both
+    # c_omega and u, so the bound is for five columns
     seg = Segment(10**8 - 2**20 + 1, 10**8 + 1)
     profile_range(seg, columns=columns)
     tracemalloc.start()
@@ -331,9 +332,10 @@ def _valuation(n, p):
 def test_denominator_code_is_carry_free_and_gathers_c_omega():
     # every exponent multiset with big_omega <= 20: the codes of its levels
     # sum without a carry to the digits of den = prod(alpha!), and one gather
-    # and shift give c_omega and liouville * c_omega
+    # and shift from the one table give liouville * c_omega, whose absolute
+    # value is c_omega and whose sign is (-1)^big_omega
     primes = primes_up_to(80).tolist()
-    unsigned, signed = arith._quotient_tables()
+    table = arith._quotient_table()
     cases = [alphas for total in range(21) for alphas in _partitions(total)]
     assert len(cases) == 2714
     codes, bigs, want = [], [], []
@@ -353,9 +355,9 @@ def test_denominator_code_is_carry_free_and_gathers_c_omega():
         want.append(c_omega(Factorization(0, tuple(zip(primes, alphas)))))
     code = np.array(codes, dtype=np.uint16)
     at = np.array(bigs, dtype=np.uint16) << 10 | code & 1023
-    sign = 1 - 2 * (np.array(bigs) & 1)
-    assert (unsigned[at] >> (code >> 10)).tolist() == want
-    assert (signed[at] >> (code >> 10)).tolist() == (sign * np.array(want)).tolist()
+    u = table[at] >> (code >> 10)
+    assert np.abs(u).tolist() == want
+    assert np.array_equal(np.sign(u), 1 - 2 * (np.array(bigs) & 1))
 
 
 @pytest.mark.parametrize("lo", [9 * 10**7, 2**21 - arith._CHUNK + 2])
@@ -363,30 +365,27 @@ def test_denominator_code_is_carry_free_and_gathers_c_omega():
 def test_chunked_columns_equal_one_piece(lo, width, monkeypatch):
     # the derived columns are built one chunk at a time; below, at and past
     # the chunk width they equal one piece, and so do the chunks of
-    # profile_chunks, whose "u" is liouville * c_omega; 2^21 (big_omega
-    # 21, the exact path) is the second-to-last entry of the first chunk
+    # profile_chunks; 2^21 (big_omega 21, the exact path) is the
+    # second-to-last entry of the first chunk
     seg = Segment(lo, lo + width)
     chunked = profile_range(seg)
     chunk = arith._CHUNK
-    pieces = list(profile_chunks(seg, (*COLUMNS, "u")))
+    pieces = list(profile_chunks(seg, COLUMNS))
     monkeypatch.setattr(arith, "_CHUNK", width)
     whole = profile_range(seg)
     assert lo > 2**21 or whole.big_omega[2**21 - lo] == 21
     assert [a for a, _ in pieces] == list(range(0, width, chunk))
     assert all(len(p["u"]) == min(chunk, width - a) for a, p in pieces)
-    for col in (*COLUMNS, "u"):
-        ref = whole.signed_c_omega() if col == "u" else getattr(whole, col)
+    for col in COLUMNS:
+        ref = getattr(whole, col)
         joined = np.concatenate([p[col] for _, p in pieces])
         assert joined.dtype == ref.dtype and np.array_equal(joined, ref), col
-        if col != "u":
-            assert np.array_equal(getattr(chunked, col), ref), col
+        assert np.array_equal(getattr(chunked, col), ref), col
+    assert np.array_equal(whole.u, whole.c_omega * whole.liouville)
 
 
-def _profile_and_u(lo, hi):
-    seg = Segment(lo, hi)
-    prof = profile_range(seg)
-    u = np.concatenate([c["u"] for _, c in profile_chunks(seg, {"u"})])
-    return [getattr(prof, col) for col in COLUMNS] + [u]
+def _profile_columns(lo, hi):
+    return [getattr(profile_range(Segment(lo, hi)), col) for col in COLUMNS]
 
 
 def _pattern_windows():
@@ -406,16 +405,16 @@ def _pattern_windows():
 
 def test_presieve_patterns_equal_per_step_sieve(monkeypatch):
     # the levels 2..2^12, 3..3^5, 5, 5^2, 7, 11 and 13 are added as periodic
-    # patterns; every column, and u from profile_chunks, must equal the
-    # kernel that applies them as strided steps (a period of 1 leaves every
-    # level a step, level 1 of 2..13 included, and 11 and 13 are seed primes
-    # only from hi = 122 and 170 on)
+    # patterns; every column must equal the kernel that applies them as
+    # strided steps (a period of 1 leaves every level a step, level 1 of
+    # 2..13 included, and 11 and 13 are seed primes only from hi = 122 and
+    # 170 on)
     windows = list(_pattern_windows())
-    fast = [_profile_and_u(lo, hi) for lo, hi in windows]
+    fast = [_profile_columns(lo, hi) for lo, hi in windows]
     monkeypatch.setattr(arith, "_PATTERN_PERIODS", (1,))
     for (lo, hi), got in zip(windows, fast):
-        want = _profile_and_u(lo, hi)
-        for col, a, b in zip((*COLUMNS, "u"), got, want):
+        want = _profile_columns(lo, hi)
+        for col, a, b in zip(COLUMNS, got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), (lo, hi, col)
 
 
@@ -454,21 +453,6 @@ def test_profile_chunks_yields_only_the_named_columns():
     assert [sorted(p) for _, p in pieces] == [["mobius", "u"]]
     with pytest.raises(ValueError, match="unknown profile columns"):
         next(profile_chunks(Segment(1, 100), {"g"}))
-    with pytest.raises(ValueError, match="unknown profile columns"):
-        profile_range(Segment(1, 100), columns={"u"})
-
-
-def test_signed_c_omega_is_one_int64_product(profile_1e5):
-    N = profile_1e5.segment.width
-    tracemalloc.start()
-    try:
-        u = profile_1e5.signed_c_omega()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the int8 factor is cast through the ufunc's small buffer, not copied whole
-    assert u.dtype == np.int64 and peak <= 8 * N + 2**17
-    assert np.array_equal(u, profile_1e5.liouville.astype(np.int64) * profile_1e5.c_omega)
 
 
 def _max_c_omega_up_to(x: int) -> int:

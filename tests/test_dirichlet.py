@@ -174,7 +174,7 @@ def test_inverse_matches_oracle_random(f):
 def test_inverse_of_prime_indicator_plus_unit(profile_1e4):
     N = 2000
     inv = dirichlet_inverse(prime_indicator(N) + unit_sequence(N))
-    lam_c = profile_1e4.signed_c_omega()[:N]
+    lam_c = profile_1e4.u[:N]
     assert np.array_equal(inv, lam_c)
 
 
@@ -222,11 +222,11 @@ def test_identity_suite_1e4(name, profile_1e4):
 def test_identity_suite_on_a_wider_profile(N, profile_1e4):
     # each identity reads only the first N entries of a profile that runs
     # past N, and reports a failure at n = i + 1
-    prof = dataclasses.replace(profile_1e4, c_omega=profile_1e4.c_omega.copy())
-    prof.c_omega[N] += 1        # n = N + 1, outside the check
+    prof = dataclasses.replace(profile_1e4, u=profile_1e4.u.copy())
+    prof.u[N] += 1              # n = N + 1, outside the check
     for name in IDENTITY_NAMES:
         assert verify_identity(name, N, profile=prof).passed, name
-    prof.c_omega[N - 1] += 1    # n = N
+    prof.u[N - 1] += 1          # n = N
     report = verify_identity("c", N, profile=prof)
     assert not report.passed and report.first_failure[0] == N
 

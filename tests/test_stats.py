@@ -234,19 +234,38 @@ def test_erdos_kac_cdf_matches_sorted_sample_oracle(statistic, x, segment_size, 
     assert abs(cdf.ks - ks) < 1e-12
 
 
+def _omega_histogram(seg):
+    h = np.bincount(profile_range(seg, columns={"omega"}).omega)
+    k = np.nonzero(h)[0]
+    return k, h[k]
+
+
+def _c_omega_histogram(seg):
+    return np.unique(profile_range(seg, columns={"c_omega"}).c_omega, return_counts=True)
+
+
 def test_erdos_kac_cdf_memory_flat_in_x():
-    # each segment leaves only its histogram behind, so the peak is set by
-    # the segment width and does not grow with x
-    def peak(x):
+    # each segment's histogram is merged as it arrives, so the CDF peaks no
+    # higher than a sweep that makes the same 98 histograms and drops them,
+    # plus one running histogram (keeping all 98 adds about 40 KB for omega
+    # and 160 KB for log c_omega).  Both run over the same range, as the
+    # kernel's own peak grows with the seed primes below sqrt(x)
+    x, size = 1_600_000, 2**14
+
+    def peak(run):
         tracemalloc.start()
         try:
-            for statistic in ("omega", "log_c_omega"):
-                erdos_kac_cdf(x, statistic, segment_size=2**14)
+            run()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(1_600_000) < 1.5 * peak(400_000)
+    for statistic, histogram in (("omega", _omega_histogram),
+                                 ("log_c_omega", _c_omega_histogram)):
+        erdos_kac_cdf(10**5, statistic, size)       # one-time caches and tables
+        sweep = peak(lambda: [None for _ in WorkerPool(1).sweep(3, x + 1, size, histogram)])
+        got = peak(lambda: erdos_kac_cdf(x, statistic, size))
+        assert got - sweep < 24 * 2**10, (statistic, got, sweep)
 
 
 def test_erdos_kac_validation():
