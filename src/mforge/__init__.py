@@ -36,7 +36,6 @@ from .summatory import (
     g_via_double_sum,
     mertens_via_G_over_primes,
     mertens_via_g_pi,
-    q_hat,
 )
 from .stats import (
     DensityReport,

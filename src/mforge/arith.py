@@ -15,7 +15,7 @@ from math import isqrt
 
 import numpy as np
 
-from .parallel import WorkerPool
+from .parallel import WorkerPool, Workspace
 from .sieve import DEFAULT_SEGMENT_CAPACITY, Factorization, Segment, factorize, primes_up_to
 
 #: Values at or beyond this bound trigger the checked-overflow error in the
@@ -150,7 +150,8 @@ def _quotient_table() -> np.ndarray:
 PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u")
 
 #: Dtypes of the columns built chunk by chunk.
-_DERIVED = {"mobius": np.int8, "liouville": np.int8, "c_omega": np.int64, "u": np.int64}
+_DERIVED = {"omega": np.uint8, "mobius": np.int8, "liouville": np.int8,
+            "c_omega": np.int64, "u": np.int64}
 
 
 @dataclass
@@ -214,9 +215,10 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       L <= 4 log2(n / q) < 4 (k + 1 - log2 q) <= 3k.  The test takes no pass
       of its own: with 256 - 3k added to the words of the range, L < 226
       carries into the high byte exactly when L >= 3k, and then
-      omega = 1 - high byte (mod 256) is read out in one pass.
+      omega = 1 - high byte (mod 256).
     * Derived columns, one ``_CHUNK`` of entries at a time into the output
-      columns: big_omega = omega + extra, formed in place in ``extra``; n is
+      columns: omega read out of the word, big_omega = omega + extra,
+      formed in place in ``extra``; n is
       squarefree iff extra == 0; u = liouville * c_omega, with c_omega =
       big_omega! / prod(alpha_i!), is one gather and a shift,
       ``T[big_omega, code & 1023] >> (code >> 10)``, from the signed 21 x 1024
@@ -243,36 +245,36 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     raises OverflowError when it is made, before any sieving.
     """
     want = _wanted(columns, PROFILE_COLUMNS)
-    # outputs first, so that the long-lived columns sit below the sieve's
-    # temporaries and the allocator reuses the space those leave (with glibc
-    # on x86_64, the log c_omega CDF at 1e7 peaks 4 MB lower in RSS)
     out = {name: np.empty(segment.width, dtype=_DERIVED[name]) for name in want & _DERIVED.keys()}
-    cols = _sieve(segment, want)
+    ws = Workspace()        # its extra column becomes big_omega, so it is not shared
+    cols = _sieve(segment, want, ws)
     for s in _chunks(segment.width):
-        _derive(segment.lo + s.start, *_cut(cols, s), {k: v[s] for k, v in out.items()})
-    omega, big = cols[0], cols[1]       # extra now holds big_omega
+        _derive(segment.lo + s.start, *_cut(cols, s), {k: v[s] for k, v in out.items()}, ws)
     return ArithmeticProfile(
-        segment=segment, omega=omega if "omega" in want else None,
-        big_omega=big if "big_omega" in want else None, mobius=out.get("mobius"),
+        segment=segment, omega=out.get("omega"),
+        big_omega=cols[1] if "big_omega" in want else None, mobius=out.get("mobius"),
         liouville=out.get("liouville"), c_omega=out.get("c_omega"), u=out.get("u"),
     )
 
 
-def profile_chunks(segment: Segment, columns):
+def profile_chunks(segment: Segment, columns, ws: Workspace | None = None):
     """Sieve the segment once and yield ``(offset, columns)`` for each chunk of
     up to ``_CHUNK`` entries in order: a dict of the named columns of the
-    entries from ``offset`` on, as ``profile_range`` would give them.  omega
-    and big_omega are views of the sieve's columns (4 bytes per entry with
-    c_omega or u); the other arrays are made per chunk, so nothing else
-    grows with the segment width."""
+    entries from ``offset`` on, as ``profile_range`` would give them.
+
+    Every array lives in the workspace ``ws`` (a new one when None), which a
+    sweep's worker reuses for each of its segments: the sieve's columns (2
+    to 5 bytes per entry), of which big_omega is a view, and one chunk's
+    outputs, which the next chunk overwrites.  So a chunk's arrays are valid
+    only until the next chunk is pulled, and two live generators must not
+    share a workspace."""
     want = _wanted(columns, PROFILE_COLUMNS)
-    cols = _sieve(segment, want)
+    ws = Workspace() if ws is None else ws
+    cols = _sieve(segment, want, ws)
     for s in _chunks(segment.width):
-        omega, extra, code = _cut(cols, s)
-        out = {name: np.empty(len(omega), dtype=_DERIVED[name]) for name in want & _DERIVED.keys()}
-        _derive(segment.lo + s.start, omega, extra, code, out)
-        if "omega" in want:
-            out["omega"] = omega
+        word, extra, code = _cut(cols, s)
+        out = {name: ws.empty(name, len(word), _DERIVED[name]) for name in want & _DERIVED.keys()}
+        _derive(segment.lo + s.start, word, extra, code, out, ws)
         if "big_omega" in want:
             out["big_omega"] = extra
         yield s.start, out
@@ -294,17 +296,17 @@ def _cut(cols, s: slice) -> tuple:
     return tuple(None if c is None else c[s] for c in cols)
 
 
-def _sieve(segment: Segment, want) -> tuple:
-    """The segment's omega after the byte-log test, with ``extra`` (unless
-    only omega is wanted) and ``code`` (for c_omega or u), else None."""
+def _sieve(segment: Segment, want, ws: Workspace) -> tuple:
+    """The segment's sieve word after the byte-log test, with ``extra``
+    (unless only omega is wanted) and ``code`` (for c_omega or u), else
+    None, in arrays of ``ws``."""
     lo, hi = segment.lo, segment.hi
     width = segment.width
     seeds = primes_up_to(isqrt(hi - 1))
 
-    omega = np.empty(width, dtype=np.uint8)       # before the word, as in profile_range
-    word = np.zeros(width, dtype=_WORD)
-    extra = np.zeros(width, dtype=np.uint8) if want - {"omega"} else None
-    code = np.zeros(width, dtype=np.uint16) if want & {"c_omega", "u"} else None
+    word = ws.zeros("word", width, _WORD)
+    extra = ws.zeros("extra", width, np.uint8) if want - {"omega"} else None
+    code = ws.zeros("code", width, np.uint16) if want & {"c_omega", "u"} else None
 
     cols = (word, extra, code)
     for pattern in _patterns(_PATTERN_PERIODS):
@@ -319,17 +321,18 @@ def _sieve(segment: Segment, want) -> tuple:
 
     # the byte-log test: on the binary range of k, 256 - 3k more makes the
     # low byte carry into the high one exactly when L >= 3k, so that the high
-    # byte is [L >= 3k] - omega and the full omega is 1 minus it (mod 256)
+    # byte is [L >= 3k] - omega
     for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
         word[max(lo, 1 << k) - lo:min(hi, 2 << k) - lo] += 256 - 3 * k
-    np.subtract(np.uint8(1), word.view(np.uint8)[1::2], out=omega)
-    return omega, extra, code
+    return word, extra, code
 
 
-def _derive(lo: int, omega, extra, code, out: dict):
+def _derive(lo: int, word, extra, code, out: dict, ws: Workspace):
     """Fill the chunk-wide arrays of ``out`` (keyed by ``_DERIVED`` names)
     from the sieve columns of the entries from n = lo on; ``extra`` becomes
-    big_omega in place."""
+    big_omega in place, and omega, unless asked for, is an array of ``ws``."""
+    omega = out["omega"] if "omega" in out else ws.empty("omega", len(word), np.uint8)
+    np.subtract(np.uint8(1), word.view(np.uint8)[1::2], out=omega)    # 1 - high byte (mod 256)
     if "mobius" in out:
         _signs(omega, out["mobius"])
         out["mobius"] *= extra == 0
@@ -473,9 +476,14 @@ def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if omega is None:
-        omega = np.concatenate(list(WorkerPool(1).sweep(
-            1, N + 1, DEFAULT_SEGMENT_CAPACITY,
-            lambda seg: profile_range(seg, columns={"omega"}).omega)))
+        omega = np.empty(N, dtype=np.uint8)
+
+        def copy(seg, ws):
+            for a, cols in profile_chunks(seg, {"omega"}, ws):
+                at = seg.lo - 1 + a
+                omega[at:at + len(cols["omega"])] = cols["omega"]
+        for _ in WorkerPool(1).sweep(1, N + 1, DEFAULT_SEGMENT_CAPACITY, copy):
+            pass
     omega = np.asarray(omega)
     if omega.shape[0] < N:
         raise ValueError("omega table shorter than N")

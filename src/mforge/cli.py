@@ -133,9 +133,10 @@ def _fmt_float(v: float) -> str:
 def cmd_sieve(config: argparse.Namespace) -> int:
     _require_segment(config, config.limit)
 
-    def primes(seg):    # the series' own prime test; as <i8, the export's u64s
-        big_omega = arith.profile_range(seg, columns={"big_omega"}).big_omega
-        return (np.flatnonzero(big_omega == 1) + seg.lo).astype("<i8", copy=False)
+    def primes(seg, ws):    # the series' own prime test; as <i8, the export's u64s
+        return np.concatenate([np.flatnonzero(cols["big_omega"] == 1) + (seg.lo + a)
+                               for a, cols in arith.profile_chunks(seg, {"big_omega"}, ws)]
+                              ).astype("<i8", copy=False)
 
     # the range is checked before --out is created; chunks are written as they come
     chunks = WorkerPool(config.threads).sweep(1, config.limit + 1, config.segment_size, primes)
@@ -363,12 +364,19 @@ def cmd_oeis_check(config: argparse.Namespace) -> int:
             if 1 <= idx <= limit:
                 by_segment.setdefault((idx - 1) // size, []).append((idx, val))
 
-        def check(seg):
+        def check(seg, ws):
             mine = by_segment.get((seg.lo - 1) // size)
             if mine is None:
                 return None
-            values = getattr(arith.profile_range(seg, columns={column}), column)
-            return arith.compare_bfile(mine, values, start=seg.lo)
+            # the computed value of each entry, gathered chunk by chunk
+            at = np.array([idx for idx, _ in mine]) - seg.lo
+            got = np.empty(len(mine), dtype=np.int8)     # mobius and liouville are int8
+            for a, cols in arith.profile_chunks(seg, {column}, ws):
+                col = cols[column]
+                here = (at >= a) & (at < a + len(col))
+                got[here] = col[at[here] - a]
+            return next(((idx, val, g) for (idx, val), g in zip(mine, got.tolist())
+                         if g != val), None)
         mismatches = WorkerPool(config.threads).sweep(1, limit + 1, size, check)
     # each segment reports its first mismatch in file order; the first of those
     # in file order is the first mismatch of the whole file

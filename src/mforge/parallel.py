@@ -10,6 +10,8 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from .sieve import Segment
 
 
@@ -20,6 +22,26 @@ def default_threads() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
+
+
+class Workspace:
+    """Named scratch arrays that one worker reuses across the segments of a
+    sweep; each grows to the largest length asked of it and is never shrunk."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def empty(self, name: str, n: int, dtype) -> np.ndarray:
+        """The first n entries of array ``name``, holding whatever the last user left."""
+        a = self._arrays.get(name)
+        if a is None or len(a) < n or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(n, dtype=dtype)
+        return a[:n]
+
+    def zeros(self, name: str, n: int, dtype) -> np.ndarray:
+        a = self.empty(name, n, dtype)
+        a.fill(0)
+        return a
 
 
 class WorkerPool:
@@ -52,7 +74,22 @@ class WorkerPool:
             ex.shutdown(cancel_futures=True)
 
     def sweep(self, lo: int, hi: int, size: int, fn):
-        """Apply fn to consecutive Segments of width <= size covering [lo, hi),
-        yielding the results in segment order; [lo, hi) is checked whole first."""
+        """Apply ``fn(segment, workspace)`` to consecutive Segments of width
+        <= size covering [lo, hi), yielding the results in segment order;
+        [lo, hi) is checked whole first.
+
+        No two running calls share a ``Workspace``, so there are at most as
+        many as threads; they belong to this sweep and go when its stream
+        ends.  A result must not be a view of its workspace, which the
+        worker's next segment overwrites.
+        """
         Segment(lo, hi)
-        return self.map(fn, (Segment(a, min(a + size, hi)) for a in range(lo, hi, size)))
+        free = []
+
+        def call(seg):
+            ws = free.pop() if free else Workspace()
+            try:
+                return fn(seg, ws)
+            finally:
+                free.append(ws)
+        return self.map(call, (Segment(a, min(a + size, hi)) for a in range(lo, hi, size)))

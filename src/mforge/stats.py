@@ -15,7 +15,7 @@ import numpy as np
 
 from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, factorize, primes_up_to
-from .arith import profile_range
+from .arith import profile_chunks
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -131,16 +131,23 @@ def collect_counts(x: int, segment_size: int = DEFAULT_SEGMENT_CAPACITY,
     """Single segmented sweep filling every histogram the reports need, all
     read from one joint (omega, big_omega) table: big_omega counts are its
     column sums, excess counts its offset traces, and its diagonal (n is
-    squarefree iff big_omega = omega) gives the squarefree and sign counts."""
+    squarefree iff big_omega = omega) gives the squarefree and sign counts.
+    Each kernel chunk adds its own table, keyed by omega * kmax + big_omega
+    in uint16 (kmax <= 58 below 10^17)."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     pool = pool or WorkerPool(1)
     kmax = x.bit_length() + 1
 
-    def summarize(seg):
-        prof = profile_range(seg, columns={"omega", "big_omega"})
-        key = prof.omega.astype(np.intp) * kmax + prof.big_omega
-        return np.bincount(key, minlength=kmax * kmax)
+    def summarize(seg, ws):
+        table = np.zeros(kmax * kmax, dtype=np.int64)
+        for _, cols in profile_chunks(seg, {"omega", "big_omega"}, ws):
+            key = ws.empty("key", len(cols["omega"]), np.uint16)
+            np.copyto(key, cols["omega"])
+            key *= kmax
+            key += cols["big_omega"]
+            table += np.bincount(key, minlength=kmax * kmax)
+        return table
 
     table = sum(pool.sweep(1, x + 1, segment_size, summarize)).reshape(kmax, kmax)
     excess = np.array([np.trace(table, offset=m) for m in range(kmax)])
@@ -195,22 +202,28 @@ class DmCoefficients:
     tail_bound: float
 
 
+#: d_m_coefficients builds the factor rows of this many primes at a time.
+_DM_BLOCK = 2048
+
+
 def d_m_coefficients(prime_limit: int = 10**6, m_max: int = 16) -> DmCoefficients:
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
-    ps = primes_up_to(prime_limit).astype(np.float64)
-    fac = np.empty((len(ps), m_max + 1))     # one factor row per prime
-    fac[:, 0] = 1.0 - 1.0 / (ps * ps)
-    scale = (1.0 - 1.0 / ps) / (ps * ps)
-    for j in range(1, m_max + 1):
-        fac[:, j] = scale
-        scale /= ps
+    primes = primes_up_to(prime_limit)
     coeffs = np.zeros(m_max + 1)
     coeffs[0] = 1.0
-    # np.convolve(a, v) is np.correlate(a, v[::-1], "full"): the rows are
-    # reversed once, not once per prime
-    for row in fac[:, ::-1]:
-        coeffs = np.correlate(coeffs, row, "full")[: m_max + 1]
+    for b in range(0, len(primes), _DM_BLOCK):
+        ps = primes[b:b + _DM_BLOCK].astype(np.float64)
+        fac = np.empty((len(ps), m_max + 1))     # one factor row per prime
+        fac[:, 0] = 1.0 - 1.0 / (ps * ps)
+        scale = (1.0 - 1.0 / ps) / (ps * ps)
+        for j in range(1, m_max + 1):
+            fac[:, j] = scale
+            scale /= ps
+        # np.convolve(a, v) is np.correlate(a, v[::-1], "full"): the rows are
+        # reversed once per block, not once per prime
+        for row in fac[:, ::-1]:
+            coeffs = np.correlate(coeffs, row, "full")[: m_max + 1]
     return DmCoefficients(prime_limit=prime_limit, m_max=m_max, values=coeffs,
                           tail_bound=1.0 / prime_limit)
 
@@ -296,31 +309,43 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
     statistic "omega" uses the classical centering
     (omega(n) - loglog x) / sqrt(loglog x); "log_c_omega" has no published
     centering constants, so it is standardized empirically by sample mean
-    and standard deviation.  Each segment's exact (value -> count) histogram is
-    merged as it arrives, so memory is bounded by the segment width.
+    and standard deviation.  Each kernel chunk leaves an exact histogram: of
+    omega, a bincount of fixed length, summed; of c_omega, its distinct values
+    and counts, merged once per segment and that into the running histogram
+    as each segment arrives, so memory is bounded by the segment width.
     """
     if x < 100:
         raise ValueError(f"x must be >= 100, got {x}")
     if statistic not in ("omega", "log_c_omega"):
         raise ValueError(f"unknown statistic {statistic!r}")
     pool = pool or WorkerPool(1)
-    is_omega = statistic == "omega"
+    if statistic == "omega":
+        kmax = x.bit_length()           # omega(n) <= log2 n
 
-    def histogram(seg):
-        prof = profile_range(seg, columns={"omega"} if is_omega else {"c_omega"})
-        if not is_omega:
-            return np.unique(prof.c_omega, return_counts=True)
-        h = np.bincount(prof.omega)
-        k = np.nonzero(h)[0]
-        return k, h[k]
+        def omega_histogram(seg, ws):
+            h = np.zeros(kmax, dtype=np.int64)
+            for _, cols in profile_chunks(seg, {"omega"}, ws):
+                h += np.bincount(cols["omega"], minlength=kmax)
+            return h
+
+        h = sum(pool.sweep(3, x + 1, segment_size, omega_histogram))
+        keys = np.flatnonzero(h)
+        ll = math.log(math.log(x))
+        return _ks_from_counts(keys, h[keys], ll, math.sqrt(ll))
+
+    def c_omega_histogram(seg, ws):
+        return _merged([np.unique(cols["c_omega"], return_counts=True)
+                        for _, cols in profile_chunks(seg, {"c_omega"}, ws)])
 
     keys = counts = np.empty(0, dtype=np.int64)
-    for k, c in pool.sweep(3, x + 1, segment_size, histogram):
-        keys, where = np.unique(np.concatenate([keys, k]), return_inverse=True)
-        merged = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(merged, where, np.concatenate([counts, c]))
-        counts = merged
-    if is_omega:
-        ll = math.log(math.log(x))
-        return _ks_from_counts(keys, counts, ll, math.sqrt(ll))
+    for hist in pool.sweep(3, x + 1, segment_size, c_omega_histogram):
+        keys, counts = _merged([(keys, counts), hist])
     return _ks_from_counts(np.log(keys.astype(np.float64)), counts)
+
+
+def _merged(histograms) -> tuple:
+    """One (distinct ascending values, int64 counts) histogram from several."""
+    keys, where = np.unique(np.concatenate([k for k, _ in histograms]), return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in histograms]))
+    return keys, counts

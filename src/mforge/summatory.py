@@ -245,22 +245,24 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     recorded = np.zeros((4, n_eval), dtype=np.int64)
     omega = np.empty(N, dtype=np.uint8) if direct else None
 
-    def summarize(seg):
+    def summarize(seg, ws):
         # Sums of each row over the blocks [0, o1], (o1, o2], ..., (ok, end)
         # between the eval-point offsets o; their running sums are the prefix
         # sums at the eval points and, last, the segment total.  The kernel
         # derives its columns one chunk at a time: a chunk writes the running
         # sums at the ends of the blocks that meet it, and a block that goes
         # on past the chunk is written again by the next one.  Each segment
-        # writes its own slices of recorded and omega; the merge adds the base.
+        # writes its own slices of recorded and omega in place; the block past
+        # its last eval point is kept only in the running sums, and the merge
+        # adds the base.
         i0 = int(np.searchsorted(eval_points, seg.lo))
         i1 = int(np.searchsorted(eval_points, seg.hi))
         starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
         starts = starts[starts < seg.width]
-        sums = np.empty((4, len(starts)), dtype=np.int64)
+        sums = recorded[:, i0:i1]
         run = np.zeros(4, dtype=np.int64)
         span = 0
-        for a, cols in profile_chunks(seg, {"omega", "big_omega", "u"}):
+        for a, cols in profile_chunks(seg, {"omega", "big_omega", "u"}, ws):
             om, big, u = cols["omega"], cols["big_omega"], cols["u"]   # u = liouville * c_omega
             # every |entry| of a chunk is at most its max|u| >= 1, so every
             # partial sum of every row up to this chunk's end is at most span
@@ -273,17 +275,20 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
             j = int(np.searchsorted(starts, a + len(u)))
             if j == i + 1:                      # the chunk lies inside block i
                 run += [*map(np.count_nonzero, masks), u.sum()]
-                sums[:, i] = run
+                if i < i1 - i0:
+                    sums[:, i] = run
             else:
                 # the block starts in the chunk, from 0; a first chunk reads them as they are
                 cuts = starts[:j] if a == 0 else np.concatenate([[0], starts[i + 1:j] - a])
-                _block_sums(masks, u, cuts, out=sums[:, i:j])
-                sums[:, i:j] += run[:, None]
-                run = sums[:, j - 1].copy()
+                tail = j > i1 - i0              # the last block ends at no eval point
+                out = _block_sums(masks, u, cuts, out=None if tail else sums[:, i:j])
+                out += run[:, None]
+                if tail:
+                    sums[:, i:] = out[:, :-1]
+                run = out[:, -1].copy()
             if direct:
                 omega[seg.lo - 1 + a:seg.lo - 1 + a + len(u)] = om
-        recorded[:, i0:i1] = sums[:, :i1 - i0]
-        return i0, i1, sums[:, -1].tolist(), span
+        return i0, i1, run.tolist(), span
 
     base = [0] * 4
     for i0, i1, totals, span in pool.sweep(1, N + 1, segment_size, summarize):
@@ -348,22 +353,6 @@ def mertens_via_G_over_primes(x: int, series: SummatorySeries) -> int:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     return int(_quotient_sums([x], lambda ys: series.pi_many(ys) + 1, series.G_at)[0])
-
-
-def q_hat(n: int, x: int, profile) -> int:
-    """Signed squarefree sum: sum_{j <= x} liouville(n * j) * mu^2(j).
-
-    liouville is completely multiplicative, so the factor liouville(n) comes
-    out of the sum.  ``profile`` must start at 1 and cover max(n, x).
-    """
-    if n < 1 or x < 1:
-        raise ValueError("n and x must be >= 1")
-    if profile.segment.lo != 1 or profile.segment.hi <= max(n, x):
-        raise RangeCoverageError("profile must cover [1, max(n, x)] starting at 1")
-    lam_n = int(profile.liouville[n - 1])
-    lam = profile.liouville[:x].astype(np.int64)
-    mu2 = (profile.mobius[:x] != 0)
-    return lam_n * int((lam * mu2).sum())
 
 
 def g_via_double_sum(x: int, profile) -> int:

@@ -19,7 +19,10 @@ from mforge.arith import (
     profile_range,
     read_bfile,
 )
+from mforge.parallel import WorkerPool
 from mforge.sieve import Factorization, Segment, factorize, primes_up_to
+from mforge.stats import collect_counts, erdos_kac_cdf
+from mforge.summatory import build_series
 
 from oracles import (
     big_omega_oracle,
@@ -370,7 +373,8 @@ def test_chunked_columns_equal_one_piece(lo, width, monkeypatch):
     seg = Segment(lo, lo + width)
     chunked = profile_range(seg)
     chunk = arith._CHUNK
-    pieces = list(profile_chunks(seg, COLUMNS))
+    # a chunk's arrays are valid until the next chunk is pulled
+    pieces = [(a, {k: v.copy() for k, v in p.items()}) for a, p in profile_chunks(seg, COLUMNS)]
     monkeypatch.setattr(arith, "_CHUNK", width)
     whole = profile_range(seg)
     assert lo > 2**21 or whole.big_omega[2**21 - lo] == 21
@@ -453,6 +457,49 @@ def test_profile_chunks_yields_only_the_named_columns():
     assert [sorted(p) for _, p in pieces] == [["mobius", "u"]]
     with pytest.raises(ValueError, match="unknown profile columns"):
         next(profile_chunks(Segment(1, 100), {"g"}))
+
+
+def test_two_live_chunk_streams_share_no_array():
+    # a stream reuses its chunk arrays, so each is valid only until the next
+    # chunk is pulled; two live streams on one thread share none of them
+    width = 3 * arith._CHUNK
+    first = profile_chunks(Segment(10**6, 10**6 + width), COLUMNS)
+    second = profile_chunks(Segment(5 * 10**6, 5 * 10**6 + width), COLUMNS)
+    _, a = next(first)
+    kept = {k: v.copy() for k, v in a.items()}
+    _, b = next(second)
+    for col in COLUMNS:
+        assert not np.shares_memory(a[col], b[col]), col
+        assert np.array_equal(a[col], kept[col]), col
+    _, later = next(first)
+    assert np.shares_memory(a["u"], later["u"])
+
+
+def test_profile_range_columns_outlive_later_sweeps():
+    # profile_range owns its columns: no sweep's workspace reaches them
+    prof = profile_range(Segment(1, 2**17 + 1))
+    kept = {col: getattr(prof, col).copy() for col in COLUMNS}
+    collect_counts(2**18, 2**16)
+    erdos_kac_cdf(2**18, "log_c_omega", 2**16, pool=WorkerPool(2))
+    build_series(2**18, segment_size=2**16)
+    for col in COLUMNS:
+        assert np.array_equal(getattr(prof, col), kept[col]), col
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_sweep_leaves_no_memory_behind(threads):
+    # each worker's sieve columns live in its workspace for one sweep only
+    pool = WorkerPool(threads)
+    collect_counts(2**19, 2**17, pool=pool)     # one-time caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        collect_counts(2**19, 2**17, pool=pool)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before > 3 * 2**17
+    assert after - before < 2**16, (before, after)
 
 
 def _max_c_omega_up_to(x: int) -> int:

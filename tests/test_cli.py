@@ -205,14 +205,14 @@ def test_failed_sieve_export_is_emptied(threads, tmp_path, monkeypatch, capsys):
 
     from mforge import arith
 
-    profile_range = arith.profile_range
+    profile_chunks = arith.profile_chunks
 
     def fail_after_first(seg, *args, **kwargs):
         if seg.lo > 1:
             raise MemoryError("no room for a segment")
-        return profile_range(seg, *args, **kwargs)
+        return profile_chunks(seg, *args, **kwargs)
 
-    monkeypatch.setattr(arith, "profile_range", fail_after_first)
+    monkeypatch.setattr(arith, "profile_chunks", fail_after_first)
     out = tmp_path / "primes.bin"
     for path in (str(out), os.devnull):
         code, _, err = run_cli(["sieve", "--limit", "1000", "--segment-size", "100",
@@ -239,7 +239,7 @@ def test_sieve_export_to_fifo(tmp_path, monkeypatch, capsys):
     args = ["sieve", "--limit", "1000", "--out", str(fifo)]
     for fails in (False, True):
         if fails:
-            monkeypatch.setattr(arith, "profile_range", no_room)
+            monkeypatch.setattr(arith, "profile_chunks", no_room)
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
         reader.start()
@@ -544,7 +544,7 @@ def test_malformed_bfile_fails_before_sieving(tmp_path, monkeypatch, capsys):
 
     path = tmp_path / "b.txt"
     path.write_text("1 1\n2 -1\n30000000\n")
-    monkeypatch.setattr(cli.arith, "profile_range",
+    monkeypatch.setattr(cli.arith, "profile_chunks",
                         lambda *a, **kw: pytest.fail("sieved a malformed b-file"))
     code, out, err = run_cli(["oeis-check", "--sequence", "mu", "--bfile", str(path)],
                              capsys)
@@ -582,8 +582,9 @@ def test_limit_past_physical_memory_is_refused(args, bytes_per_n, limit,
 
     need = limit * getattr(cli, bytes_per_n)
     monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
-    monkeypatch.setattr(cli.arith, "profile_range",
-                        lambda *a, **k: pytest.fail("profiled a refused limit"))
+    for kernel in ("profile_range", "profile_chunks"):
+        monkeypatch.setattr(cli.arith, kernel,
+                            lambda *a, **k: pytest.fail("profiled a refused limit"))
     monkeypatch.setattr(cli.sieve, "primes_up_to",
                         lambda *a, **k: pytest.fail("sieved a refused limit"))
     code, out, err = run_cli(args, capsys)

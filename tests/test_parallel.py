@@ -1,6 +1,9 @@
 import random
+import threading
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from mforge.parallel import WorkerPool
@@ -67,7 +70,48 @@ def test_threads_cancel_queued_items_when_the_stream_stops():
 def test_sweep_checks_its_whole_range_before_cutting():
     calls = []
     with pytest.raises(OverflowError, match="past 10\\^17"):
-        WorkerPool(1).sweep(10**17 - 5, 10**17 + 2, 4, calls.append)
+        WorkerPool(1).sweep(10**17 - 5, 10**17 + 2, 4, lambda s, ws: calls.append(s))
     assert calls == []
-    segments = WorkerPool(1).sweep(10**17 - 5, 10**17 + 1, 4, lambda s: (s.lo, s.hi))
+    segments = WorkerPool(1).sweep(10**17 - 5, 10**17 + 1, 4, lambda s, ws: (s.lo, s.hi))
     assert list(segments) == [(10**17 - 5, 10**17 - 1), (10**17 - 1, 10**17 + 1)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_sweep_gives_each_running_call_its_own_workspace(threads):
+    # no two calls that run at once hold one workspace, and there are at most
+    # as many workspaces as workers
+    lock = threading.Lock()
+    running, seen = set(), set()
+
+    def fn(seg, ws):
+        with lock:
+            assert id(ws) not in running
+            running.add(id(ws))
+            seen.add(id(ws))
+        time.sleep(0.002)
+        with lock:
+            running.discard(id(ws))
+        return seg.lo
+
+    assert list(WorkerPool(threads).sweep(1, 41, 2, fn)) == list(range(1, 41, 2))
+    assert 1 <= len(seen) <= threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_workspaces_go_with_the_stream(threads):
+    # a workspace belongs to one sweep: once its stream ends, the traced
+    # memory is back at its level before the sweep
+    def fn(seg, ws):
+        ws.zeros("col", 2**18, np.uint8)
+        return seg.lo
+
+    list(WorkerPool(threads).sweep(1, 9, 1, fn))       # one-time allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert list(WorkerPool(threads).sweep(1, 9, 1, fn)) == list(range(1, 9))
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before >= 2**18
+    assert after - before < 2**14, (before, after)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mforge.arith import profile_range
+from mforge import arith
+from mforge.arith import profile_chunks, profile_range
 from mforge.parallel import WorkerPool
 from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, Segment, primes_up_to
 from mforge.stats import (
@@ -234,14 +235,16 @@ def test_erdos_kac_cdf_matches_sorted_sample_oracle(statistic, x, segment_size, 
     assert abs(cdf.ks - ks) < 1e-12
 
 
-def _omega_histogram(seg):
-    h = np.bincount(profile_range(seg, columns={"omega"}).omega)
-    k = np.nonzero(h)[0]
-    return k, h[k]
+def _omega_histogram(seg, ws):
+    h = np.zeros(64, dtype=np.int64)
+    for _, cols in profile_chunks(seg, {"omega"}, ws):
+        h += np.bincount(cols["omega"], minlength=64)
+    return h
 
 
-def _c_omega_histogram(seg):
-    return np.unique(profile_range(seg, columns={"c_omega"}).c_omega, return_counts=True)
+def _c_omega_histogram(seg, ws):
+    return [np.unique(cols["c_omega"], return_counts=True)
+            for _, cols in profile_chunks(seg, {"c_omega"}, ws)]
 
 
 def test_erdos_kac_cdf_memory_flat_in_x():
@@ -266,6 +269,34 @@ def test_erdos_kac_cdf_memory_flat_in_x():
         sweep = peak(lambda: [None for _ in WorkerPool(1).sweep(3, x + 1, size, histogram)])
         got = peak(lambda: erdos_kac_cdf(x, statistic, size))
         assert got - sweep < 24 * 2**10, (statistic, got, sweep)
+
+
+def _peak(run):
+    run()                                       # one-time caches and tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweeps_peak_at_the_sieve_columns_and_one_chunk():
+    # at a 2^20 segment, the log c_omega CDF keeps the sieve's word, extra
+    # and code (5 B per entry) and collect_counts its word and extra (3 B),
+    # each with one chunk's arrays and histograms beside them (about 20 and
+    # 11 B per chunk entry); no column as wide as the segment is made
+    size, chunk = 2**20, arith._CHUNK
+    for run, sieve_bytes in ((lambda: erdos_kac_cdf(2**21, "log_c_omega", size), 5),
+                             (lambda: collect_counts(2**21, size), 3)):
+        assert _peak(run) <= sieve_bytes * size + 24 * chunk
+
+
+def test_d_m_factor_rows_stay_under_the_prime_list():
+    # the factor rows are built a block of primes at a time (a few hundred
+    # KB), so the call peaks at the prime sieve's own peak (1.6 MB at 1e6)
+    assert _peak(d_m_coefficients) <= _peak(lambda: primes_up_to(10**6)) + 2**12
 
 
 def test_erdos_kac_validation():

@@ -19,7 +19,6 @@ from mforge.summatory import (
     g_via_double_sum,
     mertens_via_G_over_primes,
     mertens_via_g_pi,
-    q_hat,
 )
 
 from oracles import (
@@ -472,7 +471,7 @@ def test_series_bytes_equal_across_segment_sizes(N, policy, route):
 
 def test_series_memory_per_segment_entry_flat_in_N():
     # the kernel derives its columns one chunk at a time, so a segment holds
-    # only its 4 B/n of sieve columns plus a fixed 2 MB of chunk temporaries
+    # only its 5 B/n of sieve columns plus a fixed 2 MB of chunk temporaries
     # (about 14 B per entry of this 2^18 segment, 6 of a 2^20 one), and the
     # quotient route's peak is set by the segment width, not by N
     size = 2**18
@@ -509,9 +508,9 @@ def test_direct_route_peak_bytes_per_n():
 
 
 def test_direct_route_narrow_segments_keep_only_their_omega():
-    # profile_chunks' omega is a view of its segment's sieve column; each
-    # segment copies its omega into the one N-byte array g_table reads, so
-    # no 1-wide segment keeps its sieve columns alive past its sweep
+    # profile_chunks' omega lives in the sweep's workspace; each segment
+    # copies its omega into the one N-byte array g_table reads, so no 1-wide
+    # segment keeps its sieve columns alive past its sweep
     pol = CheckpointPolicy(kind="all")
     build_series(100, pol, segment_size=1)
     tracemalloc.start()
@@ -576,26 +575,6 @@ def test_mertens_uncovered_point_raises():
     s = build_series(10**4, CheckpointPolicy(kind="explicit", points=(10**4,)))
     with pytest.raises(RangeCoverageError):
         mertens_via_G_over_primes(9973, s)  # not a checkpoint, not in closure
-
-
-def test_q_hat_examples(profile_1e4):
-    assert q_hat(1, 10, profile_1e4) == -1   # equals M(10)
-    assert q_hat(2, 10, profile_1e4) == 1    # liouville(2) flips the sign
-    assert q_hat(4, 10, profile_1e4) == -1   # liouville(4) = +1
-    with pytest.raises(ValueError):
-        q_hat(0, 10, profile_1e4)
-
-
-def test_q_hat_equals_signed_mertens(profile_1e4):
-    # lambda(n) mu^2 = mu pointwise, so the sum collapses to lambda(n) M(x)
-    p = profile_1e4
-    m = np.concatenate([[0], np.cumsum(mobius_block_oracle(1000)[1:])])
-    for n in range(1, 1001):
-        lam = int(p.liouville[n - 1])
-        assert q_hat(n, 1000, p) == lam * int(m[1000])
-    for x in range(1, 1001):
-        assert q_hat(1, x, p) == int(m[x])
-        assert q_hat(2, x, p) == -int(m[x])
 
 
 def test_double_sum_small(profile_1e4):
