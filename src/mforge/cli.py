@@ -6,21 +6,20 @@ Data goes to stdout or the --out file (CSV by default, NDJSON with
 0 success; 1 failed identity/comparison, I/O error, malformed input file,
 arithmetic overflow, or a limit or segment that cannot fit in available
 memory; 2 usage error.
+
+The parser loads neither numpy nor an engine module, so ``--help`` and a
+usage error cost only the interpreter; each command imports the modules it
+runs when it is called.
 """
 
 import argparse
-import json
 import logging
 import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
 
-import numpy as np
-
-from . import arith, dirichlet, randmodel, sieve, stats, tracker
-from .parallel import WorkerPool, default_threads
-from .summatory import CheckpointPolicy, SummatoryRows, build_series, direct_route
+from . import IDENTITY_NAMES, LIL_MIN_X
 
 log = logging.getLogger("mforge")
 
@@ -70,6 +69,8 @@ def _open_out(config):
 
 def _values(column) -> list:
     """A column slice as Python values, None where a float is NaN."""
+    import numpy as np
+
     if not isinstance(column, np.ndarray):
         return list(column)
     values = column.tolist()
@@ -89,6 +90,8 @@ def _emit_rows(config, header, blocks, formats=None, comments=()):
     null.  ``comments`` are written as ``# `` lines before the CSV header.
     """
     formats = formats or ("%s",) * len(header)
+    if config.format == "json":
+        import json
     with _open_out(config) as fh:
         if config.format == "csv":
             fh.writelines(f"# {line}\n" for line in comments)
@@ -109,9 +112,13 @@ def _emit_rows(config, header, blocks, formats=None, comments=()):
                 fh.write("".join(map(line.__mod__, zip(*cols))))
 
 
-def read_series(fh) -> SummatoryRows:
+def read_series(fh):
     """Parse a series table (``x,M,G,Qsq,pi`` rows, as ``summatory`` writes
-    them); any malformed row is a ValueError."""
+    them) into ``SummatoryRows``; any malformed row is a ValueError."""
+    import numpy as np
+
+    from .summatory import SummatoryRows
+
     header = fh.readline().strip()
     if header != ",".join(SERIES_COLUMNS):
         raise ValueError(f"unexpected series header {header!r}")
@@ -131,6 +138,11 @@ def _fmt_float(v: float) -> str:
 
 
 def cmd_sieve(config: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import arith
+    from .parallel import WorkerPool
+
     _require_segment(config, config.limit)
 
     def primes(seg, ws):    # the series' own prime test; as <i8, the export's u64s
@@ -167,8 +179,9 @@ SUMMATORY_DIRECT_BYTES_PER_N = 128
 
 #: Peak bytes per output row (trial x checkpoint) of ``simulate``: the runs'
 #: mbar and lil values and shared ladder, written one trial at a time
-#: (30.7 B/row over ``mforge --help`` RSS at 2e6 rows of ``--checkpoints
-#: all``, 24 B/row from 5e5 to 4e6, plus 6%).
+#: (30.7 B/row at 2e6 rows of ``--checkpoints all`` over the RSS of a run
+#: that loads numpy and the engine but sweeps nothing, 24 B/row from 5e5 to
+#: 4e6, plus 6%).
 SIMULATE_BYTES_PER_ROW = 33
 
 
@@ -208,7 +221,9 @@ def _require_segment(config, extent: int):
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
-    names = dirichlet.IDENTITY_NAMES if config.identity == "all" else (config.identity,)
+    from . import arith, dirichlet, sieve
+
+    names = IDENTITY_NAMES if config.identity == "all" else (config.identity,)
     _require_memory(f"verify up to {config.limit}", config.limit * VERIFY_BYTES_PER_N)
     # the columns the identities read: c_omega is |u|, and g is built from omega
     profile = arith.profile_range(sieve.Segment(1, config.limit + 1),
@@ -223,14 +238,17 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
 
 def cmd_summatory(config: argparse.Namespace) -> int:
+    from . import summatory
+    from .parallel import WorkerPool
+
     policy, limit = config.checkpoints, config.limit
     # "all" takes the direct route at every limit, so it is refused before its ladder
     cps = None if policy.kind == "all" else policy.checkpoints(limit)
-    if cps is None or direct_route(cps, limit):
+    if cps is None or summatory.direct_route(cps, limit):
         _require_memory(f"summatory up to {limit}", limit * SUMMATORY_DIRECT_BYTES_PER_N)
     _require_segment(config, limit)
-    series = build_series(limit, policy, segment_size=config.segment_size,
-                          pool=WorkerPool(config.threads), checkpoints=cps)
+    series = summatory.build_series(limit, policy, segment_size=config.segment_size,
+                                    pool=WorkerPool(config.threads), checkpoints=cps)
     log.info("G route %s: %d checkpoints, %d eval points",
              series.route, len(series.checkpoints), len(series.eval_points))
     _emit_rows(config, SERIES_COLUMNS,
@@ -240,6 +258,9 @@ def cmd_summatory(config: argparse.Namespace) -> int:
 
 
 def cmd_stats(config: argparse.Namespace) -> int:
+    from . import stats
+    from .parallel import WorkerPool
+
     pool = WorkerPool(config.threads)
     x = config.x
     kind = config.report
@@ -291,13 +312,15 @@ def cmd_stats(config: argparse.Namespace) -> int:
 
 
 def _cdf_quantile_rows(cdf, grid: int = 256):
+    from .stats import normal_cdf
+
     n = cdf.size
     cum = cdf.counts.cumsum()
     for i in range(1, grid + 1):
         j = min(n - 1, max(0, (i * n) // grid - 1))
         z = float(cdf.z[cum.searchsorted(j, side="right")])   # sample value of rank j
         yield (_fmt_float(i / grid), _fmt_float(z), _fmt_float((j + 1) / n),
-               _fmt_float(stats.normal_cdf(z)), _fmt_float(cdf.ks))
+               _fmt_float(normal_cdf(z)), _fmt_float(cdf.ks))
 
 
 def _require(value, flag):
@@ -307,6 +330,11 @@ def _require(value, flag):
 
 
 def cmd_simulate(config: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import randmodel
+    from .parallel import WorkerPool
+
     policy, trials, x_max = config.checkpoints, config.trials, config.x_max
     # every checkpoint of every trial is kept until the table is written, so
     # the rows are refused up front, those of "all" before its ladder
@@ -320,7 +348,7 @@ def cmd_simulate(config: argparse.Namespace) -> int:
              summary.aggregate_sup, summary.aggregate_mean, len(runs),
              summary.reference)
     for r in runs:      # the statistic is undefined below x = 16; the ladder is ascending
-        r.lil_running_max[:np.searchsorted(r.checkpoints, randmodel.LIL_MIN_X)] = np.nan
+        r.lil_running_max[:np.searchsorted(r.checkpoints, LIL_MIN_X)] = np.nan
     # one block per trial, written from the run's own arrays
     _emit_rows(config, RUNS_COLUMNS,
                ([np.broadcast_to(t, len(r.checkpoints)), r.checkpoints, r.mbar,
@@ -329,6 +357,8 @@ def cmd_simulate(config: argparse.Namespace) -> int:
 
 
 def cmd_trace(config: argparse.Namespace) -> int:
+    from . import tracker
+
     with _reading(config.infile), _open_in(config.infile) as fh:
         trace = tracker.build_trace(read_series(fh))
     # twice_g is NaN exactly where it is undefined, so it is written empty there
@@ -344,6 +374,11 @@ OEIS_SEQUENCES = {"mu": "mobius", "lambda": "liouville", "g": None}
 
 
 def cmd_oeis_check(config: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import arith
+    from .parallel import WorkerPool
+
     with _reading(config.bfile):
         entries = arith.read_bfile(config.bfile)
         limit = max((idx for idx, _ in entries), default=0)
@@ -449,8 +484,10 @@ def _path(text: str) -> str:
     return text
 
 
-def _policy(text: str) -> CheckpointPolicy:
-    """argparse type: a checkpoint policy."""
+def _policy(text: str):
+    """argparse type: a ``CheckpointPolicy``."""
+    from .summatory import CheckpointPolicy
+
     try:
         return CheckpointPolicy.parse(text)
     except ValueError as exc:
@@ -460,17 +497,35 @@ def _policy(text: str) -> CheckpointPolicy:
 POSITIVE = _at_least(1)
 NON_NEGATIVE = _at_least(0)
 
+
+def _default_threads() -> int:
+    from .parallel import default_threads
+    return default_threads()
+
+
+def _default_segment_size() -> int:
+    from .sieve import DEFAULT_SEGMENT_CAPACITY
+    return DEFAULT_SEGMENT_CAPACITY
+
+
+def _default_policy():
+    from .summatory import CheckpointPolicy
+    return CheckpointPolicy()
+
+
 #: The keys a --config file may set, each with the converter of the flag of
-#: the same name and the value used when neither a flag nor the file gives one.
+#: the same name and the maker of the value used when neither a flag nor the
+#: file gives one, called only after parsing.
 CONFIG_KEYS = {
-    "threads": (POSITIVE, default_threads),
-    "segment_size": (POSITIVE, lambda: sieve.DEFAULT_SEGMENT_CAPACITY),
-    "checkpoints": (_policy, CheckpointPolicy),
+    "threads": (POSITIVE, _default_threads),
+    "segment_size": (POSITIVE, _default_segment_size),
+    "checkpoints": (_policy, _default_policy),
     "limit": (NON_NEGATIVE, lambda: 0),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple:
+    """The mforge parser, and each subcommand's own parser by name."""
     # A SUPPRESS-defaulted flag enters the namespace only when given, so no
     # subparser default clobbers a value parsed before the subcommand name
     # (global flags are accepted in both positions), and parse_config can
@@ -509,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exact convolution identity suite")
     p.add_argument("--identity", default="all",
-                   choices=list(dirichlet.IDENTITY_NAMES) + ["all"],
+                   choices=list(IDENTITY_NAMES) + ["all"],
                    help="which identity to check (default: all)")
     p.add_argument("--limit", type=POSITIVE, required=True,
                    help="check the identity exactly on 1..N")
@@ -540,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed >= 0; trial i uses stream seed+i (default: 0)")
     p.add_argument("--trials", type=POSITIVE, default=1,
                    help="independent trajectories (default: 1)")
-    p.add_argument("--x-max", type=_at_least(randmodel.LIL_MIN_X), required=True,
+    p.add_argument("--x-max", type=_at_least(LIL_MIN_X), required=True,
                    help="draws per trajectory (>= 16)")
     p.add_argument("--checkpoints", type=_policy, default=argparse.SUPPRESS,
                    help="recording points (default: geometric:1.25)")
@@ -557,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=NON_NEGATIVE, default=argparse.SUPPRESS,
                    help="cap on indices to check (default: whole file)")
 
-    return ap
+    return ap, sub.choices
 
 
 def parse_config(argv) -> argparse.Namespace:
@@ -565,9 +620,11 @@ def parse_config(argv) -> argparse.Namespace:
 
     Each CONFIG_KEYS value comes from its flag, else from the --config file
     (checked whole, even where a flag wins), else from its default (for
-    threads, MFORGE_THREADS or 1).
+    threads, MFORGE_THREADS or 1).  A default is made only for a key whose
+    flag the subcommand has, so that no command imports the module behind
+    another command's default.
     """
-    ap = build_parser()
+    ap, subcommands = build_parsers()
     config = ap.parse_args(argv)
     if "config" in config:
         try:
@@ -584,8 +641,9 @@ def parse_config(argv) -> argparse.Namespace:
                 ap.error(f"config file {config.config}: {key}: {exc}")
             if key not in config:
                 setattr(config, key, value)
+    has_flag = subcommands[config.subcommand].get_default
     for key, (_, default) in CONFIG_KEYS.items():
-        if key not in config:
+        if key not in config and has_flag(key) is not None:
             setattr(config, key, default())
     return config
 

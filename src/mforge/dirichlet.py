@@ -11,6 +11,7 @@ from math import isqrt
 
 import numpy as np
 
+from . import IDENTITY_NAMES
 from .sieve import Segment, primes_up_to
 from .arith import PROFILE_COLUMNS, profile_range
 
@@ -172,8 +173,6 @@ def prime_indicator(N: int) -> np.ndarray:
     chi[primes_up_to(N) - 1] = 1
     return chi
 
-
-IDENTITY_NAMES = ("a", "b", "c", "d", "e", "f")
 
 IDENTITY_LABELS = {
     "a": "prime indicator = omega * mu",

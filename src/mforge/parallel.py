@@ -8,7 +8,6 @@ heavy lifting is numpy, which releases the GIL.
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -61,6 +60,7 @@ class WorkerPool:
         if self.threads == 1:
             yield from map(fn, items)
             return
+        from concurrent.futures import ThreadPoolExecutor   # not loaded by one-thread runs
         ex = ThreadPoolExecutor(max_workers=self.threads)
         window = deque()
         try:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import LIL_MIN_X
 from .parallel import WorkerPool
 from .summatory import CheckpointPolicy
 
@@ -24,9 +25,6 @@ LIL_CONSTANT = 2.0 * math.sqrt(3.0) / math.pi
 #: Stream identity recorded in run metadata: counter-based Philox (4x64,
 #: 10 rounds) as shipped by numpy, one stream per trial keyed by seed + trial.
 GENERATOR_NAME = "numpy-philox4x64-10"
-
-#: The loglog scaling is only positive from here up.
-LIL_MIN_X = 16
 
 
 @dataclass
@@ -88,13 +86,12 @@ def _run_trials(seeds: range, x_max: int, cps: np.ndarray) -> list:
     sub-block and a cumsum over those sums give the trajectory T before each
     sub-block, and no product |traj| * scale inside it exceeds
     bound = fl((|T| + _SUB) * max scale over the sub-block), since rounding to
-    nearest is monotone. A sub-block whose bound is at most the sup carried
-    in from earlier blocks cannot raise the running sup, so only the other
-    sub-blocks, and those holding a checkpoint, are walked draw by draw.
-    The running sup is read at the checkpoints only: the max of the walked
-    products over each span ending at one (and a tail), joined by the
-    carried sup and accumulated; exact, as a max of the same float64s is one
-    of them.
+    nearest is monotone. Only the sub-blocks whose bound exceeds an earlier
+    value of the statistic (see ``_walked``), and those holding a
+    checkpoint, are walked draw by draw. The running sup is read at the
+    checkpoints only: the max of the walked products over each span ending
+    at one (and a tail), joined by the carried sup and accumulated; exact,
+    as a max of the same float64s is one of them.
     """
     rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
     mbar = np.zeros((len(rngs), len(cps)), dtype=np.int64)
@@ -117,6 +114,7 @@ def _run_trials(seeds: range, x_max: int, cps: np.ndarray) -> list:
         scale[hi - lo:] = 0.0                           # padding never raises the sup
         scale = scale.reshape(nsub, sub)
         smax = scale.max(axis=1)
+        last = np.r_[0.0, scale[:-1, -1]]               # scale at the draw before each sub-block
         i0, i1 = np.searchsorted(cps, [lo, hi])
         cpsub, cpcol = np.divmod((cps[i0:i1] - lo).astype(np.intp), sub)
         held = np.zeros(nsub, dtype=bool)               # sub-blocks holding a checkpoint
@@ -132,11 +130,7 @@ def _run_trials(seeds: range, x_max: int, cps: np.ndarray) -> list:
             before -= sums
             before += total[t]                          # T before each sub-block
             total[t] = int(before[-1]) + int(sums[-1])
-            bound = np.abs(before)
-            bound += sub
-            walk = bound * smax > run_max[t]
-            walk |= held
-            rows = np.flatnonzero(walk)
+            rows = _walked(before, smax, last, held, run_max[t])
             if rows.size == 0:
                 continue
             traj = np.cumsum(grid[rows], axis=1, dtype=np.int64)
@@ -156,6 +150,28 @@ def _run_trials(seeds: range, x_max: int, cps: np.ndarray) -> list:
     return [ModelRun(seed=s, x_max=x_max, checkpoints=cps, mbar=mbar[t],
                      lil_running_max=lil[t], lil_sup=run_max[t])
             for t, s in enumerate(seeds)]
+
+
+def _walked(before: np.ndarray, smax: np.ndarray, last: np.ndarray, held: np.ndarray,
+            carried: float) -> np.ndarray:
+    """Indices of a block's sub-blocks that must be walked draw by draw:
+    those holding a checkpoint, and those whose bound fl((|T| + _SUB) * smax)
+    exceeds both the sup ``carried`` in from earlier blocks and every
+    fl(|T_i| * last_i) up to its own.  Each of those products is the
+    statistic at the draw just before sub-block i, so by induction every
+    value in a skipped sub-block is at most a walked or carried value at an
+    earlier draw, and the running sup read from the walked ones is exact.
+    ``before`` holds T before each sub-block, ``last`` the scale at the draw
+    just before it (0 where that draw is in an earlier block)."""
+    seen = np.abs(before).astype(np.float64)
+    seen *= last
+    np.maximum.accumulate(seen, out=seen)
+    np.maximum(seen, carried, out=seen)
+    bound = np.abs(before)
+    bound += _SUB
+    walk = bound * smax > seen
+    walk |= held
+    return np.flatnonzero(walk)
 
 
 def simulate(seed: int, x_max: int, policy: CheckpointPolicy | None = None) -> ModelRun:

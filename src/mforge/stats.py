@@ -205,10 +205,33 @@ class DmCoefficients:
 #: d_m_coefficients builds the factor rows of this many primes at a time.
 _DM_BLOCK = 2048
 
+#: The fold's values at the defaults (primes up to 10^6, m <= 16), the only
+#: arguments the command line uses, written with ``repr`` (which round-trips
+#: a float64), so a run need not make the fold's 78,498 products again.
+_DM_DEFAULT = (
+    0.6079271430567112, 0.20075569442296462, 0.0963023087611147,
+    0.047614933016989505, 0.023719455733135802, 0.011843911883204708,
+    0.005918986036769591, 0.002958922066103048, 0.0014793497671100465,
+    0.0007396530178046766, 0.0003698221885128051, 0.00018491023749130783,
+    9.245494841763352e-05, 4.622744028790109e-05, 2.3113713380282317e-05,
+    1.1556855340316183e-05, 5.778427400614285e-06,
+)
+
 
 def d_m_coefficients(prime_limit: int = 10**6, m_max: int = 16) -> DmCoefficients:
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
+    if (prime_limit, m_max) == (10**6, 16):
+        values = np.array(_DM_DEFAULT)
+    else:
+        values = _d_m_fold(prime_limit, m_max)
+    return DmCoefficients(prime_limit=prime_limit, m_max=m_max, values=values,
+                          tail_bound=1.0 / prime_limit)
+
+
+def _d_m_fold(prime_limit: int, m_max: int) -> np.ndarray:
+    """The first m_max + 1 coefficients of the product of the factors of
+    the primes up to prime_limit, folded one prime at a time."""
     primes = primes_up_to(prime_limit)
     coeffs = np.zeros(m_max + 1)
     coeffs[0] = 1.0
@@ -224,8 +247,7 @@ def d_m_coefficients(prime_limit: int = 10**6, m_max: int = 16) -> DmCoefficient
         # reversed once per block, not once per prime
         for row in fac[:, ::-1]:
             coeffs = np.correlate(coeffs, row, "full")[: m_max + 1]
-    return DmCoefficients(prime_limit=prime_limit, m_max=m_max, values=coeffs,
-                          tail_bound=1.0 / prime_limit)
+    return coeffs
 
 
 def sign_balance(x: int, counts: RangeCounts | None = None) -> SignBalance:

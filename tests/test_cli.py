@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -465,6 +466,63 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _run_in_child(argv) -> tuple:
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the names of
+    the modules loaded by then."""
+    script = (
+        "import sys\n"
+        "from mforge.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(repr((code, sorted(sys.modules))))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["verify", "--identity", "b"], 2),                   # --limit missing
+    (["stats", "--x", "0", "--report", "sign"], 2),       # --x out of range
+])
+def test_parsing_loads_no_numpy_and_no_engine(argv, code):
+    got, modules = _run_in_child(argv)
+    assert got == code
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("mforge")} == {"mforge", "mforge.cli"}
+
+
+def test_stats_loads_only_its_own_modules():
+    code, modules = _run_in_child(["stats", "--report", "exponent", "--p", "2", "--x", "10"])
+    assert code == 0
+    assert not modules & {"mforge.dirichlet", "mforge.randmodel", "mforge.summatory",
+                          "mforge.tracker"}
+    # neither a one-thread pool nor a CSV table needs these
+    assert not modules & {"concurrent.futures", "json"}
+
+
+def test_package_names_resolve_lazily():
+    script = (
+        "import sys, mforge\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "listed = set(mforge.__all__) <= set(dir(mforge))\n"
+        "missing = [n for n in mforge.__all__ if getattr(mforge, n, None) is None]\n"
+        "from mforge import build_series, g_table\n"
+        "print(loaded, listed, missing, build_series.__module__, g_table.__module__)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "[]", "mforge.summatory", "mforge.arith"]
+    import mforge
+
+    assert mforge.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        getattr(mforge, "no_such_name")
+
+
 def test_stats_reports_run_without_scipy(tmp_path):
     # the CDF and excess reports need no scipy at run time
     script = (
@@ -540,11 +598,11 @@ def test_malformed_bfile_is_input_error(tmp_path, capsys):
 
 def test_malformed_bfile_fails_before_sieving(tmp_path, monkeypatch, capsys):
     # a line holding an index alone must not set the range to profile
-    import mforge.cli as cli
+    from mforge import arith
 
     path = tmp_path / "b.txt"
     path.write_text("1 1\n2 -1\n30000000\n")
-    monkeypatch.setattr(cli.arith, "profile_chunks",
+    monkeypatch.setattr(arith, "profile_chunks",
                         lambda *a, **kw: pytest.fail("sieved a malformed b-file"))
     code, out, err = run_cli(["oeis-check", "--sequence", "mu", "--bfile", str(path)],
                              capsys)
@@ -564,7 +622,7 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise OverflowError("summatory accumulator exceeded its safety bound")
 
-    monkeypatch.setattr("mforge.cli.build_series", overflow)
+    monkeypatch.setattr("mforge.summatory.build_series", overflow)
     code, _, err = run_cli(["summatory", "--limit", "100"], capsys)
     assert code == 1
     assert "safety bound" in err
@@ -579,13 +637,14 @@ def test_limit_past_physical_memory_is_refused(args, bytes_per_n, limit,
                                                monkeypatch, capsys):
     # the refusal reads the estimate against available memory before sieving
     import mforge.cli as cli
+    from mforge import arith, sieve
 
     need = limit * getattr(cli, bytes_per_n)
     monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
     for kernel in ("profile_range", "profile_chunks"):
-        monkeypatch.setattr(cli.arith, kernel,
+        monkeypatch.setattr(arith, kernel,
                             lambda *a, **k: pytest.fail("profiled a refused limit"))
-    monkeypatch.setattr(cli.sieve, "primes_up_to",
+    monkeypatch.setattr(sieve, "primes_up_to",
                         lambda *a, **k: pytest.fail("sieved a refused limit"))
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
@@ -615,10 +674,11 @@ def test_summatory_direct_route_past_memory_is_refused(monkeypatch, capsys):
     # only the direct G route keeps per-n tables, so only it is refused, and
     # before the sweep
     import mforge.cli as cli
+    from mforge import summatory
 
     need = 2000 * cli.SUMMATORY_DIRECT_BYTES_PER_N
     monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
-    monkeypatch.setattr(cli, "build_series", lambda *a, **k: pytest.fail("swept a refused limit"))
+    monkeypatch.setattr(summatory, "build_series", lambda *a, **k: pytest.fail("swept a refused limit"))
     code, out, err = run_cli(["summatory", "--checkpoints", "all", "--limit", "2000"], capsys)
     assert code == 1 and out == ""
     assert "available memory" in err
@@ -648,11 +708,12 @@ def test_simulate_rows_past_memory_are_refused(tmp_path, monkeypatch, capsys):
     # every trial x checkpoint row is kept until the table is written; "all"
     # is refused on trials x x_max alone, before its ladder or any draw
     import mforge.cli as cli
+    from mforge import randmodel
 
     out = tmp_path / "runs.csv"
     argv = ["simulate", "--trials", "100", "--x-max", str(10**7), "--out", str(out)]
     monkeypatch.setattr(cli, "available_memory", lambda: 2**30)
-    monkeypatch.setattr(cli.randmodel, "simulate_many",
+    monkeypatch.setattr(randmodel, "simulate_many",
                         lambda *a, **k: pytest.fail("simulated a refused run"))
     ladder = CheckpointPolicy.checkpoints
     monkeypatch.setattr(CheckpointPolicy, "checkpoints",
@@ -771,7 +832,11 @@ def _child_peak_rss_mb(argv) -> float:
     return usage.ru_maxrss / 1024           # ru_maxrss is in KiB on Linux
 
 
-#: A streamed command's peak RSS over that of ``mforge --help``, per entry of
+#: A child that loads numpy and the engine but sweeps nothing, whose peak RSS
+#: the RSS tests subtract (``--help`` loads no numpy).
+BASE_ARGV = ["stats", "--report", "exponent", "--p", "2", "--x", "2"]
+
+#: A streamed command's peak RSS over that of ``BASE_ARGV``, per entry of
 #: the default segment (about 21 for the quotient-route series, 10 for the
 #: omega CDF and 19 for the log c_omega CDF, one worker), and the growth
 #: allowed from 4e6 to 1.6e7 (4 to 16 default segments).
@@ -804,7 +869,7 @@ def _streamed_argv(args, limit, tmp_path):
     ["oeis-check", "--sequence", "lambda"],
 ])
 def test_streamed_peak_rss_is_flat_in_the_limit(args, tmp_path):
-    base = _child_peak_rss_mb(["--help"])
+    base = _child_peak_rss_mb(BASE_ARGV)
     small, large = (_child_peak_rss_mb(_streamed_argv(args, limit, tmp_path))
                     for limit in (4_000_000, 16_000_000))
     assert abs(large - small) <= STREAMED_RSS_GROWTH_MB, (small, large)
@@ -836,14 +901,13 @@ def _guarded_argv(command, limit, tmp_path):
 ])
 def test_guarded_peak_rss_is_within_the_guard(command, guard, tmp_path):
     # the commands that keep per-n tables (per-row, for simulate) are refused
-    # up front at guard bytes per n; their peak RSS over that of mforge
-    # --help, and its growth from 5e5 to 2e6, must stay within that many
-    # bytes per n
+    # up front at guard bytes per n; their peak RSS over that of BASE_ARGV,
+    # and its growth from 5e5 to 2e6, must stay within that many bytes per n
     import mforge.cli as cli
 
     bytes_per_n = getattr(cli, guard)
     lo, hi = 500_000, 2_000_000
-    base = _child_peak_rss_mb(["--help"])
+    base = _child_peak_rss_mb(BASE_ARGV)
     small, large = (_child_peak_rss_mb(_guarded_argv(command, limit, tmp_path))
                     for limit in (lo, hi))
     assert (large - small) * 2**20 <= bytes_per_n * (hi - lo), (small, large)

@@ -133,6 +133,34 @@ def test_simulate_exact_at_sub_block_edges(sub, seed, threads, monkeypatch):
         assert run.lil_sup == sup
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_first_block_walks_few_sub_blocks(seed, monkeypatch):
+    # the sup carried into a trial's first block is 0, so a threshold of the
+    # carried sup alone walks all 1024 of its sub-blocks; the statistic at
+    # the draw before each sub-block skips most of them, and the run stays
+    # equal to the oracle's
+    walked, carried_only = [], []
+
+    def counting(before, smax, last, held, carried):
+        rows = walked_rows(before, smax, last, held, carried)
+        walked.append(len(rows))
+        bound = (np.abs(before) + randmodel._SUB) * smax
+        carried_only.append(np.count_nonzero((bound > carried) | held))
+        return rows
+
+    walked_rows = randmodel._walked
+    monkeypatch.setattr(randmodel, "_walked", counting)
+    x_max = 10**6
+    run = simulate(seed, x_max)
+    assert carried_only[0] == randmodel._BLOCK // randmodel._SUB == 1024
+    assert walked[0] < carried_only[0] // 3
+    assert all(w <= c for w, c in zip(walked, carried_only))
+    mbar, lil, sup = simulate_oracle(seed, x_max, run.checkpoints)
+    assert np.array_equal(run.mbar, mbar)
+    assert np.array_equal(run.lil_running_max, lil)
+    assert run.lil_sup == sup
+
+
 def test_simulate_peak_memory_flat_in_x_max(monkeypatch):
     # no per-block array outlives its block, so the traced peak is set by
     # the block width, not by x_max

@@ -12,6 +12,7 @@ from mforge.parallel import WorkerPool
 from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, Segment, primes_up_to
 from mforge.stats import (
     DegenerateSampleError,
+    _d_m_fold,
     _ks_from_counts,
     collect_counts,
     conditional_squarefree,
@@ -144,6 +145,18 @@ def test_d_m_coefficients_equal_per_prime_scalar_fold():
             scale /= p
         want = np.convolve(want, fac)[: m_max + 1]
     assert np.array_equal(d_m_coefficients(5000, m_max).values, want)
+
+
+def test_d_m_default_table_is_the_fold():
+    # the command line reads the defaults from a written-out table, which
+    # must hold the fold's float64 values bit for bit
+    dm = d_m_coefficients()
+    assert (dm.prime_limit, dm.m_max) == (10**6, 16)
+    assert np.array_equal(dm.values, _d_m_fold(10**6, 16))
+    assert dm.values.dtype == np.float64
+    # each call gets its own array, so a caller's edit reaches no later call
+    dm.values[0] = 0.0
+    assert d_m_coefficients().values[0] == _d_m_fold(10**6, 16)[0]
 
 
 def test_d_m_validation():
@@ -295,8 +308,9 @@ def test_sweeps_peak_at_the_sieve_columns_and_one_chunk():
 
 def test_d_m_factor_rows_stay_under_the_prime_list():
     # the factor rows are built a block of primes at a time (a few hundred
-    # KB), so the call peaks at the prime sieve's own peak (1.6 MB at 1e6)
-    assert _peak(d_m_coefficients) <= _peak(lambda: primes_up_to(10**6)) + 2**12
+    # KB), so the fold peaks at the prime sieve's own peak (1.6 MB at 1e6);
+    # it is measured itself, as d_m_coefficients() reads a written-out table
+    assert _peak(lambda: _d_m_fold(10**6, 16)) <= _peak(lambda: primes_up_to(10**6)) + 2**12
 
 
 def test_erdos_kac_validation():
