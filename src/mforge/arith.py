@@ -2,21 +2,23 @@
 
 Covers the distinct/total prime-factor counts omega and big_omega, mobius,
 liouville, the exponent-multinomial coefficient ``c_omega`` (the multinomial
-of the exponent multiset of n), and the table ``g`` defined as the Dirichlet
-inverse of ``omega + 1``, computed by ``dirichlet.dirichlet_inverse``.  Bulk
-computation works over arbitrary contiguous segments; ``g`` is only defined
-for prefix ranges starting at 1 because its recursion is a prefix dependency.
+of the exponent multiset of n), and g, the Dirichlet inverse of
+``omega + 1``.  Bulk computation works over arbitrary contiguous segments.
+The prefix table ``g_table`` computes g by ``dirichlet.dirichlet_inverse``, a
+recursion over 1..N; the segment kernel gathers it by prime signature
+instead, as the column ``g_sig``.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import isqrt
 
 import numpy as np
 
-from .parallel import WorkerPool, Workspace
-from .sieve import DEFAULT_SEGMENT_CAPACITY, Factorization, Segment, factorize, primes_up_to
+from .parallel import Workspace
+from .sieve import Factorization, Segment, factorize, primes_up_to
 
 #: Values at or beyond this bound trigger the checked-overflow error in the
 #: pointwise multinomial (128-bit capacity semantics).
@@ -51,29 +53,16 @@ _CHUNK = 1 << 16
 _SPARSE_HITS = 16
 
 
-def _level_code(e: int) -> int:
-    """The denominator code a level-e step adds: v2(e) in bits 10-14, and
-    v3(e) + 9 v5(e) + 45 v7(e) + 135 [e in {11, 13, 17, 19}] in bits 0-9.
+#: The signature weights w_0..w_20 of the exponents.  The code of n sums w_a
+#: over its exponents a, so where big_omega <= 20 it names the multiset of
+#: n's exponents >= 2: the weights are injective on all 627 such multisets
+#: (``tests/test_arith.py::test_signature_index_gathers_u_and_g``).
+_WEIGHTS = (0, 0, 1, 11, 68, 231, 502, 631, 977, 1171, 1292, 1373, 1397, 1434, 1461,
+            1484, 1487, 1499, 1504, 1508, 1511)
 
-    Where big_omega <= 20, the product den of alpha_i! over n's exponents
-    divides big_omega! and so 20!, whose v2, v3, v5, v7 are 18, 8, 4, 2: no
-    digit carries.  At most one exponent reaches 11 (two would make big_omega
-    >= 22), so den's factors 11, 13, 17, 19 are a prefix of that list, fixed
-    by their count j <= 4.  A level with a prime factor above 19 exists only
-    where big_omega > 20, whose entries take the exact path; it adds 0.
-    """
-    if not 2 <= e <= 20:
-        return 0
-    v = [0] * 4
-    for i, p in enumerate((2, 3, 5, 7)):
-        while e % p == 0:
-            e //= p
-            v[i] += 1
-    return v[0] << 10 | v[1] + 9 * v[2] + 45 * v[3] + 135 * (e > 1)
-
-
-#: The code of each level e <= 56 (2^57 > 10^17), as uint16.
-_CODE = np.array([_level_code(e) for e in range(57)], dtype=np.uint16)
+#: The code a level-e step adds, w_e - w_(e-1), for e <= 56 (2^57 > 10^17),
+#: as uint16; 0 past level 20, which only exact-path entries reach.
+_CODE_ADDS = np.diff(_WEIGHTS + _WEIGHTS[-1:] * 36, prepend=0).astype(np.uint16)
 
 #: Pairwise coprime periods of the presieve patterns.  Every prime-power
 #: level q = p^e, e >= 1, that divides a period is a pattern: 2..2^12,
@@ -103,7 +92,7 @@ def _patterns(periods: tuple) -> tuple:
                 word[::p**e] += _lg(p)
                 if e > 1:
                     extra[::p**e] += 1
-                    code[::p**e] += _CODE[e]
+                    code[::p**e] += _CODE_ADDS[e]
         for col in (word, extra, code):
             col.flags.writeable = False     # shared by every caller
         patterns.append(tuple(col if col.any() else None for col in (word, extra, code)))
@@ -123,35 +112,68 @@ def _add_periodic(col, lo: int, pattern):
     tail += pattern[:len(tail)]
 
 
-@cache
-def _quotient_table() -> np.ndarray:
-    """Flat int64 table T with T[1024 b + k] = (-1)^b b! / odd(k), b <= 20.
+def _h_rows(top: int, rows: int) -> list:
+    """H[m][N] = sum_i C(m, i) (N + i)! for m < rows and N + m <= top, by
+    Pascal's rule H[m][N] = H[m - 1][N] + H[m - 1][N + 1]; H[0] is N!."""
+    h = [[math.factorial(k) for k in range(top + 1)]]
+    for _ in range(1, rows):
+        h.append([a + b for a, b in zip(h[-1], h[-1][1:])])
+    return h
 
-    odd(k) is the odd part of a denominator with low code k: 3^d0 5^d1 7^d2
-    times the first j of 11, 13, 17, 19, for k = d0 + 9 d1 + 45 d2 + 135 j.
-    Where odd(k) does not divide b! (no n with big_omega = b has that code)
-    the entry is 0, as are the codes from 675 on.  Since den divides b!, the
-    entry at n is divisible by 2^v2(den), so the arithmetic shift
-    ``T[...] >> v2`` is exact: it gives liouville * c_omega.
+
+def _with_part(e: list, b: int) -> list:
+    """The elementary symmetric functions e_k, ..., e_1, e_0 (descending) of
+    a multiset of k + 1 parts, given those of the multiset without its part b."""
+    return [x + b * y for x, y in zip([0] + e, e + [0])]
+
+
+def _lambda_g(e: list, big_b: int, den: int, h_m: list) -> int:
+    """|g| at n whose exponents are m ones and a multiset beta >= 2:
+    sum_t e_t(beta) H[B - t][m] / prod beta!, from e = e_|beta|..e_0 of beta,
+    B = sum beta, den = prod beta! and the row h_m = H[m] of ``_h_rows``."""
+    return sum(map(operator.mul, e, h_m[big_b + 1 - len(e):big_b + 1])) // den
+
+
+@cache
+def _signature_tables() -> tuple:
+    """The signed int64 tables (U, G) of the kernel's gather: at the index
+    code << 4 | omega of each n with big_omega <= 20, U holds u = liouville
+    * c_omega and G holds g; other entries are 0.
+
+    n's exponents >= 2 form the multiset beta that the code names, of sum B,
+    and m = omega - |beta| are 1, so u = (-1)^(B + m) (B + m)! / prod beta!.
+    By identity (c), liouville * g sums c_omega(alpha - 1_S) over the sets S
+    of n's primes: lowering t exponents of beta divides prod beta! by their
+    product, and dropping m - i exponents 1 leaves (B - t + i)!, which gives
+    ``_lambda_g``.  The walk takes each beta's parts in non-increasing order.
     """
-    k = np.arange(675)
-    odd = (3 ** (k % 9) * 5 ** (k // 9 % 5) * 7 ** (k // 45 % 3)
-           * np.array([1, 11, 11 * 13, 11 * 13 * 17, 11 * 13 * 17 * 19])[k // 135])
-    fact = np.array([(-1) ** b * math.factorial(b) for b in range(21)], dtype=np.int64)[:, None]
-    table = np.zeros((21, 1024), dtype=np.int64)
-    table[:, :675] = np.where(fact % odd == 0, fact // odd, 0)
-    table = table.ravel()
-    table.flags.writeable = False           # shared by every caller
-    return table
+    h = _h_rows(20, 16)
+    at, u, g = [], [], []
+
+    def walk(code, big_b, k, den, e, cap):
+        for m in range(min(15 - k, 20 - big_b) + 1):
+            sign = -1 if (big_b + m) & 1 else 1
+            at.append(code << 4 | k + m)
+            u.append(sign * (h[0][big_b + m] // den))
+            g.append(sign * _lambda_g(e, big_b, den, h[m]))
+        for b in range(2, min(cap, 20 - big_b) + 1):
+            walk(code + _WEIGHTS[b], big_b + b, k + 1, den * h[0][b], _with_part(e, b), b)
+
+    walk(0, 0, 0, 1, [1], 20)
+    tables = np.zeros((2, (max(at) >> 4) + 1 << 4), dtype=np.int64)
+    tables[0, at], tables[1, at] = u, g
+    tables.flags.writeable = False          # shared by every caller
+    return tuple(tables)
 
 
 #: The per-n columns ``profile_range`` and ``profile_chunks`` can compute, in
-#: profile field order; u is liouville * c_omega.
-PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u")
+#: profile field order; u is liouville * c_omega, and g_sig is g gathered by
+#: prime signature (the lazy ``ArithmeticProfile.g`` is the prefix table).
+PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u", "g_sig")
 
 #: Dtypes of the columns built chunk by chunk.
 _DERIVED = {"omega": np.uint8, "mobius": np.int8, "liouville": np.int8,
-            "c_omega": np.int64, "u": np.int64}
+            "c_omega": np.int64, "u": np.int64, "g_sig": np.int64}
 
 
 @dataclass
@@ -169,6 +191,7 @@ class ArithmeticProfile:
     liouville: np.ndarray | None    # int8 in {-1, +1}
     c_omega: np.ndarray | None      # int64, exponent multinomial, overflow-checked
     u: np.ndarray | None            # int64, liouville * c_omega
+    g_sig: np.ndarray | None        # int64, g from the prime signature
 
     @cached_property
     def g(self) -> np.ndarray | None:
@@ -192,9 +215,9 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       p <= r = isqrt(hi - 1) or of p in 2..13 adds lg(p) = floor(4 log2 p) to
       the word of each multiple of q; level 1 also adds -1 to the high
       byte, in the same add of lg(p) - 256.  A level e >= 2 adds 1 to the
-      excess count ``extra`` and the level's code ``_CODE[e]`` to the uint16
-      ``code``, the 2- and 3-5-7-prefix digits of the denominator
-      prod(alpha_i!) (see ``_level_code``).  One rule splits the levels: those that divide a
+      excess count ``extra`` and w_e - w_(e-1) to the uint16 ``code``, so
+      that code is the sum of the signature weights ``_WEIGHTS`` over n's
+      exponents.  One rule splits the levels: those that divide a
       period of ``_PATTERN_PERIODS`` (2..2^12, 3..3^5, 5, 5^2, 7, 11 and 13)
       are periodic and presieved as one pattern per period and column (as
       small primes are in Oliveira e Silva, Herzog & Pardi, Math. Comp.
@@ -218,15 +241,13 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       omega = 1 - high byte (mod 256).
     * Derived columns, one ``_CHUNK`` of entries at a time into the output
       columns: omega read out of the word, big_omega = omega + extra,
-      formed in place in ``extra``; n is
-      squarefree iff extra == 0; u = liouville * c_omega, with c_omega =
-      big_omega! / prod(alpha_i!), is one gather and a shift,
-      ``T[big_omega, code & 1023] >> (code >> 10)``, from the signed 21 x 1024
-      table of ``_quotient_table``, with a uint16 index, and c_omega is its
-      absolute value.  No division, no factorial column and no temporary of
-      the segment's width.
+      formed in place in ``extra``; n is squarefree iff extra == 0.  The
+      code and omega fix n's prime signature, so u = liouville * c_omega and
+      g_sig = g are each one gather at the index ``code << 4 | omega`` from
+      a table of ``_signature_tables``, and c_omega is |u|.  No division and
+      no temporary of the segment's width.
 
-    ``columns`` names the profile fields to build (default: all six); the
+    ``columns`` names the profile fields to build (default: all seven); the
     others are left None, and an unknown name raises ValueError.  Each column
     pays only for the steps it needs:
 
@@ -234,15 +255,16 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       prime-power level still adds to L, so the test stays exact.
     * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` patterns
       and updates.
-    * ``c_omega``, ``u``: also the ``code`` patterns and updates, the gather
-      and the exact path below.
+    * ``c_omega``, ``u``, ``g_sig``: also the ``code`` patterns and updates,
+      the gathers and the exact path below.
 
     The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63 and
-    are computed exactly by trial division instead.  The int64 column cannot
-    overflow for n <= 10^17: the exponent-signature search in
+    are computed exactly from their factorization instead.  The int64
+    columns cannot overflow for n <= 10^17: the exponent-signature search in
     ``tests/test_arith.py::test_c_omega_int64_bound_by_signature_search``
-    bounds c_omega there below 2^60, so a ``Segment`` reaching past 10^17
-    raises OverflowError when it is made, before any sieving.
+    bounds c_omega there below 2^60 and |g| below 2^61, so a ``Segment``
+    reaching past 10^17 raises OverflowError when it is made, before any
+    sieving.
     """
     want = _wanted(columns, PROFILE_COLUMNS)
     out = {name: np.empty(segment.width, dtype=_DERIVED[name]) for name in want & _DERIVED.keys()}
@@ -250,11 +272,8 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     cols = _sieve(segment, want, ws)
     for s in _chunks(segment.width):
         _derive(segment.lo + s.start, *_cut(cols, s), {k: v[s] for k, v in out.items()}, ws)
-    return ArithmeticProfile(
-        segment=segment, omega=out.get("omega"),
-        big_omega=cols[1] if "big_omega" in want else None, mobius=out.get("mobius"),
-        liouville=out.get("liouville"), c_omega=out.get("c_omega"), u=out.get("u"),
-    )
+    return ArithmeticProfile(segment=segment, big_omega=cols[1] if "big_omega" in want else None,
+                             **{name: out.get(name) for name in _DERIVED})
 
 
 def profile_chunks(segment: Segment, columns, ws: Workspace | None = None):
@@ -298,7 +317,7 @@ def _cut(cols, s: slice) -> tuple:
 
 def _sieve(segment: Segment, want, ws: Workspace) -> tuple:
     """The segment's sieve word after the byte-log test, with ``extra``
-    (unless only omega is wanted) and ``code`` (for c_omega or u), else
+    (unless only omega is wanted) and ``code`` (for c_omega, u or g_sig), else
     None, in arrays of ``ws``."""
     lo, hi = segment.lo, segment.hi
     width = segment.width
@@ -306,7 +325,7 @@ def _sieve(segment: Segment, want, ws: Workspace) -> tuple:
 
     word = ws.zeros("word", width, _WORD)
     extra = ws.zeros("extra", width, np.uint8) if want - {"omega"} else None
-    code = ws.zeros("code", width, np.uint16) if want & {"c_omega", "u"} else None
+    code = ws.zeros("code", width, np.uint16) if want & {"c_omega", "u", "g_sig"} else None
 
     cols = (word, extra, code)
     for pattern in _patterns(_PATTERN_PERIODS):
@@ -342,18 +361,23 @@ def _derive(lo: int, word, extra, code, out: dict, ws: Workspace):
     if "liouville" in out:
         _signs(big, out["liouville"])
     u = out.get("u", out.get("c_omega"))   # the gather fills c_omega when u is not wanted
-    if u is None:
+    g = out.get("g_sig")
+    if u is None and g is None:
         return
-    # big_omega <= 56 below 10^17, so the index fits in 16 bits; an index
-    # past the table (big_omega > 20) is clipped, and its entry rewritten below
-    at = big.astype(np.uint16)
-    at <<= 10
-    at |= code & 1023
-    np.take(_quotient_table(), at, out=u, mode="clip")     # "raise" would buffer out
-    np.right_shift(u, code >> 10, out=u)
+    gathers = [(t, col) for t, col in zip(_signature_tables(), (u, g)) if col is not None]
+    # where big_omega <= 20, code <= 2584 and omega <= 14 (below 10^17), so the
+    # index fits in 16 bits; elsewhere it may wrap or pass the tables (then it
+    # is clipped), and the entry is rewritten below
+    at = code << 4
+    at |= omega
+    if len(gathers) == 2:
+        at = at.astype(np.intp)     # np.take converts a uint16 index on every call
+    for table, col in gathers:
+        np.take(table, at, out=col, mode="clip")     # "raise" would buffer out
     for i in np.flatnonzero(big > 20).tolist():
-        exact = _exact_c_omega(lo + i)
-        u[i] = -exact if big[i] & 1 else exact
+        for col, value in zip((u, g), _exact_columns(lo + i)):
+            if col is not None:
+                col[i] = value
     if "c_omega" in out:        # only now, as the exact path writes signed entries
         np.abs(u, out=out["c_omega"])
 
@@ -409,7 +433,7 @@ def _scatter_steps(cols, lo: int, width: int, q, inc, e):
     if extra is not None:
         np.add.at(extra, at[power], np.uint8(1))
     if code is not None:
-        np.add.at(code, at[power], _CODE[level[power]])
+        np.add.at(code, at[power], _CODE_ADDS[level[power]])
 
 
 def _sieve_steps(cols, lo: int, steps):
@@ -423,15 +447,22 @@ def _sieve_steps(cols, lo: int, steps):
             if extra is not None:
                 extra[s::q] += 1
             if code is not None:
-                code[s::q] += _CODE[e]
+                code[s::q] += _CODE_ADDS[e]
 
 
-def _exact_c_omega(n: int) -> int:
-    """c_omega(n) by trial division, raising OverflowError above int64."""
-    exact = c_omega(factorize(n))
-    if exact > _INT64_MAX:
-        raise OverflowError(f"c_omega({n}) exceeds the checked integer width")
-    return exact
+def _exact_columns(n: int) -> tuple:
+    """(u, g) at n from its trial-division factorization, formed as in
+    ``_signature_tables`` for any big_omega; OverflowError past int64."""
+    fact = factorize(n)
+    beta = [a for _, a in fact if a > 1]
+    big_b, m = sum(beta), len(fact.factors) - len(beta)
+    den = math.prod(map(math.factorial, beta))
+    lam_g = _lambda_g(reduce(_with_part, beta, [1]), big_b, den, _h_rows(big_b + m, m + 1)[m])
+    sign = -1 if (big_b + m) & 1 else 1
+    values = sign * (math.factorial(big_b + m) // den), sign * lam_g
+    if max(map(abs, values)) > _INT64_MAX:
+        raise OverflowError(f"c_omega({n}) or g({n}) exceeds the checked integer width")
+    return values
 
 
 def c_omega(fact: Factorization) -> int:
@@ -467,58 +498,17 @@ def g_squarefree_closed_form(r: int) -> int:
 def g_table(N: int, omega: np.ndarray | None = None) -> np.ndarray:
     """The Dirichlet inverse of (omega + 1) on 1..N as int64, entry i at n = i + 1.
 
-    The omega sweep followed by ``dirichlet.dirichlet_inverse``, the one
+    An omega profile followed by ``dirichlet.dirichlet_inverse``, the one
     inverse engine.  ``omega`` in the same layout (a profile's omega column
-    covering at least 1..N) saves the sweep.
+    covering at least 1..N) saves the profile.
     """
     from .dirichlet import dirichlet_inverse   # dirichlet imports this module
 
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if omega is None:
-        omega = np.empty(N, dtype=np.uint8)
-
-        def copy(seg, ws):
-            for a, cols in profile_chunks(seg, {"omega"}, ws):
-                at = seg.lo - 1 + a
-                omega[at:at + len(cols["omega"])] = cols["omega"]
-        for _ in WorkerPool(1).sweep(1, N + 1, DEFAULT_SEGMENT_CAPACITY, copy):
-            pass
+        omega = profile_range(Segment(1, N + 1), {"omega"}).omega
     omega = np.asarray(omega)
     if omega.shape[0] < N:
         raise ValueError("omega table shorter than N")
     return dirichlet_inverse(omega[:N].astype(np.uint8, copy=False) + np.uint8(1))
-
-
-def read_bfile(path) -> list:
-    """The ``(index, value)`` pairs of an OEIS b-file (lines ``index value``).
-
-    Comment lines starting with ``#`` and blank lines are skipped; any other
-    line that does not start with two integers raises ValueError.
-    """
-    entries = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"malformed b-file line: {line.strip()!r}")
-            entries.append((int(parts[0]), int(parts[1])))
-    return entries
-
-
-def compare_bfile(entries, values: np.ndarray, start: int = 1):
-    """Check a sequence against b-file ``(index, value)`` pairs.
-
-    Returns None if every overlapping entry matches, else a tuple
-    ``(index, file_value, computed_value)`` for the first mismatch.
-    Indices outside the computed range are skipped.
-    """
-    stop = start + len(values)
-    for idx, val in entries:
-        if start <= idx < stop:
-            got = int(values[idx - start])
-            if got != val:
-                return (idx, val, got)
-    return None

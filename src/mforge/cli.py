@@ -133,6 +133,24 @@ def read_series(fh):
     return SummatoryRows(*table.T)
 
 
+def read_bfile(path) -> list:
+    """The ``(index, value)`` pairs of an OEIS b-file (lines ``index value``).
+
+    Comment lines starting with ``#`` and blank lines are skipped; any other
+    line that does not start with two integers raises ValueError.
+    """
+    entries = []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) < 2:
+                raise ValueError(f"malformed b-file line: {line.strip()!r}")
+            entries.append((int(parts[0]), int(parts[1])))
+    return entries
+
+
 def _fmt_float(v: float) -> str:
     return f"{v:.12g}"
 
@@ -169,12 +187,9 @@ def cmd_sieve(config: argparse.Namespace) -> int:
 
 
 #: Peak bytes per n of ``verify --identity all`` (a four-column profile of
-#: 1..limit: 421 MB at 1e7), of ``oeis-check --sequence g`` (the prefix table
-#: g: 163 MB at 1e7; mu and lambda are streamed one segment at a time and
-#: need only the segment guard), and of ``summatory``'s direct G route
-#: (117.4 B/n traced at 5e4, one segment, plus 9%; 76.7 at 1e7).
+#: 1..limit: 421 MB at 1e7) and of ``summatory``'s direct G route (106.4 B/n
+#: traced at 5e4, one segment; 59.4 B/n of RSS at 1e7).
 VERIFY_BYTES_PER_N = 44
-OEIS_BYTES_PER_N = 18
 SUMMATORY_DIRECT_BYTES_PER_N = 128
 
 #: Peak bytes per output row (trial x checkpoint) of ``simulate``: the runs'
@@ -225,9 +240,8 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
     names = IDENTITY_NAMES if config.identity == "all" else (config.identity,)
     _require_memory(f"verify up to {config.limit}", config.limit * VERIFY_BYTES_PER_N)
-    # the columns the identities read: c_omega is |u|, and g is built from omega
     profile = arith.profile_range(sieve.Segment(1, config.limit + 1),
-                                  columns={"omega", "mobius", "liouville", "u"})
+                                  columns=dirichlet.IDENTITY_COLUMNS)
     failed = False
     with _open_out(config) as fh:
         for name in names:
@@ -368,9 +382,9 @@ def cmd_trace(config: argparse.Namespace) -> int:
     return 0
 
 
-#: The kernel column each streamed sequence is read from; ``g`` has none, as
-#: it is a prefix table, built whole.
-OEIS_SEQUENCES = {"mu": "mobius", "lambda": "liouville", "g": None}
+#: The kernel column each sequence is read from, one segment at a time; g is
+#: gathered by prime signature, so it needs no prefix table.
+OEIS_SEQUENCES = {"mu": "mobius", "lambda": "liouville", "g": "g_sig"}
 
 
 def cmd_oeis_check(config: argparse.Namespace) -> int:
@@ -380,39 +394,35 @@ def cmd_oeis_check(config: argparse.Namespace) -> int:
     from .parallel import WorkerPool
 
     with _reading(config.bfile):
-        entries = arith.read_bfile(config.bfile)
+        entries = read_bfile(config.bfile)
         limit = max((idx for idx, _ in entries), default=0)
         if config.limit:
             limit = min(limit, config.limit)
         if limit < 1:
             raise ValueError("no usable entries")
     column = OEIS_SEQUENCES[config.sequence]
-    if column is None:
-        _require_memory(f"oeis-check up to {limit}", limit * OEIS_BYTES_PER_N)
-        mismatches = [arith.compare_bfile(entries, arith.g_table(limit))]
-    else:
-        _require_segment(config, limit)
-        # the entries of each segment, in file order, so a segment reads only its own
-        size = config.segment_size
-        by_segment = {}
-        for idx, val in entries:
-            if 1 <= idx <= limit:
-                by_segment.setdefault((idx - 1) // size, []).append((idx, val))
+    _require_segment(config, limit)
+    # the entries of each segment, in file order, so a segment reads only its own
+    size = config.segment_size
+    by_segment = {}
+    for idx, val in entries:
+        if 1 <= idx <= limit:
+            by_segment.setdefault((idx - 1) // size, []).append((idx, val))
 
-        def check(seg, ws):
-            mine = by_segment.get((seg.lo - 1) // size)
-            if mine is None:
-                return None
-            # the computed value of each entry, gathered chunk by chunk
-            at = np.array([idx for idx, _ in mine]) - seg.lo
-            got = np.empty(len(mine), dtype=np.int8)     # mobius and liouville are int8
-            for a, cols in arith.profile_chunks(seg, {column}, ws):
-                col = cols[column]
-                here = (at >= a) & (at < a + len(col))
-                got[here] = col[at[here] - a]
-            return next(((idx, val, g) for (idx, val), g in zip(mine, got.tolist())
-                         if g != val), None)
-        mismatches = WorkerPool(config.threads).sweep(1, limit + 1, size, check)
+    def check(seg, ws):
+        mine = by_segment.get((seg.lo - 1) // size)
+        if mine is None:
+            return None
+        # the computed value of each entry, gathered chunk by chunk
+        at = np.array([idx for idx, _ in mine]) - seg.lo
+        got = np.empty(len(mine), dtype=np.int64)
+        for a, cols in arith.profile_chunks(seg, {column}, ws):
+            col = cols[column]
+            here = (at >= a) & (at < a + len(col))
+            got[here] = col[at[here] - a]
+        return next(((idx, val, g) for (idx, val), g in zip(mine, got.tolist())
+                     if g != val), None)
+    mismatches = WorkerPool(config.threads).sweep(1, limit + 1, size, check)
     # each segment reports its first mismatch in file order; the first of those
     # in file order is the first mismatch of the whole file
     found = [m for m in mismatches if m is not None]

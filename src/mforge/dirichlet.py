@@ -184,6 +184,10 @@ IDENTITY_LABELS = {
 }
 
 
+#: The profile columns the identities read: c_omega is |u|, and g is built from omega.
+IDENTITY_COLUMNS = frozenset({"omega", "mobius", "liouville", "u"})
+
+
 def _first_failure(name, N, lhs, rhs):
     diff = np.nonzero(lhs != rhs)[0]
     if diff.size == 0:
@@ -197,16 +201,17 @@ def verify_identity(name: str, N: int, profile=None) -> IdentityReport:
 
     Left and right sides come from independent routes: profile tables on one
     side, generic convolution/inversion (or a classical prime sieve) on the
-    other.  A profile past N is narrowed to views of its first N entries, so
-    its ``g`` covers 1..N only; one of exactly N keeps its cached ``g``.
-    Failure is data, not an exception.
+    other; g is the prefix table ``profile.g``, never the kernel's ``g_sig``,
+    which is built from identity (c).  A profile past N is narrowed to views
+    of its first N entries, so its ``g`` covers 1..N only; one of exactly N
+    keeps its cached ``g``.  Failure is data, not an exception.
     """
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}, expected one of {IDENTITY_NAMES}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if profile is None:
-        profile = profile_range(Segment(1, N + 1))
+        profile = profile_range(Segment(1, N + 1), columns=IDENTITY_COLUMNS)
     if profile.segment.lo != 1 or profile.segment.hi <= N:
         raise ValueError("profile must cover [1, N] starting at 1")
     if profile.segment.hi > N + 1:

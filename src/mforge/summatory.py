@@ -5,8 +5,8 @@ values of the Mertens sum M, the inverse-table sum G, the squarefree count
 Qsq, and the prime count pi.  The pass also records M, U (partial sums of
 liouville * c_omega) and pi at every quotient point floor(c/k) of every
 checkpoint c; those tables are what the prime-grouped Mertens identity needs,
-and for sparse checkpoints they are how G itself is assembled without ever
-storing the per-n inverse table.
+and for sparse checkpoints they are how G itself is assembled; for dense
+ones the kernel's per-n g is summed like the other columns.
 """
 
 from dataclasses import dataclass
@@ -14,14 +14,14 @@ from math import inf, isqrt
 
 import numpy as np
 
-from .arith import _runs, g_table, profile_chunks
+from .arith import _runs, profile_chunks
 from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, Segment, primes_up_to
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
-#: Bound on the series' int64 sums: the swept columns and the direct route's
-#: g are checked against it before any sum is formed.
+#: Bound on the series' int64 sums: the swept columns are checked against it
+#: before any sum is formed.
 _SAFE_SUM = 1 << 62
 
 
@@ -183,18 +183,17 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
-def _block_sums(narrow, wide: np.ndarray, starts: np.ndarray, out=None) -> np.ndarray:
-    """Running sums of the ``narrow`` columns, then ``wide``, over the blocks
-    that begin at ``starts``, as int64 rows (written into ``out`` if given).
-    The one-byte ``narrow`` columns (entries in {-1, 0, 1}) are summed per
-    block in int32, exact since a column of 2^31 or more entries is refused
-    before any sum."""
-    if max(len(col) for col in narrow) > _INT32_MAX:
+def _block_sums(cols, starts: np.ndarray, out=None) -> np.ndarray:
+    """Running sums of ``cols`` over the blocks that begin at ``starts``, as
+    int64 rows (written into ``out`` if given).  The one-byte columns
+    (entries in {-1, 0, 1}) are summed per block in int32, exact since a
+    column of 2^31 or more entries is refused before any sum."""
+    if max(len(col) for col in cols) > _INT32_MAX:
         raise OverflowError("a segment of 2^31 or more entries overflows its int32 block sums")
-    sums = np.empty((len(narrow) + 1, len(starts)), dtype=np.int64) if out is None else out
-    for row, col in zip(sums, narrow):
-        np.cumsum(np.add.reduceat(col, starts, dtype=np.int32), dtype=np.int64, out=row)
-    np.cumsum(np.add.reduceat(wide, starts), dtype=np.int64, out=sums[-1])
+    sums = np.empty((len(cols), len(starts)), dtype=np.int64) if out is None else out
+    for row, col in zip(sums, cols):
+        block = np.add.reduceat(col, starts, dtype=np.int32 if col.itemsize == 1 else None)
+        np.cumsum(block, dtype=np.int64, out=row)
     return sums
 
 
@@ -225,10 +224,10 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     stream by.  G takes the route the checkpoint density calls for:
 
     * "direct" when 2 * sum(isqrt(c)) over the checkpoints exceeds N, as for
-      policy "all": the pass also keeps omega, the per-n inverse table g is
-      built from it once, and G is read from the prefix sums of g;
+      policy "all": the kernel's g column is summed too, so G is recorded at
+      every support point like the other rows;
     * "quotient" otherwise: G at each checkpoint is assembled from M and U at
-      its quotient points, so no per-n table outlives its segment.
+      its quotient points.
     """
     if N < 1:
         raise ValueError(f"x must be >= 1, got {N}")
@@ -240,10 +239,11 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     direct = direct_route(cps, N)
 
     n_eval = len(eval_points)
-    # rows: Qsq, the squarefree n of odd omega, pi, U; since mu is (-1)^omega
-    # on squarefree n and 0 elsewhere, M is the first less twice the second
-    recorded = np.zeros((4, n_eval), dtype=np.int64)
-    omega = np.empty(N, dtype=np.uint8) if direct else None
+    # rows: Qsq, the squarefree n of odd omega, pi, U and (direct) G; since mu
+    # is (-1)^omega on squarefree n and 0 elsewhere, M is the first less twice the second
+    wide = ("u", "g_sig") if direct else ("u",)     # u = liouville * c_omega
+    rows = 3 + len(wide)
+    recorded = np.zeros((rows, n_eval), dtype=np.int64)
 
     def summarize(seg, ws):
         # Sums of each row over the blocks [0, o1], (o1, o2], ..., (ok, end)
@@ -252,45 +252,44 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         # derives its columns one chunk at a time: a chunk writes the running
         # sums at the ends of the blocks that meet it, and a block that goes
         # on past the chunk is written again by the next one.  Each segment
-        # writes its own slices of recorded and omega in place; the block past
-        # its last eval point is kept only in the running sums, and the merge
-        # adds the base.
+        # writes its own slice of recorded in place; the block past its last
+        # eval point is kept only in the running sums, and the merge adds the
+        # base.
         i0 = int(np.searchsorted(eval_points, seg.lo))
         i1 = int(np.searchsorted(eval_points, seg.hi))
         starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
         starts = starts[starts < seg.width]
         sums = recorded[:, i0:i1]
-        run = np.zeros(4, dtype=np.int64)
+        run = np.zeros(rows, dtype=np.int64)
         span = 0
-        for a, cols in profile_chunks(seg, {"omega", "big_omega", "u"}, ws):
-            om, big, u = cols["omega"], cols["big_omega"], cols["u"]   # u = liouville * c_omega
-            # every |entry| of a chunk is at most its max|u| >= 1, so every
-            # partial sum of every row up to this chunk's end is at most span
-            span += len(u) * max(int(u.max()), -int(u.min()))
+        for a, cols in profile_chunks(seg, {"omega", "big_omega", *wide}, ws):
+            om, big = cols["omega"], cols["big_omega"]
+            sums_of = [cols[name] for name in wide]
+            # every |entry| of a chunk is at most its largest max|col| >= 1, so
+            # every partial sum of every row up to this chunk's end is at most span
+            span += len(om) * max(max(int(c.max()), -int(c.min())) for c in sums_of)
             if span > _SAFE_SUM:
                 raise OverflowError("a segment's sums could exceed the summatory bound")
             sq = big == om
             masks = (sq, om & sq, big == 1)     # squarefree, and of odd omega; prime
             i = int(np.searchsorted(starts, a, side="right")) - 1
-            j = int(np.searchsorted(starts, a + len(u)))
+            j = int(np.searchsorted(starts, a + len(om)))
             if j == i + 1:                      # the chunk lies inside block i
-                run += [*map(np.count_nonzero, masks), u.sum()]
+                run += [*map(np.count_nonzero, masks), *(c.sum() for c in sums_of)]
                 if i < i1 - i0:
                     sums[:, i] = run
             else:
                 # the block starts in the chunk, from 0; a first chunk reads them as they are
                 cuts = starts[:j] if a == 0 else np.concatenate([[0], starts[i + 1:j] - a])
                 tail = j > i1 - i0              # the last block ends at no eval point
-                out = _block_sums(masks, u, cuts, out=None if tail else sums[:, i:j])
+                out = _block_sums((*masks, *sums_of), cuts, out=None if tail else sums[:, i:j])
                 out += run[:, None]
                 if tail:
                     sums[:, i:] = out[:, :-1]
                 run = out[:, -1].copy()
-            if direct:
-                omega[seg.lo - 1 + a:seg.lo - 1 + a + len(u)] = om
         return i0, i1, run.tolist(), span
 
-    base = [0] * 4
+    base = [0] * rows
     for i0, i1, totals, span in pool.sweep(1, N + 1, segment_size, summarize):
         if max(abs(b) for b in base) + span > _SAFE_SUM:
             raise OverflowError("summatory accumulator could exceed its bound")
@@ -300,13 +299,6 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     M *= -2
     M += recorded[0]
 
-    if direct:
-        g = g_table(N, omega=omega)
-        # N * max|g| bounds every partial sum of g
-        if N * max(int(g.max()), -int(g.min())) > _SAFE_SUM:
-            raise OverflowError("G's partial sums could exceed the summatory bound")
-        G = np.cumsum(g, out=g)
-        G = G if len(cps) == N else G[cps - 1]
     # every checkpoint is an eval point; when they are all of them, rows are views
     cp = slice(None) if len(cps) == n_eval else np.searchsorted(eval_points, cps)
     series = SummatorySeries(
@@ -315,7 +307,7 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         M_eval=M, U_eval=recorded[3], pi_eval=recorded[2],
         route="direct" if direct else "quotient",
     )
-    series.G = G if direct else series.G_at(cps)
+    series.G = recorded[4][cp] if direct else series.G_at(cps)
     return series
 
 

@@ -5,9 +5,12 @@ division, direct divisor-sum recursions, direct summation, and a
 product-tracking Mobius block sieve that shares no code with the profiler.
 """
 
+import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -136,15 +139,44 @@ def valuation_counts_oracle(x: int, p: int, k_max: int) -> list:
     return counts
 
 
-def columns_from_exponents(exps: list) -> tuple:
-    """(omega, big_omega, mobius, liouville, c_omega, u) of n from its
-    exponents, where u = liouville * c_omega."""
-    big = sum(exps)
-    c = math.factorial(big)
+def multinomial(exps) -> int:
+    """sum(exps)! / prod(a!), exactly."""
+    c = math.factorial(sum(exps))
     for a in exps:
         c //= math.factorial(a)
+    return c
+
+
+@cache
+def _lowerings(a: int, c: int) -> list:
+    """For each j <= c: the C(c, j) sets of j of c primes of exponent a, j,
+    and the product of the c exponents' factorials once those j are lowered."""
+    return [(math.comb(c, j), j, math.factorial(a) ** (c - j) * math.factorial(a - 1) ** j)
+            for j in range(c + 1)]
+
+
+def g_subset_sum(exps: list) -> int:
+    """g of n from its exponents as identity (c) gives it: liouville(n) times
+    the sum of c_omega(alpha - 1_S) over every set S of n's primes.  The sets
+    that lower the same number of the primes of each exponent share a term,
+    counted once per set."""
+    big = sum(exps)
+    lam_g = 0
+    for choice in itertools.product(*(_lowerings(a, c) for a, c in Counter(exps).items())):
+        ways, lowered, den = 1, 0, 1
+        for w, j, d in choice:
+            ways, lowered, den = ways * w, lowered + j, den * d
+        lam_g += ways * (math.factorial(big - lowered) // den)
+    return (-1) ** big * lam_g
+
+
+def columns_from_exponents(exps: list) -> tuple:
+    """(omega, big_omega, mobius, liouville, c_omega, u, g) of n from its
+    exponents, where u = liouville * c_omega."""
+    big = sum(exps)
+    c = multinomial(exps)
     mobius = 0 if any(a > 1 for a in exps) else (-1) ** len(exps)
-    return len(exps), big, mobius, (-1) ** big, c, (-1) ** big * c
+    return len(exps), big, mobius, (-1) ** big, c, (-1) ** big * c, g_subset_sum(exps)
 
 
 def g_recursion_oracle(N: int):

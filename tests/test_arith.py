@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from mforge import arith
 from mforge.arith import (
     ArithmeticProfile,
-    _exact_c_omega,
+    _exact_columns,
     c_omega,
-    compare_bfile,
     g_squarefree_closed_form,
     g_table,
     profile_chunks,
     profile_range,
-    read_bfile,
 )
+from mforge.cli import main, read_bfile
 from mforge.parallel import WorkerPool
 from mforge.sieve import Factorization, Segment, factorize, primes_up_to
 from mforge.stats import collect_counts, erdos_kac_cdf
@@ -31,8 +30,10 @@ from oracles import (
     exponents_oracle,
     g_closed_form_oracle,
     g_recursion_oracle,
+    g_subset_sum,
     liouville_oracle,
     mobius_oracle,
+    multinomial,
     omega_oracle,
     trial_factorize,
 )
@@ -101,7 +102,7 @@ def test_profile_bulk_agrees_with_pointwise_1e4_samples():
 
 _INT64_MAX = (1 << 63) - 1
 
-COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u")
+COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u", "g_sig")
 
 # Presieve pattern periods and prime powers whose strides restart at a multiple
 _PERIODS = (*arith._PATTERN_PERIODS, 4, 8, 9, 25, 27, 49, 121, 169, 289, 1024, 2187, 4913)
@@ -205,7 +206,8 @@ def test_profile_unknown_column_raises():
 
 @pytest.mark.parametrize("n0", [2**21, 3 * 2**21, 2**22, 2**26])
 def test_profile_exact_path_above_twenty_factors(n0):
-    # big_omega > 20 needs 21! > 2^63, so these entries take the exact path
+    # big_omega > 20 needs 21! > 2^63, so these entries take the exact path,
+    # for g as for c_omega
     lo = n0 - 2000
     prof = profile_range(Segment(lo, n0 + 2000))
     hot = np.nonzero(prof.big_omega > 20)[0]
@@ -214,6 +216,7 @@ def test_profile_exact_path_above_twenty_factors(n0):
     for j in sorted(set(map(int, hot)) | set(near)):
         f = factorize(lo + j)
         assert prof.c_omega[j] == c_omega(f)
+        assert prof.g_sig[j] == g_subset_sum([a for _, a in f])
         assert prof.big_omega[j] == sum(a for _, a in f)
         assert prof.omega[j] == len(f.factors)
         assert prof.mobius[j] == (0 if any(a > 1 for _, a in f)
@@ -298,9 +301,9 @@ def test_byte_log_is_floor_of_four_log2_on_seed_primes():
 
 
 @pytest.mark.parametrize("columns, bytes_per_n", [
-    (set(COLUMNS) - {"u"}, 17), ({"omega"}, 4), (set(COLUMNS) - {"c_omega"}, 17)])
+    (set(COLUMNS) - {"u", "g_sig"}, 17), ({"omega"}, 4), (set(COLUMNS) - {"c_omega", "g_sig"}, 17)])
 def test_profile_peak_bytes_per_entry(columns, bytes_per_n):
-    # one-byte logs, a two-byte denominator code and derived columns built
+    # one-byte logs, a two-byte signature code and derived columns built
     # one chunk at a time leave no full-width temporary beside the outputs;
     # omega alone keeps two byte columns and a mask.  No sweep asks for both
     # c_omega and u, so the bound is for five columns
@@ -324,43 +327,41 @@ def _partitions(n, cap=None):
             yield (a,) + rest
 
 
-def _valuation(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def test_denominator_code_is_carry_free_and_gathers_c_omega():
-    # every exponent multiset with big_omega <= 20: the codes of its levels
-    # sum without a carry to the digits of den = prod(alpha!), and one gather
-    # and shift from the one table give liouville * c_omega, whose absolute
-    # value is c_omega and whose sign is (-1)^big_omega
+def test_signature_index_gathers_u_and_g():
+    # every exponent multiset with big_omega <= 20 and omega <= 15 (omega <=
+    # 14 below 10^17): the index code << 4 | omega, with code summed from its
+    # levels' adds, is distinct and below 2^16, and one gather from each
+    # table gives u = (-1)^big_omega c_omega and g in the subset-sum form of
+    # identity (c), which shares no step with the tables' e_t and H
     primes = primes_up_to(80).tolist()
-    table = arith._quotient_table()
-    cases = [alphas for total in range(21) for alphas in _partitions(total)]
-    assert len(cases) == 2714
-    codes, bigs, want = [], [], []
+    cases = [alphas for total in range(21) for alphas in _partitions(total) if len(alphas) <= 15]
+    assert len(cases) == 2688
+    index, u, g = [], [], []
     for alphas in cases:
-        code = sum(int(arith._CODE[e]) for a in alphas for e in range(2, a + 1))
-        den = math.prod(math.factorial(a) for a in alphas)
-        low = code & 1023
-        d0, d1, d2, levels = low % 9, low // 9 % 5, low // 45 % 3, low // 135
-        assert code < 1 << 15 and levels <= 4, alphas
-        assert code >> 10 == _valuation(den, 2), alphas
-        assert (d0, d1, d2) == tuple(_valuation(den, p) for p in (3, 5, 7)), alphas
-        assert den == (2 ** (code >> 10) * 3**d0 * 5**d1 * 7**d2
-                       * math.prod((11, 13, 17, 19)[:levels])), alphas
-        big = sum(alphas)
-        codes.append(code)
-        bigs.append(big)
-        want.append(c_omega(Factorization(0, tuple(zip(primes, alphas)))))
-    code = np.array(codes, dtype=np.uint16)
-    at = np.array(bigs, dtype=np.uint16) << 10 | code & 1023
-    u = table[at] >> (code >> 10)
-    assert np.abs(u).tolist() == want
-    assert np.array_equal(np.sign(u), 1 - 2 * (np.array(bigs) & 1))
+        code = sum(int(arith._CODE_ADDS[e]) for a in alphas for e in range(1, a + 1))
+        index.append(code << 4 | len(alphas))
+        u.append((-1) ** sum(alphas) * c_omega(Factorization(0, tuple(zip(primes, alphas)))))
+        g.append(g_subset_sum(list(alphas)))
+    assert len(set(index)) == len(cases) and max(index) < 1 << 16
+    # the weights name each of the 627 multisets of exponents >= 2, up to code 2584
+    codes = {tuple(a for a in alphas if a > 1): i >> 4 for alphas, i in zip(cases, index)}
+    assert len(codes) == 627 and len(set(codes.values())) == 627
+    assert max(codes.values()) == 2584
+    U, G = arith._signature_tables()
+    assert U[index].tolist() == u and G[index].tolist() == g
+    assert np.count_nonzero(U) == np.count_nonzero(G) == len(cases)    # 0 elsewhere
+    # every exponent above 20 weighs w_20, so its levels past 20 add nothing
+    assert not arith._CODE_ADDS[21:].any()
+
+
+def test_g_sig_equals_g_table_and_recursion_oracle(profile_1e4):
+    # the signature gather against the Dirichlet inverse and the divisor-sum
+    # recursion, which build g from omega alone
+    prof = profile_range(Segment(1, 10**6 + 1), columns={"g_sig"})
+    assert prof.g_sig.dtype == np.int64
+    assert np.array_equal(prof.g_sig, g_table(10**6))
+    assert prof.g_sig[:400].tolist() == g_recursion_oracle(400)[1:]
+    assert np.array_equal(profile_1e4.g_sig, profile_1e4.g)
 
 
 @pytest.mark.parametrize("lo", [9 * 10**7, 2**21 - arith._CHUNK + 2])
@@ -377,7 +378,8 @@ def test_chunked_columns_equal_one_piece(lo, width, monkeypatch):
     pieces = [(a, {k: v.copy() for k, v in p.items()}) for a, p in profile_chunks(seg, COLUMNS)]
     monkeypatch.setattr(arith, "_CHUNK", width)
     whole = profile_range(seg)
-    assert lo > 2**21 or whole.big_omega[2**21 - lo] == 21
+    assert lo > 2**21 or (whole.big_omega[2**21 - lo], whole.g_sig[2**21 - lo]) == (
+        21, g_subset_sum([21]))
     assert [a for a, _ in pieces] == list(range(0, width, chunk))
     assert all(len(p["u"]) == min(chunk, width - a) for a, p in pieces)
     for col in COLUMNS:
@@ -439,7 +441,7 @@ def test_presieve_patterns_hold_only_their_periods_levels():
             hit = [(p, e) for p, e in levels if r % p**e == 0]
             want = (sum(int(arith._lg(p)) + 0xFF00 * (e == 1) for p, e in hit) % 2**16,
                     sum(e > 1 for _, e in hit),
-                    sum(int(arith._CODE[e]) for _, e in hit if e > 1))
+                    sum(int(arith._CODE_ADDS[e]) for _, e in hit if e > 1) % 2**16)
             for col, value in zip(cols, want):
                 assert (0 if col is None else int(col[r])) == value, (period, r)
         powers = any(e > 1 for _, e in levels)
@@ -502,34 +504,42 @@ def test_kernel_sweep_leaves_no_memory_behind(threads):
     assert after - before < 2**16, (before, after)
 
 
-def _max_c_omega_up_to(x: int) -> int:
-    """max c_omega(n) over n <= x by exhaustive exponent-signature search.
-
-    c_omega depends only on the exponent multiset, and the least n with a
-    given multiset puts the exponents in non-increasing order on 2, 3, 5, ...
-    """
+def _signatures_up_to(x: int) -> list:
+    """Every exponent signature of the n <= x, as the non-increasing exponent
+    tuple of its least n, which puts them on 2, 3, 5, ... in that order."""
     primes = [p for p in range(2, 80) if all(p % d for d in range(2, p))]
-    best = 1
+    found = []
 
-    def walk(i, n, cap, total, c):
-        nonlocal best
-        best = max(best, c)
-        for a in range(1, cap + 1):
+    def walk(i, n, alphas):
+        found.append(alphas)
+        for a in range(1, (alphas[-1] if alphas else x.bit_length()) + 1):
             n *= primes[i]
             if n > x:
                 return
-            walk(i + 1, n, a, total + a, c * math.comb(total + a, a))
+            walk(i + 1, n, alphas + (a,))
 
-    walk(0, 1, x.bit_length(), 0, 1)
-    return best
+    walk(0, 1, ())
+    return found
+
+
+def _max_c_omega_up_to(x: int) -> int:
+    """max c_omega(n) over n <= x by exhaustive exponent-signature search:
+    c_omega depends only on the exponent multiset."""
+    return max(map(multinomial, _signatures_up_to(x)))
 
 
 def test_c_omega_int64_bound_by_signature_search():
-    # A-priori bound behind profile_range's int64 c_omega column
+    # A-priori bounds behind profile_range's int64 c_omega, u and g_sig columns
     assert _max_c_omega_up_to(10**8) == 28_828_800
     assert _max_c_omega_up_to(10**12) == 1_177_930_353_600
     assert _max_c_omega_up_to(10**17) < 1 << 60
     assert _max_c_omega_up_to(10**18) > _INT64_MAX  # the bound is not vacuous
+    # g also depends only on the signature; the tables' entries (big_omega
+    # <= 20) stay far below the exact path's
+    sigs = _signatures_up_to(10**17)
+    g = [abs(g_subset_sum(list(alphas))) for alphas in sigs]
+    assert max(g) < 1 << 61
+    assert max(v for v, alphas in zip(g, sigs) if sum(alphas) <= 20) < 1 << 52
 
 
 def test_exact_path_raises_beyond_int64():
@@ -538,7 +548,7 @@ def test_exact_path_raises_beyond_int64():
     n = 672_249_239_101_440_000
     assert c_omega(Factorization(n, tuple(trial_factorize(n)))) > _INT64_MAX
     with pytest.raises(OverflowError):
-        _exact_c_omega(n)
+        _exact_columns(n)
 
 
 def test_c_omega_examples():
@@ -649,13 +659,19 @@ def test_width_one_edges():
         g_table(0)
 
 
-def test_bfile_comparator(tmp_path, profile_1e4):
+def test_bfile_comparator(tmp_path, profile_1e4, capsys):
+    # oeis-check reads the b-file, comment lines skipped, and compares it
+    # with the kernel's column segment by segment
     path = tmp_path / "b008683.txt"
     mu = profile_1e4.mobius[:100]
     lines = ["# A008683 fixture"] + [f"{n} {int(mu[n-1])}" for n in range(1, 101)]
     path.write_text("\n".join(lines) + "\n")
-    assert compare_bfile(read_bfile(path), mu, start=1) is None
+    assert read_bfile(path) == [(n, int(mu[n - 1])) for n in range(1, 101)]
+    argv = ["oeis-check", "--sequence", "mu", "--bfile", str(path), "--segment-size", "30"]
+    assert main(argv) == 0
     # corrupt one entry
     lines[50] = "50 99"
     path.write_text("\n".join(lines) + "\n")
-    assert compare_bfile(read_bfile(path), mu, start=1) == (50, 99, int(mu[49]))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().out == f"mu: first mismatch at index 50: file has 99, computed {int(mu[49])}\n"

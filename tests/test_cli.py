@@ -312,15 +312,17 @@ def test_oeis_check_oracle_fixtures(sequence, fname, capsys):
     assert "match" in out
 
 
-@pytest.mark.parametrize("sequence, column", [("mu", "mobius"), ("lambda", "liouville")])
+@pytest.mark.parametrize("sequence, column", [("mu", "mobius"), ("lambda", "liouville"),
+                                              ("g", "g")])
 def test_oeis_check_streams_by_segment(sequence, column, tmp_path, monkeypatch, capsys,
                                        profile_1e4):
-    # mu and lambda are compared one segment at a time, with no guard on the
+    # every sequence is compared one segment at a time, with no guard on the
     # limit: the memory below holds the widest segment here (1000 entries on
-    # one worker) but not 18 B/n for a prefix table.  Segments of 100 start
+    # one worker) but no per-n table of the limit.  Segments of 100 start
     # at 1, 101, 201, 301, ...; the file holds wrong values at 301 (the first
     # entry of a segment) and 200 (the last entry of another), and the one
-    # listed first in the file is reported
+    # listed first in the file is reported; g is checked against the prefix
+    # table
     import mforge.cli as cli
 
     monkeypatch.setattr(cli, "available_memory", lambda: 1000 * cli.KERNEL_BYTES_PER_ENTRY)
@@ -343,9 +345,9 @@ def test_oeis_check_streams_by_segment(sequence, column, tmp_path, monkeypatch, 
                             "--segment-size", "100"], capsys)
     assert (code, out) == (1, f"{sequence}: first mismatch at index 950: "
                               f"file has 7, computed {int(values[949])}\n")
+    fixture = {"mu": "b008683.txt", "lambda": "b008836.txt", "g": "b341444.txt"}[sequence]
     code, out, _ = run_cli(["oeis-check", "--sequence", sequence, "--segment-size", "64",
-                            "--bfile", str(FIXTURES / ("b008683.txt" if sequence == "mu"
-                                                       else "b008836.txt"))], capsys)
+                            "--bfile", str(FIXTURES / fixture)], capsys)
     assert code == 0 and "all entries up to 1000 match" in out
 
 
@@ -630,8 +632,6 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
 
 @pytest.mark.parametrize("args, bytes_per_n, limit", [
     (["verify", "--limit", "2000"], "VERIFY_BYTES_PER_N", 2000),
-    (["oeis-check", "--sequence", "g", "--bfile", str(FIXTURES / "b341444.txt")],
-     "OEIS_BYTES_PER_N", 1000),
 ])
 def test_limit_past_physical_memory_is_refused(args, bytes_per_n, limit,
                                                monkeypatch, capsys):
@@ -849,8 +849,9 @@ def _streamed_argv(args, limit, tmp_path):
     oeis-check, against a b-file of two true entries, at 1 and at limit."""
     if args[0] != "oeis-check":
         return args + [str(limit), "--threads", "1", "--out", os.devnull]
-    # 4e6 = 2^8 5^6 and 1.6e7 = 2^10 5^6, so mu = 0 and lambda = 1 at both
-    value = {"mu": 0, "lambda": 1}[args[2]]
+    # 4e6 = 2^8 5^6 and 1.6e7 = 2^10 5^6, so mu = 0 and lambda = 1 at both,
+    # and g is 6798 at one and 18018 at the other
+    value = {"mu": 0, "lambda": 1, "g": 6798 if limit == 4_000_000 else 18018}[args[2]]
     bfile = tmp_path / f"b{limit}.txt"
     bfile.write_text(f"1 1\n{limit} {value}\n")
     return args + ["--bfile", str(bfile), "--threads", "1"]
@@ -867,6 +868,7 @@ def _streamed_argv(args, limit, tmp_path):
     ["oeis-check", "--sequence", "mu"],
     ["sieve", "--limit"],
     ["oeis-check", "--sequence", "lambda"],
+    ["oeis-check", "--sequence", "g"],
 ])
 def test_streamed_peak_rss_is_flat_in_the_limit(args, tmp_path):
     base = _child_peak_rss_mb(BASE_ARGV)
@@ -877,29 +879,23 @@ def test_streamed_peak_rss_is_flat_in_the_limit(args, tmp_path):
     assert max(small, large) - base <= bound, (base, small, large)
 
 
-def _guarded_argv(command, limit, tmp_path):
-    """A prefix-table run up to ``limit``, output discarded; oeis-check g
-    reads a b-file of two true entries, g(1) = 1 and g(p) = -2 at the
-    largest prime p <= limit."""
+def _guarded_argv(command, limit):
+    """A run with per-n tables up to ``limit``, output discarded."""
     if command == "verify":
         return ["verify", "--limit", str(limit), "--out", os.devnull]
     if command == "summatory":             # "all": the direct G route
         return ["summatory", "--checkpoints", "all", "--limit", str(limit), "--out", os.devnull]
-    if command == "simulate":              # one trial: a row per draw
-        return ["simulate", "--checkpoints", "all", "--x-max", str(limit), "--out", os.devnull]
-    bfile = tmp_path / f"g{limit}.txt"
-    bfile.write_text(f"1 1\n{int(primes_up_to(limit)[-1])} -2\n")
-    return ["oeis-check", "--sequence", "g", "--bfile", str(bfile)]
+    # one trial: a row per draw
+    return ["simulate", "--checkpoints", "all", "--x-max", str(limit), "--out", os.devnull]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 @pytest.mark.parametrize("command, guard", [
     ("verify", "VERIFY_BYTES_PER_N"),
-    ("oeis-check", "OEIS_BYTES_PER_N"),
     ("summatory", "SUMMATORY_DIRECT_BYTES_PER_N"),
     ("simulate", "SIMULATE_BYTES_PER_ROW"),
 ])
-def test_guarded_peak_rss_is_within_the_guard(command, guard, tmp_path):
+def test_guarded_peak_rss_is_within_the_guard(command, guard):
     # the commands that keep per-n tables (per-row, for simulate) are refused
     # up front at guard bytes per n; their peak RSS over that of BASE_ARGV,
     # and its growth from 5e5 to 2e6, must stay within that many bytes per n
@@ -908,8 +904,7 @@ def test_guarded_peak_rss_is_within_the_guard(command, guard, tmp_path):
     bytes_per_n = getattr(cli, guard)
     lo, hi = 500_000, 2_000_000
     base = _child_peak_rss_mb(BASE_ARGV)
-    small, large = (_child_peak_rss_mb(_guarded_argv(command, limit, tmp_path))
-                    for limit in (lo, hi))
+    small, large = (_child_peak_rss_mb(_guarded_argv(command, limit)) for limit in (lo, hi))
     assert (large - small) * 2**20 <= bytes_per_n * (hi - lo), (small, large)
     assert (large - base) * 2**20 <= bytes_per_n * hi, (base, large)
 

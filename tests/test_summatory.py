@@ -207,7 +207,7 @@ def test_mertens_via_G_over_primes_reads_the_series_only():
 
 def test_series_segment_size_and_workers_invariant():
     # segments on different threads write disjoint slices of the shared
-    # tables (prefix sums, and omega on the direct route); with more workers
+    # prefix-sum tables (G's too, on the direct route); with more workers
     # than cores and a short switch interval a lost or misplaced write would
     # change some recorded value
     for pol, route in ((CheckpointPolicy(kind="geometric", ratio=1.8), "quotient"),
@@ -398,20 +398,20 @@ def test_series_overflow_bound_is_checked_before_summing(monkeypatch):
         build_series(N, pol, segment_size=size, pool=WorkerPool(2))
     monkeypatch.setattr(summatory, "_SAFE_SUM", max(spans) + N * max(spans))
     assert build_series(N, pol, segment_size=size).M.tolist() == [mertens_oracle(N)]
-    # direct route: N * max|g| bounds every partial sum of g, so a bound
-    # that the swept sums meet but N * max|g| exceeds is refused before
-    # the cumsum, even though no partial sum of g reaches it
+    # direct route: the span covers the g column too, so in one segment of
+    # one chunk, a bound that width * max|u| meets but width * max|g| passes
+    # is refused before any sum, on the direct route only
     N, pol = 1000, CheckpointPolicy(kind="all")
     g = g_table(N)
-    c_max = max(_segment_spans(N, 1))
-    swept = (N + 1) * c_max            # every running total plus one span
-    G_max = int(np.abs(np.cumsum(g)).max())
-    assert G_max < swept < N * int(np.abs(g).max())
-    monkeypatch.setattr(summatory, "_SAFE_SUM", swept)
-    with pytest.raises(OverflowError, match="G's partial sums"):
-        build_series(N, pol, segment_size=1)
-    monkeypatch.setattr(summatory, "_SAFE_SUM", N * int(np.abs(g).max()))
-    s = build_series(N, pol, segment_size=1)
+    u_span, g_span = _segment_spans(N, N)[0], N * int(np.abs(g).max())
+    assert u_span < g_span
+    monkeypatch.setattr(summatory, "_SAFE_SUM", g_span - 1)
+    quotient = CheckpointPolicy(kind="explicit", points=(N,))
+    assert build_series(N, quotient, segment_size=N).M.tolist() == [mertens_oracle(N)]
+    with pytest.raises(OverflowError, match="a segment's sums"):
+        build_series(N, pol, segment_size=N)
+    monkeypatch.setattr(summatory, "_SAFE_SUM", g_span)
+    s = build_series(N, pol, segment_size=N)
     assert s.route == "direct" and s.G.tolist() == np.cumsum(g).tolist()
 
 
@@ -435,10 +435,10 @@ def test_block_sums_refuse_int32_overflow_before_summing():
         ones = np.broadcast_to(np.int8(1), (width,)).view(_Unsummable)
         wide = np.broadcast_to(np.int64(1), (width,)).view(_Unsummable)
         with pytest.raises(OverflowError, match="int32"):
-            summatory._block_sums((ones, ones, ones), wide, starts)
+            summatory._block_sums((ones, ones, ones, wide), starts)
     mu = np.array([1, -1, -1, 0, -1, 1, -1, 0], dtype=np.int8)
     u = np.arange(8, dtype=np.int64) * 2**40
-    sums = summatory._block_sums((mu, mu != 0), u, starts)
+    sums = summatory._block_sums((mu, mu != 0, u), starts)
     assert sums.dtype == np.int64
     assert sums.tolist() == [[-2, -2], [4, 6], [10 * 2**40, 28 * 2**40]]
 
@@ -491,10 +491,10 @@ def test_series_memory_per_segment_entry_flat_in_N():
 
 
 def test_direct_route_peak_bytes_per_n():
-    # segments write their prefix sums and omega into arrays allocated once,
-    # so no per-segment block sums or omega copies are alive at the peak:
-    # recorded (32 B/n), checkpoints, eval points and G (8 each) and
-    # g_table's working set for "all"; g_table alone for a sparser ladder
+    # segments write their prefix sums into one array allocated once, so no
+    # per-segment block sums are alive at the peak: for "all", recorded
+    # (40 B/n, G's row included), checkpoints and eval points (8 each); a
+    # sparser ladder keeps only its eval points' rows
     N, size = 2**20, 2**16
     for policy, bytes_per_n in ((CheckpointPolicy(kind="all"), 80),
                                 (CheckpointPolicy(kind="geometric", ratio=1.001), 24)):
@@ -508,9 +508,9 @@ def test_direct_route_peak_bytes_per_n():
 
 
 def test_direct_route_narrow_segments_keep_only_their_omega():
-    # profile_chunks' omega lives in the sweep's workspace; each segment
-    # copies its omega into the one N-byte array g_table reads, so no 1-wide
-    # segment keeps its sieve columns alive past its sweep
+    # profile_chunks' columns live in the sweep's workspace, and each segment
+    # sums its g into the recorded rows (no per-n omega copy is kept), so no
+    # 1-wide segment keeps its sieve columns alive past its sweep
     pol = CheckpointPolicy(kind="all")
     build_series(100, pol, segment_size=1)
     tracemalloc.start()
