@@ -128,17 +128,18 @@ def _with_part(e: list, b: int) -> list:
 
 
 def _lambda_g(e: list, big_b: int, den: int, h_m: list) -> int:
-    """|g| at n whose exponents are m ones and a multiset beta >= 2:
+    """liouville * g = |g| at n whose exponents are m ones and a multiset beta >= 2:
     sum_t e_t(beta) H[B - t][m] / prod beta!, from e = e_|beta|..e_0 of beta,
     B = sum beta, den = prod beta! and the row h_m = H[m] of ``_h_rows``."""
     return sum(map(operator.mul, e, h_m[big_b + 1 - len(e):big_b + 1])) // den
 
 
 @cache
-def _signature_tables() -> tuple:
-    """The signed int64 tables (U, G) of the kernel's gather: at the index
-    code << 4 | omega of each n with big_omega <= 20, U holds u = liouville
-    * c_omega and G holds g; other entries are 0.
+def _signature_table(name: str) -> np.ndarray:
+    """The signed int64 table of the kernel's ``name`` gather ("u" or
+    "g_sig"): at the index code << 4 | omega of each n with big_omega <= 20,
+    u = liouville * c_omega or g; other entries are 0.  Each is built on its
+    first use, so a sweep that gathers only u never sums g.
 
     n's exponents >= 2 form the multiset beta that the code names, of sum B,
     and m = omega - |beta| are 1, so u = (-1)^(B + m) (B + m)! / prod beta!.
@@ -148,22 +149,21 @@ def _signature_tables() -> tuple:
     ``_lambda_g``.  The walk takes each beta's parts in non-increasing order.
     """
     h = _h_rows(20, 16)
-    at, u, g = [], [], []
+    at, values = [], []
 
     def walk(code, big_b, k, den, e, cap):
         for m in range(min(15 - k, 20 - big_b) + 1):
-            sign = -1 if (big_b + m) & 1 else 1
             at.append(code << 4 | k + m)
-            u.append(sign * (h[0][big_b + m] // den))
-            g.append(sign * _lambda_g(e, big_b, den, h[m]))
+            value = h[0][big_b + m] // den if name == "u" else _lambda_g(e, big_b, den, h[m])
+            values.append(-value if (big_b + m) & 1 else value)
         for b in range(2, min(cap, 20 - big_b) + 1):
             walk(code + _WEIGHTS[b], big_b + b, k + 1, den * h[0][b], _with_part(e, b), b)
 
     walk(0, 0, 0, 1, [1], 20)
-    tables = np.zeros((2, (max(at) >> 4) + 1 << 4), dtype=np.int64)
-    tables[0, at], tables[1, at] = u, g
-    tables.flags.writeable = False          # shared by every caller
-    return tuple(tables)
+    table = np.zeros((max(at) >> 4) + 1 << 4, dtype=np.int64)
+    table[at] = values
+    table.flags.writeable = False           # shared by every caller
+    return table
 
 
 #: The per-n columns ``profile_range`` and ``profile_chunks`` can compute, in
@@ -244,7 +244,7 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       formed in place in ``extra``; n is squarefree iff extra == 0.  The
       code and omega fix n's prime signature, so u = liouville * c_omega and
       g_sig = g are each one gather at the index ``code << 4 | omega`` from
-      a table of ``_signature_tables``, and c_omega is |u|.  No division and
+      a table of ``_signature_table``, and c_omega is |u|.  No division and
       no temporary of the segment's width.
 
     ``columns`` names the profile fields to build (default: all seven); the
@@ -364,7 +364,8 @@ def _derive(lo: int, word, extra, code, out: dict, ws: Workspace):
     g = out.get("g_sig")
     if u is None and g is None:
         return
-    gathers = [(t, col) for t, col in zip(_signature_tables(), (u, g)) if col is not None]
+    gathers = [(_signature_table(name), col) for name, col in (("u", u), ("g_sig", g))
+               if col is not None]
     # where big_omega <= 20, code <= 2584 and omega <= 14 (below 10^17), so the
     # index fits in 16 bits; elsewhere it may wrap or pass the tables (then it
     # is clipped), and the entry is rewritten below
@@ -452,7 +453,7 @@ def _sieve_steps(cols, lo: int, steps):
 
 def _exact_columns(n: int) -> tuple:
     """(u, g) at n from its trial-division factorization, formed as in
-    ``_signature_tables`` for any big_omega; OverflowError past int64."""
+    ``_signature_table`` for any big_omega; OverflowError past int64."""
     fact = factorize(n)
     beta = [a for _, a in fact if a > 1]
     big_b, m = sum(beta), len(fact.factors) - len(beta)

@@ -347,7 +347,7 @@ def test_signature_index_gathers_u_and_g():
     codes = {tuple(a for a in alphas if a > 1): i >> 4 for alphas, i in zip(cases, index)}
     assert len(codes) == 627 and len(set(codes.values())) == 627
     assert max(codes.values()) == 2584
-    U, G = arith._signature_tables()
+    U, G = arith._signature_table("u"), arith._signature_table("g_sig")
     assert U[index].tolist() == u and G[index].tolist() == g
     assert np.count_nonzero(U) == np.count_nonzero(G) == len(cases)    # 0 elsewhere
     # every exponent above 20 weighs w_20, so its levels past 20 add nothing
