@@ -3,11 +3,12 @@
 #
 #   1. directly, as the running sum of mobius;
 #   2. as G(x) + sum_k g(k) pi(floor(x/k));
-#   3. as G(x) + sum over primes p of G(floor(x/p)), grouped by quotient.
+#   3. as G(x) + sum over primes p of G(floor(x/p)), grouped by quotient,
+#      from the series' G and pi rows (G sums the sieve kernel's g).
 #
 # The second and third are exact rearrangements tying M to the inverse table
-# g and the prime counts; they must agree with the direct sum to the last
-# digit at every x.
+# g and the prime counts; neither reads M, and they must agree with the
+# direct sum to the last digit at every x.
 
 import numpy as np
 

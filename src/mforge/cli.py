@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
+from math import isqrt
 
 from . import IDENTITY_NAMES, LIL_MIN_X
 
@@ -40,7 +41,7 @@ RUNS_FORMATS = ("%d", "%d", "%d", "%.9f")
 PRIME_EXPORT_MAGIC = b"MFPRIMES1"
 
 #: Rows formatted per write.  Small, so that a table of N rows adds no peak
-#: that grows with N (summatory's direct route is held to 128 B/n).
+#: that grows with N (summatory is held to 128 B per eval point).
 WRITE_CHUNK_ROWS = 1024
 
 
@@ -187,8 +188,9 @@ def cmd_sieve(config: argparse.Namespace) -> int:
 
 
 #: Peak bytes per n of ``verify --identity all`` (a four-column profile of
-#: 1..limit: 421 MB at 1e7) and of ``summatory``'s direct G route (106.4 B/n
-#: traced at 5e4, one segment; 59.4 B/n of RSS at 1e7).
+#: 1..limit: 421 MB at 1e7), and per eval point of ``summatory``, which sums
+#: G directly from g at each; every n is one for ``--checkpoints all``
+#: (86.3 B/n traced at 5e4, one segment; 54.4 B/n of RSS at 1e7).
 VERIFY_BYTES_PER_N = 44
 SUMMATORY_DIRECT_BYTES_PER_N = 128
 
@@ -252,19 +254,21 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
 
 def cmd_summatory(config: argparse.Namespace) -> int:
-    from . import summatory
+    from . import sieve, summatory
     from .parallel import WorkerPool
 
     policy, limit = config.checkpoints, config.limit
-    # "all" takes the direct route at every limit, so it is refused before its ladder
+    sieve.Segment(1, limit + 1)     # past the kernel's bound, refuse before any estimate
+    # rows are kept at every eval point: every n for "all", which is refused
+    # before its ladder, else fewer than 2 isqrt(sum c) + 1 (_eval_point_union)
     cps = None if policy.kind == "all" else policy.checkpoints(limit)
-    if cps is None or summatory.direct_route(cps, limit):
-        _require_memory(f"summatory up to {limit}", limit * SUMMATORY_DIRECT_BYTES_PER_N)
+    points = limit if cps is None else min(limit, 2 * isqrt(int(cps.sum(dtype=float))) + 1)
+    _require_memory(f"summatory up to {limit}", points * SUMMATORY_DIRECT_BYTES_PER_N)
     _require_segment(config, limit)
     series = summatory.build_series(limit, policy, segment_size=config.segment_size,
                                     pool=WorkerPool(config.threads), checkpoints=cps)
-    log.info("G route %s: %d checkpoints, %d eval points",
-             series.route, len(series.checkpoints), len(series.eval_points))
+    log.info("summatory: %d checkpoints, %d eval points",
+             len(series.checkpoints), len(series.eval_points))
     _emit_rows(config, SERIES_COLUMNS,
                [[series.checkpoints, series.M, series.G, series.Qsq, series.pi]],
                SERIES_FORMATS)

@@ -1,12 +1,10 @@
 """Checkpointed summatory sweeps and the exact partial-sum identities.
 
-One streaming pass over segments produces, at every checkpoint, the exact
-values of the Mertens sum M, the inverse-table sum G, the squarefree count
-Qsq, and the prime count pi.  The pass also records M, U (partial sums of
-liouville * c_omega) and pi at every quotient point floor(c/k) of every
-checkpoint c; those tables are what the prime-grouped Mertens identity needs,
-and for sparse checkpoints they are how G itself is assembled; for dense
-ones the kernel's per-n g is summed like the other columns.
+One streaming pass over segments records the exact values of the Mertens
+sum M, the inverse-table sum G (the kernel's per-n g, summed like the other
+columns), the squarefree count Qsq and the prime count pi at every
+checkpoint c and at every quotient point floor(c/k): the points the
+prime-grouped Mertens identity reads.
 """
 
 from dataclasses import dataclass
@@ -14,7 +12,7 @@ from math import inf, isqrt
 
 import numpy as np
 
-from .arith import _runs, profile_chunks
+from .arith import profile_chunks
 from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, Segment, primes_up_to
 
@@ -101,9 +99,8 @@ class SummatorySeries(SummatoryRows):
     N: int
     eval_points: np.ndarray     # sorted; closed under x -> x // k
     M_eval: np.ndarray
-    U_eval: np.ndarray
+    G_eval: np.ndarray
     pi_eval: np.ndarray
-    route: str                  # "direct" (per-n g summed) or "quotient"
 
     def _idx_many(self, xs) -> np.ndarray:
         idx = np.searchsorted(self.eval_points, xs)
@@ -116,57 +113,31 @@ class SummatorySeries(SummatoryRows):
         return self.pi_eval[self._idx_many(xs)]
 
     def G_at(self, xs) -> np.ndarray:
-        """G at the support points xs, as sum_{n <= x} u(n) * M(x // n) with
-        u = liouville * c_omega.  Every point touched is in the quotient
-        closure of x, hence recorded; the series is only read."""
-        return _quotient_sums(xs, lambda ys: self.U_eval[self._idx_many(ys)],
-                              lambda ys: self.M_eval[self._idx_many(ys)])
+        return self.G_eval[self._idx_many(xs)]
 
 
-#: ``_quotient_sums`` lays out the terms of its points in groups of about
-#: this many (a point x has about 2 isqrt(x)), so that its temporaries stay
-#: a few MB however many points it is given.
-_QUOTIENT_TERMS = 1 << 15
+def _quotient_sum(x: int, A, B) -> int:
+    """sum_{n <= x} a(n) * B(x // n), given the partial sums A(y) of a.
 
-
-def _quotient_sums(xs, A, B) -> np.ndarray:
-    """sum_{n <= x} a(n) * B(x // n) at every x of xs, given the partial sums A(y) of a.
-
-    For each x, n <= t = isqrt(x) is taken one at a time; the larger n are
-    grouped into blocks of equal quotient q <= x // (t + 1), of weight
-    A(x // q) - A(max(x // (q + 1), t)).  The xs are taken in order, in
-    groups of about ``_QUOTIENT_TERMS`` terms.  Both parts of every x of a
-    group are laid out as ragged runs, so A and B are each called once per
-    group, on an int64 array of quotient points of its xs, and return int64
-    arrays.
+    n <= t = isqrt(x) is taken one at a time; the larger n are grouped into
+    blocks of equal quotient q <= x // (t + 1), of weight
+    A(x // q) - A(max(x // (q + 1), t)).  A and B are each called once, on an
+    int64 array of quotient points of x, and return int64 arrays.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    t = np.array([isqrt(x) for x in xs.tolist()], dtype=np.int64)
-    group = (np.cumsum(2 * t) - 2 * t) // _QUOTIENT_TERMS     # where each x's terms start
-    cuts = np.flatnonzero(np.diff(group)) + 1
-    return np.concatenate([_quotient_group(*part, A, B)
-                           for part in zip(np.split(xs, cuts), np.split(t, cuts))])
-
-
-def _quotient_group(xs, t, A, B) -> np.ndarray:
-    small, n = _runs(t)
-    block, q = _runs(xs // (t + 1))
-    x = xs[block]
-    lo = np.maximum(x // (q + 1), t[block])
-    ns = np.arange(1, t.max(initial=0) + 1, dtype=np.int64)   # A(ns) gives a(n), n <= t
-    A_small, A_hi, A_lo = np.split(A(np.concatenate([ns, x // q, lo])), [len(ns), len(ns) + len(q)])
-    terms = np.concatenate([np.diff(A_small, prepend=np.int64(0))[n - 1], A_hi - A_lo])
-    terms *= B(np.concatenate([xs[small] // n, q]))
-    sums = np.zeros(len(xs), dtype=np.int64)
-    np.add.at(sums, np.concatenate([small, block]), terms)
-    return sums
+    t = isqrt(x)
+    n = np.arange(1, t + 1, dtype=np.int64)         # A(n) gives a(n), n <= t
+    q = np.arange(1, x // (t + 1) + 1, dtype=np.int64)
+    lo = np.maximum(x // (q + 1), t)
+    A_small, A_hi, A_lo = np.split(A(np.concatenate([n, x // q, lo])), [t, t + len(q)])
+    terms = np.concatenate([np.diff(A_small, prepend=np.int64(0)), A_hi - A_lo])
+    return int(terms @ B(np.concatenate([x // n, q])))
 
 
 def _eval_point_union(checkpoints: np.ndarray, N: int) -> np.ndarray:
     """[1, T] plus every quotient c // k > T of a checkpoint c, T = min(N, isqrt(sum c)).
 
     Any T gives a set closed under x -> x // k that holds the checkpoints'
-    quotients, hence every point ``_quotient_sums`` touches, so T need not be
+    quotients, hence every point ``_quotient_sum`` touches, so T need not be
     exact and the sum is taken in float64, which cannot wrap.  With T =
     isqrt(sum c) < N, each c has at most c / (T + 1) quotients above T, so
     the set has fewer than 2 T + 1 points, built from N // (T + 1) slices."""
@@ -197,20 +168,6 @@ def _block_sums(cols, starts: np.ndarray, out=None) -> np.ndarray:
     return sums
 
 
-def direct_route(checkpoints: np.ndarray, N: int) -> bool:
-    """Whether summing the per-n table g beats assembling G at each checkpoint.
-
-    Assembly at c touches about 2 sqrt(c) support points, while the direct
-    route does about one unit of work per integer up to N.
-    """
-    work = 0
-    for c in checkpoints:
-        work += 2 * isqrt(int(c))
-        if work > N:
-            return True
-    return False
-
-
 def build_series(N: int, policy: CheckpointPolicy | None = None, *,
                  segment_size: int = DEFAULT_SEGMENT_CAPACITY,
                  pool: WorkerPool | None = None,
@@ -220,14 +177,9 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     ``checkpoints`` is ``policy.checkpoints(N)`` when the caller has built
     that ladder already; it is not built a second time.
 
-    M, Qsq, pi and U are recorded at every support point as the segments
-    stream by.  G takes the route the checkpoint density calls for:
-
-    * "direct" when 2 * sum(isqrt(c)) over the checkpoints exceeds N, as for
-      policy "all": the kernel's g column is summed too, so G is recorded at
-      every support point like the other rows;
-    * "quotient" otherwise: G at each checkpoint is assembled from M and U at
-      its quotient points.
+    M, G, Qsq and pi are recorded at every eval point as the segments
+    stream by; G sums the kernel's g column in the same block sums as the
+    masks, so no per-n table of g is built.
     """
     if N < 1:
         raise ValueError(f"x must be >= 1, got {N}")
@@ -236,13 +188,11 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
     pool = pool or WorkerPool(1)
     cps = policy.checkpoints(N) if checkpoints is None else checkpoints
     eval_points = _eval_point_union(cps, N)
-    direct = direct_route(cps, N)
 
     n_eval = len(eval_points)
-    # rows: Qsq, the squarefree n of odd omega, pi, U and (direct) G; since mu
-    # is (-1)^omega on squarefree n and 0 elsewhere, M is the first less twice the second
-    wide = ("u", "g_sig") if direct else ("u",)     # u = liouville * c_omega
-    rows = 3 + len(wide)
+    # rows: Qsq, the squarefree n of odd omega, pi and G; since mu is
+    # (-1)^omega on squarefree n and 0 elsewhere, M is the first less twice the second
+    rows = 4
     recorded = np.zeros((rows, n_eval), dtype=np.int64)
 
     def summarize(seg, ws):
@@ -262,12 +212,12 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
         sums = recorded[:, i0:i1]
         run = np.zeros(rows, dtype=np.int64)
         span = 0
-        for a, cols in profile_chunks(seg, {"omega", "big_omega", *wide}, ws):
-            om, big = cols["omega"], cols["big_omega"]
-            sums_of = [cols[name] for name in wide]
-            # every |entry| of a chunk is at most its largest max|col| >= 1, so
-            # every partial sum of every row up to this chunk's end is at most span
-            span += len(om) * max(max(int(c.max()), -int(c.min())) for c in sums_of)
+        for a, cols in profile_chunks(seg, {"omega", "big_omega", "g_sig"}, ws):
+            om, big, g = cols["omega"], cols["big_omega"], cols["g_sig"]
+            # |g(n)| >= c_omega(n) >= 1 by identity (c), so every |entry| of a
+            # chunk is at most its max|g|, and every partial sum of every row
+            # up to this chunk's end is at most span
+            span += len(om) * max(int(g.max()), -int(g.min()))
             if span > _SAFE_SUM:
                 raise OverflowError("a segment's sums could exceed the summatory bound")
             sq = big == om
@@ -275,14 +225,14 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
             i = int(np.searchsorted(starts, a, side="right")) - 1
             j = int(np.searchsorted(starts, a + len(om)))
             if j == i + 1:                      # the chunk lies inside block i
-                run += [*map(np.count_nonzero, masks), *(c.sum() for c in sums_of)]
+                run += [*map(np.count_nonzero, masks), g.sum()]
                 if i < i1 - i0:
                     sums[:, i] = run
             else:
                 # the block starts in the chunk, from 0; a first chunk reads them as they are
                 cuts = starts[:j] if a == 0 else np.concatenate([[0], starts[i + 1:j] - a])
                 tail = j > i1 - i0              # the last block ends at no eval point
-                out = _block_sums((*masks, *sums_of), cuts, out=None if tail else sums[:, i:j])
+                out = _block_sums((*masks, g), cuts, out=None if tail else sums[:, i:j])
                 out += run[:, None]
                 if tail:
                     sums[:, i:] = out[:, :-1]
@@ -301,14 +251,11 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
 
     # every checkpoint is an eval point; when they are all of them, rows are views
     cp = slice(None) if len(cps) == n_eval else np.searchsorted(eval_points, cps)
-    series = SummatorySeries(
-        checkpoints=cps, M=M[cp], G=None, Qsq=recorded[0][cp],
+    return SummatorySeries(
+        checkpoints=cps, M=M[cp], G=recorded[3][cp], Qsq=recorded[0][cp],
         pi=recorded[2][cp], N=N, eval_points=eval_points,
-        M_eval=M, U_eval=recorded[3], pi_eval=recorded[2],
-        route="direct" if direct else "quotient",
+        M_eval=M, G_eval=recorded[3], pi_eval=recorded[2],
     )
-    series.G = recorded[4][cp] if direct else series.G_at(cps)
-    return series
 
 
 def mertens_via_g_pi(x: int, g: np.ndarray) -> int:
@@ -338,13 +285,13 @@ def mertens_via_G_over_primes(x: int, series: SummatorySeries) -> int:
 
     With G(x) as the n = 1 term, the whole right side is one quotient sum
     over the indicator of {1} and the primes, whose partial sums are 1 + pi,
-    so only G and pi values at the quotient points of x are touched; x itself
-    must be one of the series' recorded support points (any checkpoint
-    qualifies).
+    so only the G and pi rows at the quotient points of x are read, never M;
+    x itself must be one of the series' recorded support points (any
+    checkpoint qualifies).
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    return int(_quotient_sums([x], lambda ys: series.pi_many(ys) + 1, series.G_at)[0])
+    return _quotient_sum(x, lambda ys: series.pi_many(ys) + 1, series.G_at)
 
 
 def g_via_double_sum(x: int, profile) -> int:

@@ -229,14 +229,16 @@ def test_criterion_10_performance_1e8():
     elapsed = time.time() - t0
     rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     assert elapsed < 600.0, f"1e8 build took {elapsed:.0f}s"
-    assert series.route == "quotient", "expected the bounded-memory route at 1e8"
+    total = int(series.checkpoints.sum())
+    assert len(series.eval_points) < 2 * math.isqrt(total) + 1, "rows kept at too many eval points"
     grew = rss1 - rss0
     assert grew < 2500.0, f"peak RSS grew {grew:.0f} MB; not bounded"
     i = int(np.searchsorted(series.checkpoints, 10**8))
     assert int(series.M[i]) == 1928          # published Mertens value
     assert int(series.pi[i]) == 5761455      # published prime count
     assert report(10, True,
-                  f"series to 1e8 in {elapsed:.0f}s (<600s), quotient-point route, "
+                  f"series to 1e8 in {elapsed:.0f}s (<600s), rows at "
+                  f"{len(series.eval_points)} eval points, "
                   f"peak RSS +{grew:.0f} MB during build (process peak {rss1:.0f} MB), "
                   f"M(1e8)=1928 and pi(1e8)=5761455 verified")
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -671,8 +672,8 @@ def test_verify_peak_within_documented_bytes_per_n():
 
 
 def test_summatory_direct_route_past_memory_is_refused(monkeypatch, capsys):
-    # only the direct G route keeps per-n tables, so only it is refused, and
-    # before the sweep
+    # rows are kept at every eval point, every n for "all", so it is refused
+    # on the limit, and before the sweep
     import mforge.cli as cli
     from mforge import summatory
 
@@ -691,9 +692,31 @@ def test_summatory_direct_route_past_memory_is_refused(monkeypatch, capsys):
     assert code == 0 and out.startswith("x,M,G,Qsq,pi\n")
 
 
+def test_summatory_memory_guard_counts_eval_points(monkeypatch, capsys):
+    # a dense ladder keeps its rows at fewer than 2 isqrt(sum c) + 1 eval
+    # points, far fewer than N, and is charged for those alone
+    import mforge.cli as cli
+
+    N, per = 300_000, cli.SUMMATORY_DIRECT_BYTES_PER_N
+    bound = 2 * isqrt(int(CheckpointPolicy.parse("geometric:1.001").checkpoints(N).sum())) + 1
+    assert bound < N // 4
+    argv = ["summatory", "--checkpoints", "geometric:1.001", "--limit", str(N),
+            "--segment-size", str(2**16)]       # kernel columns well inside the bound
+    monkeypatch.setattr(cli, "available_memory", lambda: bound * per)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.startswith("x,M,G,Qsq,pi\n")
+    monkeypatch.setattr(cli, "available_memory", lambda: bound * per - 1)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == "" and "available memory" in err
+    # "all" is still charged for every n
+    monkeypatch.setattr(cli, "available_memory", lambda: N * per - 1)
+    code, out, err = run_cli(["summatory", "--checkpoints", "all", "--limit", str(N)], capsys)
+    assert code == 1 and out == "" and "available memory" in err
+
+
 def test_checkpoints_all_is_refused_before_its_ladder(monkeypatch, capsys):
-    # "all" is the direct route at every limit, so its guard reads the limit
-    # alone and never builds the 8 B/n ladder
+    # "all" keeps rows at every n, so its guard reads the limit alone and
+    # never builds the 8 B/n ladder
     import mforge.cli as cli
 
     monkeypatch.setattr(cli, "available_memory", lambda: 2**20)
@@ -736,14 +759,16 @@ def test_simulate_rows_past_memory_are_refused(tmp_path, monkeypatch, capsys):
     assert code == 0 and len(stdout.splitlines()) == 1 + 2 * 50
 
 
-@pytest.mark.parametrize("policy, route", [
+@pytest.mark.parametrize("policy, support", [
+    # the eval points: [1, T] and the quotients of the checkpoints above T,
+    # or every n directly
     ("geometric:1.25", "quotient"),
     ("geometric:1.00001", "direct"),
     ("explicit:7,5000,30000", "quotient"),
     ("all", "direct"),
 ])
-def test_summatory_builds_its_ladder_once(policy, route, monkeypatch, capsys):
-    # the route choice and the sweep read one ladder; "all" is guarded on the
+def test_summatory_builds_its_ladder_once(policy, support, monkeypatch, capsys):
+    # the memory guard and the sweep read one ladder; "all" is guarded on the
     # limit alone and builds its ladder inside the sweep
     calls = []
     ladder = CheckpointPolicy.checkpoints
@@ -755,7 +780,7 @@ def test_summatory_builds_its_ladder_once(policy, route, monkeypatch, capsys):
     monkeypatch.setattr(CheckpointPolicy, "checkpoints", counted)
     args = ["summatory", "--limit", "30000", "--checkpoints", policy]
     code, out, err = run_cli(args + ["-v"], capsys)
-    assert code == 0 and f"G route {route}" in err
+    assert code == 0 and ("30000 eval points" in err) == (support == "direct")
     assert calls == [30000]
     monkeypatch.undo()
     assert run_cli(args, capsys)[1] == out
@@ -792,18 +817,18 @@ def test_segment_past_memory_is_refused(args, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("policy, line", [
-    ("all", "G route direct: 3000 checkpoints, 3000 eval points"),
+    ("all", "summatory: 3000 checkpoints, 3000 eval points"),
     # [1, isqrt(5100)] plus the quotients above 71 of 100, 2000 and 3000
-    ("explicit:100,2000", "G route quotient: 3 checkpoints, 126 eval points"),
-])
-def test_summatory_verbose_names_g_route(policy, line, capsys):
-    # -v logs the route and the table sizes on stderr; stdout is unchanged
+    ("explicit:100,2000", "summatory: 3 checkpoints, 126 eval points"),
+], ids=["all", "explicit"])
+def test_summatory_verbose_counts_eval_points(policy, line, capsys):
+    # -v logs the table sizes on stderr; stdout is unchanged
     args = ["summatory", "--limit", "3000", "--checkpoints", policy]
     code, out, err = run_cli(args, capsys)
-    assert code == 0 and "G route" not in err
+    assert code == 0 and "eval points" not in err
     code, out_v, err_v = run_cli(args + ["-v"], capsys)
     assert code == 0 and out_v == out
-    assert [l for l in err_v.splitlines() if "G route" in l] == [f"INFO mforge: {line}"]
+    assert [l for l in err_v.splitlines() if "eval points" in l] == [f"INFO mforge: {line}"]
 
 
 def test_summatory_direct_peak_within_documented_bytes_per_n():
@@ -837,7 +862,7 @@ def _child_peak_rss_mb(argv) -> float:
 BASE_ARGV = ["stats", "--report", "exponent", "--p", "2", "--x", "2"]
 
 #: A streamed command's peak RSS over that of ``BASE_ARGV``, per entry of
-#: the default segment (about 21 for the quotient-route series, 10 for the
+#: the default segment (about 21 for the default-ladder series, 10 for the
 #: omega CDF and 19 for the log c_omega CDF, one worker), and the growth
 #: allowed from 4e6 to 1.6e7 (4 to 16 default segments).
 STREAMED_BYTES_PER_SEGMENT_ENTRY = 28
@@ -859,7 +884,7 @@ def _streamed_argv(args, limit, tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 @pytest.mark.parametrize("args", [
-    ["summatory", "--limit"],                 # the default ladder: quotient G route
+    ["summatory", "--limit"],                 # the default ladder: few eval points
     ["stats", "--report", "cdf", "--x"],
     ["stats", "--report", "cdf", "--statistic", "log_c_omega", "--x"],
     ["stats", "--report", "sign", "--x"],
@@ -883,7 +908,7 @@ def _guarded_argv(command, limit):
     """A run with per-n tables up to ``limit``, output discarded."""
     if command == "verify":
         return ["verify", "--limit", str(limit), "--out", os.devnull]
-    if command == "summatory":             # "all": the direct G route
+    if command == "summatory":             # "all": every n an eval point
         return ["summatory", "--checkpoints", "all", "--limit", str(limit), "--out", os.devnull]
     # one trial: a row per draw
     return ["simulate", "--checkpoints", "all", "--x-max", str(limit), "--out", os.devnull]

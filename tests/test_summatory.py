@@ -25,9 +25,7 @@ from oracles import (
     MERTENS_AT_POW10,
     PI_AT_POW10,
     big_omega_oracle,
-    c_omega_oracle,
     g_recursion_oracle,
-    liouville_oracle,
     mertens_oracle,
     mobius_block_oracle,
     mobius_oracle,
@@ -130,73 +128,69 @@ def test_series_qsq_nondecreasing_and_pow10_spots():
             assert int(s.pi[i[0]]) == p
 
 
-def test_series_routes_agree():
-    # G on either route equals the prefix sums of the inverse table, at the
-    # checkpoints and at every support point the Mertens identities read
-    N = 10**5
-    G = np.cumsum(g_table(N))
-    sparse = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.4))
-    dense = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.001))
-    assert sparse.route == "quotient" and dense.route == "direct"
-    for s in (sparse, dense):
-        assert np.array_equal(s.G, G[s.checkpoints - 1])
-        assert np.array_equal(s.G_at(s.eval_points), G[s.eval_points - 1])
-    common, i, j = np.intersect1d(sparse.checkpoints, dense.checkpoints,
-                                  return_indices=True)
-    assert len(common) > 20
-    for col in ("M", "G", "Qsq", "pi"):
-        assert np.array_equal(getattr(sparse, col)[i], getattr(dense, col)[j]), col
-
-
 def test_G_at_every_support_point_small_N():
-    # both routes assemble G at any recorded point from M and U alone
-    seen = set()
+    # G is recorded at every eval point, so G_at reads it at any of them
     for N in range(1, 61):
         G = np.cumsum(g_table(N))
         for policy in (CheckpointPolicy(kind="all"),
                        CheckpointPolicy(kind="explicit", points=(N,))):
             s = build_series(N, policy)
-            seen.add(s.route)
-            assert s.route == _expected_route(s.checkpoints, N)
             assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, policy)
-            assert np.array_equal(s.G_at(s.eval_points), G[s.eval_points - 1]), (N, policy)
-    assert seen == {"direct", "quotient"}
+            assert np.array_equal(s.G_eval, G[s.eval_points - 1]), (N, policy)
+            assert np.array_equal(s.G_at(s.eval_points), s.G_eval), (N, policy)
 
 
-def test_quotient_sums_match_scalar_oracle(monkeypatch):
-    # random int64 partial-sum tables, small enough that no sum wraps; the
-    # xs' terms are laid out in one group, then in groups of about 500
+def test_G_eval_is_the_prefix_sum_of_g():
+    # on sparse and dense ladders, and on irregular limits and checkpoints,
+    # G at every eval point is the prefix sum of the inverse table, and M at
+    # every checkpoint that of mobius
+    rng = np.random.default_rng(21)
+    cases = [(10**5, CheckpointPolicy(kind="geometric", ratio=r)) for r in (1.4, 1.001)]
+    for kind in ("all", "geometric", "explicit", "dense") * 2:
+        N = int(rng.integers(17, 30000))
+        if kind == "explicit":
+            pts = tuple(sorted(set(map(int, rng.integers(1, N + 1, size=5)))))
+            pol = CheckpointPolicy(kind="explicit", points=pts)
+        elif kind == "geometric":
+            pol = CheckpointPolicy(kind="geometric", ratio=float(rng.uniform(1.1, 3.0)))
+        elif kind == "dense":
+            pol = CheckpointPolicy(kind="geometric", ratio=float(rng.uniform(1.0005, 1.01)))
+        else:
+            pol = CheckpointPolicy(kind="all")
+        cases.append((N, pol))
+    for N, pol in cases:
+        s = build_series(N, pol)
+        G = np.cumsum(g_table(N))
+        M = np.cumsum(mobius_block_oracle(N)[1:])
+        assert np.array_equal(s.G_eval, G[s.eval_points - 1]), (N, pol)
+        assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, pol)
+        assert np.array_equal(s.M, M[s.checkpoints - 1]), (N, pol)
+
+
+def test_quotient_sums_match_scalar_oracle():
+    # random int64 partial-sum tables, small enough that no sum wraps
     rng = np.random.default_rng(5)
     X = 20000
-    for terms in (summatory._QUOTIENT_TERMS, 500):
-        monkeypatch.setattr(summatory, "_QUOTIENT_TERMS", terms)
-        for _ in range(5):
-            A = np.concatenate([[0], rng.integers(-2**30, 2**30, size=X)])
-            B = np.concatenate([[0], rng.integers(-2**20, 2**20, size=X)])
-            # x = 1 has no block of equal quotient
-            xs = np.concatenate([[1, 2, 3], rng.integers(1, X + 1, size=40), [X]])
+    for _ in range(5):
+        A = np.concatenate([[0], rng.integers(-2**30, 2**30, size=X)])
+        B = np.concatenate([[0], rng.integers(-2**20, 2**20, size=X)])
+        # x = 1 has no block of equal quotient
+        for x in [1, 2, 3, *rng.integers(1, X + 1, size=40).tolist(), X]:
             calls = []
 
             def lookup(table):
                 def read(ys):
-                    calls.append(len(ys))
+                    calls.append(ys.dtype)
                     return table[ys]
                 return read
 
-            got = summatory._quotient_sums(xs, lookup(A), lookup(B))
-            work = 2 * sum(isqrt(int(x)) for x in xs)
-            assert got.dtype == np.int64
-            assert len(calls) == 2 if terms > work else len(calls) > 2
-            want = [quotient_sum_oracle(int(x), lambda y: int(A[y]), lambda y: int(B[y]))
-                    for x in xs]
-            assert got.tolist() == want
-    empty = summatory._quotient_sums(np.array([], dtype=np.int64), lookup(A), lookup(B))
-    assert empty.dtype == np.int64 and empty.size == 0
+            got = summatory._quotient_sum(x, lookup(A), lookup(B))
+            assert calls == [np.int64, np.int64]
+            assert got == quotient_sum_oracle(x, lambda y: int(A[y]), lambda y: int(B[y]))
 
 
 def test_mertens_via_G_over_primes_reads_the_series_only():
     s = build_series(10**5, CheckpointPolicy(kind="explicit", points=(10**5,)))
-    assert s.route == "quotient"
     before = {k: v.copy() for k, v in vars(s).items() if isinstance(v, np.ndarray)}
     assert mertens_via_G_over_primes(10**5, s) == MERTENS_AT_POW10[10**5]
     after = {k: v for k, v in vars(s).items() if isinstance(v, np.ndarray)}
@@ -205,13 +199,21 @@ def test_mertens_via_G_over_primes_reads_the_series_only():
         assert np.array_equal(after[k], v), k
 
 
+def test_mertens_via_G_over_primes_reads_no_M():
+    # the identity ties M to G and pi: a series whose M rows are garbage
+    # still gives the published M(1e5)
+    s = build_series(10**5, CheckpointPolicy(kind="explicit", points=(10**5,)))
+    rng = np.random.default_rng(3)
+    for col in (s.M, s.M_eval):
+        col[:] = rng.integers(-2**40, 2**40, size=len(col))
+    assert mertens_via_G_over_primes(10**5, s) == MERTENS_AT_POW10[10**5] == -48
+
+
 def test_series_segment_size_and_workers_invariant():
     # segments on different threads write disjoint slices of the shared
-    # prefix-sum tables (G's too, on the direct route); with more workers
-    # than cores and a short switch interval a lost or misplaced write would
-    # change some recorded value
-    for pol, route in ((CheckpointPolicy(kind="geometric", ratio=1.8), "quotient"),
-                       (CheckpointPolicy(kind="all"), "direct")):
+    # prefix-sum tables; with more workers than cores and a short switch
+    # interval a lost or misplaced write would change some recorded value
+    for pol in (CheckpointPolicy(kind="geometric", ratio=1.8), CheckpointPolicy(kind="all")):
         a = build_series(10**5, pol, segment_size=10**5 + 1)
         b = build_series(10**5, pol, segment_size=977)
         interval = sys.getswitchinterval()
@@ -220,8 +222,7 @@ def test_series_segment_size_and_workers_invariant():
             c = build_series(10**5, pol, segment_size=977, pool=WorkerPool(4))
         finally:
             sys.setswitchinterval(interval)
-        assert a.route == route
-        for col in ("M", "G", "Qsq", "pi", "M_eval", "U_eval", "pi_eval"):
+        for col in ("M", "G", "Qsq", "pi", "M_eval", "G_eval", "pi_eval"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
             assert np.array_equal(getattr(b, col), getattr(c, col))
 
@@ -261,7 +262,6 @@ def test_series_invariant_under_segments_workers_and_route(case):
     N, pol, segment_size, threads = case
     ref = build_series(N, pol, segment_size=N + 1)
     s = build_series(N, pol, segment_size=segment_size, pool=WorkerPool(threads))
-    assert s.route == ref.route == _expected_route(s.checkpoints, N)
     for col in ("checkpoints", "M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(s, col), getattr(ref, col)), col
     assert np.array_equal(s.G, np.cumsum(g_table(N))[s.checkpoints - 1])
@@ -320,12 +320,11 @@ _BLOCK_N = 5 * 977
 
 
 def _pointwise_prefix_sums(N):
-    """M, Qsq, pi and U on 0..N from the trial-division oracles."""
+    """M, Qsq, pi and G on 0..N from the trial-division and recursion oracles."""
     mu = [0] + [mobius_oracle(n) for n in range(1, N + 1)]
-    u = [0] + [liouville_oracle(n) * c_omega_oracle(n) for n in range(1, N + 1)]
     pi = [0] + [int(big_omega_oracle(n) == 1) for n in range(1, N + 1)]
     return (np.cumsum(mu), np.cumsum(np.asarray(mu) != 0),
-            np.cumsum(pi), np.cumsum(u))
+            np.cumsum(pi), np.cumsum(g_recursion_oracle(N)))
 
 
 @pytest.fixture(scope="module")
@@ -340,12 +339,14 @@ _TEST_CHUNK = 100
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("segment_size", [1, 2, 977])
-@pytest.mark.parametrize("route, policy", [
+@pytest.mark.parametrize("ladder, policy", [
+    # six checkpoints, whose other eval points are their quotients; and
+    # every n up to 1000 directly, then one checkpoint every 0.1%
     ("quotient", CheckpointPolicy(kind="explicit", points=(
         977, 978, 1954, *(978 + o for o in (_TEST_CHUNK - 1, _TEST_CHUNK, _TEST_CHUNK + 1))))),
     ("direct", CheckpointPolicy(kind="geometric", ratio=1.001)),
 ])
-def test_block_sums_at_segment_edges(route, policy, segment_size, threads, block_oracle,
+def test_block_sums_at_segment_edges(ladder, policy, segment_size, threads, block_oracle,
                                      monkeypatch):
     # each segment reads its eval points from the running block sums
     # between them, carried across the kernel's chunks: points on a
@@ -356,34 +357,33 @@ def test_block_sums_at_segment_edges(route, policy, segment_size, threads, block
     N = _BLOCK_N
     ref = build_series(N, policy, segment_size=N + 1)
     s = build_series(N, policy, segment_size=segment_size, pool=WorkerPool(threads))
-    assert s.route == ref.route == route
     offs = (s.eval_points - 1) % segment_size
     assert 0 in offs and segment_size - 1 in offs
     if segment_size > _TEST_CHUNK:
         c = _TEST_CHUNK
         assert {0, c - 1, c, c + 1} <= set(offs.tolist())
     # the dense ladder has a point in every 977-wide segment
-    if route == "quotient" or segment_size < 977:
+    if ladder == "quotient" or segment_size < 977:
         assert len(np.unique((s.eval_points - 1) // segment_size)) < -(-N // segment_size)
     for col in ("checkpoints", "M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(s, col), getattr(ref, col)), col
-    for col in ("eval_points", "M_eval", "U_eval", "pi_eval"):
+    for col in ("eval_points", "M_eval", "G_eval", "pi_eval"):
         assert np.array_equal(getattr(s, col), getattr(ref, col)), col
-    M, Qsq, pi, U = block_oracle
+    M, Qsq, pi, G = block_oracle
     assert np.array_equal(s.M_eval, M[s.eval_points])
-    assert np.array_equal(s.U_eval, U[s.eval_points])
+    assert np.array_equal(s.G_eval, G[s.eval_points])
     assert np.array_equal(s.pi_eval, pi[s.eval_points])
     assert np.array_equal(s.Qsq, Qsq[s.checkpoints])
 
 
 def _segment_spans(N, segment_size):
-    return [min(segment_size, N + 1 - lo)
-            * int(profile_range(Segment(lo, min(lo + segment_size, N + 1))).c_omega.max())
+    return [min(segment_size, N + 1 - lo) * int(np.abs(profile_range(
+                Segment(lo, min(lo + segment_size, N + 1)), {"g_sig"}).g_sig).max())
             for lo in range(1, N + 1, segment_size)]
 
 
 def test_series_overflow_bound_is_checked_before_summing(monkeypatch):
-    # width * max c_omega bounds every partial sum inside a segment; past
+    # width * max|g| bounds every partial sum inside a segment; past
     # the bound the segment is refused before any int64 sum is formed
     N, size = 10**4, 100
     spans = _segment_spans(N, size)
@@ -397,22 +397,8 @@ def test_series_overflow_bound_is_checked_before_summing(monkeypatch):
     with pytest.raises(OverflowError):
         build_series(N, pol, segment_size=size, pool=WorkerPool(2))
     monkeypatch.setattr(summatory, "_SAFE_SUM", max(spans) + N * max(spans))
-    assert build_series(N, pol, segment_size=size).M.tolist() == [mertens_oracle(N)]
-    # direct route: the span covers the g column too, so in one segment of
-    # one chunk, a bound that width * max|u| meets but width * max|g| passes
-    # is refused before any sum, on the direct route only
-    N, pol = 1000, CheckpointPolicy(kind="all")
-    g = g_table(N)
-    u_span, g_span = _segment_spans(N, N)[0], N * int(np.abs(g).max())
-    assert u_span < g_span
-    monkeypatch.setattr(summatory, "_SAFE_SUM", g_span - 1)
-    quotient = CheckpointPolicy(kind="explicit", points=(N,))
-    assert build_series(N, quotient, segment_size=N).M.tolist() == [mertens_oracle(N)]
-    with pytest.raises(OverflowError, match="a segment's sums"):
-        build_series(N, pol, segment_size=N)
-    monkeypatch.setattr(summatory, "_SAFE_SUM", g_span)
-    s = build_series(N, pol, segment_size=N)
-    assert s.route == "direct" and s.G.tolist() == np.cumsum(g).tolist()
+    s = build_series(N, pol, segment_size=size)
+    assert s.M.tolist() == [mertens_oracle(N)] and s.G.tolist() == [g_table(N).sum()]
 
 
 def test_series_overflow_bound_exits_one(monkeypatch, capsys):
@@ -452,17 +438,18 @@ def test_block_sum_guard_exits_one(monkeypatch, capsys):
     assert out == "" and "int32" in err
 
 
-@pytest.mark.parametrize("N, policy, route", [
+@pytest.mark.parametrize("N, policy, support", [
+    # the eval points: [1, T] and the quotients of the checkpoints above T
     (10**6, CheckpointPolicy(), "quotient"),
-    # every n is an eval point: the first default-size segment sums 5e4 blocks
+    # every n directly: the first default-size segment sums 5e4 blocks
     (50_000, CheckpointPolicy(kind="all"), "direct"),
 ])
-def test_series_bytes_equal_across_segment_sizes(N, policy, route):
+def test_series_bytes_equal_across_segment_sizes(N, policy, support):
     def columns(segment_size):
         s = build_series(N, policy, segment_size=segment_size)
-        assert s.route == route
+        assert (len(s.eval_points) == N) == (support == "direct")
         return [getattr(s, c).tobytes() for c in
-                ("checkpoints", "M", "G", "Qsq", "pi", "M_eval", "U_eval", "pi_eval")]
+                ("checkpoints", "M", "G", "Qsq", "pi", "M_eval", "G_eval", "pi_eval")]
 
     ref = columns(DEFAULT_SEGMENT_CAPACITY)
     for size in (999, 2**16):
@@ -472,15 +459,15 @@ def test_series_bytes_equal_across_segment_sizes(N, policy, route):
 def test_series_memory_per_segment_entry_flat_in_N():
     # the kernel derives its columns one chunk at a time, so a segment holds
     # only its 5 B/n of sieve columns plus a fixed 2 MB of chunk temporaries
-    # (about 14 B per entry of this 2^18 segment, 6 of a 2^20 one), and the
-    # quotient route's peak is set by the segment width, not by N
+    # (about 14 B per entry of this 2^18 segment, 6 of a 2^20 one), and a
+    # sparse ladder's peak is set by the segment width, not by N
     size = 2**18
     build_series(size, segment_size=size)       # one-time allocations
 
     def peak(N):
         tracemalloc.start()
         try:
-            assert build_series(N, segment_size=size).route == "quotient"
+            build_series(N, segment_size=size)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -493,15 +480,15 @@ def test_series_memory_per_segment_entry_flat_in_N():
 def test_direct_route_peak_bytes_per_n():
     # segments write their prefix sums into one array allocated once, so no
     # per-segment block sums are alive at the peak: for "all", recorded
-    # (40 B/n, G's row included), checkpoints and eval points (8 each); a
-    # sparser ladder keeps only its eval points' rows
+    # (32 B/n), checkpoints and eval points (8 each); a sparser ladder keeps
+    # only its eval points' rows
     N, size = 2**20, 2**16
     for policy, bytes_per_n in ((CheckpointPolicy(kind="all"), 80),
                                 (CheckpointPolicy(kind="geometric", ratio=1.001), 24)):
         build_series(size, policy, segment_size=size)       # one-time allocations
         tracemalloc.start()
         try:
-            assert build_series(N, policy, segment_size=size).route == "direct"
+            build_series(N, policy, segment_size=size)
             assert tracemalloc.get_traced_memory()[1] <= bytes_per_n * N, policy
         finally:
             tracemalloc.stop()
@@ -515,7 +502,7 @@ def test_direct_route_narrow_segments_keep_only_their_omega():
     build_series(100, pol, segment_size=1)
     tracemalloc.start()
     try:
-        assert build_series(1000, pol, segment_size=1).route == "direct"
+        build_series(1000, pol, segment_size=1)
         assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
     finally:
         tracemalloc.stop()
@@ -585,47 +572,6 @@ def test_double_sum_small(profile_1e4):
     for x in range(1, 301):
         total += g[x]
         assert g_via_double_sum(x, profile_1e4) == total
-
-
-def test_u_column_ties_to_g_by_divisor_identity():
-    # g * 1 = liouville . c_omega pointwise, so summing both sides gives
-    # U(x) = sum_{d <= x} g(d) floor(x/d): an extra exact triangulation of
-    # the quotient-route inputs against the inverse table
-    N = 10**4
-    s = build_series(N, CheckpointPolicy(kind="explicit", points=(77, 4096)))
-    g = g_table(N)
-    for x in (77, 4096, N):
-        direct = int((g[:x] * (x // np.arange(1, x + 1))).sum())
-        i = int(np.searchsorted(s.eval_points, x))
-        assert s.eval_points[i] == x and s.U_eval[i] == direct
-
-
-def _expected_route(cps, N):
-    return "direct" if 2 * sum(isqrt(int(c)) for c in cps) > N else "quotient"
-
-
-def test_routes_agree_on_irregular_inputs():
-    rng = np.random.default_rng(21)
-    seen = set()
-    for kind in ("all", "geometric", "explicit", "dense") * 2:
-        N = int(rng.integers(17, 30000))
-        if kind == "explicit":
-            pts = tuple(sorted(set(map(int, rng.integers(1, N + 1, size=5)))))
-            pol = CheckpointPolicy(kind="explicit", points=pts)
-        elif kind == "geometric":
-            pol = CheckpointPolicy(kind="geometric", ratio=float(rng.uniform(1.1, 3.0)))
-        elif kind == "dense":
-            pol = CheckpointPolicy(kind="geometric", ratio=float(rng.uniform(1.0005, 1.01)))
-        else:
-            pol = CheckpointPolicy(kind="all")
-        s = build_series(N, pol)
-        assert s.route == _expected_route(s.checkpoints, N), (N, pol)
-        seen.add(s.route)
-        G = np.cumsum(g_table(N))
-        M = np.cumsum(mobius_block_oracle(N)[1:])
-        assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, pol)
-        assert np.array_equal(s.M, M[s.checkpoints - 1]), (N, pol)
-    assert seen == {"direct", "quotient"}
 
 
 def test_csv_round_trip(tmp_path):
