@@ -140,12 +140,32 @@ def test_G_at_every_support_point_small_N():
             assert np.array_equal(s.G_at(s.eval_points), s.G_eval), (N, policy)
 
 
-def test_G_eval_is_the_prefix_sum_of_g():
-    # on sparse and dense ladders, and on irregular limits and checkpoints,
-    # G at every eval point is the prefix sum of the inverse table, and M at
-    # every checkpoint that of mobius
+def test_series_routes_agree():
+    # one route for G on sparse and dense ladders: G at every eval point is
+    # the prefix sum of the inverse table, and the two ladders agree on every
+    # column at their shared checkpoints
+    N = 10**5
+    G = np.cumsum(g_table(N))
+    sparse = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.4))
+    dense = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.001))
+    assert len(sparse.eval_points) < len(dense.eval_points) < N
+    for s in (sparse, dense):
+        assert np.array_equal(s.G, G[s.checkpoints - 1])
+        assert np.array_equal(s.G_eval, G[s.eval_points - 1])
+        assert np.array_equal(s.G_at(s.eval_points), G[s.eval_points - 1])
+    common, i, j = np.intersect1d(sparse.checkpoints, dense.checkpoints,
+                                  return_indices=True)
+    assert len(common) > 20
+    for col in ("M", "G", "Qsq", "pi"):
+        assert np.array_equal(getattr(sparse, col)[i], getattr(dense, col)[j]), col
+
+
+def test_routes_agree_on_irregular_inputs():
+    # irregular limits and checkpoints, on ladders whose eval points are every
+    # n and on sparse ones: G at every eval point is the prefix sum of the
+    # inverse table, and M at every checkpoint that of mobius
     rng = np.random.default_rng(21)
-    cases = [(10**5, CheckpointPolicy(kind="geometric", ratio=r)) for r in (1.4, 1.001)]
+    every_n = set()
     for kind in ("all", "geometric", "explicit", "dense") * 2:
         N = int(rng.integers(17, 30000))
         if kind == "explicit":
@@ -157,14 +177,14 @@ def test_G_eval_is_the_prefix_sum_of_g():
             pol = CheckpointPolicy(kind="geometric", ratio=float(rng.uniform(1.0005, 1.01)))
         else:
             pol = CheckpointPolicy(kind="all")
-        cases.append((N, pol))
-    for N, pol in cases:
         s = build_series(N, pol)
+        every_n.add(len(s.eval_points) == N)
         G = np.cumsum(g_table(N))
         M = np.cumsum(mobius_block_oracle(N)[1:])
         assert np.array_equal(s.G_eval, G[s.eval_points - 1]), (N, pol)
         assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, pol)
         assert np.array_equal(s.M, M[s.checkpoints - 1]), (N, pol)
+    assert every_n == {True, False}
 
 
 def test_quotient_sums_match_scalar_oracle():
