@@ -4,7 +4,8 @@
 #   1. directly, as the running sum of mobius;
 #   2. as G(x) + sum_k g(k) pi(floor(x/k));
 #   3. as G(x) + sum over primes p of G(floor(x/p)), grouped by quotient,
-#      from the series' G and pi rows (G sums the sieve kernel's g).
+#      from the series' G and pi rows (G sums the sieve kernel's g), kept
+#      at the ladder closed under x -> floor(x/k).
 #
 # The second and third are exact rearrangements tying M to the inverse table
 # g and the prime counts; neither reads M, and they must agree with the
@@ -18,12 +19,14 @@ from mforge import (
     g_table,
     mertens_via_G_over_primes,
     mertens_via_g_pi,
+    quotient_closure,
 )
 
 N = 10**6
 ladder = [10, 100, 1000, 10**4, 10**5, N]
 
-series = build_series(N, CheckpointPolicy(kind="explicit", points=tuple(ladder)))
+cps = CheckpointPolicy(kind="explicit", points=tuple(ladder)).checkpoints(N)
+series = build_series(N, checkpoints=quotient_closure(cps, N))
 g = g_table(N)
 
 print(f"{'x':>9} {'direct':>8} {'via g*pi':>9} {'via G/p':>9}")

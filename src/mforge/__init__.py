@@ -27,8 +27,8 @@ _EXPORTS = {
     "arith": ("ArithmeticProfile", "c_omega", "g_squarefree_closed_form", "g_table",
               "profile_range"),
     "dirichlet": ("IdentityReport", "convolve", "dirichlet_inverse", "verify_identity"),
-    "summatory": ("CheckpointPolicy", "SummatoryRows", "SummatorySeries", "build_series",
-                  "g_via_double_sum", "mertens_via_G_over_primes", "mertens_via_g_pi"),
+    "summatory": ("CheckpointPolicy", "SummatoryRows", "build_series", "g_via_double_sum",
+                  "mertens_via_G_over_primes", "mertens_via_g_pi", "quotient_closure"),
     "stats": ("DensityReport", "EmpiricalCdf", "collect_counts", "conditional_squarefree",
               "d_m_coefficients", "erdos_kac_cdf", "excess_density", "omega_k_density",
               "prime_exponent_distribution", "sign_balance"),

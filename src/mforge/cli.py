@@ -17,8 +17,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
-from itertools import chain
-from math import isqrt
+from itertools import chain, islice
 
 from . import IDENTITY_NAMES, LIL_MIN_X
 
@@ -40,8 +39,8 @@ RUNS_FORMATS = ("%d", "%d", "%d", "%.9f")
 #: the limit as a little-endian u64.
 PRIME_EXPORT_MAGIC = b"MFPRIMES1"
 
-#: Rows formatted per write.  Small, so that a table of N rows adds no peak
-#: that grows with N (summatory is held to 128 B per eval point).
+#: Rows formatted per write.  Small, so that formatting a block adds little
+#: to the block itself, whatever its length.
 WRITE_CHUNK_ROWS = 1024
 
 
@@ -62,10 +61,22 @@ def _open_in(path):
     return nullcontext(sys.stdin) if path == "-" else open(path)
 
 
-def _open_out(config):
-    if config.out in (None, "-"):
-        return nullcontext(sys.stdout)
-    return open(config.out, "w")
+@contextmanager
+def _open_out(path, mode="w"):
+    """The output ``path`` (stdout for None or "-", as text), emptied if the run
+    fails while writing, so that no partial table or export is left; a device
+    or FIFO, which refuses the truncation, and stdout keep what was written."""
+    if path in (None, "-") and mode == "w":
+        yield sys.stdout
+        return
+    with open(path, mode) as fh:
+        try:
+            yield fh
+            fh.flush()          # a failed last write empties it too
+        except BaseException:
+            with suppress(OSError):
+                fh.truncate(0)
+            raise
 
 
 def _values(column) -> list:
@@ -84,7 +95,9 @@ def _values(column) -> list:
 def _emit_rows(config, header, blocks, formats=None, comments=()):
     """Write blocks of rows as one table: CSV, or NDJSON objects of the raw
     values with --format json.  Each block, a list of equal-length columns,
-    is taken from ``blocks`` once the one before is written.
+    is taken from ``blocks`` once the one before is written; the output is
+    opened only once the first is in hand, so a run that fails before it
+    writes nothing.
 
     ``formats`` holds one %-format per column (default ``%s``); a missing
     value (None, or NaN in a float column) is an empty CSV field and a JSON
@@ -93,7 +106,9 @@ def _emit_rows(config, header, blocks, formats=None, comments=()):
     formats = formats or ("%s",) * len(header)
     if config.format == "json":
         import json
-    with _open_out(config) as fh:
+    blocks = iter(blocks)
+    blocks = chain(list(islice(blocks, 1)), blocks)    # the first, before the output opens
+    with _open_out(config.out) as fh:
         if config.format == "csv":
             fh.writelines(f"# {line}\n" for line in comments)
             fh.write(",".join(header) + "\n")
@@ -172,27 +187,19 @@ def cmd_sieve(config: argparse.Namespace) -> int:
     # the range is checked before --out is created; chunks are written as they come
     chunks = WorkerPool(config.threads).sweep(1, config.limit + 1, config.segment_size, primes)
     count = 0
-    with open(config.out, "wb") as fh:
-        try:
-            fh.write(PRIME_EXPORT_MAGIC)
-            for chunk in chunks:
-                fh.write(chunk)
-                count += len(chunk)
-        except BaseException:
-            # emptied, a partial export has no header (a device or FIFO stays as is)
-            with suppress(OSError):
-                fh.truncate(0)
-            raise
+    # emptied on a failure, a partial export has no header
+    with _open_out(config.out, "wb") as fh:
+        fh.write(PRIME_EXPORT_MAGIC)
+        for chunk in chunks:
+            fh.write(chunk)
+            count += len(chunk)
     log.info("exported %d primes <= %d to %s", count, config.limit, config.out)
     return 0
 
 
 #: Peak bytes per n of ``verify --identity all`` (a four-column profile of
-#: 1..limit: 421 MB at 1e7), and per eval point of ``summatory``, which sums
-#: G directly from g at each; every n is one for ``--checkpoints all``
-#: (86.3 B/n traced at 5e4, one segment; 54.4 B/n of RSS at 1e7).
+#: 1..limit: 421 MB at 1e7).
 VERIFY_BYTES_PER_N = 44
-SUMMATORY_DIRECT_BYTES_PER_N = 128
 
 #: Peak bytes per output row (trial x checkpoint) of ``simulate``: the runs'
 #: mbar and lil values and shared ladder, written one trial at a time
@@ -245,7 +252,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
     profile = arith.profile_range(sieve.Segment(1, config.limit + 1),
                                   columns=dirichlet.IDENTITY_COLUMNS)
     failed = False
-    with _open_out(config) as fh:
+    with _open_out(config.out) as fh:
         for name in names:
             report = dirichlet.verify_identity(name, config.limit, profile=profile)
             fh.write(f"{report}  -- {dirichlet.IDENTITY_LABELS[name]}\n")
@@ -257,21 +264,17 @@ def cmd_summatory(config: argparse.Namespace) -> int:
     from . import sieve, summatory
     from .parallel import WorkerPool
 
-    policy, limit = config.checkpoints, config.limit
-    sieve.Segment(1, limit + 1)     # past the kernel's bound, refuse before any estimate
-    # rows are kept at every eval point: every n for "all", which is refused
-    # before its ladder, else fewer than 2 isqrt(sum c) + 1 (_eval_point_union)
+    policy, limit, size = config.checkpoints, config.limit, config.segment_size
+    sieve.Segment(1, limit + 1)     # past the kernel's bound, refuse before the ladder
+    # the rows are swept and written one segment at a time; "all" has no ladder
     cps = None if policy.kind == "all" else policy.checkpoints(limit)
-    points = limit if cps is None else min(limit, 2 * isqrt(int(cps.sum(dtype=float))) + 1)
-    _require_memory(f"summatory up to {limit}", points * SUMMATORY_DIRECT_BYTES_PER_N)
+    blocks = summatory.series_blocks(limit, cps, segment_size=size,
+                                     pool=WorkerPool(config.threads))
     _require_segment(config, limit)
-    series = summatory.build_series(limit, policy, segment_size=config.segment_size,
-                                    pool=WorkerPool(config.threads), checkpoints=cps)
-    log.info("summatory: %d checkpoints, %d eval points",
-             len(series.checkpoints), len(series.eval_points))
-    _emit_rows(config, SERIES_COLUMNS,
-               [[series.checkpoints, series.M, series.G, series.Qsq, series.pi]],
+    _emit_rows(config, SERIES_COLUMNS, ([b.checkpoints, b.M, b.G, b.Qsq, b.pi] for b in blocks),
                SERIES_FORMATS)
+    log.info("summatory: %d rows written, %d segments swept",
+             limit if cps is None else len(cps), -(-limit // size))
     return 0
 
 

@@ -13,9 +13,9 @@ from math import isqrt
 import numpy as np
 
 #: Default number of entries per sieve segment.  A sweep's memory is this
-#: width times the workers times the bytes its kernel keeps per entry (about
-#: 6 for the series sweep, 16 for a profile of five columns), so the
-#: default keeps a worker near 6-16 MB.
+#: width times the workers times the bytes it keeps per entry (about 6 for
+#: the series sweep, 17 with a row at every n, 16 for a profile of five
+#: columns), so the default keeps a worker near 6-17 MB.
 DEFAULT_SEGMENT_CAPACITY = 1 << 20
 
 

