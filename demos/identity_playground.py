@@ -19,7 +19,7 @@ print(f"{'n':>3} {'omega':>5} {'Omega':>5} {'mu':>3} {'lambda':>6} {'C':>4} {'g'
 for n in (1, 2, 4, 6, 12, 30):
     j = n - 1
     print(f"{n:>3} {prof.omega[j]:>5} {prof.big_omega[j]:>5} {prof.mobius[j]:>3} "
-          f"{prof.liouville[j]:>6} {prof.c_omega[j]:>4} {prof.g[j]:>4}")
+          f"{prof.liouville[j]:>6} {abs(prof.u[j]):>4} {prof.g[j]:>4}")
 
 # Note the pattern at primes: g(p) = -2, always.  And on squarefree n the
 # value depends only on how many primes divide n.
@@ -34,6 +34,7 @@ for name in IDENTITY_NAMES:
     report = verify_identity(name, N, profile=big)
     print(f"  {report}   [{IDENTITY_LABELS[name]}]")
 
-# The multinomial column never overflows silently: it is checked on the way.
-worst = int(np.argmax(big.c_omega))
-print(f"\nLargest multinomial below {N}: C({worst + 1}) = {big.c_omega[worst]}")
+# The multinomial is |u|, and u never overflows silently: it is checked on the way.
+c = np.abs(big.u)
+worst = int(np.argmax(c))
+print(f"\nLargest multinomial below {N}: C({worst + 1}) = {c[worst]}")

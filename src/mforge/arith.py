@@ -2,7 +2,8 @@
 
 Covers the distinct/total prime-factor counts omega and big_omega, mobius,
 liouville, the exponent-multinomial coefficient ``c_omega`` (the multinomial
-of the exponent multiset of n), and g, the Dirichlet inverse of
+of the exponent multiset of n; in bulk, |u| with u = liouville * c_omega),
+the prime-signature index ``sig``, and g, the Dirichlet inverse of
 ``omega + 1``.  Bulk computation works over arbitrary contiguous segments.
 The prefix table ``g_table`` computes g by ``dirichlet.dirichlet_inverse``, a
 recursion over 1..N; the segment kernel gathers it by prime signature
@@ -63,6 +64,10 @@ _WEIGHTS = (0, 0, 1, 11, 68, 231, 502, 631, 977, 1171, 1292, 1373, 1397, 1434, 1
 #: The code a level-e step adds, w_e - w_(e-1), for e <= 56 (2^57 > 10^17),
 #: as uint16; 0 past level 20, which only exact-path entries reach.
 _CODE_ADDS = np.diff(_WEIGHTS + _WEIGHTS[-1:] * 36, prepend=0).astype(np.uint16)
+
+#: The length of the signature tables, past the sig of every n with big_omega
+#: <= 20 (at most 2584 << 4 | 14): the sig of every other n.
+_SIG_EXACT = 41_360
 
 #: Pairwise coprime periods of the presieve patterns.  Every prime-power
 #: level q = p^e, e >= 1, that divides a period is a pattern: 2..2^12,
@@ -160,20 +165,30 @@ def _signature_table(name: str) -> np.ndarray:
             walk(code + _WEIGHTS[b], big_b + b, k + 1, den * h[0][b], _with_part(e, b), b)
 
     walk(0, 0, 0, 1, [1], 20)
-    table = np.zeros((max(at) >> 4) + 1 << 4, dtype=np.int64)
+    table = np.zeros(_SIG_EXACT, dtype=np.int64)
     table[at] = values
     table.flags.writeable = False           # shared by every caller
     return table
 
 
+@cache
+def c_omega_ranks() -> tuple:
+    """The distinct c_omega = |u| at the ``sig`` indexes, ascending, and each
+    index's rank among them as uint16, with one past them for big_omega > 20."""
+    values, rank = np.unique(np.abs(_signature_table("u")), return_inverse=True)
+    rank = np.append(rank, len(values)).astype(np.uint16)
+    values.flags.writeable = rank.flags.writeable = False     # shared by every caller
+    return values, rank
+
+
 #: The per-n columns ``profile_range`` and ``profile_chunks`` can compute, in
-#: profile field order; u is liouville * c_omega, and g_sig is g gathered by
-#: prime signature (the lazy ``ArithmeticProfile.g`` is the prefix table).
-PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u", "g_sig")
+#: profile field order; sig is the prime-signature index, u is liouville *
+#: c_omega, and g_sig is g gathered at sig (the lazy ``ArithmeticProfile.g`` is the prefix table).
+PROFILE_COLUMNS = ("omega", "big_omega", "mobius", "liouville", "sig", "u", "g_sig")
 
 #: Dtypes of the columns built chunk by chunk.
 _DERIVED = {"omega": np.uint8, "mobius": np.int8, "liouville": np.int8,
-            "c_omega": np.int64, "u": np.int64, "g_sig": np.int64}
+            "sig": np.uint16, "u": np.int64, "g_sig": np.int64}
 
 
 @dataclass
@@ -189,8 +204,8 @@ class ArithmeticProfile:
     big_omega: np.ndarray | None    # uint8, prime factors with multiplicity
     mobius: np.ndarray | None       # int8 in {-1, 0, +1}
     liouville: np.ndarray | None    # int8 in {-1, +1}
-    c_omega: np.ndarray | None      # int64, exponent multinomial, overflow-checked
-    u: np.ndarray | None            # int64, liouville * c_omega
+    sig: np.ndarray | None          # uint16, signature index, see ``c_omega_ranks``
+    u: np.ndarray | None            # int64, liouville * c_omega, so c_omega is |u|
     g_sig: np.ndarray | None        # int64, g from the prime signature
 
     @cached_property
@@ -242,10 +257,10 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
     * Derived columns, one ``_CHUNK`` of entries at a time into the output
       columns: omega read out of the word, big_omega = omega + extra,
       formed in place in ``extra``; n is squarefree iff extra == 0.  The
-      code and omega fix n's prime signature, so u = liouville * c_omega and
-      g_sig = g are each one gather at the index ``code << 4 | omega`` from
-      a table of ``_signature_table``, and c_omega is |u|.  No division and
-      no temporary of the segment's width.
+      code and omega fix n's prime signature, named by the index
+      sig = ``code << 4 | omega``, so u = liouville * c_omega and g_sig = g
+      are each one gather at sig from a table of ``_signature_table``.  No
+      division and no temporary of the segment's width.
 
     ``columns`` names the profile fields to build (default: all seven); the
     others are left None, and an unknown name raises ValueError.  Each column
@@ -255,12 +270,12 @@ def profile_range(segment: Segment, columns=PROFILE_COLUMNS) -> ArithmeticProfil
       prime-power level still adds to L, so the test stays exact.
     * ``big_omega``, ``mobius``, ``liouville``: also the ``extra`` patterns
       and updates.
-    * ``c_omega``, ``u``, ``g_sig``: also the ``code`` patterns and updates,
-      the gathers and the exact path below.
+    * ``sig``, ``u``, ``g_sig``: also the ``code`` patterns and updates, and
+      for u and g_sig the gathers and the exact path below.
 
-    The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63 and
-    are computed exactly from their factorization instead.  The int64
-    columns cannot overflow for n <= 10^17: the exponent-signature search in
+    The few entries with big_omega > 20 (n >= 2^21) would need 21! > 2^63:
+    their sig is 41,360, past the tables, and their u and g_sig come from
+    their factorization.  The int64 columns cannot overflow for n <= 10^17:
     ``tests/test_arith.py::test_c_omega_int64_bound_by_signature_search``
     bounds c_omega there below 2^60 and |g| below 2^61, so a ``Segment``
     reaching past 10^17 raises OverflowError when it is made, before any
@@ -317,7 +332,7 @@ def _cut(cols, s: slice) -> tuple:
 
 def _sieve(segment: Segment, want, ws: Workspace) -> tuple:
     """The segment's sieve word after the byte-log test, with ``extra``
-    (unless only omega is wanted) and ``code`` (for c_omega, u or g_sig), else
+    (unless only omega is wanted) and ``code`` (for sig, u or g_sig), else
     None, in arrays of ``ws``."""
     lo, hi = segment.lo, segment.hi
     width = segment.width
@@ -325,7 +340,7 @@ def _sieve(segment: Segment, want, ws: Workspace) -> tuple:
 
     word = ws.zeros("word", width, _WORD)
     extra = ws.zeros("extra", width, np.uint8) if want - {"omega"} else None
-    code = ws.zeros("code", width, np.uint16) if want & {"c_omega", "u", "g_sig"} else None
+    code = ws.zeros("code", width, np.uint16) if want & {"sig", "u", "g_sig"} else None
 
     cols = (word, extra, code)
     for pattern in _patterns(_PATTERN_PERIODS):
@@ -360,27 +375,27 @@ def _derive(lo: int, word, extra, code, out: dict, ws: Workspace):
     big = np.add(extra, omega, out=extra)
     if "liouville" in out:
         _signs(big, out["liouville"])
-    u = out.get("u", out.get("c_omega"))   # the gather fills c_omega when u is not wanted
-    g = out.get("g_sig")
-    if u is None and g is None:
+    if code is None:
         return
+    # where big_omega <= 20, code <= 2584 and omega <= 14 (below 10^17), so sig
+    # fits in 16 bits; elsewhere it may wrap or pass the tables (then the
+    # gathers clip it), and the entry is rewritten below
+    sig = np.left_shift(code, 4, out=out.get("sig"))
+    sig |= omega
+    u, g = out.get("u"), out.get("g_sig")
     gathers = [(_signature_table(name), col) for name, col in (("u", u), ("g_sig", g))
                if col is not None]
-    # where big_omega <= 20, code <= 2584 and omega <= 14 (below 10^17), so the
-    # index fits in 16 bits; elsewhere it may wrap or pass the tables (then it
-    # is clipped), and the entry is rewritten below
-    at = code << 4
-    at |= omega
+    at = sig
     if len(gathers) == 2:
         at = at.astype(np.intp)     # np.take converts a uint16 index on every call
     for table, col in gathers:
         np.take(table, at, out=col, mode="clip")     # "raise" would buffer out
     for i in np.flatnonzero(big > 20).tolist():
-        for col, value in zip((u, g), _exact_columns(lo + i)):
-            if col is not None:
-                col[i] = value
-    if "c_omega" in out:        # only now, as the exact path writes signed entries
-        np.abs(u, out=out["c_omega"])
+        sig[i] = _SIG_EXACT
+        if gathers:
+            for col, value in zip((u, g), _exact_columns(lo + i)):
+                if col is not None:
+                    col[i] = value
 
 
 def _signs(count, out):

@@ -228,7 +228,7 @@ def _require_memory(run: str, need: int):
 
 
 #: Peak bytes per entry of one kernel call on five columns (no sweep asks for
-#: both c_omega and u), the bound of ``tests/test_arith.py::test_profile_peak_bytes_per_entry``.
+#: two int64 ones), the bound of ``tests/test_arith.py::test_profile_peak_bytes_per_entry``.
 KERNEL_BYTES_PER_ENTRY = 17
 
 

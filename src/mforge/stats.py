@@ -15,7 +15,7 @@ import numpy as np
 
 from .parallel import WorkerPool
 from .sieve import DEFAULT_SEGMENT_CAPACITY, factorize, primes_up_to
-from .arith import profile_chunks
+from .arith import c_omega, c_omega_ranks, profile_chunks
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -331,10 +331,12 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
     statistic "omega" uses the classical centering
     (omega(n) - loglog x) / sqrt(loglog x); "log_c_omega" has no published
     centering constants, so it is standardized empirically by sample mean
-    and standard deviation.  Each kernel chunk leaves an exact histogram: of
-    omega, a bincount of fixed length, summed; of c_omega, its distinct values
-    and counts, merged once per segment and that into the running histogram
-    as each segment arrives, so memory is bounded by the segment width.
+    and standard deviation.  Each kernel chunk leaves one fixed-length
+    bincount: of omega, or of the rank of c_omega among its distinct values,
+    gathered at the prime-signature index ``sig``.  Each segment's is summed
+    into the running histogram as it arrives, so memory is bounded by the
+    segment width.  The few n with big_omega > 20 share one ``sig``; their
+    c_omega are computed from their factorizations and merged at the end.
     """
     if x < 100:
         raise ValueError(f"x must be >= 100, got {x}")
@@ -355,19 +357,27 @@ def erdos_kac_cdf(x: int, statistic: str = "omega",
         ll = math.log(math.log(x))
         return _ks_from_counts(keys, h[keys], ll, math.sqrt(ll))
 
-    def c_omega_histogram(seg, ws):
-        return _merged([np.unique(cols["c_omega"], return_counts=True)
-                        for _, cols in profile_chunks(seg, {"c_omega"}, ws)])
+    values, rank = c_omega_ranks()      # the last rank is that of big_omega > 20
 
-    keys = counts = np.empty(0, dtype=np.int64)
-    for hist in pool.sweep(3, x + 1, segment_size, c_omega_histogram):
-        keys, counts = _merged([(keys, counts), hist])
-    return _ks_from_counts(np.log(keys.astype(np.float64)), counts)
+    def rank_histogram(seg, ws):
+        hist, exact = np.zeros(len(values) + 1, dtype=np.int64), []
+        for offset, cols in profile_chunks(seg, {"sig"}, ws):
+            at = ws.empty("rank", len(cols["sig"]), np.uint16)
+            np.take(rank, cols["sig"], out=at, mode="clip")     # "raise" would buffer out
+            h = np.bincount(at, minlength=len(hist))
+            hist += h
+            if h[-1]:
+                exact += [c_omega(factorize(seg.lo + offset + i))
+                          for i in np.flatnonzero(at == len(values)).tolist()]
+        return hist, exact
 
-
-def _merged(histograms) -> tuple:
-    """One (distinct ascending values, int64 counts) histogram from several."""
-    keys, where = np.unique(np.concatenate([k for k, _ in histograms]), return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, where, np.concatenate([c for _, c in histograms]))
-    return keys, counts
+    counts, exact = np.zeros(len(values) + 1, dtype=np.int64), []
+    for hist, more in pool.sweep(3, x + 1, segment_size, rank_histogram):
+        counts += hist
+        exact += more
+    # the keys stay exact integers until the log
+    keys, where = np.unique(np.append(values, np.array(exact, dtype=np.int64)), return_inverse=True)
+    total = np.bincount(where[len(values):], minlength=len(keys))
+    total[where[:len(values)]] += counts[:-1]
+    hit = total > 0
+    return _ks_from_counts(np.log(keys[hit].astype(np.float64)), total[hit])

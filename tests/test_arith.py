@@ -46,13 +46,13 @@ def test_profile_pointwise_examples(profile_1e4):
         return n - p.segment.lo
     # n = 12: omega 2, big_omega 3, mu 0, lambda -1, multinomial 3!/2! = 3
     assert (p.omega[i(12)], p.big_omega[i(12)], p.mobius[i(12)],
-            p.liouville[i(12)], p.c_omega[i(12)]) == (2, 3, 0, -1, 3)
+            p.liouville[i(12)], p.u[i(12)]) == (2, 3, 0, -1, -3)
     # n = 30: squarefree with three primes, multinomial 3! = 6
     assert (p.omega[i(30)], p.big_omega[i(30)], p.mobius[i(30)],
-            p.liouville[i(30)], p.c_omega[i(30)]) == (3, 3, -1, -1, 6)
+            p.liouville[i(30)], p.u[i(30)]) == (3, 3, -1, -1, -6)
     # n = 1 conventions
     assert (p.omega[0], p.big_omega[0], p.mobius[0], p.liouville[0],
-            p.c_omega[0], p.g[0]) == (0, 0, 1, 1, 1, 1)
+            p.u[0], p.g[0]) == (0, 0, 1, 1, 1, 1)
 
 
 def test_profile_invariants(profile_1e4):
@@ -76,7 +76,7 @@ def test_profile_matches_trial_division_oracle():
         assert p.big_omega[j] == big_omega_oracle(n)
         assert p.mobius[j] == mobius_oracle(n)
         assert p.liouville[j] == liouville_oracle(n)
-        assert p.c_omega[j] == c_omega_oracle(n)
+        assert abs(p.u[j]) == c_omega_oracle(n)
     assert p.g is None  # offset ranges cannot carry g
 
 
@@ -95,14 +95,14 @@ def test_profile_bulk_agrees_with_pointwise_1e4_samples():
             f = factorize(n)
             assert prof.omega[j] == len(f.factors)
             assert prof.big_omega[j] == sum(a for _, a in f)
-            assert prof.c_omega[j] == c_omega(f)
+            assert abs(prof.u[j]) == c_omega(f)
             assert prof.mobius[j] == (0 if any(a > 1 for _, a in f)
                                       else (-1) ** len(f.factors))
 
 
 _INT64_MAX = (1 << 63) - 1
 
-COLUMNS = ("omega", "big_omega", "mobius", "liouville", "c_omega", "u", "g_sig")
+COLUMNS = ("omega", "big_omega", "mobius", "liouville", "sig", "u", "g_sig")
 
 # Presieve pattern periods and prime powers whose strides restart at a multiple
 _PERIODS = (*arith._PATTERN_PERIODS, 4, 8, 9, 25, 27, 49, 121, 169, 289, 1024, 2187, 4913)
@@ -144,7 +144,7 @@ def test_profile_split_invariant_and_matches_oracles(seg):
     for n in range(lo, hi):
         j = n - lo
         assert (whole.omega[j], whole.big_omega[j], whole.mobius[j],
-                whole.liouville[j], whole.c_omega[j]) == (
+                whole.liouville[j], abs(whole.u[j])) == (
             omega_oracle(n), big_omega_oracle(n), mobius_oracle(n),
             liouville_oracle(n), c_omega_oracle(n)), n
 
@@ -160,7 +160,7 @@ def test_profile_split_invariant_across_blocks(lo, mid, hi):
     for b in range(0, hi - lo, arith._CHUNK):
         for n in range(lo + max(b - 3, 0), min(lo + b + 3, hi)):
             j = n - lo
-            assert (whole.omega[j], whole.big_omega[j], whole.c_omega[j]) == (
+            assert (whole.omega[j], whole.big_omega[j], abs(whole.u[j])) == (
                 omega_oracle(n), big_omega_oracle(n), c_omega_oracle(n)), n
 
 
@@ -192,8 +192,8 @@ def test_profile_column_subsets_match_full_profile(seg):
 
 
 def test_profile_column_subsets_on_exact_path_and_block_edges():
-    # entries with big_omega > 20 take the exact c_omega path; the segment is
-    # wider than the kernel's derivation chunk
+    # entries with big_omega > 20 take the exact path and the sentinel sig;
+    # the segment is wider than the kernel's derivation chunk
     _check_column_subsets(2**21 - 3, 2**21 + 3 * 2**17 + 5)
 
 
@@ -207,7 +207,7 @@ def test_profile_unknown_column_raises():
 @pytest.mark.parametrize("n0", [2**21, 3 * 2**21, 2**22, 2**26])
 def test_profile_exact_path_above_twenty_factors(n0):
     # big_omega > 20 needs 21! > 2^63, so these entries take the exact path,
-    # for g as for c_omega
+    # for g as for u
     lo = n0 - 2000
     prof = profile_range(Segment(lo, n0 + 2000))
     hot = np.nonzero(prof.big_omega > 20)[0]
@@ -215,7 +215,7 @@ def test_profile_exact_path_above_twenty_factors(n0):
     near = range(n0 - lo - 50, n0 - lo + 50)
     for j in sorted(set(map(int, hot)) | set(near)):
         f = factorize(lo + j)
-        assert prof.c_omega[j] == c_omega(f)
+        assert abs(prof.u[j]) == c_omega(f)
         assert prof.g_sig[j] == g_subset_sum([a for _, a in f])
         assert prof.big_omega[j] == sum(a for _, a in f)
         assert prof.omega[j] == len(f.factors)
@@ -224,7 +224,23 @@ def test_profile_exact_path_above_twenty_factors(n0):
 
 
 def _profile_rows(prof):
-    return list(zip(*(getattr(prof, col).tolist() for col in COLUMNS)))
+    """The profile's rows as ``_oracle_row`` lays them out."""
+    cols = [prof.omega, prof.big_omega, prof.mobius, prof.liouville, np.abs(prof.u), prof.u,
+            prof.g_sig, prof.sig]
+    return list(zip(*(col.tolist() for col in cols)))
+
+
+def _oracle_row(n):
+    """(omega, big_omega, mobius, liouville, c_omega, u, g, sig) of n from its
+    exponents: sig is code << 4 | omega, code the sum of the signature weights
+    of the exponents, where big_omega <= 20, and 41,360, past the signature
+    tables, elsewhere."""
+    exps = exponents_oracle(n)
+    if sum(exps) > 20:
+        sig = 41_360
+    else:
+        sig = sum(arith._WEIGHTS[a] for a in exps) << 4 | len(exps)
+    return (*columns_from_exponents(exps), sig)
 
 
 #: Windows of +-64 around 2^k for k above this cost over a second each, most
@@ -240,7 +256,7 @@ def test_profile_matches_oracles_around_binary_range_edges(k):
     lo, hi = max(1, 2**k - 64), 2**k + 64
     rows = _profile_rows(profile_range(Segment(lo, hi)))
     for n, row in zip(range(lo, hi), rows):
-        assert row == columns_from_exponents(exponents_oracle(n)), n
+        assert row == _oracle_row(n), n
 
 
 def _sparse_steps_dividing(n: int, width: int, hi: int) -> int:
@@ -266,7 +282,7 @@ def test_profile_entries_hit_by_several_sparse_steps(n0, width):
     assert _sparse_steps_dividing(n0, width, hi) >= 2
     rows = _profile_rows(profile_range(Segment(lo, hi)))
     for n, row in zip(range(lo, hi), rows):
-        assert row == columns_from_exponents(exponents_oracle(n)), n
+        assert row == _oracle_row(n), n
 
 
 def test_exponents_oracle_matches_trial_division():
@@ -279,7 +295,7 @@ def test_exponents_oracle_matches_trial_division():
 def test_profile_matches_oracles_on_every_segment_below_40():
     # here r = isqrt(hi - 1) < 7: the patterns count the primes up to 13 and
     # the primes 17..37 above r are left to the byte-log test
-    oracle = {n: columns_from_exponents(exponents_oracle(n)) for n in range(1, 40)}
+    oracle = {n: _oracle_row(n) for n in range(1, 40)}
     for hi in range(2, 41):
         for lo in range(1, hi):
             rows = _profile_rows(profile_range(Segment(lo, hi)))
@@ -301,12 +317,12 @@ def test_byte_log_is_floor_of_four_log2_on_seed_primes():
 
 
 @pytest.mark.parametrize("columns, bytes_per_n", [
-    (set(COLUMNS) - {"u", "g_sig"}, 17), ({"omega"}, 4), (set(COLUMNS) - {"c_omega", "g_sig"}, 17)])
+    (set(COLUMNS) - {"u", "g_sig"}, 17), ({"omega"}, 4), (set(COLUMNS) - {"sig", "g_sig"}, 17)])
 def test_profile_peak_bytes_per_entry(columns, bytes_per_n):
     # one-byte logs, a two-byte signature code and derived columns built
     # one chunk at a time leave no full-width temporary beside the outputs;
-    # omega alone keeps two byte columns and a mask.  No sweep asks for both
-    # c_omega and u, so the bound is for five columns
+    # omega alone keeps two byte columns and a mask.  No sweep asks for more
+    # than one int64 column, so the bound is for five columns with at most one
     seg = Segment(10**8 - 2**20 + 1, 10**8 + 1)
     profile_range(seg, columns=columns)
     tracemalloc.start()
@@ -350,6 +366,13 @@ def test_signature_index_gathers_u_and_g():
     U, G = arith._signature_table("u"), arith._signature_table("g_sig")
     assert U[index].tolist() == u and G[index].tolist() == g
     assert np.count_nonzero(U) == np.count_nonzero(G) == len(cases)    # 0 elsewhere
+    assert len(U) == len(G) == 41_360
+    # the CDF's rank table: 1,309 distinct c_omega and the 0 of the unused
+    # indexes, and a rank of its own for the index 41,360 of big_omega > 20
+    values, rank = arith.c_omega_ranks()
+    assert len(values) == 1310 and np.all(np.diff(values) > 0)
+    assert values[rank[index]].tolist() == [abs(v) for v in u]
+    assert len(rank) == 41_361 and rank[-1] == 1310 and rank.dtype == np.uint16
     # every exponent above 20 weighs w_20, so its levels past 20 add nothing
     assert not arith._CODE_ADDS[21:].any()
 
@@ -378,8 +401,8 @@ def test_chunked_columns_equal_one_piece(lo, width, monkeypatch):
     pieces = [(a, {k: v.copy() for k, v in p.items()}) for a, p in profile_chunks(seg, COLUMNS)]
     monkeypatch.setattr(arith, "_CHUNK", width)
     whole = profile_range(seg)
-    assert lo > 2**21 or (whole.big_omega[2**21 - lo], whole.g_sig[2**21 - lo]) == (
-        21, g_subset_sum([21]))
+    assert lo > 2**21 or (whole.big_omega[2**21 - lo], whole.g_sig[2**21 - lo],
+                          whole.sig[2**21 - lo]) == (21, g_subset_sum([21]), 41_360)
     assert [a for a, _ in pieces] == list(range(0, width, chunk))
     assert all(len(p["u"]) == min(chunk, width - a) for a, p in pieces)
     for col in COLUMNS:
@@ -387,7 +410,7 @@ def test_chunked_columns_equal_one_piece(lo, width, monkeypatch):
         joined = np.concatenate([p[col] for _, p in pieces])
         assert joined.dtype == ref.dtype and np.array_equal(joined, ref), col
         assert np.array_equal(getattr(chunked, col), ref), col
-    assert np.array_equal(whole.u, whole.c_omega * whole.liouville)
+    assert np.array_equal(np.sign(whole.u), whole.liouville)
 
 
 def _profile_columns(lo, hi):
@@ -529,7 +552,7 @@ def _max_c_omega_up_to(x: int) -> int:
 
 
 def test_c_omega_int64_bound_by_signature_search():
-    # A-priori bounds behind profile_range's int64 c_omega, u and g_sig columns
+    # A-priori bounds behind profile_range's int64 u and g_sig columns (c_omega is |u|)
     assert _max_c_omega_up_to(10**8) == 28_828_800
     assert _max_c_omega_up_to(10**12) == 1_177_930_353_600
     assert _max_c_omega_up_to(10**17) < 1 << 60
@@ -650,8 +673,8 @@ def test_profile_rejects_segments_past_1e17_before_sieving(monkeypatch):
 
 def test_width_one_edges():
     p1 = profile_range(Segment(1, 2))
-    assert (p1.omega[0], p1.big_omega[0], p1.mobius[0], p1.c_omega[0], p1.g[0]) \
-        == (0, 0, 1, 1, 1)
+    assert (p1.omega[0], p1.big_omega[0], p1.mobius[0], p1.sig[0], p1.u[0], p1.g[0]) \
+        == (0, 0, 1, 0, 1, 1)
     p2 = profile_range(Segment(2, 3))
     assert (p2.omega[0], p2.big_omega[0], p2.mobius[0]) == (1, 1, -1)
     assert g_table(1).tolist() == [1]

@@ -688,17 +688,20 @@ def test_overflow_is_failed_run(monkeypatch, capsys):
 ])
 def test_limit_past_physical_memory_is_refused(args, bytes_per_n, limit,
                                                monkeypatch, capsys):
-    # the refusal reads the estimate against available memory before sieving
+    # the refusal reads the estimate against available memory before sieving;
+    # dirichlet is imported first, so that it binds the real prime sieve and
+    # its own binding is stubbed and restored with the others
     import mforge.cli as cli
-    from mforge import arith, sieve
+    from mforge import arith, dirichlet, sieve
 
     need = limit * getattr(cli, bytes_per_n)
     monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
     for kernel in ("profile_range", "profile_chunks"):
         monkeypatch.setattr(arith, kernel,
                             lambda *a, **k: pytest.fail("profiled a refused limit"))
-    monkeypatch.setattr(sieve, "primes_up_to",
-                        lambda *a, **k: pytest.fail("sieved a refused limit"))
+    for module in (sieve, dirichlet):
+        monkeypatch.setattr(module, "primes_up_to",
+                            lambda *a, **k: pytest.fail("sieved a refused limit"))
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert "available memory" in err

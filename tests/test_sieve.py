@@ -58,7 +58,7 @@ def test_segmented_matches_monolithic():
     whole = profile_range(Segment(1, 3 * 10**4))
     for lo in (1, 777, 15000, 29000):
         part = profile_range(Segment(lo, min(lo + 1000, 3 * 10**4)))
-        for col in ("omega", "big_omega", "mobius", "c_omega"):
+        for col in ("omega", "big_omega", "mobius", "sig"):
             want = getattr(whole, col)[lo - 1 : lo - 1 + part.segment.width]
             assert np.array_equal(getattr(part, col), want), (lo, col)
 

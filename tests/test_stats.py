@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mforge import arith
-from mforge.arith import profile_chunks, profile_range
+from mforge.arith import c_omega, profile_chunks, profile_range
 from mforge.parallel import WorkerPool
-from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, Segment, primes_up_to
+from mforge.sieve import DEFAULT_SEGMENT_CAPACITY, Segment, factorize, primes_up_to
 from mforge.stats import (
     DegenerateSampleError,
     _d_m_fold,
@@ -27,6 +28,7 @@ from mforge.stats import (
 
 from oracles import (
     big_omega_oracle,
+    c_omega_oracle,
     mobius_oracle,
     omega_oracle,
     sorted_sample_cdf,
@@ -226,17 +228,33 @@ def test_erdos_kac_log_c_omega():
     assert 0.0 <= cdf.ks <= 1.0
 
 
+@cache
+def _log_c_omega_sample(x: int) -> np.ndarray:
+    """log c_omega(n) over [3, x]: by the factorial oracle up to 10^5; above,
+    |u| of the kernel, whose entries with big_omega > 20 come from its exact
+    path (``arith._exact_columns``), apart from the CDF's sentinel bins."""
+    if x <= 10**5:
+        c = [c_omega_oracle(n) for n in range(3, x + 1)]
+    else:
+        c = np.abs(profile_range(Segment(3, x + 1), {"u"}).u)
+    return np.log(np.asarray(c, dtype=np.float64))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("x,segment_size", [(100, 7), (12345, 101), (10**5, 4099)])
+@pytest.mark.parametrize("x,segment_size", [
+    (100, 7), (12345, 101), (10**5, 4099),
+    # the six n <= 3 * 2^21 with big_omega > 20: three in each of two
+    # segments, each in its own chunk; or at most two to a segment
+    (3 * 2**21 + 1, 2**22 - 1), (3 * 2**21 + 1, 2**20 - 3)])
 @pytest.mark.parametrize("statistic", ["omega", "log_c_omega"])
 def test_erdos_kac_cdf_matches_sorted_sample_oracle(statistic, x, segment_size, threads):
-    prof = profile_range(Segment(3, x + 1))
     if statistic == "omega":
         ll = math.log(math.log(x))
-        want, ks = sorted_sample_cdf((prof.omega.astype(np.float64) - ll) / math.sqrt(ll),
+        omega = profile_range(Segment(3, x + 1), {"omega"}).omega
+        want, ks = sorted_sample_cdf((omega.astype(np.float64) - ll) / math.sqrt(ll),
                                      standardize=False)
     else:
-        want, ks = sorted_sample_cdf(np.log(prof.c_omega.astype(np.float64)))
+        want, ks = sorted_sample_cdf(_log_c_omega_sample(x))
     cdf = erdos_kac_cdf(x, statistic, segment_size, pool=WorkerPool(threads))
     assert cdf.size == x - 2
     if statistic == "omega":
@@ -255,17 +273,26 @@ def _omega_histogram(seg, ws):
     return h
 
 
-def _c_omega_histogram(seg, ws):
-    return [np.unique(cols["c_omega"], return_counts=True)
-            for _, cols in profile_chunks(seg, {"c_omega"}, ws)]
+def _c_omega_rank_histogram(seg, ws):
+    values, rank = arith.c_omega_ranks()
+    hist, exact = np.zeros(len(values) + 1, dtype=np.int64), []
+    for offset, cols in profile_chunks(seg, {"sig"}, ws):
+        at = ws.empty("rank", len(cols["sig"]), np.uint16)
+        np.take(rank, cols["sig"], out=at, mode="clip")
+        h = np.bincount(at, minlength=len(hist))
+        hist += h
+        if h[-1]:
+            exact += [c_omega(factorize(seg.lo + offset + i))
+                      for i in np.flatnonzero(at == len(values)).tolist()]
+    return hist, exact
 
 
 def test_erdos_kac_cdf_memory_flat_in_x():
-    # each segment's histogram is merged as it arrives, so the CDF peaks no
+    # each segment's histogram is folded in as it arrives, so the CDF peaks no
     # higher than a sweep that makes the same 98 histograms and drops them,
-    # plus one running histogram (keeping all 98 adds about 40 KB for omega
-    # and 160 KB for log c_omega).  Both run over the same range, as the
-    # kernel's own peak grows with the seed primes below sqrt(x)
+    # plus one running histogram (keeping all 98 adds about 40 KB for omega).
+    # Both run over the same range, as the kernel's own peak grows with the
+    # seed primes below sqrt(x)
     x, size = 1_600_000, 2**14
 
     def peak(run):
@@ -277,7 +304,7 @@ def test_erdos_kac_cdf_memory_flat_in_x():
             tracemalloc.stop()
 
     for statistic, histogram in (("omega", _omega_histogram),
-                                 ("log_c_omega", _c_omega_histogram)):
+                                 ("log_c_omega", _c_omega_rank_histogram)):
         erdos_kac_cdf(10**5, statistic, size)       # one-time caches and tables
         sweep = peak(lambda: [None for _ in WorkerPool(1).sweep(3, x + 1, size, histogram)])
         got = peak(lambda: erdos_kac_cdf(x, statistic, size))
@@ -298,7 +325,7 @@ def _peak(run):
 def test_sweeps_peak_at_the_sieve_columns_and_one_chunk():
     # at a 2^20 segment, the log c_omega CDF keeps the sieve's word, extra
     # and code (5 B per entry) and collect_counts its word and extra (3 B),
-    # each with one chunk's arrays and histograms beside them (about 20 and
+    # each with one chunk's arrays and histograms beside them (about 14 and
     # 11 B per chunk entry); no column as wide as the segment is made
     size, chunk = 2**20, arith._CHUNK
     for run, sieve_bytes in ((lambda: erdos_kac_cdf(2**21, "log_c_omega", size), 5),
